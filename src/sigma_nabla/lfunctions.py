@@ -2,22 +2,25 @@
 the trace-formula consistency check, pole orders and purity reports.
 
 Everything here is exact rational arithmetic: L-function identities are
-exact claims, so no p-adic truncation is involved.
+exact claims, so no p-adic truncation is involved.  Integral data stays in
+Python integers; Fractions appear only for non-integral coefficients.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .padic import IntPolynomial
+from .padic import IntPolynomial, exact_rational
 from .points import PurityVerdict, purity_check
 
 
 @dataclass(frozen=True)
 class LSeries:
-    """Truncated power series with exact rational coefficients."""
+    """Truncated power series with exact rational coefficients (``int``
+    or ``Fraction``)."""
 
     coeffs: tuple
     truncation: int
@@ -30,12 +33,13 @@ class LSeries:
 
     @classmethod
     def one(cls, truncation):
-        return cls(tuple([Fraction(1)] + [Fraction(0)] * truncation),
-                   truncation)
+        return cls(tuple([1] + [0] * truncation), truncation)
 
     def mul(self, other: "LSeries") -> "LSeries":
+        """Truncated product by direct convolution, O(T^2): the reference
+        the power-sum Euler product is tested against."""
         t = min(self.truncation, other.truncation)
-        out = [Fraction(0)] * (t + 1)
+        out = [0] * (t + 1)
         for i, a in enumerate(self.coeffs[:t + 1]):
             if a:
                 for j, b in enumerate(other.coeffs[:t + 1 - i]):
@@ -48,23 +52,78 @@ class LSeries:
                 and self.coeffs == other.coeffs)
 
 
-def poly_series(poly: IntPolynomial, truncation) -> LSeries:
-    coeffs = [Fraction(c) for c in poly.coeffs[:truncation + 1]]
-    coeffs += [Fraction(0)] * (truncation + 1 - len(coeffs))
-    return LSeries(tuple(coeffs), truncation)
+# ---------------------------------------------------------------------------
+# Power sums.  A polynomial P = prod (1 - a_i t) with constant term 1 has
+# log(1/P) = sum_k s_k t^k / k with s_k = sum a_i^k, so a product of such
+# factors and their inverses is exp of the summed power sums.  Integer
+# factors have integer power sums and an integer product series.
+# ---------------------------------------------------------------------------
+
+
+def power_sums(poly: IntPolynomial, truncation):
+    """[0, s_1, ..., s_T] for the reciprocal roots of ``poly``, by Newton's
+    identities s_k = -k c_k - sum_{0<j<k} c_j s_{k-j}."""
+    c = poly.coeffs
+    if c[0] != 1:
+        raise ValueError("power sums need constant term 1")
+    support = [(j, c[j]) for j in range(1, min(len(c) - 1, truncation) + 1)
+               if c[j]]
+    s = [0] * (truncation + 1)
+    for k in range(1, truncation + 1):
+        acc = 0
+        for j, cj in support:
+            if j > k:
+                break
+            acc -= k * cj if j == k else cj * s[k - j]
+        s[k] = acc
+    return s
+
+
+def exp_power_sums(sums, truncation) -> LSeries:
+    """The series L with log L = sum_k S_k t^k / k, from k L_k =
+    sum_{j<=k} S_j L_{k-j}.  Integer power sums give an integer series,
+    so there each division by k is exact."""
+    integral = all(type(x) is int for x in sums)
+    out = [1] + [0] * truncation
+    for k in range(1, truncation + 1):
+        acc = 0
+        for j in range(1, k + 1):
+            if sums[j]:
+                acc += sums[j] * out[k - j]
+        if integral:
+            quo, rem = divmod(acc, k)
+            if rem:
+                raise ArithmeticError(
+                    f"inexact division by {k} in an integral L-series")
+            out[k] = quo
+        else:
+            out[k] = exact_rational(Fraction(acc, k))
+    return LSeries(tuple(out), truncation)
 
 
 def inverse_series(poly: IntPolynomial, truncation) -> LSeries:
-    """1 / poly as a power series, constant term of poly must be 1."""
+    """1 / poly as a power series by the O(T * deg) recurrence, constant
+    term of poly must be 1: with ``LSeries.mul``, the reference for the
+    power-sum path."""
     if poly.coeffs[0] != 1:
         raise ValueError("inverse series needs constant term 1")
-    out = [Fraction(1)] + [Fraction(0)] * truncation
+    out = [1] + [0] * truncation
     for k in range(1, truncation + 1):
-        acc = Fraction(0)
+        acc = 0
         for j in range(1, min(k, poly.degree) + 1):
             acc += poly.coeffs[j] * out[k - j]
         out[k] = -acc
     return LSeries(tuple(out), truncation)
+
+
+def _weighted_power_sums(weighted, truncation):
+    """sum of m * power_sums(P) over (P, m) pairs."""
+    total = [0] * (truncation + 1)
+    for poly, mult in weighted:
+        for k, s in enumerate(power_sums(poly, truncation)):
+            if s:
+                total[k] += mult * s
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +202,17 @@ def lfunction_truncated(table: CharPolyTable, place, truncation) -> LSeries:
     """Product of inverse local factors, expanded to O(t^(T+1)).
 
     The caller asserts the table holds every point of degree <= T for the
-    chosen place; the product simply multiplies what it is given.
+    chosen place; the product simply multiplies what it is given, once per
+    listed point.  Equal factors are grouped, so each distinct factor's
+    power sums are computed once.
     """
-    acc = LSeries.one(truncation)
-    keys = sorted((pid for pid, _ in table.points), key=str)
-    for pid in keys:
+    counts = Counter()
+    for pid, _deg in table.points:
         poly = table.polys.get((place, pid))
-        if poly is None:
-            continue
-        acc = acc.mul(inverse_series(poly, truncation))
-    return acc
+        if poly is not None:
+            counts[poly] += 1
+    sums = _weighted_power_sums(counts.items(), truncation)
+    return exp_power_sums(sums, truncation)
 
 
 @dataclass(frozen=True)
@@ -170,9 +230,8 @@ def trace_formula_check(table: CharPolyTable, place, cohomology,
     """Euler product against P1 / (P0 P2) as truncated power series."""
     p0, p1, p2 = cohomology
     lhs = lfunction_truncated(table, place, truncation)
-    rhs = poly_series(p1, truncation)
-    rhs = rhs.mul(inverse_series(p0, truncation))
-    rhs = rhs.mul(inverse_series(p2, truncation))
+    sums = _weighted_power_sums(((p0, 1), (p1, -1), (p2, 1)), truncation)
+    rhs = exp_power_sums(sums, truncation)
     for k in range(truncation + 1):
         if lhs.coeffs[k] != rhs.coeffs[k]:
             return TraceFormulaVerdict(False, truncation, k)
@@ -181,27 +240,30 @@ def trace_formula_check(table: CharPolyTable, place, cohomology,
 
 def pole_order_at(poly: IntPolynomial, q, d) -> int:
     """Multiplicity of the root t = q^-d, by exact synthetic division."""
-    at = Fraction(1, Fraction(q) ** d)
+    a = q ** d if d >= 0 else Fraction(1, q ** -d)
     order = 0
     current = poly
-    while not current.is_zero and current(at) == 0:
+    while not current.is_zero and _has_root(current, a):
         order += 1
-        current = _deflate(current, Fraction(q) ** d)
+        current = _deflate(current, a)
     return order
+
+
+def _has_root(poly: IntPolynomial, a):
+    """poly(1/a) == 0, tested as a^n poly(1/a) = sum c_k a^(n-k) == 0."""
+    acc = 0
+    for c in poly.coeffs:
+        acc = acc * a + c
+    return acc == 0
 
 
 def _deflate(poly: IntPolynomial, a):
     """Exact quotient by (1 - a t), assuming t = 1/a is a root."""
     out = []
-    prev = Fraction(0)
-    for k, c in enumerate(poly.coeffs):
-        if k == 0:
-            out.append(c)
-            prev = c
-        else:
-            nxt = c + a * prev
-            out.append(nxt)
-            prev = nxt
+    prev = 0
+    for c in poly.coeffs:
+        prev = c + a * prev
+        out.append(prev)
     # the last accumulated value must be zero exactly
     if out[-1] != 0:
         raise ArithmeticError("deflation of a non-root")

@@ -29,21 +29,12 @@ def smat_identity(n, p, nrel, window=None, max_width=None):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def smat_zero(n, m, p, nrel, window=None, max_width=None):
-    zero = LaurentSeries.zero(p, nrel, window, max_width)
-    return [[zero for _ in range(m)] for _ in range(n)]
-
-
 def smat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def smat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def smat_neg(a):
-    return [[-x for x in row] for row in a]
 
 
 def smat_mul(a, b, max_width=None, out_window=None):
@@ -78,10 +69,6 @@ def smat_sigma(a, power, max_width=None):
 
 def smat_deriv(a):
     return smat_map(a, lambda s: s.derivative())
-
-
-def smat_transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def smat_agree(a, b) -> AgreementVerdict:
@@ -272,18 +259,6 @@ def mat_mul(a, b, ops=None):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def mat_map(a, fn):
     return [[fn(x) for x in row] for row in a]
 
@@ -313,17 +288,3 @@ def mat_inv(a, ops, error=SingularInput):
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
-
-
-def mat_det(a, ops):
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    det = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in a[1:]]
-        term = a[0][j] * mat_det(minor, ops)
-        if j % 2:
-            term = ops.zero() - term
-        det = term if det is None else det + term
-    return det

@@ -39,20 +39,7 @@ from .linalg import (
     smat_sigma,
 )
 from .padic import INF, PadicNumber
-from .series import LaurentSeries, RingLabel, membership
-
-
-def _log_p(q, p):
-    f = 0
-    qq = q
-    while qq > 1:
-        if qq % p:
-            raise ValueError(f"q={q} is not a power of p={p}")
-        qq //= p
-        f += 1
-    if f == 0:
-        raise ValueError("q must be at least p")
-    return f
+from .series import LaurentSeries, RingLabel, log_p, membership
 
 
 @dataclass
@@ -75,7 +62,7 @@ class SigmaNablaModule:
             raise ValueError("B must match Phi")
         self.p = self.phi[0][0].p
         self.nrel = self.phi[0][0].nrel
-        self.f = _log_p(self.q, self.p)
+        self.f = log_p(self.q, self.p)
 
     @property
     def rank(self):

@@ -262,13 +262,6 @@ class PadicNumber:
         return Fraction(self.unit) * Fraction(self.p) ** self.val
 
 
-def padic_sum(values, p, nrel):
-    acc = PadicNumber.zero(p, nrel)
-    for v in values:
-        acc = acc + v
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Unramified extension Q_q / Q_p of degree f, with the canonical Frobenius.
 # ---------------------------------------------------------------------------
@@ -593,17 +586,18 @@ class IntPolynomial:
     """Polynomial with exact integer (or rational) coefficients.
 
     ``coeffs[i]`` is the coefficient of t^i; trailing zeros are stripped so
-    the leading coefficient of a nonzero polynomial is nonzero.
+    the leading coefficient of a nonzero polynomial is nonzero.  An integral
+    coefficient is stored as an ``int``, any other as a ``Fraction``.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is int else exact_rational(c) for c in coeffs]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         if not coeffs:
-            coeffs = [Fraction(0)]
+            coeffs = [0]
         self.coeffs = tuple(coeffs)
 
     @property
@@ -625,7 +619,7 @@ class IntPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return IntPolynomial([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -634,7 +628,7 @@ class IntPolynomial:
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i, a in enumerate(self.coeffs):
             out[i] += a
         for i, b in enumerate(other.coeffs):
@@ -642,13 +636,19 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     def __call__(self, x):
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def __repr__(self):
         return "IntPolynomial(%s)" % (list(self.coeffs),)
+
+
+def exact_rational(c):
+    """``c`` as an ``int`` when integral, else as a ``Fraction``."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def complex_root_magnitudes(poly: IntPolynomial):

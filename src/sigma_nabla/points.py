@@ -9,7 +9,6 @@ acts on entries through the field's Frobenius).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -179,58 +178,35 @@ def block_companion(f_g, n):
 def char_coeffs(mat):
     """Coefficients of det(T*I - F), leading first: (1, c_{n-1}, ..., c_0).
 
-    Division-free expansion over the entry ring; intended for the small
-    ranks this library works with.
+    Berkowitz's division-free algorithm, O(n^4) ring operations.  Write
+    the leading (r+1) x (r+1) block of F as [[M, C], [R, a]]; its
+    characteristic polynomial is the lower-triangular Toeplitz matrix with
+    first column (1, -a, -R C, -R M C, ..., -R M^(r-1) C) applied to that
+    of M.  Only +, * and zero - x are used, so Fraction, PadicNumber and
+    UnramifiedScalar entries all work.
     """
-    n = len(mat)
-    if n > 8:
-        raise ValueError("char_coeffs is limited to rank <= 8")
     ops = ops_for(mat[0][0])
     zero, one = ops.zero(), ops.one()
-    # polynomial in T, ascending coefficients, length n+1
-    total = [zero] * (n + 1)
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        # product of (T*delta_{i,perm(i)} - ... ) entries of (T I - F)
-        poly = [one]
-        for i in range(n):
-            entry_const = zero - mat[i][perm[i]]
-            if perm[i] == i:
-                # (T + entry_const)
-                poly = _poly_mul_linear(poly, entry_const, one, zero)
-            else:
-                poly = [c * entry_const for c in poly]
-        if sign < 0:
-            poly = [zero - c for c in poly]
-        for k, c in enumerate(poly):
-            total[k] = total[k] + c
-    return list(reversed(total))
+    poly = [one]
+    for r in range(len(mat)):
+        m_cols = [[mat[i][j] for i in range(r)] for j in range(r)]
+        c = [mat[i][r] for i in range(r)]
+        rm = mat[r][:r]                         # R M^k
+        toeplitz = [one, zero - mat[r][r]]
+        for k in range(r):
+            if k:
+                rm = [_dot(rm, col) for col in m_cols]
+            toeplitz.append(zero - _dot(rm, c))
+        poly = [_dot(toeplitz[i::-1], poly) for i in range(r + 2)]
+    return poly
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _poly_mul_linear(poly, const, one, zero):
-    # poly * (T + const)
-    out = [zero] * (len(poly) + 1)
-    for k, c in enumerate(poly):
-        out[k + 1] = out[k + 1] + c
-        out[k] = out[k] + c * const
-    return out
+def _dot(xs, ys):
+    """Sum of x * y over zip(xs, ys), both nonempty."""
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
 
 
 def newton_slopes_frob(mat):
@@ -309,6 +285,6 @@ class PointFrobenius:
         # det(1 - sF) has s^k coefficient equal to the T^(n-k) coefficient
         expanded = []
         for k, c in enumerate(coeffs):
-            expanded.extend([c] + [Fraction(0)] * (self.deg - 1))
+            expanded.extend([c] + [0] * (self.deg - 1))
         return IntPolynomial(expanded[:len(coeffs) * self.deg -
                                       (self.deg - 1)])

@@ -614,16 +614,6 @@ def _window_of_product(a, b, width, hull):
 # ---------------------------------------------------------------------------
 
 
-def series_arith(a, b, op, max_width=None):
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a.mul(b, max_width)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def series_invert(a, target_window=None, max_width=None):
     return a.invert(target_window, max_width)
 
@@ -645,18 +635,20 @@ def derivation_d(a: LaurentSeries) -> OneForm:
 def d_sigma(w: OneForm, q: int) -> OneForm:
     """Twisted differential: g du -> sigma(g) * q * u^(q-1) du."""
     s = w.coefficient
-    fpow = _log_p(q, s.p)
+    fpow = log_p(q, s.p)
     g = s.frobenius(fpow)
     qc = PadicNumber.from_int(s.p, s.nrel, q)
     return OneForm(g.scale(qc).shift_exp(q - 1))
 
 
-def _log_p(q, p):
+def log_p(q, p):
+    """f with q = p^f, f >= 1."""
     f = 0
-    while q > 1:
-        if q % p:
-            raise ValueError(f"{q} is not a power of {p}")
-        q //= p
+    qq = q
+    while qq > 1:
+        if qq % p:
+            raise ValueError(f"q={q} is not a power of p={p}")
+        qq //= p
         f += 1
     if f == 0:
         raise ValueError("q must be at least p")

@@ -13,14 +13,42 @@ from sigma_nabla.lfunctions import (
     LSeries,
     check_compatible,
     check_pure_system,
+    exp_power_sums,
     inverse_series,
     lfunction_truncated,
     pole_order_at,
+    power_sums,
     trace_formula_check,
 )
 from sigma_nabla.padic import IntPolynomial
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Euler product by direct convolution of inverse series.
+# ---------------------------------------------------------------------------
+
+
+def poly_series(poly, truncation):
+    coeffs = list(poly.coeffs[:truncation + 1])
+    return LSeries(tuple(coeffs + [0] * (truncation + 1 - len(coeffs))),
+                   truncation)
+
+
+def euler_product_oracle(table, place, truncation):
+    acc = LSeries.one(truncation)
+    for pid, _deg in table.points:
+        poly = table.polys.get((place, pid))
+        if poly is not None:
+            acc = acc.mul(inverse_series(poly, truncation))
+    return acc
+
+
+def trace_rhs_oracle(cohomology, truncation):
+    p0, p1, p2 = cohomology
+    return poly_series(p1, truncation).mul(inverse_series(p0, truncation)) \
+        .mul(inverse_series(p2, truncation))
 
 
 def test_compatible_single_place():
@@ -92,6 +120,66 @@ def test_multiplicative_over_disjoint_points(rng):
     assert la.mul(lb) == lfunction_truncated(t, "p", 8)
 
 
+def rational_table(rng):
+    """Local factors with non-integral rational coefficients, some points
+    of degree above the truncation, one point missing at place "a" and one
+    point id listed twice."""
+    points, polys = [], {}
+    for pid in range(6):
+        d = rng.randint(1, 5)
+        points.append((pid, d))
+        coeffs = [0] * (2 * d + 1)
+        coeffs[0] = 1
+        coeffs[d] = F(rng.randint(-6, 6), rng.choice([1, 2, 3, 4]))
+        coeffs[2 * d] = F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 5]))
+        for place in ("a", "b"):
+            if not (place == "a" and pid == 5):
+                polys[(place, pid)] = IntPolynomial(coeffs)
+    points.append(points[0])
+    return CharPolyTable(2, ["a", "b"], points, polys)
+
+
+def test_euler_product_matches_convolution_oracle(rng):
+    tables = [(lefschetz_instance(rng, 8)[0], "p", 8) for _ in range(3)]
+    tables += [(affine_line_table(q, 6, count_monic_irreducibles), "p", 6)
+               for q in (2, 3)]
+    tables += [(elliptic_style_table(rng), "a", 7) for _ in range(3)]
+    tables += [(rational_table(rng), place, T)
+               for place in ("a", "b") for T in (0, 1, 3, 9)]
+    tables.append((lefschetz_instance(rng, 6)[0], "p", 0))
+    for table, place, T in tables:
+        assert lfunction_truncated(table, place, T) == \
+            euler_product_oracle(table, place, T)
+
+
+def test_euler_product_integral_tables_stay_integers(rng):
+    table, _ = lefschetz_instance(rng, 8)
+    assert all(type(c) is int for c in lfunction_truncated(table, "p", 8)
+               .coeffs)
+    table = rational_table(rng)
+    coeffs = lfunction_truncated(table, "a", 6).coeffs
+    assert any(isinstance(c, Fraction) for c in coeffs)
+    assert all(type(c) is int or c.denominator > 1 for c in coeffs)
+
+
+def test_power_sums_newton_identities():
+    # (1 - 2t)(1 + 3t) = 1 + t - 6t^2: power sums 2^k + (-3)^k
+    sums = power_sums(IntPolynomial([1, 1, -6]), 6)
+    assert sums == [0] + [2 ** k + (-3) ** k for k in range(1, 7)]
+    # 1 - t/2: power sums 2^-k
+    assert power_sums(IntPolynomial([1, F(-1, 2)]), 3) == \
+        [0, F(1, 2), F(1, 4), F(1, 8)]
+    with pytest.raises(ValueError):
+        power_sums(IntPolynomial([2, 1]), 3)
+
+
+def test_exp_power_sums_rejects_non_integral_integer_input():
+    # power sums (1, 0) are those of no integer polynomial: L_2 = 1/2
+    with pytest.raises(ArithmeticError):
+        exp_power_sums([0, 1, 0], 2)
+    assert exp_power_sums([0, F(1), 0], 2).coeffs == (1, 1, F(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # Trace formula.
 # ---------------------------------------------------------------------------
@@ -119,6 +207,21 @@ def test_trace_formula_synthetic_instances(rng):
         assert trace_formula_check(table, "p", ps, 10).consistent
 
 
+def test_trace_formula_first_bad_degree_matches_oracle(rng):
+    for _ in range(6):
+        T = 6
+        table, (p0, p1, p2) = lefschetz_instance(rng, T)
+        k = rng.randint(1, T)
+        coeffs = list(p2.coeffs) + [0] * T
+        coeffs[k] += rng.choice([-1, 1])
+        ps = (p0, p1, IntPolynomial(coeffs))
+        lhs = euler_product_oracle(table, "p", T).coeffs
+        rhs = trace_rhs_oracle(ps, T).coeffs
+        bad = next(i for i in range(T + 1) if lhs[i] != rhs[i])
+        v = trace_formula_check(table, "p", ps, T)
+        assert not v.consistent and v.first_bad_degree == bad == k
+
+
 # ---------------------------------------------------------------------------
 # Pole orders.
 # ---------------------------------------------------------------------------
@@ -142,6 +245,14 @@ def test_pole_order_constructed(rng):
             poly = poly * IntPolynomial([1, -q ** d])
         poly = poly * IntPolynomial([1, rng.randint(1, 5)])
         assert pole_order_at(poly, q, d) == k
+
+
+def test_pole_order_rational_root_and_negative_d():
+    # 1 - t/2 vanishes at t = 2 = q^-d for q = 2, d = -1
+    poly = IntPolynomial([1, F(-1, 2)]) * IntPolynomial([1, F(-1, 2)])
+    assert pole_order_at(poly, 2, -1) == 2
+    assert pole_order_at(poly * IntPolynomial([1, -4]), 2, 2) == 1
+    assert pole_order_at(IntPolynomial([0]), 2, 1) == 0
 
 
 def test_pole_order_additive(rng):
@@ -185,5 +296,5 @@ def test_inverse_series_roundtrip(rng):
         coeffs = [1] + [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
         poly = IntPolynomial(coeffs)
         inv = inverse_series(poly, 10)
-        from sigma_nabla.lfunctions import poly_series
         assert poly_series(poly, 10).mul(inv) == LSeries.one(10)
+        assert exp_power_sums(power_sums(poly, 10), 10) == inv

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from sigma_nabla.errors import (
     PreconditionFailed,
     SingularFrobenius,
 )
-from sigma_nabla.linalg import mat_agree, mat_mul, ops_for
+from sigma_nabla.linalg import mat_agree, mat_inv, mat_mul, ops_for
 from sigma_nabla.padic import (
     IntPolynomial,
     PadicNumber,
@@ -257,7 +258,6 @@ def test_char_coeffs_conjugation_invariance(rng):
         for i in range(n):
             g[i][i] += F(7)
         ops = ops_for(F(1))
-        from sigma_nabla.linalg import mat_inv
         try:
             ginv = mat_inv(g, ops)
         except Exception:
@@ -278,3 +278,113 @@ def test_purity_invariant_under_conjugation():
 def test_point_frobenius_local_polynomial_deg2():
     pf = PointFrobenius(4, 2, frac_mat([[2, 0], [0, 2]]))
     assert pf.local_polynomial() == IntPolynomial([1, 0, -4, 0, 4])
+
+
+# ---------------------------------------------------------------------------
+# Oracle: char_coeffs by the n!-term permutation expansion of det(T*I - F).
+# ---------------------------------------------------------------------------
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _poly_mul_linear(poly, const, zero):
+    # poly * (T + const), ascending coefficients
+    out = [zero] * (len(poly) + 1)
+    for k, c in enumerate(poly):
+        out[k + 1] = out[k + 1] + c
+        out[k] = out[k] + c * const
+    return out
+
+
+def permutation_char_coeffs(mat):
+    n = len(mat)
+    ops = ops_for(mat[0][0])
+    zero, one = ops.zero(), ops.one()
+    total = [zero] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        poly = [one]
+        for i in range(n):
+            entry_const = zero - mat[i][perm[i]]
+            if perm[i] == i:
+                poly = _poly_mul_linear(poly, entry_const, zero)
+            else:
+                poly = [c * entry_const for c in poly]
+        if _perm_sign(perm) < 0:
+            poly = [zero - c for c in poly]
+        for k, c in enumerate(poly):
+            total[k] = total[k] + c
+    return list(reversed(total))
+
+
+def conjugated_diagonal(rng, diag):
+    """G * diag * G^-1 with G a random unit upper-triangular integer
+    matrix, so the eigenvalues are the diagonal entries."""
+    n = len(diag)
+    g = [[F(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = F(rng.randint(-3, 3))
+    dmat = [[diag[i] if i == j else F(0) for j in range(n)]
+            for i in range(n)]
+    return mat_mul(mat_mul(g, dmat), mat_inv(g, ops_for(F(1))))
+
+
+def test_char_coeffs_berkowitz_matches_permutations_fraction(rng):
+    for n in range(1, 7):
+        for _ in range(6):
+            f = [[F(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+                  for _ in range(n)] for _ in range(n)]
+            assert char_coeffs(f) == permutation_char_coeffs(f), f
+
+
+def test_char_coeffs_berkowitz_matches_permutations_padic(rng):
+    # the slopes input: eigenvalues c_i p^a_i over Z_p, conjugated; the
+    # claimed precision of every coefficient must match too
+    for _ in range(40):
+        p = rng.choice([2, 3, 5])
+        nrel = rng.choice([6, 12])
+        n = rng.randint(1, 5)
+        diag = []
+        for _ in range(n):
+            c = rng.randrange(1, p * p)
+            while c % p == 0:
+                c = rng.randrange(1, p * p)
+            diag.append(F(c * p ** rng.randint(0, 2)))
+        f = [[PadicNumber.from_rational(p, nrel, x) for x in row]
+             for row in conjugated_diagonal(rng, diag)]
+        assert repr(char_coeffs(f)) == repr(permutation_char_coeffs(f)), f
+
+
+def test_char_coeffs_berkowitz_matches_permutations_unramified(rng):
+    field = UnramifiedField(3, 2, 8)
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        f = [[field.scalar([rng.randint(-9, 9), rng.randint(-9, 9)])
+              for _ in range(n)] for _ in range(n)]
+        got, want = char_coeffs(f), permutation_char_coeffs(f)
+        assert len(got) == len(want) == n + 1
+        assert all(a.agrees(b) for a, b in zip(got, want)), f
+
+
+def test_point_frobenius_local_polynomial_rank_10(rng):
+    lams = [F(rng.choice([-3, -2, -1, 1, 2, 3, 4, 5])) for _ in range(10)]
+    expected = IntPolynomial([1])
+    for lam in lams:
+        expected = expected * IntPolynomial([1, -lam])
+    f = conjugated_diagonal(rng, lams)
+    assert PointFrobenius(2, 1, f).local_polynomial() == expected

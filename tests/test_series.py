@@ -180,6 +180,14 @@ def test_d_sigma_chain_rule(rng):
         assert agrees(lhs, rhs)
 
 
+def test_d_sigma_rejects_q_not_a_power_of_p():
+    w = OneForm(series(2, 10, [(1, 1)]))
+    with pytest.raises(ValueError, match=r"^q=12 is not a power of p=2$"):
+        d_sigma(w, 12)
+    with pytest.raises(ValueError, match="q must be at least p"):
+        d_sigma(w, 1)
+
+
 # ---------------------------------------------------------------------------
 # Membership.
 # ---------------------------------------------------------------------------

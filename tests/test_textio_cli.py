@@ -148,6 +148,23 @@ def test_cli_check_module_holds(runner, tmp_path):
     assert rep["floor"] >= N - 3
 
 
+README_FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "fixtures", "module.json")
+
+
+def test_cli_readme_fixture_report(runner):
+    # the README example: the checked-in closed-form pair and its report
+    with open(README_FIXTURE, encoding="utf-8") as fh:
+        assert json.load(fh) == json.loads(
+            textio.dumps(textio.emit_module(fixture_module())))
+    res = runner.invoke(main, ["check-module", README_FIXTURE])
+    assert res.exit_code == 0
+    rep = json.loads(res.output)
+    assert rep["verdict"] == "holds"
+    assert rep["floor"] == 12
+    assert rep["window"] == [-127, 127]
+
+
 def test_cli_check_module_fails(runner, tmp_path):
     bad = SigmaNablaModule(RingLabel("Gamma"), P, [[S([(1, 1)])]],
                            [[S([])]])
