@@ -53,7 +53,6 @@ def _is_prime(n):
 @dataclass
 class JobConfig:
     p: int = 3
-    f: int = 1
     nrel: int = 12
     max_width: int = DEFAULT_MAX_WIDTH
     k_max: int = 32
@@ -108,8 +107,6 @@ def _run(ctx, fn):
 @click.group()
 @click.option("--p", type=int, default=3, show_default=True,
               help="prime for scalar construction")
-@click.option("--f", "fdeg", type=int, default=1, show_default=True,
-              help="unramified degree (q = p^f)")
 @click.option("--prec", type=int, default=12, show_default=True,
               help="relative precision in p-digits")
 @click.option("--window", type=int,
@@ -122,9 +119,9 @@ def _run(ctx, fn):
 @click.option("--out", type=click.Path(), default=None,
               help="also write the report (or factors) here")
 @click.pass_context
-def main(ctx, p, fdeg, prec, window, kmax, nmax, tol, out):
+def main(ctx, p, prec, window, kmax, nmax, tol, out):
     """Exact computations with sigma/nabla-module and Frobenius data."""
-    cfg = JobConfig(p, fdeg, prec, window, kmax, nmax, tol, out)
+    cfg = JobConfig(p, prec, window, kmax, nmax, tol, out)
     cfg.validate()
     ctx.obj = cfg
 
@@ -525,6 +522,8 @@ def cmd_purity(ctx, table_path, weight):
 def cmd_pole_order(ctx, poly_path, qval, dval):
     """Multiplicity of the root t = q^-d of an exact polynomial."""
     cfg = ctx.obj
+    if qval < 2:
+        raise click.UsageError(f"--q must be at least 2, got {qval}")
 
     def go():
         poly = textio.expect_kind(textio.load_path(poly_path),

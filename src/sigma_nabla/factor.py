@@ -209,7 +209,10 @@ def matfact_gamma(x, max_width=None, verify=True) -> GammaFactorization:
                 "kernel column failed to gain a digit; entries are too "
                 "imprecise to continue")
         scale_col(j, v)
-        dv = _det_valuation(a, max_width)
+        # combine_col adds multiples of the other columns to column j
+        # (vec[j] == 1), which leaves det(A) unchanged; scale_col(j, v)
+        # divides column j, hence det(A), by exactly p^v
+        dv -= v
 
     # Z = (z_inv)^-1 as exact rational constants
     z_const = _fraction_inverse(z_inv)

@@ -7,6 +7,7 @@ PadicNumber and UnramifiedScalar entries via a tiny ops adapter.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import SingularInput
@@ -72,14 +73,15 @@ def smat_deriv(a):
 
 
 def smat_agree(a, b) -> AgreementVerdict:
-    """Entrywise agreement at precision; reports the worst finding."""
+    """Entrywise agreement at precision; reports the worst finding, and on
+    failure the (row, column) of the first entry that disagrees."""
     floor = INF
     window = None
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        for j, (x, y) in enumerate(zip(ra, rb)):
             v = series_agree(x, y)
             if not v.holds:
-                return v
+                return replace(v, position=(i, j))
             if v.floor is not None and v.floor < floor:
                 floor = v.floor
             window = v.window if window is None else window
@@ -87,33 +89,36 @@ def smat_agree(a, b) -> AgreementVerdict:
                             window or (0, 0))
 
 
-def smat_first_disagreement(a, b):
-    """Position and verdict of the first failing entry, or None."""
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        for j, (x, y) in enumerate(zip(ra, rb)):
-            v = series_agree(x, y)
-            if not v.holds:
-                return (i, j), v
-    return None
-
-
 def smat_det(a, max_width=None):
-    """Determinant by expansion; fine for the small ranks used here."""
+    """Determinant by cofactor expansion along the first row.
+
+    Each minor is computed once and shared: the minor on the last k rows is
+    determined by its column set.  Terms are formed and summed in the order
+    of the plain expansion, so the result is the same series.
+    """
     n, m = smat_shape(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return a[0][0]
-    det = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in a[1:]]
-        term = a[0][j].mul(smat_det(minor, max_width), max_width)
-        if j % 2:
-            term = -term
-        det = term if det is None else det + term
-    return det
+    minors = {}
+
+    def minor(cols):
+        r = n - len(cols)
+        if len(cols) == 1:
+            return a[r][cols[0]]
+        det = minors.get(cols)
+        if det is not None:
+            return det
+        for j, c in enumerate(cols):
+            term = a[r][c].mul(minor(cols[:j] + cols[j + 1:]), max_width)
+            if j % 2:
+                term = -term
+            det = term if det is None else det + term
+        minors[cols] = det
+        return det
+
+    return minor(tuple(range(n)))
 
 
 def smat_inv(a, target_window=None, max_width=None):

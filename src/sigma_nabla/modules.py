@@ -29,7 +29,6 @@ from .linalg import (
     smat_add,
     smat_agree,
     smat_deriv,
-    smat_first_disagreement,
     smat_identity,
     smat_inv,
     smat_map,
@@ -105,12 +104,9 @@ def check_compat(mod: SigmaNablaModule, max_width=None) -> CompatVerdict:
     rhs = smat_mul(mod.phi, sig_n, max_width)
     rhs = smat_map(rhs, lambda s: s.mul(
         _u_power_q(p, nrel, q), max_width))
-    bad = smat_first_disagreement(lhs, rhs)
     verdict = smat_agree(lhs, rhs)
-    if bad is None:
-        return CompatVerdict(True, verdict.floor, verdict.window)
-    pos, v = bad
-    return CompatVerdict(False, v.floor, v.window, pos, v.residual_valuation)
+    return CompatVerdict(verdict.holds, verdict.floor, verdict.window,
+                         verdict.position, verdict.residual_valuation)
 
 
 def check_fv(mod: SigmaNablaModule, max_width=None):

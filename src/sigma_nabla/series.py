@@ -19,6 +19,13 @@ operand is a truncation).  A configurable maximum width caps blowup;
 ``WindowOverflow`` signals that genuinely populated exponents no longer
 fit.
 
+Cost: a product accumulates integers only over the support hull of its
+operands, clipped to the output window, not over the whole window; a sum
+merges the two term maps.  The constructor's single pass over the terms
+also caches (min valuation, abs floor), which ``min_valuation``,
+``abs_floor`` and products read; ``coeffs`` is never mutated after
+construction.
+
 Ring membership for the eight series rings is refutation-only: a finite
 truncation can contradict a growth condition but never prove it, so checks
 return Consistent / Violated(witness) rather than yes/no.
@@ -128,7 +135,8 @@ def _pad_window(hull, width):
 
 
 class LaurentSeries:
-    __slots__ = ("p", "nrel", "coeffs", "window", "tail_free", "base_floor")
+    __slots__ = ("p", "nrel", "coeffs", "window", "tail_free", "base_floor",
+                 "_min_val", "_abs_floor")
 
     def __init__(self, p, nrel, coeffs, window, tail_free, base_floor):
         self.p = p
@@ -136,25 +144,40 @@ class LaurentSeries:
         self.window = (int(window[0]), int(window[1]))
         if self.window[0] > self.window[1]:
             raise WindowOverflow("empty exponent window")
+        lo, hi = self.window
         cleaned = {}
         dropped = False
+        # (min valuation, abs floor) of the stored terms and the base floor;
+        # None for the exact zero
+        min_val = abs_floor = base_floor
         for e, c in coeffs.items():
-            if not self.window[0] <= e <= self.window[1]:
+            if not lo <= e <= hi:
                 dropped = True
                 continue
             if c.is_exact_zero:
                 continue
-            if base_floor is not None:
+            if base_floor is not None and (
+                    c.unit is None or c.val + c.prec > base_floor):
                 # uniform-floor contract: nothing is claimed at or beyond
-                # p^base_floor anywhere in the window
+                # p^base_floor anywhere in the window.  Constructors keep
+                # units normalised, so a term already inside the floor
+                # would come back unchanged and is not re-made.
                 c = c.truncate_floor(base_floor)
                 if c.unit is None:
                     continue
             cleaned[e] = c
+            val = c.val
+            top = val if c.unit is None else val + c.prec
+            if min_val is None or val < min_val:
+                min_val = val
+            if abs_floor is None or top < abs_floor:
+                abs_floor = top
         self.coeffs = cleaned
         # a polynomial truncated to a smaller window is no longer tail-free
         self.tail_free = tail_free and not dropped
         self.base_floor = base_floor
+        self._min_val = min_val
+        self._abs_floor = abs_floor
 
     # -- constructors ----------------------------------------------------
 
@@ -209,17 +232,11 @@ class LaurentSeries:
 
     def min_valuation(self):
         """Smallest coefficient valuation floor; INF for the exact zero."""
-        vals = [c.val for c in self.coeffs.values()]
-        if self.base_floor is not None:
-            vals.append(self.base_floor)
-        return min(vals) if vals else INF
+        return INF if self._min_val is None else self._min_val
 
     def abs_floor(self):
         """Everything in the window is known modulo p^abs_floor."""
-        floors = [c.abs_floor for c in self.coeffs.values()]
-        if self.base_floor is not None:
-            floors.append(self.base_floor)
-        return min(floors) if floors else INF
+        return INF if self._abs_floor is None else self._abs_floor
 
     def coefficient(self, e):
         if e in self.coeffs:
@@ -270,10 +287,14 @@ class LaurentSeries:
         nrel = min(self.nrel, other.nrel)
         lo = max(self.window[0], other.window[0])
         hi = min(self.window[1], other.window[1])
+        mine, theirs = self.coeffs, other.coeffs
         coeffs = {}
-        for e in set(self.coeffs) | set(other.coeffs):
-            # coefficient() materialises the partner's floor at absent spots
-            coeffs[e] = self.coefficient(e) + other.coefficient(e)
+        for e, c in mine.items():
+            d = theirs.get(e)
+            coeffs[e] = other._plus_absent(e, c) if d is None else c + d
+        for e, d in theirs.items():
+            if e not in mine:
+                coeffs[e] = self._plus_absent(e, d)
         tail_free = self.tail_free and other.tail_free
         if tail_free and coeffs:
             lo = min(lo, min(coeffs))
@@ -282,6 +303,16 @@ class LaurentSeries:
                   if f is not None]
         bf = min(floors) if floors else None
         return LaurentSeries(self.p, nrel, coeffs, (lo, hi), tail_free, bf)
+
+    def _plus_absent(self, e, c):
+        """``c + self.coefficient(e)`` at an exponent e this series does not
+        store, without building the zero placeholder."""
+        lo, hi = self.window
+        if self.base_floor is None or not lo <= e <= hi:
+            # the placeholder is an exact zero: only the precision cap acts
+            return c if c.nrel <= self.nrel else c._cap(self.nrel)
+        return c + PadicNumber.inexact_zero(self.p, self.nrel,
+                                            self.base_floor)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -476,20 +507,6 @@ def _clip_window(window, hull, width):
     return (lo2, hi2)
 
 
-def _summaries(s: LaurentSeries):
-    """(minval, abs_floor) treating inexact zeros as valuation=floor."""
-    vals, floors = [], []
-    for c in s.coeffs.values():
-        vals.append(c.val)
-        floors.append(c.abs_floor)
-    if s.base_floor is not None:
-        vals.append(s.base_floor)
-        floors.append(s.base_floor)
-    mv = min(vals) if vals else None
-    fl = min(floors) if floors else None
-    return mv, fl
-
-
 def _mul(a: LaurentSeries, b: LaurentSeries, max_width, out_window=None):
     p = a.p
     nrel = min(a.nrel, b.nrel)
@@ -504,8 +521,10 @@ def _mul(a: LaurentSeries, b: LaurentSeries, max_width, out_window=None):
             raise WindowOverflow("requested output window is not provable")
         return (lo, hi)
 
-    mva, fla = _summaries(a)
-    mvb, flb = _summaries(b)
+    # (minval, abs_floor) treating inexact zeros as valuation=floor; None
+    # for the exact zero
+    mva, fla = a._min_val, a._abs_floor
+    mvb, flb = b._min_val, b._abs_floor
 
     # zero cases: exact zero wins; a pure floor keeps its pessimism
     if mva is None or mvb is None:
@@ -542,7 +561,6 @@ def _mul(a: LaurentSeries, b: LaurentSeries, max_width, out_window=None):
     window = clamp(_window_of_product(a, b, width, hull))
     lo, hi = window
     truncated_support = not (lo <= full_hull[0] and full_hull[1] <= hi)
-    n_cells = hi - lo + 1
 
     # raw integer convolution relative to base = mva + mvb
     base = mva + mvb
@@ -555,8 +573,12 @@ def _mul(a: LaurentSeries, b: LaurentSeries, max_width, out_window=None):
 
     items_a = [(e, c) for e, c in a.coeffs.items() if c.unit is not None]
     items_b = [(e, c) for e, c in b.coeffs.items() if c.unit is not None]
+    # accumulate over the product's support hull clipped to the window;
+    # every other cell of the window is zero
+    hlo, hhi = max(lo, full_hull[0]), min(hi, full_hull[1])
     raw_b = [(e, c.unit * p ** (c.val - mvb)) for e, c in items_b]
-    res = [0] * n_cells
+    res = [0] * (hhi - hlo + 1)
+    coeffs = {}
 
     for ea, ca in items_a:
         ra = ca.unit * p ** (ca.val - mva)
@@ -564,10 +586,9 @@ def _mul(a: LaurentSeries, b: LaurentSeries, max_width, out_window=None):
             ra %= pk
         for eb, rb in raw_b:
             k = ea + eb
-            if lo <= k <= hi:
-                res[k - lo] += ra * rb
+            if hlo <= k <= hhi:
+                res[k - hlo] += ra * rb
 
-    coeffs = {}
     for idx, raw in enumerate(res):
         if pk is not None:
             raw %= pk
@@ -582,7 +603,7 @@ def _mul(a: LaurentSeries, b: LaurentSeries, max_width, out_window=None):
         unit = (raw // p ** t) % p ** prec
         if unit == 0:
             continue
-        coeffs[idx + lo] = PadicNumber(p, nrel, val, unit, prec)
+        coeffs[idx + hlo] = PadicNumber(p, nrel, val, unit, prec)
 
     tail_free = a.tail_free and b.tail_free and not truncated_support
     return LaurentSeries(p, nrel, coeffs, window, tail_free, f_res)
@@ -721,6 +742,7 @@ class AgreementVerdict:
     window: tuple
     witness: Optional[int] = None         # first discrepant exponent
     residual_valuation: Optional[int] = None
+    position: Optional[tuple] = None      # failing entry of a matrix
 
 
 def series_agree(a: LaurentSeries, b: LaurentSeries) -> AgreementVerdict:

@@ -15,6 +15,7 @@ from conftest import (
 )
 from sigma_nabla.errors import NotConverged, SingularInput
 from sigma_nabla.factor import (
+    _det_valuation,
     descend_to_eplus,
     glue_dieudonne,
     matfact_gamma,
@@ -52,20 +53,25 @@ def test_gamma_diag_split():
 
 def test_gamma_roundtrip_random(rng):
     gamma = RingLabel("Gamma")
+    rounds = 0
     for trial in range(15):
         n = rng.randint(1, 3)
         y0, _ = rand_gamma_invertible(rng, P, N, n)
         z0, _ = rand_const_invertible(rng, P, N, n)
         x = smat_mul(y0, const_series_matrix(z0, P, N))
         f = matfact_gamma(x)
+        rounds += f.rounds
         assert f.product_verdict.holds
         assert f.det_valuation == 0
+        # the loop tracks det(Y)'s valuation without recomputing it
+        assert _det_valuation(f.y, None) == 0
         for row in f.y:
             for s in row:
                 assert membership(s, gamma).consistent
         for row in f.z:
             for s in row:
                 assert all(e == 0 for e in s.coeffs)
+    assert rounds > 0
 
 
 def test_gamma_rejects_unfactorable():

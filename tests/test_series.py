@@ -71,6 +71,105 @@ def test_sum_window_is_intersection():
     assert (a + b).window == (-4, 4)
 
 
+def rand_truncated(rng, nrel):
+    """A truncation of random exact terms: a window around the support,
+    tail_free False, a uniform floor; plus the exact terms it was cut from."""
+    while True:
+        s = rand_series(rng, P, nrel, -4, 4, -1, 3, rng.randint(1, 5))
+        lo = min(s.coeffs) - rng.randint(10, 20)
+        hi = max(s.coeffs) + rng.randint(10, 20)
+        t = LaurentSeries(P, nrel, s.coeffs, (lo, hi), False,
+                          rng.randint(1, 6))
+        if t.coeffs:
+            return t, oracle_from_series(s)
+
+
+def completion(rng, s, terms):
+    """Exact terms consistent with a truncated operand: anything inside its
+    window may move by a multiple of p^floor."""
+    out = dict(terms)
+    for _ in range(3):
+        e = rng.randint(*s.window)
+        out[e] = out.get(e, Fraction(0)) + rng.randint(-9, 9) * \
+            Fraction(P) ** s.base_floor
+    return {e: c for e, c in out.items() if c}
+
+
+def product_floor(a, b):
+    """min(floor(a) + minval(b), floor(b) + minval(a)), each read off the
+    stored terms and the base floor of nonzero operands."""
+    def summary(s):
+        vals = [c.val for c in s.coeffs.values()]
+        floors = [c.val + (c.prec or 0) for c in s.coeffs.values()]
+        if s.base_floor is not None:
+            vals.append(s.base_floor)
+            floors.append(s.base_floor)
+        return min(vals), min(floors)
+    (mva, fla), (mvb, flb) = summary(a), summary(b)
+    return min(fla + mvb, flb + mva)
+
+
+def test_truncated_operands_against_rational_oracle(rng):
+    # nrel exceeds every floor, so each claim is bounded by a floor and
+    # every completion of the operands must agree with the result
+    nrel = 30
+    for trial in range(60):
+        a, ta = rand_truncated(rng, nrel)
+        if trial % 2:
+            b, tb = rand_truncated(rng, nrel)
+        else:
+            b = rand_series(rng, P, nrel, -3, 3, 0, 2, 3)
+            tb = oracle_from_series(b)
+        total = a + b
+        assert total.window == (max(a.window[0], b.window[0]),
+                                min(a.window[1], b.window[1]))
+        assert not total.tail_free
+        assert total.base_floor == min(f for f in (a.base_floor, b.base_floor)
+                                       if f is not None)
+        prod = a * b
+        hb = (min(b.coeffs), max(b.coeffs))
+        ha = (min(a.coeffs), max(a.coeffs))
+        lo, hi = a.window[0] + hb[1], a.window[1] + hb[0]
+        if not b.tail_free:
+            lo = max(lo, b.window[0] + ha[1])
+            hi = min(hi, b.window[1] + ha[0])
+        assert prod.window == (lo, hi)
+        assert not prod.tail_free
+        assert prod.base_floor == product_floor(a, b)
+        cut = (lo + rng.randint(0, 4), hi - rng.randint(0, 4))
+        clipped = a.mul(b, out_window=cut)
+        assert clipped.window == cut
+        assert not clipped.tail_free
+        assert clipped.base_floor == prod.base_floor
+        for _ in range(3):
+            ca = completion(rng, a, ta)
+            cb = tb if b.tail_free else completion(rng, b, tb)
+            assert oracle_matches(oracle_add(ca, cb), total, P, nrel)
+            assert oracle_matches(oracle_mul(ca, cb), prod, P, nrel)
+            assert oracle_matches(oracle_mul(ca, cb), clipped, P, nrel)
+
+
+def test_polynomial_product_with_output_window_against_oracle(rng):
+    for _ in range(40):
+        a = rand_series(rng, P, N, -6, 6, -1, 3, 5)
+        b = rand_series(rng, P, N, -6, 6, -1, 3, 5)
+        want = oracle_mul(oracle_from_series(a), oracle_from_series(b))
+        full = a * b
+        assert full.tail_free
+        assert full.base_floor == product_floor(a, b)
+        assert oracle_matches(want, full, P, N)
+        support = (min(a.coeffs) + min(b.coeffs),
+                   max(a.coeffs) + max(b.coeffs))
+        cut = (rng.randint(-12, 0), rng.randint(0, 12))
+        clipped = a.mul(b, out_window=cut)
+        assert clipped.window == cut
+        assert clipped.base_floor == full.base_floor
+        assert clipped.tail_free == (cut[0] <= support[0]
+                                     and support[1] <= cut[1])
+        assert oracle_matches({e: c for e, c in want.items()
+                               if cut[0] <= e <= cut[1]}, clipped, P, N)
+
+
 def test_product_window_overflow():
     a = S([(0, 1), (30, 1)], window=(0, 30))
     with pytest.raises(WindowOverflow):

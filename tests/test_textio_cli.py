@@ -148,8 +148,13 @@ def test_cli_check_module_holds(runner, tmp_path):
     assert rep["floor"] >= N - 3
 
 
-README_FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir,
-                              "fixtures", "module.json")
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+README_FIXTURE = os.path.join(FIXTURES, "module.json")
+
+
+def fixture_bytes(*parts):
+    with open(os.path.join(FIXTURES, *parts), "rb") as fh:
+        return fh.read()
 
 
 def test_cli_readme_fixture_report(runner):
@@ -163,6 +168,24 @@ def test_cli_readme_fixture_report(runner):
     assert rep["verdict"] == "holds"
     assert rep["floor"] == 12
     assert rep["window"] == [-127, 127]
+
+
+def test_cli_golden_check_module_report(runner):
+    res = runner.invoke(main, ["check-module", README_FIXTURE])
+    assert res.exit_code == 0
+    assert res.stdout_bytes == fixture_bytes("module_report.json")
+
+
+@pytest.mark.parametrize("mode", ["gamma", "robba"])
+def test_cli_golden_factors(runner, tmp_path, mode):
+    # seeded rank-3 inputs; Y.json and Z.json must stay byte-identical
+    x_path = os.path.join(FIXTURES, f"factor_{mode}", "x.json")
+    res = runner.invoke(main, ["--out", str(tmp_path), "factor", mode,
+                               x_path])
+    assert res.exit_code == 0
+    for name in ("Y.json", "Z.json"):
+        assert (tmp_path / name).read_bytes() == \
+            fixture_bytes(f"factor_{mode}", name)
 
 
 def test_cli_check_module_fails(runner, tmp_path):
@@ -225,6 +248,18 @@ def test_cli_purity_and_pole_order(runner, tmp_path):
                                 str(pp)])
     assert res2.exit_code == 0
     assert json.loads(res2.output)["order"] == 2
+
+
+@pytest.mark.parametrize("d", [1, -1])
+def test_cli_pole_order_rejects_q_below_two(runner, tmp_path, d):
+    # q = 0 makes the root t = q^-d undefined (d > 0) or zero (d < 0)
+    pp = tmp_path / "poly.json"
+    textio.dump_path(str(pp), textio.emit_int_polynomial(
+        IntPolynomial([1, -4])))
+    res = runner.invoke(main, ["pole-order", "--q", "0", "--d", str(d),
+                               str(pp)])
+    assert res.exit_code == 2
+    assert "--q must be at least 2" in res.output
 
 
 def test_cli_lfunction_and_trace(runner, tmp_path):
