@@ -33,7 +33,10 @@ from .errors import (
     SingularInput,
 )
 from .linalg import (
+    FractionOps,
+    mat_inv,
     smat_agree,
+    smat_det,
     smat_identity,
     smat_inv,
     smat_mul,
@@ -75,17 +78,10 @@ class GammaFactorization:
 
 
 def _col_min_valuation(a, j):
-    vals = []
-    exhausted = False
-    for row in a:
-        s = row[j]
-        for c in s.coeffs.values():
-            if c.unit is not None:
-                vals.append(c.val)
-        if s.base_floor is not None and s.base_floor <= 0:
-            exhausted = True
+    col = [row[j] for row in a]
+    vals = [s.valuation() for s in col if not s.is_zero_at_precision]
     if not vals:
-        if exhausted:
+        if any(s.base_floor is not None and s.base_floor <= 0 for s in col):
             raise PrecisionExhausted(
                 f"column {j} is indistinguishable from zero")
         raise SingularInput(f"column {j} is exactly zero")
@@ -93,15 +89,14 @@ def _col_min_valuation(a, j):
 
 
 def _det_valuation(a, max_width):
-    from .linalg import smat_det
     det = smat_det(a, max_width)
-    vals = [c.val for c in det.coeffs.values() if c.unit is not None]
-    if not vals:
+    v = det.valuation()
+    if v is None:
         if det.abs_floor() is not INF:
             raise PrecisionExhausted(
                 "determinant is indistinguishable from zero")
         raise SingularInput("determinant is exactly zero")
-    return min(vals)
+    return v
 
 
 def _mod_p_kernel(a, p):
@@ -215,7 +210,7 @@ def matfact_gamma(x, max_width=None, verify=True) -> GammaFactorization:
         dv -= v
 
     # Z = (z_inv)^-1 as exact rational constants
-    z_const = _fraction_inverse(z_inv)
+    z_const = mat_inv(z_inv, FractionOps())
     z = [[LaurentSeries.from_terms(p, nrel, [(0, c)] if c else [])
           for c in row] for row in z_const]
     verdict = None
@@ -225,24 +220,6 @@ def matfact_gamma(x, max_width=None, verify=True) -> GammaFactorization:
         if not verdict.holds:
             raise SingularInput("internal error: product check failed")
     return GammaFactorization(a, z, 0, rounds, verdict)
-
-
-def _fraction_inverse(mat):
-    n = len(mat)
-    work = [list(row) + [Fraction(i == j) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise SingularInput("constant accumulator is singular")
-        work[col], work[piv] = work[piv], work[col]
-        pv = work[col][col]
-        work[col] = [v / pv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    return [row[n:] for row in work]
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +415,9 @@ def _neumann_inverse(mk, p, nrel, max_width, out_window=None):
             term = [[LaurentSeries(p, nrel, s.coeffs, out_window, True,
                                    s.base_floor) for s in row]
                     for row in term]
-        vals = [c.val for row in term for s in row
-                for c in s.coeffs.values() if c.unit is not None]
         acc = [[acc[i][j] + term[i][j] for j in range(n)] for i in range(n)]
-        if not vals or min(vals) >= nrel:
+        if all(s.is_zero_at_precision or s.valuation() >= nrel
+               for row in term for s in row):
             break
     return acc
 

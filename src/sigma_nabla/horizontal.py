@@ -158,9 +158,7 @@ def horizontal_sub_basis(inclusion, phi0_diag, max_width=None,
         for i in range(n):
             if i in used:
                 continue
-            c = a[i][j]
-            regs = [cc for cc in c.coeffs.values() if cc.unit is not None]
-            if regs and min(r.val for r in regs) == 0:
+            if a[i][j].valuation() == 0:
                 piv_row = i
                 break
         if piv_row is None:
@@ -189,9 +187,9 @@ def horizontal_sub_basis(inclusion, phi0_diag, max_width=None,
     for j in range(l):
         for i in range(n):
             d = a[i][j].derivative()
-            regs = [c.val for c in d.coeffs.values() if c.unit is not None]
-            if regs and min(regs) < worst:
-                worst = min(regs)
+            v = d.valuation()
+            if v is not None and v < worst:
+                worst = v
                 worst_pos = (i, j)
             f = d.abs_floor()
             floor = min(floor, f)

@@ -24,11 +24,6 @@ class SmithForm:
     w_inv: list
 
 
-def _entry_valuation(s: LaurentSeries):
-    regs = [c.val for c in s.coeffs.values() if c.unit is not None]
-    return min(regs) if regs else None
-
-
 def lattice_smith(a, max_width=None) -> SmithForm:
     """A = U D W over Gamma with D = diag(p^{d_1}, ..), d_1 <= d_2 <= ...
 
@@ -93,7 +88,7 @@ def lattice_smith(a, max_width=None) -> SmithForm:
         best = None
         for i in range(step, n):
             for j in range(step, m):
-                v = _entry_valuation(work[i][j])
+                v = work[i][j].valuation()
                 if v is not None and (best is None or v < best[0]):
                     best = (v, i, j)
         if best is None:
@@ -115,12 +110,12 @@ def lattice_smith(a, max_width=None) -> SmithForm:
         piv_unit_inv = work[step][step].shift_val(-v).invert(
             max_width=max_width)
         for i in range(step + 1, n):
-            if _entry_valuation(work[i][step]) is None:
+            if work[i][step].is_zero_at_precision:
                 continue
             c = -(work[i][step].shift_val(-v).mul(piv_unit_inv, max_width))
             row_op(i, step, c)
         for j in range(step + 1, m):
-            if _entry_valuation(work[step][j]) is None:
+            if work[step][j].is_zero_at_precision:
                 continue
             c = -(work[step][j].shift_val(-v).mul(piv_unit_inv, max_width))
             col_op(j, step, c)
@@ -202,12 +197,7 @@ def lattice_member(l: LatticeBasis, vector, max_width=None):
             acc = t if acc is None else acc + t
         c[i] = acc
     for i in range(n):
-        regs = [cc for cc in c[i].coeffs.values() if cc.unit is not None]
-        if i < sf.rank:
-            need = sf.exponents[i]
-            if regs and min(r.val for r in regs) < need:
-                return False
-        else:
-            if regs:
-                return False
+        v = c[i].valuation()
+        if v is not None and (i >= sf.rank or v < sf.exponents[i]):
+            return False
     return True

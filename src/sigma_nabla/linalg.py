@@ -1,8 +1,18 @@
 """Small matrix helpers over Laurent series and over plain scalars.
 
 Matrices are lists of lists (row major).  The series helpers thread the
-window cap through products; the scalar helpers are generic over Fraction,
-PadicNumber and UnramifiedScalar entries via a tiny ops adapter.
+window cap through products; ``smat_det`` and ``smat_inv`` share one
+cofactor memo.  The scalar helpers are generic over Fraction, PadicNumber
+and UnramifiedScalar entries via a tiny ops adapter, and ``mat_inv`` is
+the one Gauss-Jordan elimination over scalars.  An adapter provides:
+
+* ``zero()``, ``one()``, ``from_int(n)``: constants;
+* ``is_exact_zero(x)``: x is provably zero, so elimination may skip it
+  (an inexact zero must not be skipped: its uncertainty propagates);
+* ``pivot_quality(x)``: a sort key, smaller is better, or None when x
+  cannot be a pivot (zero at working precision);
+* ``inv(x)``: the inverse of a pivot;
+* ``agrees(x, y)``: x and y are not provably different.
 """
 
 from __future__ import annotations
@@ -89,54 +99,66 @@ def smat_agree(a, b) -> AgreementVerdict:
                             window or (0, 0))
 
 
-def smat_det(a, max_width=None):
-    """Determinant by cofactor expansion along the first row.
-
-    Each minor is computed once and shared: the minor on the last k rows is
-    determined by its column set.  Terms are formed and summed in the order
-    of the plain expansion, so the result is the same series.
+def _cofactor_memo(a, max_width):
+    """``minor(rows, cols)``: the determinant of the submatrix on the given
+    row and column tuples, by cofactor expansion along ``rows[0]``.  Each
+    minor is computed once; terms are formed and summed in the order of
+    the plain expansion, so each minor is the series that expansion gives.
     """
-    n, m = smat_shape(a)
-    if n != m:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        raise ValueError("empty matrix")
-    minors = {}
+    memo = {}
 
-    def minor(cols):
-        r = n - len(cols)
+    def minor(rows, cols):
         if len(cols) == 1:
-            return a[r][cols[0]]
-        det = minors.get(cols)
+            return a[rows[0]][cols[0]]
+        key = (rows, cols)
+        det = memo.get(key)
         if det is not None:
             return det
+        r, rest = rows[0], rows[1:]
         for j, c in enumerate(cols):
-            term = a[r][c].mul(minor(cols[:j] + cols[j + 1:]), max_width)
+            term = a[r][c].mul(minor(rest, cols[:j] + cols[j + 1:]),
+                               max_width)
             if j % 2:
                 term = -term
             det = term if det is None else det + term
-        minors[cols] = det
+        memo[key] = det
         return det
 
-    return minor(tuple(range(n)))
+    return minor
+
+
+def _square(a, what):
+    n, m = smat_shape(a)
+    if n != m:
+        raise ValueError(f"{what} of a non-square matrix")
+    if n == 0:
+        raise ValueError("empty matrix")
+    return n
+
+
+def smat_det(a, max_width=None):
+    """Determinant by cofactor expansion along the first row, each minor
+    computed once."""
+    full = tuple(range(_square(a, "determinant")))
+    return _cofactor_memo(a, max_width)(full, full)
 
 
 def smat_inv(a, target_window=None, max_width=None):
     """Inverse via the adjugate; the determinant must be a unit of E at
-    working precision."""
-    n, m = smat_shape(a)
-    if n != m:
-        raise ValueError("inverse of a non-square matrix")
-    det = smat_det(a, max_width)
-    det_inv = det.invert(target_window, max_width)
+    working precision.  The determinant and the n^2 cofactors share one
+    minor memo."""
+    n = _square(a, "inverse")
+    minor = _cofactor_memo(a, max_width)
+    full = tuple(range(n))
+    det_inv = minor(full, full).invert(target_window, max_width)
     if n == 1:
         return [[det_inv]]
     adj = []
     for i in range(n):
         row = []
         for j in range(n):
-            minor = [r[:i] + r[i + 1:] for k, r in enumerate(a) if k != j]
-            cof = smat_det(minor, max_width)
+            # cofactor C_ji: drop row j and column i
+            cof = minor(full[:j] + full[j + 1:], full[:i] + full[i + 1:])
             if (i + j) % 2:
                 cof = -cof
             row.append(cof.mul(det_inv, max_width))
@@ -161,7 +183,7 @@ class FractionOps:
     def from_int(self, n):
         return Fraction(n)
 
-    def is_zero(self, x):
+    def is_exact_zero(self, x):
         return x == 0
 
     def agrees(self, x, y):
@@ -193,8 +215,8 @@ class PadicOps:
     def from_int(self, n):
         return PadicNumber.from_int(self.p, self.nrel, n)
 
-    def is_zero(self, x):
-        return x.is_zero_at_precision
+    def is_exact_zero(self, x):
+        return x.is_exact_zero
 
     def agrees(self, x, y):
         return x.agrees(y)
@@ -221,8 +243,8 @@ class UnramOps:
     def from_int(self, n):
         return self.field.from_int(n)
 
-    def is_zero(self, x):
-        return x.is_zero_at_precision
+    def is_exact_zero(self, x):
+        return all(c.is_exact_zero for c in x.coords)
 
     def agrees(self, x, y):
         return x.agrees(y)
@@ -249,7 +271,7 @@ def mat_identity(n, ops):
             for i in range(n)]
 
 
-def mat_mul(a, b, ops=None):
+def mat_mul(a, b):
     n, k = len(a), len(a[0])
     m = len(b[0])
     out = []
@@ -273,7 +295,12 @@ def mat_agree(a, b, ops):
 
 
 def mat_inv(a, ops, error=SingularInput):
-    """Gauss-Jordan inverse with best-valuation pivoting."""
+    """Gauss-Jordan inverse with best-valuation pivoting.
+
+    Rows are eliminated against every pivot unless their entry is an exact
+    zero: an inexact zero O(p^f) still carries its uncertainty into the
+    rest of the row.
+    """
     n = len(a)
     work = [list(row) + list(ident_row)
             for row, ident_row in zip(a, mat_identity(n, ops))]
@@ -289,7 +316,7 @@ def mat_inv(a, ops, error=SingularInput):
         piv_inv = ops.inv(work[col][col])
         work[col] = [x * piv_inv for x in work[col]]
         for r in range(n):
-            if r != col and not ops.is_zero(work[r][col]):
+            if r != col and not ops.is_exact_zero(work[r][col]):
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]

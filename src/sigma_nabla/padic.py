@@ -531,7 +531,10 @@ class UnramifiedScalar:
         return all(c.is_zero_at_precision for c in self.coords)
 
     def inverse(self):
-        """Inverse via the multiplication-by-self matrix."""
+        """Inverse via the multiplication-by-self matrix: column 0 of its
+        inverse solves (self * x) = 1."""
+        # imported here: linalg imports this module
+        from .linalg import PadicOps, mat_inv
         f = self.field.f
         p, nrel = self.field.p, self.field.nrel
         basis = []
@@ -541,10 +544,8 @@ class UnramifiedScalar:
             basis.append(UnramifiedScalar(self.field, e))
         cols = [(self * b).coords for b in basis]
         mat = [[cols[j][i] for j in range(f)] for i in range(f)]
-        rhs = [PadicNumber.from_int(p, nrel, 1)] + \
-              [PadicNumber.zero(p, nrel)] * (f - 1)
-        sol = _solve_padic(mat, rhs)
-        return UnramifiedScalar(self.field, sol)
+        inv = mat_inv(mat, PadicOps(p, nrel), error=DivisionByZero)
+        return UnramifiedScalar(self.field, [row[0] for row in inv])
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -554,27 +555,6 @@ class UnramifiedScalar:
 
     def __repr__(self):
         return "UnramifiedScalar(%s)" % ", ".join(repr(c) for c in self.coords)
-
-
-def _solve_padic(mat, rhs):
-    """Gaussian elimination over PadicNumbers with min-valuation pivoting."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv, pv = None, INF
-        for r in range(col, n):
-            x = a[r][col]
-            if x.is_regular and x.valuation < pv:
-                piv, pv = r, x.valuation
-        if piv is None:
-            raise DivisionByZero("singular system at working precision")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        for r in range(n):
-            if r != col and a[r][col].is_regular:
-                factor = a[r][col] / inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] / a[i][i] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ Cost: a product accumulates integers only over the support hull of its
 operands, clipped to the output window, not over the whole window; a sum
 merges the two term maps.  The constructor's single pass over the terms
 also caches (min valuation, abs floor), which ``min_valuation``,
-``abs_floor`` and products read; ``coeffs`` is never mutated after
-construction.
+``abs_floor`` and products read, and the smallest valuation of a provably
+nonzero coefficient, which ``valuation`` returns; ``coeffs`` is never
+mutated after construction.
 
 Ring membership for the eight series rings is refutation-only: a finite
 truncation can contradict a growth condition but never prove it, so checks
@@ -136,7 +137,7 @@ def _pad_window(hull, width):
 
 class LaurentSeries:
     __slots__ = ("p", "nrel", "coeffs", "window", "tail_free", "base_floor",
-                 "_min_val", "_abs_floor")
+                 "_min_val", "_abs_floor", "_val")
 
     def __init__(self, p, nrel, coeffs, window, tail_free, base_floor):
         self.p = p
@@ -147,9 +148,10 @@ class LaurentSeries:
         lo, hi = self.window
         cleaned = {}
         dropped = False
-        # (min valuation, abs floor) of the stored terms and the base floor;
-        # None for the exact zero
+        # (min valuation, abs floor) of the stored terms and the base floor,
+        # None for the exact zero; val: min valuation of the regular terms
         min_val = abs_floor = base_floor
+        val_reg = None
         for e, c in coeffs.items():
             if not lo <= e <= hi:
                 dropped = True
@@ -167,7 +169,12 @@ class LaurentSeries:
                     continue
             cleaned[e] = c
             val = c.val
-            top = val if c.unit is None else val + c.prec
+            if c.unit is None:
+                top = val
+            else:
+                top = val + c.prec
+                if val_reg is None or val < val_reg:
+                    val_reg = val
             if min_val is None or val < min_val:
                 min_val = val
             if abs_floor is None or top < abs_floor:
@@ -178,6 +185,7 @@ class LaurentSeries:
         self.base_floor = base_floor
         self._min_val = min_val
         self._abs_floor = abs_floor
+        self._val = val_reg
 
     # -- constructors ----------------------------------------------------
 
@@ -224,11 +232,16 @@ class LaurentSeries:
 
     @property
     def is_zero_at_precision(self):
-        return all(c.unit is None for c in self.coeffs.values())
+        return self._val is None
 
     @property
     def is_exact_zero(self):
         return not self.coeffs and self.base_floor is None
+
+    def valuation(self):
+        """Smallest valuation of a provably nonzero coefficient; None when
+        the series is zero at working precision."""
+        return self._val
 
     def min_valuation(self):
         """Smallest coefficient valuation floor; INF for the exact zero."""
@@ -406,10 +419,9 @@ class LaurentSeries:
         precision; the result is verified by multiplying back.
         """
         p, nrel = self.p, self.nrel
-        regs = [(e, c) for e, c in self.coeffs.items() if c.unit is not None]
-        if not regs:
+        vmin = self.valuation()
+        if vmin is None:
             raise NotAUnit("series is zero at working precision")
-        vmin = min(c.val for _, c in regs)
         a1 = self.shift_val(-vmin)
         ordl = min(e for e, c in a1.coeffs.items()
                    if c.unit is not None and c.val == 0)
@@ -525,14 +537,16 @@ def _mul(a: LaurentSeries, b: LaurentSeries, max_width, out_window=None):
     # for the exact zero
     mva, fla = a._min_val, a._abs_floor
     mvb, flb = b._min_val, b._abs_floor
+    # support hulls of the operands
+    ha = (min(a.coeffs), max(a.coeffs)) if a.coeffs else (0, 0)
+    hb = (min(b.coeffs), max(b.coeffs)) if b.coeffs else (0, 0)
 
     # zero cases: exact zero wins; a pure floor keeps its pessimism
     if mva is None or mvb is None:
+        window = clamp(_window_of_product(a, b, ha, hb, width, (0, 0)))
         if (mva is None and a.base_floor is None) or \
            (mvb is None and b.base_floor is None):
-            window = clamp(_window_of_product(a, b, width, (0, 0)))
             return LaurentSeries(p, nrel, {}, window, True, None)
-        window = clamp(_window_of_product(a, b, width, (0, 0)))
         floors = [f + (mvb if mvb is not None else 0)
                   for f in (fla,) if f is not None]
         floors += [f + (mva if mva is not None else 0)
@@ -550,15 +564,13 @@ def _mul(a: LaurentSeries, b: LaurentSeries, max_width, out_window=None):
             (flb if flb is not None else INF) + mva)
         f_res = None if f_res is INF else int(f_res)
 
-    ha = (min(a.coeffs), max(a.coeffs)) if a.coeffs else (0, 0)
-    hb = (min(b.coeffs), max(b.coeffs)) if b.coeffs else (0, 0)
     full_hull = (ha[0] + hb[0], ha[1] + hb[1])
     hull = full_hull
     if out_window is not None:
         hull = (max(hull[0], out_window[0]), min(hull[1], out_window[1]))
         if hull[0] > hull[1]:
             hull = (out_window[0], out_window[0])
-    window = clamp(_window_of_product(a, b, width, hull))
+    window = clamp(_window_of_product(a, b, ha, hb, width, hull))
     lo, hi = window
     truncated_support = not (lo <= full_hull[0] and full_hull[1] <= hi)
 
@@ -609,11 +621,10 @@ def _mul(a: LaurentSeries, b: LaurentSeries, max_width, out_window=None):
     return LaurentSeries(p, nrel, coeffs, window, tail_free, f_res)
 
 
-def _window_of_product(a, b, width, hull):
+def _window_of_product(a, b, ha, hb, width, hull):
+    """Provable window of a * b, given the operands' support hulls."""
     ifa = a.tail_free
     ifb = b.tail_free
-    ha = (min(a.coeffs), max(a.coeffs)) if a.coeffs else (0, 0)
-    hb = (min(b.coeffs), max(b.coeffs)) if b.coeffs else (0, 0)
     if ifa and ifb:
         window = (a.window[0] + b.window[0], a.window[1] + b.window[1])
         return _clip_window(window, hull, width)

@@ -1,7 +1,19 @@
+import itertools
+import math
+
 import pytest
 
 from conftest import rand_series, series
-from sigma_nabla.linalg import smat_agree, smat_det
+from sigma_nabla.errors import SigmaNablaError
+from sigma_nabla.linalg import (
+    PadicOps,
+    UnramOps,
+    mat_inv,
+    smat_agree,
+    smat_det,
+    smat_inv,
+)
+from sigma_nabla.padic import UnramifiedField
 from sigma_nabla.series import LaurentSeries
 
 P, N = 3, 12
@@ -20,6 +32,34 @@ def plain_det(a):
             term = -term
         det = term if det is None else det + term
     return det
+
+
+def plain_inv(a):
+    """Adjugate inverse with every cofactor a separate plain expansion on a
+    copied minor matrix: the oracle for the shared-memo inverse."""
+    n = len(a)
+    det_inv = plain_det(a).invert()
+    if n == 1:
+        return [[det_inv]]
+    adj = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [r[:i] + r[i + 1:] for k, r in enumerate(a) if k != j]
+            cof = plain_det(minor)
+            if (i + j) % 2:
+                cof = -cof
+            row.append(cof.mul(det_inv))
+        adj.append(row)
+    return adj
+
+
+def inverse_outcome(inv, a):
+    """The described entries of inv(a), or the library error it raises."""
+    try:
+        return [[describe(s) for s in row] for row in inv(a)]
+    except SigmaNablaError as exc:
+        return type(exc)
 
 
 def truncated(rng, s):
@@ -45,6 +85,10 @@ def test_det_matches_plain_expansion(rng, n):
         mixed = [[truncated(rng, s) if rng.random() < 0.5 else s
                   for s in row] for row in exact]
         assert describe(smat_det(mixed)) == describe(plain_det(mixed))
+        if n < 5:
+            for a in (exact, mixed):
+                assert inverse_outcome(smat_inv, a) == \
+                    inverse_outcome(plain_inv, a)
 
 
 def test_det_of_triangular_matrix_is_diagonal_product():
@@ -68,3 +112,76 @@ def test_agree_reports_failing_position():
     assert v.position == (1, 1)
     assert v.witness == 0
     assert smat_agree([[one]], [[one]]).position is None
+
+
+# ---------------------------------------------------------------------------
+# Scalar Gauss-Jordan.
+# ---------------------------------------------------------------------------
+
+
+def test_mat_inv_keeps_inexact_zero_uncertainty():
+    # entry [1][0] is 2^3 * unit: at nrel 3 the elimination leaves an
+    # inexact zero in row 1 that must still act on the rest of the row
+    ints = [[4, -1, 8], [4, 1, -6], [-6, 1, 1]]
+
+    def inverse(nrel):
+        ops = PadicOps(2, nrel)
+        return mat_inv([[ops.from_int(x) for x in row] for row in ints], ops)
+
+    low, high = inverse(3), inverse(60)
+    assert repr(low[1][0]) == "O(2^3)"
+    assert high[1][0].val == 3
+    assert all(x.agrees(y) for rl, rh in zip(low, high)
+               for x, y in zip(rl, rh))
+
+
+def int_det(ints):
+    """Leibniz expansion of an integer determinant."""
+    n = len(ints)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(
+            ints[i][perm[i]] for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_mat_inv_sound_against_higher_precision(rng, degree):
+    # integral matrices over Q_p (det divisible by p^2) and over Q_{p^2}:
+    # every digit the low-precision inverse claims must agree with a run
+    # at 2*nrel+30
+    p, nrel = 2, 3
+
+    def ops_at(prec):
+        if degree == 1:
+            return PadicOps(p, prec)
+        return UnramOps(UnramifiedField(p, degree, prec))
+
+    def build(ops, ints):
+        if degree == 1:
+            return [[ops.from_int(x) for x in row] for row in ints]
+        return [[ops.field.scalar(x) for x in row] for row in ints]
+
+    low_ops, high_ops = ops_at(nrel), ops_at(2 * nrel + 30)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(1, 4)
+        if degree == 1:
+            ints = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
+            det = int_det(ints)
+            if det == 0 or det % p ** 2:
+                continue
+        else:
+            ints = [[[rng.randint(-8, 8) for _ in range(degree)]
+                     for _ in range(n)] for _ in range(n)]
+        try:
+            low = mat_inv(build(low_ops, ints), low_ops)
+            high = mat_inv(build(high_ops, ints), high_ops)
+        except SigmaNablaError:
+            continue
+        checked += 1
+        for rl, rh in zip(low, high):
+            for x, y in zip(rl, rh):
+                assert x.agrees(y), (ints, x, y)

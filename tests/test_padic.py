@@ -212,6 +212,8 @@ def test_unramified_inverse(rng):
     field = UnramifiedField(3, 2, 8)
     a = field.scalar([2, 7])
     assert (a * a.inverse()).agrees(field.one())
+    with pytest.raises(DivisionByZero):
+        field.zero().inverse()
 
 
 def test_unramified_degree_three():

@@ -109,6 +109,12 @@ def product_floor(a, b):
     return min(fla + mvb, flb + mva)
 
 
+def scanned_valuation(s):
+    """Smallest val over the provably nonzero stored terms, by a scan."""
+    vals = [c.val for c in s.coeffs.values() if c.unit is not None]
+    return min(vals) if vals else None
+
+
 def test_truncated_operands_against_rational_oracle(rng):
     # nrel exceeds every floor, so each claim is bounded by a floor and
     # every completion of the operands must agree with the result
@@ -141,6 +147,17 @@ def test_truncated_operands_against_rational_oracle(rng):
         assert clipped.window == cut
         assert not clipped.tail_free
         assert clipped.base_floor == prod.base_floor
+        # without a base floor an inexact zero is stored; it is no witness
+        noise = PadicNumber.inexact_zero(P, nrel, rng.randint(-3, 1))
+        noisy = LaurentSeries(
+            P, nrel, {**b.coeffs, rng.randint(*hb): noise}, b.window,
+            b.tail_free, None)
+        floor_only = LaurentSeries(P, nrel, {}, a.window, False,
+                                   a.base_floor)
+        for s in (a, b, total, prod, clipped, noisy, noisy + a, noisy * a,
+                  floor_only, floor_only * b):
+            assert s.valuation() == scanned_valuation(s)
+            assert s.is_zero_at_precision == (s.valuation() is None)
         for _ in range(3):
             ca = completion(rng, a, ta)
             cb = tb if b.tail_free else completion(rng, b, tb)

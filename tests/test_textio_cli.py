@@ -188,6 +188,19 @@ def test_cli_golden_factors(runner, tmp_path, mode):
             fixture_bytes(f"factor_{mode}", name)
 
 
+@pytest.mark.parametrize("command, inputs", [
+    ("glue", ("m1.json", "m2.json", "x.json")),
+    ("descend", ("module.json", "x.json")),
+])
+def test_cli_golden_glue_descend(runner, command, inputs):
+    # seeded rank-3 inputs (the generators of tests/conftest.py); the
+    # reports go through smat_inv, basis_transform and Z
+    paths = [os.path.join(FIXTURES, command, name) for name in inputs]
+    res = runner.invoke(main, [command] + paths)
+    assert res.exit_code == 0
+    assert res.stdout_bytes == fixture_bytes(command, "report.json")
+
+
 def test_cli_check_module_fails(runner, tmp_path):
     bad = SigmaNablaModule(RingLabel("Gamma"), P, [[S([(1, 1)])]],
                            [[S([])]])
