@@ -237,18 +237,17 @@ class RobbaFactorization:
     product_verdict: object
 
 
-def _minus_part(s: LaurentSeries):
-    return {e: c for e, c in s.coeffs.items() if e < 0}
-
-
-def _mat_minus(a):
-    return [[_minus_part(s) for s in row] for row in a]
-
-
-def _minus_min_val(minus):
-    vals = [c.val for row in minus for d in row for c in d.values()
-            if c.unit is not None]
-    return min(vals) if vals else None
+def _mat_minus(a, window=None):
+    """The negative-exponent parts of the entries, as polynomials on
+    ``window`` (default: each entry's own), and the smallest valuation of
+    a provably nonzero coefficient among them (None if there is none)."""
+    minus = [[LaurentSeries(s.p, s.nrel,
+                            {e: c for e, c in s.coeffs.items() if e < 0},
+                            window or s.window, True, None)
+              for s in row] for row in a]
+    vals = [m.valuation() for row in minus for m in row]
+    vals = [v for v in vals if v is not None]
+    return minus, min(vals) if vals else None
 
 
 def _dominant_monomial(s: LaurentSeries):
@@ -296,8 +295,7 @@ def matfact_robba(x, max_width=None, max_iterations=None,
 
     w = apply_d_inv(x)          # I + M
     ident = smat_identity(n, p, nrel)
-    minus = _mat_minus(smat_sub(w, ident))
-    mu = _minus_min_val(minus)
+    minus, mu = _mat_minus(smat_sub(w, ident))
     if mu is not None and mu < 1:
         raise NotConverged(
             "minus part has valuation < 1; input is outside the "
@@ -307,8 +305,8 @@ def matfact_robba(x, max_width=None, max_iterations=None,
     depth = 0
     for row in minus:
         for d in row:
-            if d:
-                depth = max(depth, -min(d))
+            if d.coeffs:
+                depth = max(depth, -min(d.coeffs))
     wlo = min(s.window[0] for r in x for s in r) - (depth + 1) * (nrel + 1)
     whi = max(s.window[1] for r in x for s in r) + (depth + 1) * (nrel + 1)
     work = (wlo, whi)
@@ -325,8 +323,7 @@ def matfact_robba(x, max_width=None, max_iterations=None,
     stall = 0
     last_mu = 0
     while True:
-        minus = _mat_minus(smat_sub(w, ident))
-        mu = _minus_min_val(minus)
+        mk, mu = _mat_minus(smat_sub(w, ident), work)
         if mu is None or mu >= nrel:
             break
         iterations += 1
@@ -342,8 +339,6 @@ def matfact_robba(x, max_width=None, max_iterations=None,
         else:
             stall = 0
         last_mu = mu
-        mk = [[LaurentSeries(p, nrel, d, work, True, None)
-               for j, d in enumerate(row)] for i, row in enumerate(minus)]
         corr = smat_add_ident(mk, p, nrel)
         corr_inv = _neumann_inverse(mk, p, nrel, big_width, work)
         y_corr = poly(smat_mul(y_corr, corr, big_width, work))

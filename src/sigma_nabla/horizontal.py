@@ -10,7 +10,7 @@ from typing import Optional
 
 from .errors import MembershipViolated, NonUnitPivot, NotHorizontal
 from .linalg import smat_mul, smat_shape
-from .padic import INF, PadicNumber, vp_int
+from .padic import INF, PadicNumber, padic_dot, vp_int
 from .series import LaurentSeries
 
 
@@ -71,16 +71,12 @@ def horizontal_basis(nmat, k_max, max_width=None) -> HorizontalBasis:
     loss = 0
     exhausted = False
     for k in range(k_max):
-        conv = [[zero for _ in range(n)] for _ in range(n)]
-        for j in range(min(k, len(ncoeffs) - 1) + 1):
-            nj = ncoeffs[j]
-            hl = h_layers[k - j]
-            for a in range(n):
-                for b in range(n):
-                    acc = conv[a][b]
-                    for t in range(n):
-                        acc = acc + nj[a][t] * hl[t][b]
-                    conv[a][b] = acc
+        # (N H)_k = sum over j of N_j H_{k-j}
+        layers = [(ncoeffs[j], h_layers[k - j])
+                  for j in range(min(k, len(ncoeffs) - 1) + 1)]
+        conv = [[padic_dot((nj[a][t], hl[t][b])
+                           for nj, hl in layers for t in range(n))
+                 for b in range(n)] for a in range(n)]
         divisor = PadicNumber.from_int(p, nrel, k + 1)
         loss += vp_int(k + 1, p)
         if nrel - loss <= 0:

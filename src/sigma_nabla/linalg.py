@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import SingularInput
 from .padic import INF, PadicNumber, UnramifiedScalar
-from .series import AgreementVerdict, LaurentSeries, series_agree
+from .series import AgreementVerdict, LaurentSeries, series_agree, series_dot
 
 
 # ---------------------------------------------------------------------------
@@ -53,17 +53,9 @@ def smat_mul(a, b, max_width=None, out_window=None):
     k2, m = smat_shape(b)
     if k != k2:
         raise ValueError("shape mismatch")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                term = a[i][t].mul(b[t][j], max_width, out_window)
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = [[row[j] for row in b] for j in range(m)]
+    return [[series_dot(zip(row, col), max_width, out_window) for col in cols]
+            for row in a]
 
 
 def smat_scale(a, c: PadicNumber):
@@ -103,9 +95,11 @@ def _cofactor_memo(a, max_width):
     """``minor(rows, cols)``: the determinant of the submatrix on the given
     row and column tuples, by cofactor expansion along ``rows[0]``.  Each
     minor is computed once; terms are formed and summed in the order of
-    the plain expansion, so each minor is the series that expansion gives.
+    the plain expansion, so each minor is the series that expansion gives
+    ((-x) * m and -(x * m) are the same series).
     """
     memo = {}
+    negated = {}
 
     def minor(rows, cols):
         if len(cols) == 1:
@@ -115,13 +109,12 @@ def _cofactor_memo(a, max_width):
         if det is not None:
             return det
         r, rest = rows[0], rows[1:]
-        for j, c in enumerate(cols):
-            term = a[r][c].mul(minor(rest, cols[:j] + cols[j + 1:]),
-                               max_width)
-            if j % 2:
-                term = -term
-            det = term if det is None else det + term
-        memo[key] = det
+        if r not in negated:
+            negated[r] = [-x for x in a[r]]
+        signed = (a[r], negated[r])
+        det = memo[key] = series_dot(
+            ((signed[j % 2][c], minor(rest, cols[:j] + cols[j + 1:]))
+             for j, c in enumerate(cols)), max_width)
         return det
 
     return minor

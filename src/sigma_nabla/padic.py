@@ -70,18 +70,17 @@ class PadicNumber:
             prec = nrel
         if prec <= 0:
             return cls.inexact_zero(p, nrel, val)
-        raw %= p ** prec
+        return cls._at_floor(p, nrel, val, raw, val + prec)
+
+    @classmethod
+    def _at_floor(cls, p, nrel, base, raw, floor):
+        """Canonical form of ``p^base * raw`` modulo ``p^floor`` (floor >=
+        base); the caller guarantees floor - valuation <= nrel."""
+        raw %= p ** (floor - base)
         if raw == 0:
-            return cls.inexact_zero(p, nrel, val + prec)
+            return cls.inexact_zero(p, nrel, floor)
         t = vp_int(raw, p)
-        if t >= prec:
-            return cls.inexact_zero(p, nrel, val + prec)
-        if t:
-            val += t
-            prec -= t
-            raw //= p ** t
-            raw %= p ** prec
-        return cls(p, nrel, val, raw, prec)
+        return cls(p, nrel, base + t, raw // p ** t, floor - base - t)
 
     @classmethod
     def from_int(cls, p, nrel, n):
@@ -260,6 +259,60 @@ class PadicNumber:
         if self.unit is None:
             raise ValueError("inexact zero has no representative")
         return Fraction(self.unit) * Fraction(self.p) ** self.val
+
+
+def padic_dot(pairs):
+    """Sum of the products ``x * y`` over ``pairs``: the number that folding
+    ``+`` over them left to right gives, kept as one integer over a common
+    valuation and normalised once.
+
+    Such a fold is the canonical form of the exact sum modulo p^F, F the
+    smallest absolute floor of the terms, in any order; only a step that
+    lowers the precision cap nrel depends on what came before, since it
+    caps the running sum at its own valuation + nrel.
+    """
+    p = nrel = base = None
+    floor = INF             # absolute floor of the running sum
+    raw = 0                 # the running sum is p^base * raw mod p^floor
+    for x, y in pairs:
+        if p is None:
+            p = x.p
+            nrel = min(x.nrel, y.nrel)
+        if x.p != p or y.p != p:
+            raise ValueError("mixed primes in a dot product")
+        n = x.nrel if x.nrel < y.nrel else y.nrel
+        if n < nrel:
+            if base is not None and floor > base:
+                r = raw % p ** (floor - base)
+                if r:
+                    floor = min(floor, base + vp_int(r, p) + n)
+            nrel = n
+        xv, yv = x.val, y.val
+        if xv is None or yv is None:
+            continue            # an exact zero term
+        v = xv + yv
+        if x.unit is None or y.unit is None:
+            if v < floor:
+                floor = v
+            continue
+        top = v + min(x.prec, y.prec, nrel)
+        if top < floor:
+            floor = top
+        u = x.unit * y.unit
+        if base is None:
+            base, raw = v, u
+        elif v >= base:
+            raw += u * p ** (v - base)
+        else:
+            raw = raw * p ** (base - v) + u
+            base = v
+    if p is None:
+        raise ValueError("empty dot product")
+    if floor is INF:
+        return PadicNumber.zero(p, nrel)
+    if base is None or floor <= base:
+        return PadicNumber.inexact_zero(p, nrel, floor)
+    return PadicNumber._at_floor(p, nrel, base, raw, floor)
 
 
 # ---------------------------------------------------------------------------

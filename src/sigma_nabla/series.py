@@ -19,13 +19,18 @@ operand is a truncation).  A configurable maximum width caps blowup;
 ``WindowOverflow`` signals that genuinely populated exponents no longer
 fit.
 
-Cost: a product accumulates integers only over the support hull of its
-operands, clipped to the output window, not over the whole window; a sum
-merges the two term maps.  The constructor's single pass over the terms
-also caches (min valuation, abs floor), which ``min_valuation``,
+Cost: every product goes through ``series_dot``, which sums products of
+series (a matrix entry, a cofactor expansion; ``a * b`` is the one-pair
+case).  It convolves integers only over each product's support hull,
+clipped to the output window, adds all products into one integer per
+exponent over a common base valuation, and builds one ``PadicNumber`` per
+cell and one series at the end: no partial sum is materialised.  A sum
+``a + b`` merges the two term maps.  The constructor's single pass over
+the terms also caches (min valuation, abs floor), which ``min_valuation``,
 ``abs_floor`` and products read, and the smallest valuation of a provably
-nonzero coefficient, which ``valuation`` returns; ``coeffs`` is never
-mutated after construction.
+nonzero coefficient, which ``valuation`` returns; products cache the
+integer form of their operands' terms.  ``coeffs`` is never mutated after
+construction.
 
 Ring membership for the eight series rings is refutation-only: a finite
 truncation can contradict a growth condition but never prove it, so checks
@@ -137,7 +142,7 @@ def _pad_window(hull, width):
 
 class LaurentSeries:
     __slots__ = ("p", "nrel", "coeffs", "window", "tail_free", "base_floor",
-                 "_min_val", "_abs_floor", "_val")
+                 "_min_val", "_abs_floor", "_val", "_ints")
 
     def __init__(self, p, nrel, coeffs, window, tail_free, base_floor):
         self.p = p
@@ -163,9 +168,11 @@ class LaurentSeries:
                 # uniform-floor contract: nothing is claimed at or beyond
                 # p^base_floor anywhere in the window.  Constructors keep
                 # units normalised, so a term already inside the floor
-                # would come back unchanged and is not re-made.
+                # would come back unchanged and is not re-made.  Only a
+                # zero at or beyond the floor goes: O(p^f) with f below it
+                # is a weaker claim than the floor and stays.
                 c = c.truncate_floor(base_floor)
-                if c.unit is None:
+                if c.val >= base_floor:
                     continue
             cleaned[e] = c
             val = c.val
@@ -186,6 +193,7 @@ class LaurentSeries:
         self._min_val = min_val
         self._abs_floor = abs_floor
         self._val = val_reg
+        self._ints = None
 
     # -- constructors ----------------------------------------------------
 
@@ -361,10 +369,10 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         self._check(other)
-        return _mul(self, other, None)
+        return series_dot(((self, other),))
 
     def mul(self, other, max_width=None, out_window=None):
-        return _mul(self, other, max_width, out_window)
+        return series_dot(((self, other),), max_width, out_window)
 
     # -- endomorphisms ------------------------------------------------------
 
@@ -477,8 +485,8 @@ class LaurentSeries:
             for _ in range(nrel + 1):
                 # polynomial surrogates on the working window: neglected
                 # products carry valuation beyond nrel or sit outside tw
-                term = _mul(gm, term, big_width, out_window=(wlo, whi))
-                term = _mul(term, hs, big_width, out_window=(wlo, whi))
+                term = series_dot(((gm, term),), big_width, (wlo, whi))
+                term = series_dot(((term, hs),), big_width, (wlo, whi))
                 term = LaurentSeries(p, nrel, term.coeffs, (wlo, whi),
                                      True, term.base_floor)
                 term = -term
@@ -519,106 +527,190 @@ def _clip_window(window, hull, width):
     return (lo2, hi2)
 
 
-def _mul(a: LaurentSeries, b: LaurentSeries, max_width, out_window=None):
-    p = a.p
+def _operand(s):
+    """(support hull, integer terms) of s, computed once per series: the
+    hull of the stored exponents ((0, 0) when there are none) and
+    (exponent, unit * p^(val - min_val)) for each provably nonzero
+    coefficient."""
+    cached = s._ints
+    if cached is None:
+        coeffs = s.coeffs
+        p, mv = s.p, s._min_val
+        cached = s._ints = (
+            (min(coeffs), max(coeffs)) if coeffs else (0, 0),
+            [(e, c.unit * p ** (c.val - mv))
+             for e, c in coeffs.items() if c.unit is not None])
+    return cached
+
+
+def _product_term(a, b, width, out_window):
+    """Everything about ``a * b`` but its coefficients: (nrel, window,
+    tail_free, floor, base, cell range, whole, integer terms of a and of
+    b); floor and base are None for the exact zero.  The product is p^base
+    times the integer convolution of the terms on the cell range, known
+    modulo p^floor; ``whole`` when the window holds all of it."""
     nrel = min(a.nrel, b.nrel)
-    width = max_width or DEFAULT_MAX_WIDTH
-
-    def clamp(window):
-        if out_window is None:
-            return window
-        lo = max(window[0], out_window[0])
-        hi = min(window[1], out_window[1])
-        if lo > hi:
-            raise WindowOverflow("requested output window is not provable")
-        return (lo, hi)
-
-    # (minval, abs_floor) treating inexact zeros as valuation=floor; None
-    # for the exact zero
-    mva, fla = a._min_val, a._abs_floor
-    mvb, flb = b._min_val, b._abs_floor
-    # support hulls of the operands
-    ha = (min(a.coeffs), max(a.coeffs)) if a.coeffs else (0, 0)
-    hb = (min(b.coeffs), max(b.coeffs)) if b.coeffs else (0, 0)
-
-    # zero cases: exact zero wins; a pure floor keeps its pessimism
+    mva, mvb = a._min_val, b._min_val
+    ha, raw_a = _operand(a)
+    hb, raw_b = _operand(b)
     if mva is None or mvb is None:
-        window = clamp(_window_of_product(a, b, ha, hb, width, (0, 0)))
-        if (mva is None and a.base_floor is None) or \
-           (mvb is None and b.base_floor is None):
-            return LaurentSeries(p, nrel, {}, window, True, None)
-        floors = [f + (mvb if mvb is not None else 0)
-                  for f in (fla,) if f is not None]
-        floors += [f + (mva if mva is not None else 0)
-                   for f in (flb,) if f is not None]
-        bf = min(floors) if floors else None
-        return LaurentSeries(p, nrel, {}, window,
-                             a.tail_free and b.tail_free, bf)
-
-    # floor of the product
-    if fla is INF and flb is INF:
-        f_res = None
-    else:
-        f_res = min(
-            (fla if fla is not None else INF) + mvb,
-            (flb if flb is not None else INF) + mva)
-        f_res = None if f_res is INF else int(f_res)
-
-    full_hull = (ha[0] + hb[0], ha[1] + hb[1])
-    hull = full_hull
+        # only the exact zero has no (min valuation, abs floor)
+        window = _clamp(_window_of_product(a, b, ha, hb, width, (0, 0)),
+                        out_window)
+        return (nrel, window, True, None, None, 1, 0, True, (), ())
+    floor = min(a._abs_floor + mvb, b._abs_floor + mva)
+    full = (ha[0] + hb[0], ha[1] + hb[1])
+    hull = full
     if out_window is not None:
         hull = (max(hull[0], out_window[0]), min(hull[1], out_window[1]))
         if hull[0] > hull[1]:
             hull = (out_window[0], out_window[0])
-    window = clamp(_window_of_product(a, b, ha, hb, width, hull))
+    window = _clamp(_window_of_product(a, b, ha, hb, width, hull), out_window)
     lo, hi = window
-    truncated_support = not (lo <= full_hull[0] and full_hull[1] <= hi)
+    whole = lo <= full[0] and full[1] <= hi
+    return (nrel, window, a.tail_free and b.tail_free and whole, floor,
+            mva + mvb, max(lo, full[0]), min(hi, full[1]), whole,
+            raw_a, raw_b)
 
-    # raw integer convolution relative to base = mva + mvb
-    base = mva + mvb
-    exact_path = f_res is None
-    if exact_path:
-        pk = None
-    else:
-        K = f_res - base + 2
-        pk = p ** max(K, 1)
 
-    items_a = [(e, c) for e, c in a.coeffs.items() if c.unit is not None]
-    items_b = [(e, c) for e, c in b.coeffs.items() if c.unit is not None]
-    # accumulate over the product's support hull clipped to the window;
-    # every other cell of the window is zero
-    hlo, hhi = max(lo, full_hull[0]), min(hi, full_hull[1])
-    raw_b = [(e, c.unit * p ** (c.val - mvb)) for e, c in items_b]
-    res = [0] * (hhi - hlo + 1)
+def _clamp(window, out_window):
+    if out_window is None:
+        return window
+    lo = max(window[0], out_window[0])
+    hi = min(window[1], out_window[1])
+    if lo > hi:
+        raise WindowOverflow("requested output window is not provable")
+    return (lo, hi)
+
+
+def _valuation(cell, p, base, floor):
+    """Valuation of p^base * cell known modulo p^floor; None when it is
+    zero there."""
+    r = cell % p ** (floor - base)
+    return None if r == 0 else base + vp_int(r, p)
+
+
+def _first_kept(exponents, acc, glo, low, bf, p, base):
+    """The first exponent at which a running sum keeps a coefficient (its
+    cell in ``acc`` is nonzero, or zero below the uniform floor bf), or
+    None."""
+    for e in exponents:
+        f = min(bf, low.get(e, bf))
+        if f < bf or _valuation(acc[e - glo], p, base, f) is not None:
+            return e
+    return None
+
+
+def series_dot(pairs, max_width=None, out_window=None):
+    """Sum of the products ``a.mul(b, max_width, out_window)`` over
+    ``pairs``: the series that folding ``+`` over them left to right gives.
+
+    Every cell is one integer over the smallest base valuation of the
+    products, normalised once at the end.  The fold is replayed step by
+    step on those integers only where it depends on order: a sum of
+    tail-free series widens its window to the keys that survive the
+    step's floor, and a step that lowers nrel caps each cell at its
+    valuation + nrel.  Everything else is order-free: a sum of products
+    is the canonical form of the exact sum modulo p^(smallest floor).
+    """
+    width = max_width or DEFAULT_MAX_WIDTH
+    terms = []
+    p = base = glo = ghi = None
+    for a, b in pairs:
+        if p is None:
+            p = a.p
+        elif a.p != p:
+            raise ValueError("mixed primes")
+        term = _product_term(a, b, width, out_window)
+        terms.append(term)
+        tbase, clo, chi = term[4:7]
+        if tbase is not None and (base is None or tbase < base):
+            base = tbase
+        if clo <= chi:
+            glo = clo if glo is None or clo < glo else glo
+            ghi = chi if ghi is None or chi > ghi else ghi
+    if p is None:
+        raise ValueError("empty dot product")
+    if glo is None:
+        glo = ghi = 0       # no product has a cell
+    acc = [0] * (ghi - glo + 1)
+    low = {}                # cells whose floor is below the uniform floor
+    nrel = lo = hi = tail_free = bf = None
+    alo, ahi = 0, -1        # cell range of the running sum
+
+    for n, window, tf, f, tbase, clo, chi, whole, raw_a, raw_b in terms:
+        keys = []           # surviving keys outside the window, when tf
+        if nrel is None:
+            nrel, (lo, hi), tail_free = n, window, tf
+        else:
+            lo, hi = max(lo, window[0]), min(hi, window[1])
+            tail_free = tail_free and tf
+            if n < nrel and bf is not None:
+                # the running sum is capped at n relative digits
+                for e in range(alo, ahi + 1):
+                    fe = min(bf, low.get(e, bf))
+                    v = _valuation(acc[e - glo], p, base, fe)
+                    if v is not None and v + n < fe:
+                        low[e] = v + n
+            nrel = min(nrel, n)
+            if tail_free:
+                ends = (range(alo, min(ahi + 1, lo)),
+                        range(ahi, max(alo - 1, hi), -1))
+                keys = [e for e in (_first_kept(es, acc, glo, low, bf, p,
+                                                base) for es in ends)
+                        if e is not None]
+        if f is not None:
+            capped = f - tbase > nrel
+            widens = tail_free and (clo < lo or chi > hi)
+            # integer convolution over the cell range, relative to base;
+            # into its own cells when they must be looked at first
+            own = capped or widens
+            out, off = ([0] * (chi - clo + 1), clo) if own else (acc, glo)
+            shift = p ** (tbase - base)
+            for ea, ra in raw_a:
+                ra *= shift
+                if whole:
+                    ea -= off
+                    for eb, rb in raw_b:
+                        out[ea + eb] += ra * rb
+                    continue
+                for eb, rb in raw_b:
+                    k = ea + eb
+                    if clo <= k <= chi:
+                        out[k - off] += ra * rb
+            if widens:
+                keys += [e for e in range(clo, chi + 1)
+                         if (e < lo or e > hi)
+                         and _valuation(out[e - clo], p, base, f) is not None]
+            if capped:
+                # a cell of this product keeps at most nrel relative digits
+                for e in range(clo, chi + 1):
+                    v = _valuation(out[e - clo], p, base, f)
+                    if v is not None and v + nrel < f:
+                        low[e] = min(low.get(e, f), v + nrel)
+            if own:
+                for k, c in enumerate(out, clo - glo):
+                    acc[k] += c
+        if keys:
+            lo, hi = min(lo, *keys), max(hi, *keys)
+        if lo > hi:
+            raise WindowOverflow("empty exponent window")
+        if f is not None:
+            if clo <= chi:
+                alo, ahi = ((clo, chi) if alo > ahi
+                            else (min(alo, clo), max(ahi, chi)))
+            bf = f if bf is None else min(bf, f)
+
     coeffs = {}
-
-    for ea, ca in items_a:
-        ra = ca.unit * p ** (ca.val - mva)
-        if pk is not None:
-            ra %= pk
-        for eb, rb in raw_b:
-            k = ea + eb
-            if hlo <= k <= hhi:
-                res[k - hlo] += ra * rb
-
-    for idx, raw in enumerate(res):
-        if pk is not None:
-            raw %= pk
-        if raw == 0:
-            continue
-        t = vp_int(raw, p)
-        val = base + t
-        if f_res is not None and val >= f_res:
-            continue
-        # the uniform absolute floor f_res carries the precision claim
-        prec = nrel if f_res is None else min(nrel, f_res - val)
-        unit = (raw // p ** t) % p ** prec
-        if unit == 0:
-            continue
-        coeffs[idx + hlo] = PadicNumber(p, nrel, val, unit, prec)
-
-    tail_free = a.tail_free and b.tail_free and not truncated_support
-    return LaurentSeries(p, nrel, coeffs, window, tail_free, f_res)
+    top = None if bf is None else p ** (bf - base)
+    for e in range(max(alo, lo), min(ahi, hi) + 1):
+        fe = min(bf, low.get(e, bf)) if low else bf
+        cell = acc[e - glo]
+        if cell % (top if fe == bf else p ** (fe - base)):
+            coeffs[e] = PadicNumber._at_floor(p, nrel, base, cell, fe)
+        elif fe < bf:
+            coeffs[e] = PadicNumber.inexact_zero(p, nrel, fe)
+    return LaurentSeries(p, nrel, coeffs, (lo, hi), tail_free, bf)
 
 
 def _window_of_product(a, b, ha, hb, width, hull):

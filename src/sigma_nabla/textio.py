@@ -100,13 +100,28 @@ def emit_series_body(s: LaurentSeries):
     }
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_series_body(p, nrel, obj) -> LaurentSeries:
     try:
-        window = tuple(obj["window"])
+        window = obj["window"]
+        floor = obj.get("floor")
+        tail_free = obj.get("tail_free", True)
+        if not (isinstance(window, (list, tuple)) and len(window) == 2
+                and _is_int(window[0]) and _is_int(window[1])
+                and window[0] <= window[1]):
+            raise ValueError(f"window must be two integers lo <= hi, not "
+                             f"{window!r}")
+        if floor is not None and not _is_int(floor):
+            raise ValueError(f"floor must be an integer or null, not "
+                             f"{floor!r}")
+        if not isinstance(tail_free, bool):
+            raise ValueError(f"tail_free must be a boolean, not "
+                             f"{tail_free!r}")
         coeffs = {int(e): parse_scalar(p, nrel, c) for e, c in obj["terms"]}
-        return LaurentSeries(p, nrel, coeffs, window,
-                             bool(obj.get("tail_free", True)),
-                             obj.get("floor"))
+        return LaurentSeries(p, nrel, coeffs, tuple(window), tail_free, floor)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad series: {exc}")
 

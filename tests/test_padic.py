@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigma_nabla.errors import AmbiguousValuation, DivisionByZero
@@ -14,6 +14,7 @@ from sigma_nabla.padic import (
     UnramifiedField,
     complex_root_magnitudes,
     newton_polygon,
+    padic_dot,
 )
 
 P5 = lambda x: PadicNumber.from_rational(5, 12, Fraction(x))
@@ -98,6 +99,42 @@ def test_valuation_rules(qa, qb):
         assert s.valuation >= min(a.valuation, b.valuation)
         if a.valuation != b.valuation:
             assert s.valuation == min(a.valuation, b.valuation)
+
+
+def _padic(kind, nrel, val, unit, prec):
+    if kind == "exact":
+        return PadicNumber.zero(3, nrel)
+    if kind == "inexact":
+        return PadicNumber.inexact_zero(3, nrel, val)
+    return PadicNumber._make(3, nrel, val, unit, min(prec, nrel))
+
+
+padics = st.builds(
+    _padic, st.sampled_from(("regular", "regular", "exact", "inexact")),
+    st.sampled_from((6, 10)), st.integers(-3, 4),
+    st.integers(1, 3 ** 12).filter(lambda u: u % 3), st.integers(1, 10))
+
+
+def _one(nrel, power=0):
+    return PadicNumber.from_int(3, nrel, 3 ** power)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(padics, padics), min_size=1, max_size=6),
+       st.booleans())
+# a lower nrel after a higher one caps the running sum at its valuation;
+# a higher nrel after a lower one caps the new product
+@example([(_one(10), _one(10)), (_one(6, 3), _one(6))], False)
+@example([(_one(6, 3), _one(6)), (_one(10), _one(10))], False)
+def test_padic_dot_matches_chained_fold(pairs, cancel):
+    if cancel:
+        # the first product again, negated: the sum cancels
+        pairs = pairs + [(-pairs[0][0], pairs[0][1])]
+    acc = None
+    for x, y in pairs:
+        acc = x * y if acc is None else acc + x * y
+    got = padic_dot(pairs)
+    assert (repr(got), got.nrel) == (repr(acc), acc.nrel)
 
 
 # ---------------------------------------------------------------------------

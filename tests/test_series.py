@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from sigma_nabla.series import (
     derivation_d,
     membership,
     series_agree,
+    series_dot,
     series_invert,
     sigma_apply,
 )
@@ -191,6 +193,135 @@ def test_product_window_overflow():
     a = S([(0, 1), (30, 1)], window=(0, 30))
     with pytest.raises(WindowOverflow):
         a.mul(a, max_width=32)
+
+
+def test_inexact_zero_below_the_floor_is_kept():
+    # 3 + O(3^3) and its negative cancel to O(3^3), a weaker claim than the
+    # base floor 10: the sum is known only modulo 3^3 there
+    x = PadicNumber._make(P, N, 1, 1, 2)
+    one = LaurentSeries(P, N, {1: x}, (-5, 5), False, 10)
+    total = one + LaurentSeries(P, N, {1: -x}, (-5, 5), False, 10)
+    assert total.coefficient(1).abs_floor == 3
+    assert total.abs_floor() == 3
+    assert total.valuation() is None
+    assert total.min_valuation() == 3
+    # (1 + 9u^2 + O(3^12)) * O(3^2) is O(3^2) + O(3^4) u^2 + O(3^14)
+    s = LaurentSeries(P, N, {0: PadicNumber.from_int(P, N, 1),
+                             2: PadicNumber.from_int(P, N, 9)},
+                      (-4, 4), False, 12)
+    scaled = s.scale(PadicNumber.inexact_zero(P, N, 2))
+    assert scaled.base_floor == 14
+    assert scaled.abs_floor() == 2
+    assert scaled.valuation() is None
+    assert scaled.min_valuation() == 2
+
+
+# ---------------------------------------------------------------------------
+# The multiply-accumulate kernel.
+# ---------------------------------------------------------------------------
+
+
+def rand_coefficient(rng, nrel, inexact=True):
+    if inexact and rng.random() < 0.1:
+        return PadicNumber.inexact_zero(P, nrel, rng.randint(-2, 4))
+    prec = nrel if rng.random() < 0.5 else rng.randint(1, nrel)
+    unit = rng.randrange(1, P ** prec)
+    while unit % P == 0:
+        unit = rng.randrange(1, P ** prec)
+    return PadicNumber._make(P, nrel, rng.randint(-2, 4), unit, prec)
+
+
+def rand_operand(rng, nrel):
+    """An exact zero, a pure floor, a truncation, or a tail-free polynomial
+    whose window hugs its support, so that sums of products widen."""
+    kind = rng.choice(("zero", "floor", "truncated", "truncated",
+                       "polynomial", "polynomial", "polynomial"))
+    if kind == "zero":
+        return LaurentSeries.zero(P, nrel, window=(-rng.randint(0, 9),
+                                                   rng.randint(0, 9)))
+    if kind == "floor":
+        return LaurentSeries(P, nrel, {}, (-rng.randint(0, 12),
+                                           rng.randint(0, 12)),
+                             False, rng.randint(0, 8))
+    truncated = kind == "truncated"
+    terms = {rng.randint(-6, 6): rand_coefficient(rng, nrel, not truncated)
+             for _ in range(rng.randint(1, 4))}
+    lo, hi = min(terms), max(terms)
+    if truncated:
+        return LaurentSeries(P, nrel, terms, (lo - rng.randint(6, 16),
+                                              hi + rng.randint(6, 16)),
+                             False, rng.randint(1, 12))
+    return LaurentSeries(P, nrel, terms, (lo - rng.randint(0, 2),
+                                          hi + rng.randint(0, 2)),
+                         True, None)
+
+
+def at_nrel(s, nrel):
+    """The same series with every coefficient capped at nrel."""
+    return LaurentSeries(P, nrel, {e: c._cap(nrel)
+                                   for e, c in s.coeffs.items()},
+                         s.window, s.tail_free, s.base_floor)
+
+
+def fold_of_products(pairs, max_width, out_window):
+    acc = None
+    for a, b in pairs:
+        term = a.mul(b, max_width, out_window)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def outcome(fn, *args):
+    try:
+        s = fn(*args)
+    except WindowOverflow as exc:
+        return type(exc).__name__
+    return (repr(s), s.window, s.tail_free, s.base_floor, s.nrel,
+            [c.nrel for _, c in s.items()])
+
+
+def test_series_dot_matches_the_fold_of_products():
+    rng = random.Random(5023)
+    seen = dict(widened=0, overflow=0, kept_zero=0, capped=0)
+    for _ in range(1500):
+        if rng.random() < 0.2:
+            # a product at nrel 10, a higher-valuation one at nrel 6, then
+            # the first negated: the lower nrel caps the cancelled cell
+            a, b = (series(P, 10, [(rng.randint(-4, 4), rng.randint(1, 99))
+                                   for _ in range(3)], window=(-9, 9))
+                    for _ in range(2))
+            c = rand_operand(rng, 6).shift_val(3)
+            pairs = [(a, b), (c, rand_operand(rng, 6)), (-a, b)]
+        else:
+            nrel = rng.choice((6, 10, None))
+            pairs = [(rand_operand(rng, nrel or rng.choice((6, 10))),
+                      rand_operand(rng, nrel or rng.choice((6, 10))))
+                     for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:
+                a, b = pairs[0]
+                pairs.append((at_nrel(-a, 6), at_nrel(b, 6)))
+            pairs = [(-a if rng.random() < 0.25 else a, b) for a, b in pairs]
+        max_width = rng.choice((None, 40, 64))
+        out_window = None
+        if rng.random() < 0.25:
+            lo = -rng.randint(0, 10)
+            out_window = (lo, lo + rng.randint(0, 20))
+        want = outcome(fold_of_products, pairs, max_width, out_window)
+        assert outcome(series_dot, pairs, max_width, out_window) == want
+        if want == "WindowOverflow":
+            seen["overflow"] += 1
+            continue
+        total = series_dot(pairs, max_width, out_window)
+        windows = [a.mul(b, max_width, out_window).window for a, b in pairs]
+        if total.window != (max(w[0] for w in windows),
+                            min(w[1] for w in windows)):
+            seen["widened"] += 1
+        if any(c.unit is None for c in total.coeffs.values()):
+            seen["kept_zero"] += 1
+        if len({a.nrel for a, _ in pairs}) > 1:
+            seen["capped"] += 1
+    # every order-dependent step of the fold was exercised
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,19 @@ def test_cli_parse_error_exit_two(runner, tmp_path):
     path.write_text("{not json", encoding="utf-8")
     res = runner.invoke(main, ["check-module", str(path)])
     assert res.exit_code == 2
+    # malformed series bodies: a short or reversed window, a fractional or
+    # boolean floor, a non-boolean tail_free
+    good = textio.emit_module(fixture_module())
+    for field, value in (("window", [5]), ("window", [3, 1]),
+                         ("window", [0, "1"]), ("window", [False, 4]),
+                         ("floor", 2.5), ("floor", True),
+                         ("tail_free", "no"), ("tail_free", 1)):
+        doc = json.loads(textio.dumps(good))
+        doc["phi"][0][0][field] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        res = runner.invoke(main, ["check-module", str(path)])
+        assert res.exit_code == 2, (field, value, res.output)
+        assert "Traceback" not in res.output
 
 
 def test_cli_purity_and_pole_order(runner, tmp_path):
