@@ -27,7 +27,7 @@ from .lfunctions import (
 )
 from .linalg import smat_agree, smat_mul
 from .modules import check_compat, check_fv, quasi_nilpotence_probe
-from .padic import INF
+from .padic import INF, is_prime
 from .points import (
     average_projector,
     average_projector_group,
@@ -37,17 +37,6 @@ from .points import (
     newton_slopes_frob,
 )
 from .series import DEFAULT_MAX_WIDTH
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass
@@ -61,7 +50,7 @@ class JobConfig:
     out: str = None
 
     def validate(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise click.UsageError(f"--p must be prime, got {self.p}")
         if self.nrel < 1:
             raise click.UsageError("--prec must be at least 1")

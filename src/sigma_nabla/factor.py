@@ -37,6 +37,7 @@ from .linalg import (
     mat_inv,
     smat_agree,
     smat_det,
+    smat_honest,
     smat_identity,
     smat_inv,
     smat_mul,
@@ -313,8 +314,7 @@ def matfact_robba(x, max_width=None, max_iterations=None,
     big_width = whi - wlo + 1 + 8
 
     def poly(mat):
-        return [[LaurentSeries(p, nrel, s.coeffs, work, True, s.base_floor)
-                 for s in row] for row in mat]
+        return [[s.on_window(work) for s in row] for row in mat]
 
     w = poly(w)
     y_corr = smat_identity(n, p, nrel)
@@ -350,24 +350,9 @@ def matfact_robba(x, max_width=None, max_iterations=None,
           for j in range(n)] for i in range(n)]
     y_inv = [[y_corr_inv[i][j].scale(d_inv[j][1]).shift_exp(d_inv[j][0])
               for j in range(n)] for i in range(n)]
-    z = w
-
-    def honest(mat):
-        # results live at the uniform working floor p^nrel: coefficients the
-        # iteration could not distinguish from zero are absorbed into it
-        out = []
-        for row in mat:
-            new_row = []
-            for s in row:
-                s = LaurentSeries(
-                    p, nrel, s.coeffs,
-                    (max(s.window[0], wlo), min(s.window[1], whi)),
-                    False, s.base_floor)
-                new_row.append(s.widen_floor(nrel))
-            out.append(new_row)
-        return out
-
-    y, z, y_inv = honest(y), honest(z), honest(y_inv)
+    # results live at the uniform working floor p^nrel: coefficients the
+    # iteration could not distinguish from zero are absorbed into it
+    y, z, y_inv = (smat_honest(mat, work, nrel) for mat in (y, w, y_inv))
 
     verdict = None
     if verify:
@@ -407,9 +392,7 @@ def _neumann_inverse(mk, p, nrel, max_width, out_window=None):
     for _ in range(nrel + 1):
         term = smat_mul(term, neg, max_width, out_window)
         if out_window is not None:
-            term = [[LaurentSeries(p, nrel, s.coeffs, out_window, True,
-                                   s.base_floor) for s in row]
-                    for row in term]
+            term = [[s.on_window(out_window) for s in row] for row in term]
         acc = [[acc[i][j] + term[i][j] for j in range(n)] for i in range(n)]
         if all(s.is_zero_at_precision or s.valuation() >= nrel
                for row in term for s in row):

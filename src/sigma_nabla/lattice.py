@@ -1,5 +1,18 @@
 """Lattice linear algebra over Gamma: Smith normal form (Gamma is a
 complete DVR with uniformiser p) and intersections of free lattices.
+
+Working-window contract of ``lattice_smith``: the entries and each pivot
+inverse are polynomial surrogates (``LaurentSeries.on_window``) on a
+working window, the inputs' common window padded on each side by
+(r + 1) * (nrel + 1) exponents, r the largest |exponent| the inputs store.
+A truncated entry stands for its completion by zeros, which agrees with it
+on its window: the result is a Smith form of that completion.  A
+Gamma-unit c u^a (1 + g) with g divisible by p has an inverse that loses
+a digit per span of g, so the terms the surrogates drop at the padded
+edges are zero at working precision before they reach the inputs' window
+(not proven for a pivot whose reduction mod p has several terms).  U, W
+and their inverses are returned as truncations on the inputs' common
+window, known modulo p^min(nrel, the inputs' absolute floor); D is exact.
 """
 
 from __future__ import annotations
@@ -7,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PrecisionExhausted
-from .linalg import smat_identity, smat_mul, smat_shape
+from .linalg import smat_honest, smat_identity, smat_mul, smat_shape
 from .padic import INF
-from .series import LaurentSeries
+from .series import LaurentSeries, series_dot
 
 
 @dataclass
@@ -24,116 +37,89 @@ class SmithForm:
     w_inv: list
 
 
+def _transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
+def _swap_and_clear(mat, fwd, inv_t, step, k, col, v, plus):
+    """Swap rows ``step`` and ``k``, then clear column ``col`` of ``mat``
+    below the pivot mat[step][col] = p^v with multiples of row ``step``.
+    ``fwd`` takes the same row operations; ``inv_t``, the transpose of
+    fwd's inverse, takes the inverse ones on its rows."""
+    for x in (mat, fwd, inv_t):
+        x[step], x[k] = x[k], x[step]
+    cs = [(i, mat[i][col].shift_val(-v)) for i in range(step + 1, len(mat))
+          if not mat[i][col].is_zero_at_precision]
+    for i, c in cs:
+        for x in (mat, fwd):
+            x[i] = [plus(y, [(-c, z)]) for y, z in zip(x[i], x[step])]
+    if cs:
+        inv_t[step] = [plus(y, [(c, inv_t[i][j]) for i, c in cs])
+                       for j, y in enumerate(inv_t[step])]
+
+
 def lattice_smith(a, max_width=None) -> SmithForm:
     """A = U D W over Gamma with D = diag(p^{d_1}, ..), d_1 <= d_2 <= ...
 
     Pivot selection: minimal p-valuation, ties broken lexicographically by
-    (row, column).  U and W are products of permutations, unit scalings
-    and elementary operations, hence invertible over Gamma.
+    (row, column).  Each pivot is normalised to p^v by one inversion; its
+    column is cleared by row operations, then its row by the same routine
+    on the transposes.  The remaining block keeps valuations >= v, so the
+    exponents come out sorted.  Every product runs at the working
+    window's width, so ``max_width`` does not act here; the results are no
+    wider than the inputs.
     """
     n, m = smat_shape(a)
-    p = a[0][0].p
-    nrel = a[0][0].nrel
-    work = [row[:] for row in a]
-    # invariant: u_acc * a * w_acc = work
-    u_acc = smat_identity(n, p, nrel)
-    w_acc = smat_identity(m, p, nrel)
-    u_inv_acc = smat_identity(n, p, nrel)
-    w_inv_acc = smat_identity(m, p, nrel)
+    p, nrel = a[0][0].p, a[0][0].nrel
+    entries = [s for row in a for s in row]
+    lo = max(s.window[0] for s in entries)
+    hi = min(s.window[1] for s in entries)
+    radius = max((max(-h[0], h[1]) for h in (s.support_hull for s in entries)
+                  if h is not None), default=0)
+    margin = (radius + 1) * (nrel + 1)
+    work = (lo - margin, hi + margin)
+    width = 2 * (work[1] - work[0] + 1)
+    one = LaurentSeries.one(p, nrel, work)
 
-    def row_op(i, k, c):
-        # row_i += c * row_k on work; mirror on u_acc; inverse on u_inv_acc
-        for j in range(m):
-            work[i][j] = work[i][j] + c.mul(work[k][j], max_width)
-        for j in range(n):
-            u_acc[i][j] = u_acc[i][j] + c.mul(u_acc[k][j], max_width)
-        for j in range(n):
-            u_inv_acc[j][k] = u_inv_acc[j][k] - c.mul(u_inv_acc[j][i],
-                                                      max_width)
+    def plus(x, pairs):
+        # x + the sum of the products, on the working window
+        return series_dot([(one, x)] + pairs, width, work)
 
-    def col_op(j, k, c):
-        for i in range(n):
-            work[i][j] = work[i][j] + c.mul(work[i][k], max_width)
-        for i in range(m):
-            w_acc[i][j] = w_acc[i][j] + c.mul(w_acc[i][k], max_width)
-        for i in range(m):
-            w_inv_acc[k][i] = w_inv_acc[k][i] - c.mul(w_inv_acc[j][i],
-                                                      max_width)
-
-    def row_swap(i, k):
-        work[i], work[k] = work[k], work[i]
-        u_acc[i], u_acc[k] = u_acc[k], u_acc[i]
-        for r in range(n):
-            u_inv_acc[r][i], u_inv_acc[r][k] = \
-                u_inv_acc[r][k], u_inv_acc[r][i]
-
-    def col_swap(j, k):
-        for i in range(n):
-            work[i][j], work[i][k] = work[i][k], work[i][j]
-        for i in range(m):
-            w_acc[i][j], w_acc[i][k] = w_acc[i][k], w_acc[i][j]
-        w_inv_acc[j], w_inv_acc[k] = w_inv_acc[k], w_inv_acc[j]
-
-    def row_scale(i, c, c_inv):
-        for j in range(m):
-            work[i][j] = work[i][j].mul(c, max_width)
-        for j in range(n):
-            u_acc[i][j] = u_acc[i][j].mul(c, max_width)
-        for j in range(n):
-            u_inv_acc[j][i] = u_inv_acc[j][i].mul(c_inv, max_width)
-
+    mat = [[s.on_window(work) for s in row] for row in a]
+    # left: L and the transpose of L^-1; right: R^T and R^-1; L A R = mat
+    left = (smat_identity(n, p, nrel, work), smat_identity(n, p, nrel, work))
+    right = (smat_identity(m, p, nrel, work), smat_identity(m, p, nrel, work))
     exponents = []
-    r = 0
     for step in range(min(n, m)):
-        best = None
-        for i in range(step, n):
-            for j in range(step, m):
-                v = work[i][j].valuation()
-                if v is not None and (best is None or v < best[0]):
-                    best = (v, i, j)
+        best = min(((mat[i][j].valuation(), i, j)
+                    for i in range(step, n) for j in range(step, m)
+                    if not mat[i][j].is_zero_at_precision), default=None)
         if best is None:
-            floors = [work[i][j].abs_floor()
-                      for i in range(step, n) for j in range(step, m)]
-            if any(f is not INF for f in floors):
+            if any(mat[i][j].abs_floor() is not INF
+                   for i in range(step, n) for j in range(step, m)):
                 raise PrecisionExhausted(
                     "remaining block is indistinguishable from zero")
             break
         v, bi, bj = best
-        if bi != step:
-            row_swap(step, bi)
-        if bj != step:
-            col_swap(step, bj)
-        # normalise the pivot to p^v (times zero-at-precision noise)
-        unit_part = work[step][step].shift_val(-v)
-        unit_inv = unit_part.invert(max_width=max_width)
-        row_scale(step, unit_inv, unit_part)
-        piv_unit_inv = work[step][step].shift_val(-v).invert(
-            max_width=max_width)
-        for i in range(step + 1, n):
-            if work[i][step].is_zero_at_precision:
-                continue
-            c = -(work[i][step].shift_val(-v).mul(piv_unit_inv, max_width))
-            row_op(i, step, c)
-        for j in range(step + 1, m):
-            if work[step][j].is_zero_at_precision:
-                continue
-            c = -(work[step][j].shift_val(-v).mul(piv_unit_inv, max_width))
-            col_op(j, step, c)
+        unit = mat[bi][bj].shift_val(-v)
+        unit_inv = unit.invert(max_width=width).on_window(work)
+        for x in (mat, left[0]):
+            x[bi] = [y.mul(unit_inv, width, work) for y in x[bi]]
+        left[1][bi] = [y.mul(unit, width, work) for y in left[1][bi]]
+        _swap_and_clear(mat, *left, step, bi, bj, v, plus)
+        mat_t = _transpose(mat)
+        _swap_and_clear(mat_t, *right, step, bj, step, v, plus)
+        mat = _transpose(mat_t)
         exponents.append(v)
-        r += 1
-
-    # sort the diagonal by valuation (swaps keep U, W over Gamma)
-    for pos in range(r):
-        mi = min(range(pos, r), key=lambda t: exponents[t])
-        if mi != pos:
-            row_swap(pos, mi)
-            col_swap(pos, mi)
-            exponents[pos], exponents[mi] = exponents[mi], exponents[pos]
 
     d = [[LaurentSeries.zero(p, nrel) for _ in range(m)] for _ in range(n)]
     for t, e in enumerate(exponents):
         d[t][t] = LaurentSeries.monomial(p, nrel, pow(p, e), 0)
-    return SmithForm(u_inv_acc, d, w_inv_acc, exponents, r, u_acc, w_acc)
+    floor = int(min([nrel] + [s.abs_floor() for s in entries]))
+    u_inv, u_t = (smat_honest(x, (lo, hi), floor) for x in left)
+    w_inv_t, w = (smat_honest(x, (lo, hi), floor) for x in right)
+    return SmithForm(_transpose(u_t), d, w, exponents, len(exponents),
+                     u_inv, _transpose(w_inv_t))
 
 
 @dataclass
@@ -189,15 +175,9 @@ def lattice_member(l: LatticeBasis, vector, max_width=None):
     sf = lattice_smith(l.vectors, max_width)
     n = l.ambient_rank
     # c = U^-1 v must satisfy: c_i divisible by p^{d_i}, c_i = 0 for i>rank
-    c = [None] * n
+    c = smat_mul(sf.u_inv, [[x] for x in vector], max_width)
     for i in range(n):
-        acc = None
-        for j in range(n):
-            t = sf.u_inv[i][j].mul(vector[j], max_width)
-            acc = t if acc is None else acc + t
-        c[i] = acc
-    for i in range(n):
-        v = c[i].valuation()
+        v = c[i][0].valuation()
         if v is not None and (i >= sf.rank or v < sf.exponents[i]):
             return False
     return True

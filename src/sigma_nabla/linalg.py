@@ -58,6 +58,15 @@ def smat_mul(a, b, max_width=None, out_window=None):
             for row in a]
 
 
+def smat_honest(a, window, floor):
+    """Results computed on polynomial surrogates (``on_window``), made
+    honest: each entry a truncation on its window within ``window``, known
+    modulo p^floor."""
+    lo, hi = window
+    return [[s.on_window((max(s.window[0], lo), min(s.window[1], hi)),
+                         False).widen_floor(floor) for s in row] for row in a]
+
+
 def smat_scale(a, c: PadicNumber):
     return [[x.scale(c) for x in row] for row in a]
 

@@ -31,6 +31,15 @@ UNEQUAL = "unequal"
 INDISTINGUISHABLE = "indistinguishable"
 
 
+def is_prime(n: int) -> bool:
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return n >= 2
+
+
 def vp_int(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:

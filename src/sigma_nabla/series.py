@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import MembershipViolated, NotAUnit, WindowOverflow
-from .padic import INF, PadicNumber, vp_int
+from .padic import INF, PadicNumber, padic_dot, vp_int
 
 DEFAULT_MAX_WIDTH = int(os.environ.get("SIGMA_NABLA_MAX_WINDOW", "256"))
 
@@ -275,6 +275,15 @@ class LaurentSeries:
         return LaurentSeries(self.p, self.nrel, dict(self.coeffs), (lo, hi),
                              self.tail_free, self.base_floor)
 
+    def on_window(self, window, tail_free=True):
+        """The same terms and base floor on ``window``.  With ``tail_free``
+        this is a polynomial surrogate, which products treat as known
+        everywhere: the working-window idiom computes on surrogates over a
+        padded window, then restores honest windows and floors
+        (``linalg.smat_honest``)."""
+        return LaurentSeries(self.p, self.nrel, self.coeffs, window,
+                             tail_free, self.base_floor)
+
     def widen_floor(self, floor):
         """Weaken the series to be known only modulo p^floor."""
         if floor is None:
@@ -464,15 +473,11 @@ class LaurentSeries:
         h = {0: PadicNumber.from_int(p, nrel, 1)}
         gp = sorted(g_plus.items())
         for k in range(1, whi + 1):
-            acc = PadicNumber.zero(p, nrel)
-            for j, gj in gp:
-                if j > k:
-                    break
-                prev = h.get(k - j)
-                if prev is not None:
-                    acc = acc + gj * prev
-            if not acc.is_exact_zero:
-                h[k] = -acc
+            pairs = [(gj, h[k - j]) for j, gj in gp if k - j in h]
+            if pairs:
+                acc = padic_dot(pairs)
+                if not acc.is_exact_zero:
+                    h[k] = -acc
 
         # internal polynomial surrogates; honesty is restored by the final
         # verification and the truncated window of the returned value
@@ -487,9 +492,7 @@ class LaurentSeries:
                 # products carry valuation beyond nrel or sit outside tw
                 term = series_dot(((gm, term),), big_width, (wlo, whi))
                 term = series_dot(((term, hs),), big_width, (wlo, whi))
-                term = LaurentSeries(p, nrel, term.coeffs, (wlo, whi),
-                                     True, term.base_floor)
-                term = -term
+                term = -term.on_window((wlo, whi))
                 if term.min_valuation() > nrel:
                     break
                 total = total + term

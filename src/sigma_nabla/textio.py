@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .modules import SigmaNablaModule
-from .padic import IntPolynomial, PadicNumber
+from .padic import IntPolynomial, PadicNumber, is_prime
 from .series import LaurentSeries, RingLabel
 
 FORMAT_VERSION = 1
@@ -34,6 +34,8 @@ def emit_scalar(x: PadicNumber) -> str:
 
 
 def parse_scalar(p, nrel, s) -> PadicNumber:
+    if not isinstance(s, str):
+        raise ParseError(f"a scalar must be a string, not {s!r}")
     s = s.strip()
     if s == "0":
         return PadicNumber.zero(p, nrel)
@@ -104,6 +106,16 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _p_nrel(obj):
+    """A document's prime p and relative precision nrel >= 1."""
+    p, nrel = obj.get("p"), obj.get("nrel")
+    if not (_is_int(p) and is_prime(p)):
+        raise ParseError(f"p must be a prime, not {p!r}")
+    if not (_is_int(nrel) and nrel >= 1):
+        raise ParseError(f"nrel must be an integer >= 1, not {nrel!r}")
+    return p, nrel
+
+
 def parse_series_body(p, nrel, obj) -> LaurentSeries:
     try:
         window = obj["window"]
@@ -126,15 +138,6 @@ def parse_series_body(p, nrel, obj) -> LaurentSeries:
         raise ParseError(f"bad series: {exc}")
 
 
-def emit_series(s: LaurentSeries, label=None):
-    doc = {"format_version": FORMAT_VERSION, "kind": "series",
-           "p": s.p, "nrel": s.nrel}
-    doc.update(emit_series_body(s))
-    if label is not None:
-        doc["label"] = emit_label(label)
-    return doc
-
-
 def emit_series_matrix(mat, p, nrel):
     return {"format_version": FORMAT_VERSION, "kind": "series_matrix",
             "p": p, "nrel": nrel,
@@ -142,7 +145,7 @@ def emit_series_matrix(mat, p, nrel):
 
 
 def parse_series_matrix(obj):
-    p, nrel = int(obj["p"]), int(obj["nrel"])
+    p, nrel = _p_nrel(obj)
     mat = [[parse_series_body(p, nrel, cell) for cell in row]
            for row in obj["entries"]]
     if not mat or any(len(row) != len(mat[0]) for row in mat):
@@ -174,7 +177,7 @@ def emit_module(mod: SigmaNablaModule):
 
 def parse_module(obj) -> SigmaNablaModule:
     try:
-        p, nrel = int(obj["p"]), int(obj["nrel"])
+        p, nrel = _p_nrel(obj)
         ring = parse_label(obj["ring"])
         q = int(obj["q"])
         phi = [[parse_series_body(p, nrel, c) for c in row]
@@ -210,7 +213,7 @@ def parse_scalar_matrix(obj):
     if field == "rational":
         mat = [[parse_fraction(x) for x in row] for row in obj["entries"]]
     elif field == "padic":
-        p, nrel = int(obj["p"]), int(obj["nrel"])
+        p, nrel = _p_nrel(obj)
         mat = [[parse_scalar(p, nrel, x) for x in row]
                for row in obj["entries"]]
     else:

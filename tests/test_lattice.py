@@ -1,4 +1,7 @@
 import itertools
+import random
+
+import pytest
 
 from conftest import rand_gamma_invertible, series
 from sigma_nabla.lattice import (
@@ -8,7 +11,7 @@ from sigma_nabla.lattice import (
     lattice_smith,
 )
 from sigma_nabla.linalg import smat_agree, smat_identity, smat_mul
-from sigma_nabla.series import LaurentSeries
+from sigma_nabla.series import LaurentSeries, series_agree
 
 P, N = 3, 12
 
@@ -145,3 +148,44 @@ def test_intersect_against_brute_force(rng):
                 if oracle_member(c1, [v0, v1], 3) and \
                         oracle_member(c2, [v0, v1], 3):
                     assert oracle_member(got, [v0, v1], 2), (v0, v1)
+
+
+# Seeded rank-3 draws (p = 3, nrel 12) on which an elimination whose
+# windows shrink with every truncated product used to lose exponent 0 from
+# a pivot's window (NotAUnit), or run out of window or precision.
+SMITH_SEEDS = (29, 51, 52, 79, 97, 98, 119, 141, 150, 159)
+
+
+def _smith_input(seed, nrel):
+    a, _ = rand_gamma_invertible(random.Random(seed), P, nrel, 3)
+    return a
+
+
+@pytest.mark.parametrize("truncated", (False, True))
+@pytest.mark.parametrize("seed", SMITH_SEEDS)
+def test_smith_gamma_invertible_seed(seed, truncated):
+    a = _smith_input(seed, N)
+    if truncated:
+        # the same entries, known only on their windows
+        a = [[s.on_window(s.window, False) for s in row] for row in a]
+    sf = lattice_smith(a)
+    assert sf.exponents == [0, 0, 0]
+    assert smat_agree(smat_mul(smat_mul(sf.u, sf.d), sf.w), a).holds
+    assert smat_agree(smat_mul(smat_mul(sf.u_inv, a), sf.w_inv), sf.d).holds
+    lo = max(s.window[0] for row in a for s in row)
+    hi = min(s.window[1] for row in a for s in row)
+    for mat in (sf.u, sf.w, sf.u_inv, sf.w_inv):
+        assert all(lo <= s.window[0] <= s.window[1] <= hi
+                   for row in mat for s in row)
+
+
+@pytest.mark.parametrize("seed", SMITH_SEEDS)
+def test_smith_sound_against_higher_precision(seed):
+    low = lattice_smith(_smith_input(seed, N))
+    high = lattice_smith(_smith_input(seed, 2 * N + 4))
+    for name in ("u", "w", "u_inv", "w_inv"):
+        for row_lo, row_hi in zip(getattr(low, name), getattr(high, name)):
+            for x, y in zip(row_lo, row_hi):
+                assert y.window[0] <= x.window[0] <= x.window[1] \
+                    <= y.window[1], name
+                assert series_agree(x, y).holds, name

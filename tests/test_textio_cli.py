@@ -255,6 +255,24 @@ def test_cli_parse_error_exit_two(runner, tmp_path):
         res = runner.invoke(main, ["check-module", str(path)])
         assert res.exit_code == 2, (field, value, res.output)
         assert "Traceback" not in res.output
+    # a scalar that is not a string, a precision below 1, a p not prime
+    for field, value in (("terms", [[1, 7]]), ("nrel", -3), ("nrel", 0),
+                         ("p", 4)):
+        doc = json.loads(textio.dumps(good))
+        if field == "terms":
+            doc["phi"][0][0][field] = value
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        res = runner.invoke(main, ["check-module", str(path)])
+        assert res.exit_code == 2, (field, value, res.output)
+        assert "Traceback" not in res.output
+    # a series matrix without its prime
+    doc = textio.emit_series_matrix([[S([(0, 1)])]], P, N)
+    del doc["p"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    res = runner.invoke(main, ["factor", "gamma", str(path)])
+    assert res.exit_code == 2, res.output
 
 
 def test_cli_purity_and_pole_order(runner, tmp_path):
