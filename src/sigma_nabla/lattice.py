@@ -58,7 +58,7 @@ def _swap_and_clear(mat, fwd, inv_t, step, k, col, v, plus):
                        for j, y in enumerate(inv_t[step])]
 
 
-def lattice_smith(a, max_width=None) -> SmithForm:
+def lattice_smith(a) -> SmithForm:
     """A = U D W over Gamma with D = diag(p^{d_1}, ..), d_1 <= d_2 <= ...
 
     Pivot selection: minimal p-valuation, ties broken lexicographically by
@@ -66,8 +66,7 @@ def lattice_smith(a, max_width=None) -> SmithForm:
     column is cleared by row operations, then its row by the same routine
     on the transposes.  The remaining block keeps valuations >= v, so the
     exponents come out sorted.  Every product runs at the working
-    window's width, so ``max_width`` does not act here; the results are no
-    wider than the inputs.
+    window's width; the results are no wider than the inputs.
     """
     n, m = smat_shape(a)
     p, nrel = a[0][0].p, a[0][0].nrel
@@ -150,7 +149,7 @@ def lattice_intersect(l1: LatticeBasis, l2: LatticeBasis,
     m1, m2 = l1.rank, l2.rank
     stacked = [l1.vectors[i][:] + [-s for s in l2.vectors[i]]
                for i in range(n)]
-    sf = lattice_smith(stacked, max_width)
+    sf = lattice_smith(stacked)
     kernel_cols = []
     for j in range(m1 + m2):
         if j >= sf.rank:
@@ -172,7 +171,7 @@ def lattice_member(l: LatticeBasis, vector, max_width=None):
     coordinates are divisible by the diagonal p-powers (and vanish past
     the rank).
     """
-    sf = lattice_smith(l.vectors, max_width)
+    sf = lattice_smith(l.vectors)
     n = l.ambient_rank
     # c = U^-1 v must satisfy: c_i divisible by p^{d_i}, c_i = 0 for i>rank
     c = smat_mul(sf.u_inv, [[x] for x in vector], max_width)

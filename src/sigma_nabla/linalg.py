@@ -296,16 +296,18 @@ def mat_agree(a, b, ops):
     return all(ops.agrees(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_inv(a, ops, error=SingularInput):
-    """Gauss-Jordan inverse with best-valuation pivoting.
+def mat_inv(a, ops, error=SingularInput, rhs=None):
+    """Gauss-Jordan inverse with best-valuation pivoting: A^-1, or A^-1 B
+    for a right-hand block B (``rhs``, n rows) in place of the identity.
 
     Rows are eliminated against every pivot unless their entry is an exact
     zero: an inexact zero O(p^f) still carries its uncertainty into the
-    rest of the row.
+    rest of the row.  Each column of the result sees the same operations
+    whatever the other columns of B are.
     """
     n = len(a)
-    work = [list(row) + list(ident_row)
-            for row, ident_row in zip(a, mat_identity(n, ops))]
+    work = [list(row) + list(b_row)
+            for row, b_row in zip(a, rhs or mat_identity(n, ops))]
     for col in range(n):
         best, best_q = None, None
         for r in range(col, n):

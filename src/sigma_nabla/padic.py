@@ -593,21 +593,18 @@ class UnramifiedScalar:
         return all(c.is_zero_at_precision for c in self.coords)
 
     def inverse(self):
-        """Inverse via the multiplication-by-self matrix: column 0 of its
-        inverse solves (self * x) = 1."""
+        """Inverse via the multiplication-by-self matrix M: the solution x
+        of M x = e_0, the coordinates of 1."""
         # imported here: linalg imports this module
-        from .linalg import PadicOps, mat_inv
-        f = self.field.f
-        p, nrel = self.field.p, self.field.nrel
-        basis = []
-        for j in range(f):
-            e = [PadicNumber.zero(p, nrel)] * f
-            e[j] = PadicNumber.from_int(p, nrel, 1)
-            basis.append(UnramifiedScalar(self.field, e))
-        cols = [(self * b).coords for b in basis]
-        mat = [[cols[j][i] for j in range(f)] for i in range(f)]
-        inv = mat_inv(mat, PadicOps(p, nrel), error=DivisionByZero)
-        return UnramifiedScalar(self.field, [row[0] for row in inv])
+        from .linalg import PadicOps, mat_identity, mat_inv
+        ops = PadicOps(self.field.p, self.field.nrel)
+        ident = mat_identity(self.field.f, ops)
+        cols = [(self * UnramifiedScalar(self.field, e)).coords
+                for e in ident]
+        mat = [list(row) for row in zip(*cols)]
+        x = mat_inv(mat, ops, error=DivisionByZero,
+                    rhs=[row[:1] for row in ident])
+        return UnramifiedScalar(self.field, [row[0] for row in x])
 
     def __truediv__(self, other):
         return self * other.inverse()

@@ -5,16 +5,25 @@ object with ``format_version`` and ``kind``.  Scalars are decimal strings
 ("p^v*m mod p^N", "0", or "O(p^k)") so no integer-width limits apply;
 series are lists of [exponent, scalar] pairs plus a window; matrices are
 row-major nested lists; ring labels are strings with their certificate.
+
+``expect_kind`` is the one entry point for a loaded document: it checks
+the kind, runs that kind's parser, and turns any KeyError, IndexError,
+TypeError, ValueError or ZeroDivisionError the parser raises on malformed
+data into a ``ParseError``.  The parsers raise ``ParseError`` themselves
+only for range checks the Python types do not make.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 
 from .errors import ParseError
+from .lfunctions import CharPolyTable
 from .modules import SigmaNablaModule
 from .padic import IntPolynomial, PadicNumber, is_prime
+from .points import average_projector, average_projector_group
 from .series import LaurentSeries, RingLabel
 
 FORMAT_VERSION = 1
@@ -39,26 +48,22 @@ def parse_scalar(p, nrel, s) -> PadicNumber:
     s = s.strip()
     if s == "0":
         return PadicNumber.zero(p, nrel)
-    try:
-        if s.startswith("O(") and s.endswith(")"):
-            base, _, expo = s[2:-1].partition("^")
-            if int(base) != p:
-                raise ValueError(f"prime mismatch: {base} vs {p}")
-            return PadicNumber.inexact_zero(p, nrel, int(expo))
-        head, _, tail = s.partition(" mod ")
-        pv, _, m = head.partition("*")
-        base, _, v = pv.partition("^")
+
+    def power(text):
+        """The exponent k of the text p^k."""
+        base, _, k = text.partition("^")
         if int(base) != p:
-            raise ValueError(f"prime mismatch: {base} vs {p}")
-        prec = nrel
-        if tail:
-            pbase, _, pexp = tail.partition("^")
-            if int(pbase) != p:
-                raise ValueError(f"prime mismatch in precision: {pbase}")
-            prec = int(pexp)
-        return PadicNumber._make(p, nrel, int(v), int(m), prec)
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"bad scalar {s!r}: {exc}")
+            raise ParseError(f"bad scalar {s!r}: prime mismatch: {base} vs "
+                             f"{p}")
+        return int(k)
+
+    if s.startswith("O(") and s.endswith(")"):
+        return PadicNumber.inexact_zero(p, nrel, power(s[2:-1]))
+    head, _, tail = s.partition(" mod ")
+    pv, _, m = head.partition("*")
+    v = power(pv)
+    return PadicNumber._make(p, nrel, v, int(m),
+                             power(tail) if tail else nrel)
 
 
 def emit_fraction(x) -> str:
@@ -66,10 +71,7 @@ def emit_fraction(x) -> str:
 
 
 def parse_fraction(s):
-    try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {s!r}: {exc}")
+    return Fraction(str(s))
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +87,8 @@ def emit_label(label: RingLabel):
 def parse_label(obj) -> RingLabel:
     if isinstance(obj, str):
         return RingLabel(obj)
-    try:
-        return RingLabel(obj["kind"],
-                         parse_fraction(obj.get("lam", "1/2")),
-                         parse_fraction(obj.get("c", "0")))
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad ring label {obj!r}: {exc}")
+    return RingLabel(obj["kind"], parse_fraction(obj.get("lam", "1/2")),
+                     parse_fraction(obj.get("c", "0")))
 
 
 def emit_series_body(s: LaurentSeries):
@@ -106,36 +104,40 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int(x, what, low=None):
+    """``x`` checked to be an integer, and at least ``low`` when given."""
+    if not _is_int(x) or (low is not None and x < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ParseError(f"{what} must be an integer{bound}, not {x!r}")
+    return x
+
+
 def _p_nrel(obj):
     """A document's prime p and relative precision nrel >= 1."""
-    p, nrel = obj.get("p"), obj.get("nrel")
+    p = obj.get("p")
     if not (_is_int(p) and is_prime(p)):
         raise ParseError(f"p must be a prime, not {p!r}")
-    if not (_is_int(nrel) and nrel >= 1):
-        raise ParseError(f"nrel must be an integer >= 1, not {nrel!r}")
-    return p, nrel
+    return p, _int(obj.get("nrel"), "nrel", 1)
 
 
 def parse_series_body(p, nrel, obj) -> LaurentSeries:
-    try:
-        window = obj["window"]
-        floor = obj.get("floor")
-        tail_free = obj.get("tail_free", True)
-        if not (isinstance(window, (list, tuple)) and len(window) == 2
-                and _is_int(window[0]) and _is_int(window[1])
-                and window[0] <= window[1]):
-            raise ValueError(f"window must be two integers lo <= hi, not "
-                             f"{window!r}")
-        if floor is not None and not _is_int(floor):
-            raise ValueError(f"floor must be an integer or null, not "
-                             f"{floor!r}")
-        if not isinstance(tail_free, bool):
-            raise ValueError(f"tail_free must be a boolean, not "
-                             f"{tail_free!r}")
-        coeffs = {int(e): parse_scalar(p, nrel, c) for e, c in obj["terms"]}
-        return LaurentSeries(p, nrel, coeffs, tuple(window), tail_free, floor)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad series: {exc}")
+    window = obj["window"]
+    floor = obj.get("floor")
+    tail_free = obj.get("tail_free", True)
+    if not (isinstance(window, (list, tuple)) and len(window) == 2
+            and _is_int(window[0]) and _is_int(window[1])
+            and window[0] <= window[1]):
+        raise ParseError(f"bad series: window must be two integers "
+                         f"lo <= hi, not {window!r}")
+    if floor is not None and not _is_int(floor):
+        raise ParseError(f"bad series: floor must be an integer or null, "
+                         f"not {floor!r}")
+    if not isinstance(tail_free, bool):
+        raise ParseError(f"bad series: tail_free must be a boolean, not "
+                         f"{tail_free!r}")
+    coeffs = {_int(e, "an exponent"): parse_scalar(p, nrel, c)
+              for e, c in obj["terms"]}
+    return LaurentSeries(p, nrel, coeffs, tuple(window), tail_free, floor)
 
 
 def emit_series_matrix(mat, p, nrel):
@@ -144,13 +146,27 @@ def emit_series_matrix(mat, p, nrel):
             "entries": [[emit_series_body(s) for s in row] for row in mat]}
 
 
+def _matrix(rows, parse_entry):
+    """A non-empty rectangular matrix of parsed entries."""
+    mat = [[parse_entry(x) for x in row] for row in rows]
+    if not mat or not mat[0] or any(len(row) != len(mat[0]) for row in mat):
+        raise ParseError("entries must form a rectangular matrix")
+    return mat
+
+
+def _square(rows, parse_entry, side=None):
+    """A square matrix of parsed entries, with ``side`` rows when given."""
+    mat = _matrix(rows, parse_entry)
+    if len(mat[0]) != len(mat) or side not in (None, len(mat)):
+        raise ParseError(f"expected a square matrix of side "
+                         f"{side or len(mat)}, not {len(mat)}x{len(mat[0])}")
+    return mat
+
+
 def parse_series_matrix(obj):
     p, nrel = _p_nrel(obj)
-    mat = [[parse_series_body(p, nrel, cell) for cell in row]
-           for row in obj["entries"]]
-    if not mat or any(len(row) != len(mat[0]) for row in mat):
-        raise ParseError("entries must form a rectangular matrix")
-    return mat, p, nrel
+    return _matrix(obj["entries"], partial(parse_series_body, p, nrel)), \
+        p, nrel
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +192,14 @@ def emit_module(mod: SigmaNablaModule):
 
 
 def parse_module(obj) -> SigmaNablaModule:
-    try:
-        p, nrel = _p_nrel(obj)
-        ring = parse_label(obj["ring"])
-        q = int(obj["q"])
-        phi = [[parse_series_body(p, nrel, c) for c in row]
-               for row in obj["phi"]]
-        nmat = [[parse_series_body(p, nrel, c) for c in row]
-                for row in obj["n"]]
-        bmat = None
-        if obj.get("b") is not None:
-            bmat = [[parse_series_body(p, nrel, c) for c in row]
-                    for row in obj["b"]]
-        return SigmaNablaModule(ring, q, phi, nmat, bmat)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad module document: {exc}")
+    p, nrel = _p_nrel(obj)
+
+    def matrix(key):
+        return _matrix(obj[key], partial(parse_series_body, p, nrel))
+
+    return SigmaNablaModule(parse_label(obj["ring"]), _int(obj["q"], "q", 2),
+                            matrix("phi"), matrix("n"),
+                            matrix("b") if obj.get("b") is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -198,29 +207,32 @@ def parse_module(obj) -> SigmaNablaModule:
 # ---------------------------------------------------------------------------
 
 
+def emit_entries(mat):
+    """The rows of a matrix of Fractions or p-adic scalars, as strings."""
+    return [[emit_scalar(x) if isinstance(x, PadicNumber) else
+             emit_fraction(x) for x in row] for row in mat]
+
+
 def emit_scalar_matrix(mat, p=None, nrel=None):
-    if p is None:
-        return {"format_version": FORMAT_VERSION, "kind": "scalar_matrix",
-                "field": "rational",
-                "entries": [[emit_fraction(x) for x in row] for row in mat]}
-    return {"format_version": FORMAT_VERSION, "kind": "scalar_matrix",
-            "field": "padic", "p": p, "nrel": nrel,
-            "entries": [[emit_scalar(x) for x in row] for row in mat]}
+    doc = {"format_version": FORMAT_VERSION, "kind": "scalar_matrix",
+           "field": "rational", "entries": emit_entries(mat)}
+    if p is not None:
+        doc.update(field="padic", p=p, nrel=nrel)
+    return doc
+
+
+def _scalar_parser(obj):
+    """The entry parser of a document's scalar ``field``."""
+    field = obj.get("field", "rational")
+    if field == "rational":
+        return parse_fraction
+    if field == "padic":
+        return partial(parse_scalar, *_p_nrel(obj))
+    raise ParseError(f"unknown scalar field {field!r}")
 
 
 def parse_scalar_matrix(obj):
-    field = obj.get("field", "rational")
-    if field == "rational":
-        mat = [[parse_fraction(x) for x in row] for row in obj["entries"]]
-    elif field == "padic":
-        p, nrel = _p_nrel(obj)
-        mat = [[parse_scalar(p, nrel, x) for x in row]
-               for row in obj["entries"]]
-    else:
-        raise ParseError(f"unknown scalar field {field!r}")
-    if not mat or any(len(row) != len(mat[0]) for row in mat):
-        raise ParseError("entries must form a rectangular matrix")
-    return mat
+    return _matrix(obj["entries"], _scalar_parser(obj))
 
 
 def emit_int_polynomial(poly: IntPolynomial):
@@ -228,8 +240,12 @@ def emit_int_polynomial(poly: IntPolynomial):
             "coeffs": [emit_fraction(c) for c in poly.coeffs]}
 
 
+def _polynomial(coeffs):
+    return IntPolynomial([parse_fraction(c) for c in coeffs])
+
+
 def parse_int_polynomial(obj) -> IntPolynomial:
-    return IntPolynomial([parse_fraction(c) for c in obj["coeffs"]])
+    return _polynomial(obj["coeffs"])
 
 
 def emit_table(table):
@@ -248,17 +264,67 @@ def emit_table(table):
 
 
 def parse_table(obj):
-    from .lfunctions import CharPolyTable
-    try:
-        points = [(pid, int(deg)) for pid, deg in obj["points"]]
-        polys = {}
-        for place, pid, coeffs in obj["polys"]:
-            polys[(place, pid)] = IntPolynomial(
-                [parse_fraction(c) for c in coeffs])
-        return CharPolyTable(int(obj["q"]), list(obj["places"]),
-                             points, polys)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad table document: {exc}")
+    points = [(pid, _int(deg, "a point degree", 1))
+              for pid, deg in obj["points"]]
+    polys = {(place, pid): _polynomial(coeffs)
+             for place, pid, coeffs in obj["polys"]}
+    # det(1 - t^deg Frob_x) is a polynomial in t^deg, as purity assumes
+    degs = dict(points)
+    for (place, pid), poly in polys.items():
+        if any(c for i, c in enumerate(poly.coeffs) if i % degs.get(pid, 1)):
+            raise ParseError(f"the factor at ({place}, {pid}) is not a "
+                             f"polynomial in t^deg")
+    places = list(obj["places"])
+    if not all(isinstance(place, str) for place in places):
+        raise ParseError(f"places must be strings, not {places!r}")
+    return CharPolyTable(_int(obj["q"], "q", 2), places, points, polys)
+
+
+# ---------------------------------------------------------------------------
+# Jobs of the point-level commands.
+# ---------------------------------------------------------------------------
+
+
+def parse_projector_job(obj):
+    """Averaging along the Frobenius orbit, as a call of
+    ``average_projector`` on the document's pi, Frobenius and n."""
+    parse = _scalar_parser(obj)
+    pi = _square(obj["pi"], parse)
+    return partial(average_projector, pi,
+                   _square(obj["frobenius"], parse, len(pi)),
+                   _int(obj["n"], "n", 1))
+
+
+def parse_projector_group_job(obj):
+    """Averaging over a descent datum, as a call of
+    ``average_projector_group``; the group table must give a product
+    among the cocycle's labels for every ordered pair of them."""
+    parse = _scalar_parser(obj)
+    pi = _square(obj["pi"], parse)
+    cocycle = [(g, _square(m, parse, len(pi))) for g, m in obj["cocycle"]]
+    labels = {g for g, _ in cocycle}
+    table = {(g, h): gh for g, h, gh in obj["table"]}
+    if not cocycle or len(labels) != len(cocycle):
+        raise ParseError("the cocycle needs distinct labels")
+    if set(table) != {(g, h) for g in labels for h in labels} or \
+            not set(table.values()) <= labels:
+        raise ParseError("the group table must multiply every ordered pair "
+                         "of cocycle labels into a label")
+    return partial(average_projector_group, pi, cocycle, table)
+
+
+def parse_companion_job(obj):
+    """(f_g, n) of a block-companion job."""
+    return _square(obj["f_g"], _scalar_parser(obj)), \
+        _int(obj["n"], "n", 1)
+
+
+def parse_cohomology(obj):
+    """(P0, P1, P2), each with constant term 1."""
+    polys = tuple(_polynomial(obj[k]) for k in ("p0", "p1", "p2"))
+    if any(poly.coeffs[0] != 1 for poly in polys):
+        raise ParseError("P0, P1 and P2 need constant term 1")
+    return polys
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +367,22 @@ _PARSERS = {
     "scalar_matrix": parse_scalar_matrix,
     "int_polynomial": parse_int_polynomial,
     "charpoly_table": parse_table,
+    "projector_job": parse_projector_job,
+    "projector_group_job": parse_projector_group_job,
+    "companion_job": parse_companion_job,
+    "cohomology": parse_cohomology,
 }
 
 
-def expect_kind(doc, kind):
-    if doc.get("kind") != kind:
-        raise ParseError(f"expected a {kind!r} document, got "
-                         f"{doc.get('kind')!r}")
-    return _PARSERS[kind](doc) if kind in _PARSERS else doc
+def expect_kind(doc, *kinds):
+    """The parsed value of a loaded document of one of ``kinds``."""
+    kind = doc.get("kind")
+    if kind not in kinds:
+        raise ParseError(f"expected a {' or '.join(map(repr, kinds))} "
+                         f"document, got {kind!r}")
+    try:
+        return _PARSERS[kind](doc)
+    except KeyError as exc:
+        raise ParseError(f"bad {kind} document: missing {exc}")
+    except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad {kind} document: {exc}")

@@ -253,6 +253,32 @@ def test_unramified_inverse(rng):
         field.zero().inverse()
 
 
+@pytest.mark.parametrize("p, f, nrel", [(3, 2, 8), (2, 3, 6)])
+def test_unramified_inverse_is_column_zero_of_full_inverse(rng, p, f, nrel):
+    # solving M x = e_0 repeats, digit for digit, the operations that give
+    # column 0 of M^-1, M the matrix of multiplication by a
+    from sigma_nabla.linalg import PadicOps, mat_identity, mat_inv
+
+    def digits(xs):
+        return [(x.is_exact_zero, x.val, x.unit, x.prec) for x in xs]
+
+    field = UnramifiedField(p, f, nrel)
+    ops = PadicOps(p, nrel)
+    for _ in range(20):
+        a = field.scalar([rng.randint(-30, 30) * p ** rng.randint(0, 2)
+                          for _ in range(f)])
+        cols = [(a * field.scalar(e)).coords
+                for e in mat_identity(f, ops)]
+        mat = [list(row) for row in zip(*cols)]
+        try:
+            full = mat_inv(mat, ops, error=DivisionByZero)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                a.inverse()
+            continue
+        assert digits(a.inverse().coords) == digits(row[0] for row in full)
+
+
 def test_unramified_degree_three():
     field = UnramifiedField(2, 3, 6)
     g = field.gen()

@@ -201,6 +201,101 @@ def test_cli_golden_glue_descend(runner, command, inputs):
     assert res.stdout_bytes == fixture_bytes(command, "report.json")
 
 
+# (arguments, fixtures read, golden report, exit status); the reports
+# were captured before the commands shared one runner
+GOLDEN_REPORTS = [
+    (["average-projector"], ["average_projector/orbit.json"],
+     "average_projector/orbit_report.json", 0),
+    (["average-projector"], ["average_projector/group.json"],
+     "average_projector/group_report.json", 0),
+    (["companion"], ["companion/job.json"], "companion/report.json", 0),
+    (["lfunction", "--place", "p", "-T", "8"], ["lfunction/table.json"],
+     "lfunction/report.json", 0),
+    (["trace-check", "--place", "p", "-T", "8"],
+     ["lfunction/table.json", "lfunction/cohomology.json"],
+     "lfunction/trace_report.json", 0),
+    (["trace-check", "--place", "a", "-T", "6"],
+     ["charpoly/table.json", "lfunction/cohomology.json"],
+     "charpoly/trace_report.json", 1),
+    (["compat"], ["charpoly/table.json"], "charpoly/compat_report.json", 0),
+    (["purity", "-w", "1"], ["charpoly/table.json"],
+     "charpoly/purity_report.json", 0),
+    (["purity", "-w", "2"], ["charpoly/table.json"],
+     "charpoly/impure_report.json", 1),
+    (["pole-order", "--q", "2", "--d", "2"], ["pole_order/poly.json"],
+     "pole_order/report.json", 0),
+    (["slopes"], ["slopes/frobenius.json"], "slopes/report.json", 0),
+]
+
+
+@pytest.mark.parametrize("args, inputs, report, code", GOLDEN_REPORTS,
+                         ids=[g[2] for g in GOLDEN_REPORTS])
+def test_cli_golden_point_reports(runner, args, inputs, report, code):
+    paths = [os.path.join(FIXTURES, name) for name in inputs]
+    res = runner.invoke(main, args + paths)
+    assert res.exit_code == code
+    assert res.stdout_bytes == fixture_bytes(report)
+
+
+def test_cli_out_file_equals_stdout(runner, tmp_path):
+    out = tmp_path / "report.json"
+    res = runner.invoke(main, ["--out", str(out), "check-module",
+                               README_FIXTURE])
+    assert res.exit_code == 0
+    assert out.read_bytes() == res.stdout_bytes == \
+        fixture_bytes("module_report.json")
+
+
+def test_cli_factor_out_is_the_factor_directory(runner, tmp_path):
+    # for factor, --out names where Y.json and Z.json go; no report file
+    outdir = tmp_path / "factors"
+    x_path = os.path.join(FIXTURES, "factor_gamma", "x.json")
+    res = runner.invoke(main, ["--out", str(outdir), "factor", "gamma",
+                               x_path])
+    assert res.exit_code == 0
+    assert sorted(os.listdir(outdir)) == ["Y.json", "Z.json"]
+    assert sorted(os.listdir(tmp_path)) == ["factors"]
+    rep = json.loads(res.output)
+    assert rep["command"] == "factor-gamma"
+    assert rep["y_path"] == str(outdir / "Y.json")
+
+
+def _without(name, key):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("args, docs", [
+    (["pole-order", "--q", "2", "--d", "1"],
+     [_without("pole_order/poly.json", "coeffs")]),
+    (["factor", "gamma"], [_without("factor_gamma/x.json", "entries")]),
+    (["check-product"], [_without("factor_gamma/Y.json", "entries")] * 3),
+    (["slopes"], [_without("slopes/frobenius.json", "entries")]),
+    (["average-projector"], [_without("average_projector/orbit.json", "n")]),
+    (["companion"], [{"format_version": 1, "kind": "companion_job",
+                      "f_g": [["5"]], "n": "x"}]),
+    (["trace-check", "--place", "p"],
+     [textio.loads(fixture_bytes("lfunction", "table.json").decode()),
+      _without("lfunction/cohomology.json", "p1")]),
+    # places of two types, which purity's sorted report cannot order
+    (["purity", "-w", "1"],
+     [{"format_version": 1, "kind": "charpoly_table", "q": 4,
+       "places": [1, "a"], "points": [[0, 1]],
+       "polys": [[1, 0, ["1", "-3", "4"]], ["a", 0, ["1", "-3", "4"]]]}]),
+])
+def test_cli_malformed_documents_exit_two(runner, tmp_path, args, docs):
+    paths = []
+    for k, doc in enumerate(docs):
+        paths.append(str(tmp_path / f"doc{k}.json"))
+        textio.dump_path(paths[-1], doc)
+    res = runner.invoke(main, args + paths)
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("parse error")
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_cli_check_module_fails(runner, tmp_path):
     bad = SigmaNablaModule(RingLabel("Gamma"), P, [[S([(1, 1)])]],
                            [[S([])]])
@@ -306,6 +401,17 @@ def test_cli_pole_order_rejects_q_below_two(runner, tmp_path, d):
     assert "--q must be at least 2" in res.output
 
 
+@pytest.mark.parametrize("command, inputs", [
+    ("lfunction", ["table.json"]),
+    ("trace-check", ["table.json", "cohomology.json"]),
+])
+def test_cli_negative_truncation_is_a_usage_error(runner, command, inputs):
+    paths = [os.path.join(FIXTURES, "lfunction", name) for name in inputs]
+    res = runner.invoke(main, [command, "--place", "p", "-T", "-1"] + paths)
+    assert res.exit_code == 2
+    assert "-1 is not in the range" in res.output
+
+
 def test_cli_lfunction_and_trace(runner, tmp_path):
     from conftest import affine_line_table, count_monic_irreducibles
     table = affine_line_table(2, 6, count_monic_irreducibles)
@@ -331,7 +437,7 @@ def test_cli_slopes_and_probe(runner, tmp_path):
            [PadicNumber.from_int(5, 10, 1), PadicNumber.from_int(5, 10, 0)]]
     mp = tmp_path / "mat.json"
     textio.dump_path(str(mp), textio.emit_scalar_matrix(mat, 5, 10))
-    res = runner.invoke(main, ["--p", "5", "slopes", str(mp)])
+    res = runner.invoke(main, ["slopes", str(mp)])
     assert res.exit_code == 0
     rep = json.loads(res.output)
     assert rep["slopes"] == [["1/2", 2]]
