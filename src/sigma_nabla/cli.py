@@ -163,6 +163,9 @@ def cmd_check_product(cfg, y_path, z_path, x_path):
     y, _, _ = _load(y_path, "series_matrix")
     z, _, _ = _load(z_path, "series_matrix")
     x, _, _ = _load(x_path, "series_matrix")
+    side = len(textio.require_square(y, None, "Y to be a square matrix"))
+    textio.require_square(z, side, "Z to be a square matrix")
+    textio.require_square(x, side, "X to be a square matrix")
     verdict = smat_agree(smat_mul(y, z, cfg.max_width), x)
     body = {"verdict": "holds" if verdict.holds else "fails",
             "floor": _floor_json(verdict.floor)}
@@ -179,6 +182,7 @@ def cmd_descend(cfg, module_path, x_path):
     """Descend an E-dagger module to E-plus through a factorization of X."""
     mod = _load(module_path, "module")
     x, _, _ = _load(x_path, "series_matrix")
+    textio.require_square(x, mod.rank, "X to be a square matrix")
     res = descend_to_eplus(mod, x, cfg.max_width)
     return res.compat.holds, {
         "verdict": "holds" if res.compat.holds else "fails",
@@ -198,6 +202,8 @@ def cmd_glue(cfg, m1_path, m2_path, x_path):
     m1 = _load(m1_path, "module")
     m2 = _load(m2_path, "module")
     x, _, _ = _load(x_path, "series_matrix")
+    textio.require_square(m2.phi, m1.rank, "m2 to have a Phi")
+    textio.require_square(x, m1.rank, "X to be a square matrix")
     res = glue_dieudonne(m1, m2, x, cfg.max_width)
     ok = res.compat.holds and res.fv.holds
     return ok, {
@@ -230,7 +236,7 @@ def cmd_horizontal(cfg, module_path):
 @click.argument("path", type=click.Path(exists=True))
 def cmd_slopes(cfg, path):
     """Newton slopes of a point Frobenius matrix, and the unit-root test."""
-    mat = _load(path, "scalar_matrix")
+    mat = textio.require_square(_load(path, "scalar_matrix"))
     poly = newton_slopes_frob(mat)
     return True, {
         "slopes": [[str(s), m] for s, m in poly.slopes],

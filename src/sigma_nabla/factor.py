@@ -51,7 +51,7 @@ from .modules import (
     check_fv,
     module_at_floor,
 )
-from .padic import INF, PadicNumber
+from .padic import INF, PadicNumber, vp_int
 from .series import (
     E_DAGGER,
     E_PLUS,
@@ -61,6 +61,7 @@ from .series import (
     RingLabel,
     membership,
     require_membership,
+    series_sum,
 )
 
 
@@ -110,9 +111,14 @@ def _mod_p_kernel(a, p):
     rows = {}
     for i, row in enumerate(a):
         for j, s in enumerate(row):
-            for e, c in s.coeffs.items():
-                if c.unit is not None and c.val == 0:
-                    rows.setdefault((i, e), [0] * n)[j] = c.unit % p
+            if s.base > 0:
+                continue
+            # a cell of valuation 0 is p^-base times a unit
+            q = p ** -s.base
+            for e, raw in s.terms.items():
+                unit, rest = divmod(raw, q)
+                if not rest and unit % p:
+                    rows.setdefault((i, e), [0] * n)[j] = unit % p
     system = list(rows.values())
     # Gauss-Jordan over F_p so each pivot row touches only its own column
     pivots = {}
@@ -170,14 +176,10 @@ def matfact_gamma(x, max_width=None, verify=True) -> GammaFactorization:
     def combine_col(j, vec):
         # col_j <- sum_i vec[i] * col_i  (vec[j] == 1)
         for i in range(n):
-            acc = None
-            for t in range(n):
-                if vec[t] == 0:
-                    continue
-                term = a[i][t] if vec[t] == 1 else a[i][t].scale(
-                    PadicNumber.from_int(p, nrel, vec[t]))
-                acc = term if acc is None else acc + term
-            a[i][j] = acc
+            terms = [a[i][t] if vec[t] == 1 else a[i][t].scale(
+                PadicNumber.from_int(p, nrel, vec[t]))
+                for t in range(n) if vec[t]]
+            a[i][j] = terms[0] if len(terms) == 1 else series_sum(terms)
         for i in range(n):
             z_inv[i][j] = sum((Fraction(vec[t]) * z_inv[i][t]
                                for t in range(n)), Fraction(0))
@@ -242,9 +244,7 @@ def _mat_minus(a, window=None):
     """The negative-exponent parts of the entries, as polynomials on
     ``window`` (default: each entry's own), and the smallest valuation of
     a provably nonzero coefficient among them (None if there is none)."""
-    minus = [[LaurentSeries(s.p, s.nrel,
-                            {e: c for e, c in s.coeffs.items() if e < 0},
-                            window or s.window, True, None)
+    minus = [[s.recast(window or s.window, True, None, lambda e, _: e < 0)
               for s in row] for row in a]
     vals = [m.valuation() for row in minus for m in row]
     vals = [v for v in vals if v is not None]
@@ -252,14 +252,12 @@ def _mat_minus(a, window=None):
 
 
 def _dominant_monomial(s: LaurentSeries):
-    best = None
-    for e, c in s.coeffs.items():
-        if c.unit is None:
-            continue
-        key = (c.val, e)
-        if best is None or key < best[0]:
-            best = (key, e, c)
-    return best
+    keys = [(s.base + vp_int(raw, s.p), e) for e, raw in s.terms.items()
+            if raw]
+    if not keys:
+        return None
+    key = min(keys)
+    return key, key[1], s.coefficient(key[1])
 
 
 def matfact_robba(x, max_width=None, max_iterations=None,
@@ -306,8 +304,8 @@ def matfact_robba(x, max_width=None, max_iterations=None,
     depth = 0
     for row in minus:
         for d in row:
-            if d.coeffs:
-                depth = max(depth, -min(d.coeffs))
+            if d.terms:
+                depth = max(depth, -min(d.terms))
     wlo = min(s.window[0] for r in x for s in r) - (depth + 1) * (nrel + 1)
     whi = max(s.window[1] for r in x for s in r) + (depth + 1) * (nrel + 1)
     work = (wlo, whi)
@@ -384,20 +382,22 @@ def smat_add_ident(a, p, nrel):
 
 
 def _neumann_inverse(mk, p, nrel, max_width, out_window=None):
-    """(I + mk)^-1 for mk with positive valuation: sum of (-mk)^j."""
+    """(I + mk)^-1 for mk with positive valuation: sum of (-mk)^j, each
+    entry summed once."""
     n = len(mk)
-    acc = smat_identity(n, p, nrel)
     term = smat_identity(n, p, nrel)
+    terms = [term]
     neg = [[-s for s in row] for row in mk]
     for _ in range(nrel + 1):
         term = smat_mul(term, neg, max_width, out_window)
         if out_window is not None:
             term = [[s.on_window(out_window) for s in row] for row in term]
-        acc = [[acc[i][j] + term[i][j] for j in range(n)] for i in range(n)]
+        terms.append(term)
         if all(s.is_zero_at_precision or s.valuation() >= nrel
                for row in term for s in row):
             break
-    return acc
+    return [[series_sum([t[i][j] for t in terms]) for j in range(n)]
+            for i in range(n)]
 
 
 def _dagger_certificate(y):
@@ -407,9 +407,9 @@ def _dagger_certificate(y):
     c = Fraction(0)
     for row in y:
         for s in row:
-            for e, coef in s.coeffs.items():
-                if e < 0 and coef.unit is not None:
-                    need = lam * (-e) - Fraction(coef.val)
+            for e, raw in s.terms.items():
+                if e < 0 and raw:
+                    need = lam * (-e) - (s.base + vp_int(raw, s.p))
                     if need > c:
                         c = need
     return lam, c

@@ -10,7 +10,7 @@ from typing import Optional
 
 from .errors import MembershipViolated, NonUnitPivot, NotHorizontal
 from .linalg import smat_mul, smat_shape
-from .padic import INF, PadicNumber, padic_dot, vp_int
+from .padic import INF, cell_dot, vp_int
 from .series import LaurentSeries
 
 
@@ -33,13 +33,25 @@ class HorizontalBasis:
 
 
 def _coefficient_matrices(nmat, upto):
-    """N_j coefficient matrices for 0 <= j <= upto."""
+    """N_j coefficient matrices for 0 <= j <= upto, of cells (val, unit,
+    prec)."""
     n = len(nmat)
     out = []
     for j in range(upto + 1):
-        out.append([[nmat[i][k].coefficient(j) for k in range(n)]
+        out.append([[nmat[i][k].cell(j) for k in range(n)]
                     for i in range(n)])
     return out
+
+
+def _neg_over(cell, dv, du, p):
+    """-cell / (p^dv * du) for a unit du, on a cell (val, unit, prec)."""
+    v, u, prec = cell
+    if v is None:
+        return cell
+    if u is None:
+        return v - dv, None, None
+    q = p ** prec
+    return v - dv, -u * pow(du, -1, q) % q, prec
 
 
 def horizontal_basis(nmat, k_max, max_width=None) -> HorizontalBasis:
@@ -55,16 +67,15 @@ def horizontal_basis(nmat, k_max, max_width=None) -> HorizontalBasis:
     nrel = nmat[0][0].nrel
     for i in range(n):
         for j in range(n):
-            s = nmat[i][j]
-            for e, c in s.coeffs.items():
-                if e < 0 and c.unit is not None:
+            for e, raw in nmat[i][j].terms.items():
+                if e < 0 and raw:
                     raise MembershipViolated(
                         f"N[{i}][{j}] has a negative exponent {e}",
                         entry=(i, j), exponent=e)
 
+    # the recursion runs on cells (val, unit, prec) at the entries' nrel
     ncoeffs = _coefficient_matrices(nmat, k_max)
-    zero = PadicNumber.zero(p, nrel)
-    one = PadicNumber.from_int(p, nrel, 1)
+    zero, one = (None, None, None), (0, 1, nrel)
     h_layers = [[[one if i == j else zero for j in range(n)]
                  for i in range(n)]]
     floors = [nrel]
@@ -74,15 +85,16 @@ def horizontal_basis(nmat, k_max, max_width=None) -> HorizontalBasis:
         # (N H)_k = sum over j of N_j H_{k-j}
         layers = [(ncoeffs[j], h_layers[k - j])
                   for j in range(min(k, len(ncoeffs) - 1) + 1)]
-        conv = [[padic_dot((nj[a][t], hl[t][b])
-                           for nj, hl in layers for t in range(n))
+        conv = [[cell_dot(p, nrel, [(nj[a][t], hl[t][b])
+                                    for nj, hl in layers for t in range(n)])
                  for b in range(n)] for a in range(n)]
-        divisor = PadicNumber.from_int(p, nrel, k + 1)
-        loss += vp_int(k + 1, p)
+        dv = vp_int(k + 1, p)
+        loss += dv
         if nrel - loss <= 0:
             exhausted = True
             break
-        nxt = [[-(conv[a][b] / divisor) for b in range(n)] for a in range(n)]
+        du = (k + 1) // p ** dv
+        nxt = [[_neg_over(c, dv, du, p) for c in row] for row in conv]
         h_layers.append(nxt)
         floors.append(nrel - loss)
 
@@ -93,15 +105,13 @@ def horizontal_basis(nmat, k_max, max_width=None) -> HorizontalBasis:
     n_top = max(s.window[1] for row in nmat for s in row)
     h_lo = -(n_top + 8)
     n_lo = -(degree + 8)
-    h = [[LaurentSeries(p, nrel,
-                        {k: h_layers[k][i][j] for k in range(degree + 1)},
-                        (h_lo, degree), False,
-                        min(floors))
+    h = [[LaurentSeries.from_cells(p, nrel,
+                                   {k: h_layers[k][i][j]
+                                    for k in range(degree + 1)},
+                                   (h_lo, degree), False, min(floors))
           for j in range(n)] for i in range(n)]
-    nmat_ext = [[LaurentSeries(p, nrel, dict(s.coeffs),
-                               (min(s.window[0], n_lo), s.window[1]),
-                               s.tail_free, s.base_floor)
-                 for s in row] for row in nmat]
+    nmat_ext = [[s.on_window((min(s.window[0], n_lo), s.window[1]),
+                             s.tail_free) for s in row] for row in nmat]
 
     # recompute the residual through the series route
     resid_val = INF

@@ -1,0 +1,294 @@
+"""The one integer kernel behind every sum and product of Laurent series.
+
+``accumulate`` replays the left fold of ``+`` over terms that are products
+of two series (``product_term``) or series (``series_term``), on
+integers: each cell is one integer over a common base valuation,
+normalised once at the end, and only the steps of the fold that depend on
+order (a window that widens to surviving keys, a lower nrel capping the
+running sum) are replayed.  It reads a series' integer form (``base``,
+``terms``, ``floors``, window, ``tail_free``, ``base_floor`` and its
+summary) and returns one, which ``series`` wraps.
+
+A term is a tuple (p, nrel, window, tail_free, floor, base, digits, lo, hi,
+whole, cells, factor, low): the series p^base * (cells convolved with
+factor), both sequences of (exponent, integer), or for a series its cells
+times the sign ``factor``, on the cell range [lo, hi]; known modulo
+p^floor on its window (INF: exactly), except at the exponents ``low`` maps
+to lower floors (None for a product, whose cells are all at the floor but
+for the cap below).  ``digits`` bounds the relative digits any cell may
+claim; where it exceeds nrel, each cell is capped at its valuation + nrel.
+``whole`` when the cell range holds the whole convolution.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+
+from .errors import WindowOverflow
+from .padic import INF, vp_int
+
+
+def clip_window(window, hull, width):
+    """``window`` cut to ``width`` exponents around ``hull``."""
+    lo, hi = window
+    if hi - lo + 1 <= width:
+        return window
+    hlo, hhi = hull
+    if hhi - hlo + 1 > width:
+        raise WindowOverflow("populated exponents exceed the window cap")
+    room = width - (hhi - hlo + 1)
+    lo2 = max(lo, hlo - room // 2)
+    hi2 = lo2 + width - 1
+    if hi2 > hi:
+        hi2 = hi
+        lo2 = hi2 - width + 1
+    return (lo2, hi2)
+
+
+def product_term(pair, width, out_window):
+    """The kernel's view of ``a * b`` for the pair (a, b)."""
+    a, b = pair
+    p = a.p
+    if b.p != p:
+        raise ValueError("mixed primes")
+    nrel = a.nrel if a.nrel < b.nrel else b.nrel
+    _, mva, fla, ha, cells_a = a.summary()
+    _, mvb, flb, hb, cells_b = b.summary()
+    ha, hb = ha or (0, 0), hb or (0, 0)
+    window = _window_of_product(a, b, ha, hb)
+    if mva is INF or mvb is INF:
+        # only the exact zero has no (min valuation, abs floor)
+        window = _clamp(clip_window(window, (0, 0), width), out_window)
+        return (p, nrel, window, True, INF, 0, 0, 1, 0, True, (), (), None)
+    floor = fla + mvb
+    if flb + mva < floor:
+        floor = flb + mva
+    flo, fhi = ha[0] + hb[0], ha[1] + hb[1]
+    lo, hi = window
+    if out_window is not None:
+        hull = (max(flo, out_window[0]), min(fhi, out_window[1]))
+        if hull[0] > hull[1]:
+            hull = (out_window[0], out_window[0])
+        lo, hi = _clamp(clip_window(window, hull, width), out_window)
+    elif hi - lo >= width:
+        lo, hi = clip_window(window, (flo, fhi), width)
+    whole = lo <= flo and fhi <= hi
+    if len(cells_a) > len(cells_b):
+        cells_a, cells_b = cells_b, cells_a
+    # the inner loop runs over a tuple: iterating a dict view costs more
+    return (p, nrel, (lo, hi), a.tail_free and b.tail_free and whole, floor,
+            a.base + b.base, floor - mva - mvb, lo if lo > flo else flo,
+            hi if hi < fhi else fhi, whole, cells_a, tuple(cells_b), None)
+
+
+def series_term(s, sign):
+    """The kernel's view of ``sign * s`` (sign +1 or -1)."""
+    terms, bf = s.terms, s.base_floor
+    hull = (min(terms), max(terms)) if terms else (1, 0)
+    return (s.p, s.nrel, s.window, s.tail_free, INF if bf is None else bf,
+            s.base, s.nrel, hull[0], hull[1], True, terms.items(), sign,
+            s.low_floors())
+
+
+def _clamp(window, out_window):
+    if out_window is None:
+        return window
+    lo = max(window[0], out_window[0])
+    hi = min(window[1], out_window[1])
+    if lo > hi:
+        raise WindowOverflow("requested output window is not provable")
+    return (lo, hi)
+
+
+def _valuation(cell, p, base, floor):
+    """Valuation of p^base * cell known modulo p^floor (INF: exactly);
+    None when it is zero there."""
+    if floor is INF:
+        return base + vp_int(cell, p) if cell else None
+    r = cell % p ** (floor - base)
+    return None if r == 0 else base + vp_int(r, p)
+
+
+def _first_kept(exponents, acc, glo, low, bf, p, base):
+    """The first exponent at which a running sum keeps a coefficient (its
+    cell in ``acc`` is nonzero, or zero below the uniform floor bf), or
+    None."""
+    for e in exponents:
+        f = min(bf, low.get(e, bf))
+        if f < bf or _valuation(acc[e - glo], p, base, f) is not None:
+            return e
+    return None
+
+
+def accumulate(terms):
+    """The fold of ``+`` over ``terms``, as one integer sum: the integer
+    form (p, nrel, base, terms, floors, window, tail_free, base_floor) of
+    the series that folding ``+`` over them left to right gives.
+
+    Every cell is one integer over the smallest base valuation of the
+    terms, normalised once at the end.  The fold is replayed step by step
+    on those integers only where it depends on order: a sum of tail-free
+    series widens its window to the keys that survive the step's floor,
+    and a step that lowers nrel caps each cell at its valuation + nrel.
+    Everything else is order-free: the fold is the canonical form of the
+    exact sum modulo p^(smallest floor), cell by cell.
+    """
+    if not terms:
+        raise ValueError("empty dot product")
+    p = terms[0][0]
+    base, glo, ghi = INF, None, None
+    for term in terms:
+        if term[0] != p:
+            raise ValueError("mixed primes")
+        f, tbase, clo, chi = term[4], term[5], term[7], term[8]
+        if f < base:
+            base = f            # a floor and no cell: not below base
+        if clo <= chi:
+            if tbase < base:
+                base = tbase
+            if glo is None:
+                glo, ghi = clo, chi
+            else:
+                glo = clo if clo < glo else glo
+                ghi = chi if chi > ghi else ghi
+    if base is INF:
+        base = 0                # every term is the exact zero
+    if glo is None:
+        glo = ghi = 0           # no term has a cell
+    acc = [0] * (ghi - glo + 1)
+    low = {}                # cells whose floor is below the uniform floor
+    nrel = None
+    bf = INF
+    alo, ahi = 0, -1        # cell range of the running sum
+
+    for (_, n, window, tf, f, tbase, digits, clo, chi, whole, cells, factor,
+         given) in terms:
+        keys = None         # surviving keys outside the window, when tf
+        if nrel is None:
+            nrel, (lo, hi), tail_free = n, window, tf
+        else:
+            if window[0] > lo:
+                lo = window[0]
+            if window[1] < hi:
+                hi = window[1]
+            tail_free = tail_free and tf
+            if n < nrel:
+                # the running sum is capped at n relative digits
+                for e in range(alo, ahi + 1):
+                    fe = min(bf, low.get(e, bf))
+                    v = _valuation(acc[e - glo], p, base, fe)
+                    if v is not None and v + n < fe:
+                        low[e] = v + n
+                nrel = n
+            if tail_free and (alo < lo or ahi > hi):
+                ends = (range(alo, min(ahi + 1, lo)),
+                        range(ahi, max(alo - 1, hi), -1))
+                keys = [e for e in (_first_kept(es, acc, glo, low, bf, p,
+                                                base) for es in ends)
+                        if e is not None]
+        if clo <= chi:
+            capped = digits > nrel
+            widens = tail_free and (clo < lo or chi > hi)
+            # integer convolution over the cell range, relative to base;
+            # into its own cells when they must be looked at first
+            own = capped or (widens and given is None)
+            out, off = ([0] * (chi - clo + 1), clo) if own else (acc, glo)
+            shift = p ** (tbase - base) if tbase != base else 1
+            if given is not None:
+                # a series: its cells times the sign
+                shift *= factor
+                for ea, ra in cells:
+                    out[ea - off] += ra * shift
+            else:
+                for ea, ra in cells:
+                    if shift != 1:
+                        ra *= shift
+                    if whole:
+                        ea -= off
+                        for eb, rb in factor:
+                            out[ea + eb] += ra * rb
+                        continue
+                    for eb, rb in factor:
+                        k = ea + eb
+                        if clo <= k <= chi:
+                            out[k - off] += ra * rb
+            if widens:
+                # a stored cell of a series is a key; a product keeps the
+                # cells that survive its floor
+                keys = (keys or []) + (
+                    [e for e, _ in cells if e < lo or e > hi]
+                    if given is not None else
+                    [e for e in range(clo, chi + 1) if (e < lo or e > hi)
+                     and _valuation(out[e - clo], p, base, f) is not None])
+            if capped:
+                # a cell of this term keeps at most nrel relative digits
+                for e in range(clo, chi + 1):
+                    v = _valuation(out[e - clo], p, base, f)
+                    if v is not None and v + nrel < f:
+                        low[e] = min(low.get(e, f), v + nrel)
+            if given:
+                if not low:
+                    low.update(given)   # each below f
+                else:
+                    for e, fe in given.items():
+                        if fe < low.get(e, f):
+                            low[e] = fe
+            if own:
+                for k, c in enumerate(out, clo - glo):
+                    acc[k] += c
+            if alo > ahi:
+                alo, ahi = clo, chi
+            else:
+                alo = clo if clo < alo else alo
+                ahi = chi if chi > ahi else ahi
+        if keys:
+            lo, hi = min(lo, *keys), max(hi, *keys)
+        if lo > hi:
+            raise WindowOverflow("empty exponent window")
+        if f < bf:
+            bf = f
+
+    out, floors = {}, {}
+    top = None if bf is INF else p ** (bf - base)
+    for e in range(max(alo, lo), min(ahi, hi) + 1):
+        fe = low.get(e, bf)
+        cell = acc[e - glo]
+        if fe >= bf:
+            if top is not None:
+                cell %= top
+                if cell:
+                    out[e] = cell
+            continue
+        cell %= p ** (fe - base)
+        out[e] = cell
+        if not cell or fe < base + nrel + (vp_int(cell, p)
+                                           if not cell % p else 0):
+            floors[e] = fe
+    # rebase on the smallest valuation, so that products of the result
+    # multiply integers no larger than they need to be
+    g = gcd(*out.values())
+    if g and not g % p:
+        t = min([vp_int(g, p)] + [f - base for e, f in floors.items()
+                                  if not out[e]])
+        if t:
+            q = p ** t
+            out = {e: r // q for e, r in out.items()}
+            base += t
+    return (p, nrel, base, out, floors, (lo, hi), tail_free,
+            None if bf is INF else bf)
+
+
+def _window_of_product(a, b, ha, hb):
+    """Provable window of a * b, given the operands' support hulls, before
+    the width cap."""
+    if a.tail_free:
+        if b.tail_free:
+            return (a.window[0] + b.window[0], a.window[1] + b.window[1])
+        lo, hi = b.window[0] + ha[1], b.window[1] + ha[0]
+    else:
+        lo, hi = a.window[0] + hb[1], a.window[1] + hb[0]
+        if not b.tail_free:
+            lo, hi = max(lo, b.window[0] + ha[1]), min(hi, b.window[1] + ha[0])
+    if lo > hi:
+        raise WindowOverflow("provable window of product is empty")
+    return lo, hi

@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from .errors import SingularInput
 from .padic import INF, PadicNumber, UnramifiedScalar
-from .series import AgreementVerdict, LaurentSeries, series_agree, series_dot
+from .series import (AgreementVerdict, LaurentSeries, series_agree,
+                     series_dot, series_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +57,13 @@ def smat_mul(a, b, max_width=None, out_window=None):
     cols = [[row[j] for row in b] for j in range(m)]
     return [[series_dot(zip(row, col), max_width, out_window) for col in cols]
             for row in a]
+
+
+def smat_mul_add(a, b, c, max_width=None):
+    """a * b + c, each entry summed by one ``series_sum``."""
+    cols = list(zip(*b))
+    return [[series_sum(list(zip(row, col)) + [z], max_width)
+             for col, z in zip(cols, crow)] for row, crow in zip(a, c)]
 
 
 def smat_honest(a, window, floor):

@@ -33,6 +33,7 @@ from .linalg import (
     smat_inv,
     smat_map,
     smat_mul,
+    smat_mul_add,
     smat_scale,
     smat_shape,
     smat_sigma,
@@ -98,8 +99,7 @@ def _u_power_q(p, nrel, q):
 def check_compat(mod: SigmaNablaModule, max_width=None) -> CompatVerdict:
     """Verify N*Phi + d(Phi) = q*u^(q-1)*Phi*sigma(N) at precision."""
     p, nrel, q = mod.p, mod.nrel, mod.q
-    lhs = smat_add(smat_mul(mod.nmat, mod.phi, max_width),
-                   smat_deriv(mod.phi))
+    lhs = smat_mul_add(mod.nmat, mod.phi, smat_deriv(mod.phi), max_width)
     sig_n = smat_sigma(mod.nmat, mod.f, max_width)
     rhs = smat_mul(mod.phi, sig_n, max_width)
     rhs = smat_map(rhs, lambda s: s.mul(
@@ -181,9 +181,8 @@ def basis_transform(mod: SigmaNablaModule, y, y_inv=None,
         y_inv = smat_inv(y, target_window, max_width)
     y_sigma = smat_sigma(y, mod.f, max_width)
     phi = smat_mul(smat_mul(y_inv, mod.phi, max_width), y_sigma, max_width)
-    nmat = smat_add(
-        smat_mul(smat_mul(y_inv, mod.nmat, max_width), y, max_width),
-        smat_mul(y_inv, smat_deriv(y), max_width))
+    nmat = smat_mul_add(smat_mul(y_inv, mod.nmat, max_width), y,
+                        smat_mul(y_inv, smat_deriv(y), max_width), max_width)
     bmat = None
     if mod.bmat is not None:
         y_inv_sigma = smat_sigma(y_inv, mod.f, max_width)

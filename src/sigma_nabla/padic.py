@@ -46,8 +46,12 @@ def vp_int(n: int, p: int) -> int:
         raise ValueError("valuation of 0 is infinite")
     v = 0
     while n % p == 0:
-        n //= p
-        v += 1
+        # strip the largest p^(2^j) dividing n: O(log^2 v) divisions
+        q, k = p, 1
+        while n % (q * q) == 0:
+            q, k = q * q, 2 * k
+        n //= q
+        v += k
     return v
 
 
@@ -90,6 +94,17 @@ class PadicNumber:
             return cls.inexact_zero(p, nrel, floor)
         t = vp_int(raw, p)
         return cls(p, nrel, base + t, raw // p ** t, floor - base - t)
+
+    @classmethod
+    def from_cell(cls, p, nrel, cell):
+        """The number of the cell (val, unit, prec): val None for the exact
+        zero, unit None for the inexact zero O(p^val)."""
+        val, unit, prec = cell
+        if val is None:
+            return cls.zero(p, nrel)
+        if unit is None:
+            return cls.inexact_zero(p, nrel, val)
+        return cls(p, nrel, val, unit, prec)
 
     @classmethod
     def from_int(cls, p, nrel, n):
@@ -228,17 +243,6 @@ class PadicNumber:
         return PadicNumber._make(self.p, nrel, self.val, self.unit,
                                  min(self.prec, nrel))
 
-    def truncate_floor(self, floor):
-        """Forget digits at and above p^floor (lower the absolute floor)."""
-        if self.is_exact_zero:
-            return self
-        if self.val >= floor:
-            return PadicNumber.inexact_zero(self.p, self.nrel, floor)
-        if self.unit is None:
-            return self
-        return PadicNumber._make(self.p, self.nrel, self.val, self.unit,
-                                 min(self.prec, floor - self.val))
-
     # -- comparisons ----------------------------------------------------
 
     def compare(self, other):
@@ -270,44 +274,30 @@ class PadicNumber:
         return Fraction(self.unit) * Fraction(self.p) ** self.val
 
 
-def padic_dot(pairs):
-    """Sum of the products ``x * y`` over ``pairs``: the number that folding
-    ``+`` over them left to right gives, kept as one integer over a common
-    valuation and normalised once.
+def cell_dot(p, nrel, pairs):
+    """Sum of the products x * y over ``pairs`` of cells (val, unit, prec)
+    at relative precision cap nrel, as one such cell: val None for an
+    exact zero, unit and prec None for the inexact zero O(p^val).
 
-    Such a fold is the canonical form of the exact sum modulo p^F, F the
-    smallest absolute floor of the terms, in any order; only a step that
-    lowers the precision cap nrel depends on what came before, since it
-    caps the running sum at its own valuation + nrel.
+    The sum is kept as one integer over a common valuation and normalised
+    once: it is the canonical form of the exact sum modulo p^F, F the
+    smallest absolute floor of the products, in any order.
     """
-    p = nrel = base = None
-    floor = INF             # absolute floor of the running sum
-    raw = 0                 # the running sum is p^base * raw mod p^floor
-    for x, y in pairs:
-        if p is None:
-            p = x.p
-            nrel = min(x.nrel, y.nrel)
-        if x.p != p or y.p != p:
-            raise ValueError("mixed primes in a dot product")
-        n = x.nrel if x.nrel < y.nrel else y.nrel
-        if n < nrel:
-            if base is not None and floor > base:
-                r = raw % p ** (floor - base)
-                if r:
-                    floor = min(floor, base + vp_int(r, p) + n)
-            nrel = n
-        xv, yv = x.val, y.val
+    floor = INF             # absolute floor of the sum
+    base = None
+    raw = 0                 # the sum is p^base * raw mod p^floor
+    for (xv, xu, xp), (yv, yu, yp) in pairs:
         if xv is None or yv is None:
             continue            # an exact zero term
         v = xv + yv
-        if x.unit is None or y.unit is None:
+        if xu is None or yu is None:
             if v < floor:
                 floor = v
             continue
-        top = v + min(x.prec, y.prec, nrel)
+        top = v + min(xp, yp, nrel)
         if top < floor:
             floor = top
-        u = x.unit * y.unit
+        u = xu * yu
         if base is None:
             base, raw = v, u
         elif v >= base:
@@ -315,13 +305,43 @@ def padic_dot(pairs):
         else:
             raw = raw * p ** (base - v) + u
             base = v
+    if floor is INF:
+        return (None, None, None)
+    if base is not None and floor > base:
+        raw %= p ** (floor - base)
+        if raw:
+            t = vp_int(raw, p)
+            return (base + t, raw // p ** t, floor - base - t)
+    return (floor, None, None)
+
+
+def padic_dot(pairs):
+    """Sum of the products ``x * y`` over ``pairs``: the number that folding
+    ``+`` over them left to right gives, summed by ``cell_dot``.
+
+    Only a step that lowers the precision cap nrel depends on what came
+    before: it caps the running sum at its own valuation + nrel, so the
+    pairs are summed in runs of one cap, each run starting from the sum
+    before it.
+    """
+    p = nrel = None
+    run = []
+    for x, y in pairs:
+        if p is None:
+            p = x.p
+        if x.p != p or y.p != p:
+            raise ValueError("mixed primes in a dot product")
+        n = x.nrel if x.nrel < y.nrel else y.nrel
+        if nrel is None:
+            nrel = n
+        elif n < nrel:
+            # the sum so far times one known to n digits: capped at n
+            run = [(cell_dot(p, nrel, run), (0, 1, n))]
+            nrel = n
+        run.append(((x.val, x.unit, x.prec), (y.val, y.unit, y.prec)))
     if p is None:
         raise ValueError("empty dot product")
-    if floor is INF:
-        return PadicNumber.zero(p, nrel)
-    if base is None or floor <= base:
-        return PadicNumber.inexact_zero(p, nrel, floor)
-    return PadicNumber._at_floor(p, nrel, base, raw, floor)
+    return PadicNumber.from_cell(p, nrel, cell_dot(p, nrel, run))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,28 @@ labels, the power-Frobenius endomorphism, the derivation d and its twist.
 
 Representation
 --------------
-A series stores a sparse map ``exponent -> PadicNumber`` together with a
-window ``[lo, hi]`` and two honesty markers:
+A series stores its coefficients as integers, after FLINT's ``padic_poly``
+(valuation, integer polynomial, precision), with a floor per cell:
 
-* ``tail_free``: True when the series is a genuine Laurent polynomial
-  (no support outside the stored terms); inverses and other truncated
-  results carry ``tail_free=False`` and make no claim outside the window.
-* ``base_floor``: absent exponents inside the window are zero modulo
-  p^base_floor (``None`` means exactly zero).
+* ``base`` and ``terms``: the cell at exponent e is p^base * terms[e]; a
+  nonzero entry is the residue of the value in [0, p^(floor - base)), and
+  0 is an inexact zero O(p^floor).  An exact zero is not stored.
+* ``floors``: the absolute floor of every cell that is not at the default
+  min(base_floor, valuation + nrel), i.e. every inexact zero and each cell
+  known to fewer digits.
+* a window ``[lo, hi]`` and two honesty markers.  ``tail_free``: True when
+  the series is a genuine Laurent polynomial (no support outside the
+  stored terms); inverses and other truncated results carry
+  ``tail_free=False`` and make no claim outside the window.
+  ``base_floor``: absent exponents inside the window are zero modulo
+  p^base_floor (``None`` means exactly zero).  Every coefficient, in the
+  window or not, has valuation at least ``min_valuation()``: the product
+  floor relies on it.
+
+``PadicNumber`` is the boundary type: ``coefficient``, ``items`` and the
+read-only ``coeffs`` view build one per cell when asked; ``cell`` and
+``cells`` give the same coefficients as (val, unit, prec) tuples, which
+``from_cells`` reads, as the constructor reads PadicNumbers.
 
 Windows behave as regions of faithfulness: addition intersects them,
 multiplication uses the convolution-correct window (the full Minkowski sum
@@ -19,17 +33,20 @@ operand is a truncation).  A configurable maximum width caps blowup;
 ``WindowOverflow`` signals that genuinely populated exponents no longer
 fit.
 
-Cost: every product goes through ``series_dot``, which sums products of
-series (a matrix entry, a cofactor expansion; ``a * b`` is the one-pair
-case).  It convolves integers only over each product's support hull,
-clipped to the output window, adds all products into one integer per
-exponent over a common base valuation, and builds one ``PadicNumber`` per
-cell and one series at the end: no partial sum is materialised.  A sum
-``a + b`` merges the two term maps.  The constructor's single pass over
-the terms also caches (min valuation, abs floor), which ``min_valuation``,
-``abs_floor`` and products read, and the smallest valuation of a provably
-nonzero coefficient, which ``valuation`` returns; products cache the
-integer form of their operands' terms.  ``coeffs`` is never mutated after
+Cost: every sum and product goes through the one integer kernel of
+``sigma_nabla.kernel``.  ``series_sum`` sums series and products of series
+(a Neumann series; ``a + b`` is the two-term case), and ``series_dot``
+names it for a sum of products only (a matrix entry, a cofactor
+expansion; ``a * b`` is the one-pair case).  The kernel convolves the
+operands' integer cells over each product's support hull, clipped to the
+output window, adds every term into one integer per exponent over a
+common base valuation, and reduces each cell once at the end: no partial
+sum and no ``PadicNumber`` is built.  ``invert``'s power-series
+recursion sums each coefficient with ``padic.cell_dot``, on cells.
+Negation, scaling, the shifts, the Frobenius and the derivative rewrite
+the integers and exponents.  A series computes its (valuation, min
+valuation, abs floor, support hull) once, when first asked: the valuation
+is base + v_p of the gcd of its cells.  A series is never mutated after
 construction.
 
 Ring membership for the eight series rings is refutation-only: a finite
@@ -42,10 +59,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import MembershipViolated, NotAUnit, WindowOverflow
-from .padic import INF, PadicNumber, padic_dot, vp_int
+from .kernel import accumulate, clip_window, product_term, series_term
+from .padic import INF, PadicNumber, cell_dot, vp_int
 
 DEFAULT_MAX_WIDTH = int(os.environ.get("SIGMA_NABLA_MAX_WINDOW", "256"))
 
@@ -141,61 +161,54 @@ def _pad_window(hull, width):
 
 
 class LaurentSeries:
-    __slots__ = ("p", "nrel", "coeffs", "window", "tail_free", "base_floor",
-                 "_min_val", "_abs_floor", "_val", "_ints")
+    __slots__ = ("p", "nrel", "window", "tail_free", "base_floor", "base",
+                 "terms", "floors", "_stats")
 
     def __init__(self, p, nrel, coeffs, window, tail_free, base_floor):
-        self.p = p
-        self.nrel = nrel
-        self.window = (int(window[0]), int(window[1]))
-        if self.window[0] > self.window[1]:
-            raise WindowOverflow("empty exponent window")
-        lo, hi = self.window
-        cleaned = {}
-        dropped = False
-        # (min valuation, abs floor) of the stored terms and the base floor,
-        # None for the exact zero; val: min valuation of the regular terms
-        min_val = abs_floor = base_floor
-        val_reg = None
-        for e, c in coeffs.items():
-            if not lo <= e <= hi:
-                dropped = True
-                continue
-            if c.is_exact_zero:
-                continue
-            if base_floor is not None and (
-                    c.unit is None or c.val + c.prec > base_floor):
-                # uniform-floor contract: nothing is claimed at or beyond
-                # p^base_floor anywhere in the window.  Constructors keep
-                # units normalised, so a term already inside the floor
-                # would come back unchanged and is not re-made.  Only a
-                # zero at or beyond the floor goes: O(p^f) with f below it
-                # is a weaker claim than the floor and stays.
-                c = c.truncate_floor(base_floor)
-                if c.val >= base_floor:
-                    continue
-            cleaned[e] = c
-            val = c.val
-            if c.unit is None:
-                top = val
-            else:
-                top = val + c.prec
-                if val_reg is None or val < val_reg:
-                    val_reg = val
-            if min_val is None or val < min_val:
-                min_val = val
-            if abs_floor is None or top < abs_floor:
-                abs_floor = top
-        self.coeffs = cleaned
-        # a polynomial truncated to a smaller window is no longer tail-free
-        self.tail_free = tail_free and not dropped
-        self.base_floor = base_floor
-        self._min_val = min_val
-        self._abs_floor = abs_floor
-        self._val = val_reg
-        self._ints = None
+        """The series with PadicNumber coefficients ``coeffs`` on
+        ``window``: see ``from_cells``."""
+        cells = {e: (c.val, c.unit, c.prec) for e, c in coeffs.items()}
+        self.from_cells(p, nrel, cells, window, tail_free, base_floor, self)
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def from_cells(cls, p, nrel, cells, window, tail_free, base_floor,
+                   into=None):
+        """The series (written into ``into``, when given) with cells ``{e:
+        (val, unit, prec)}``, each read as ``PadicNumber._make`` reads it:
+        val None is an exact zero, unit None the inexact zero O(p^val),
+        else p^val * unit known to min(prec, nrel) relative digits.  Cells
+        outside ``window`` are dropped, and the series is then no longer
+        tail-free; every cell is cut at p^base_floor."""
+        lo, hi = window = (int(window[0]), int(window[1]))
+        top = INF if base_floor is None else base_floor
+        kept = []               # (e, val, unit, floor), unit 0 for O(p^floor)
+        for e, (v, unit, prec) in cells.items():
+            if not lo <= e <= hi:
+                tail_free = False
+            elif v is not None:
+                f = v
+                if unit is not None and prec > 0:
+                    f += prec if prec < nrel else nrel
+                if top < f:
+                    f = top
+                if f > v:
+                    unit %= p ** (f - v)
+                    if unit:
+                        t = vp_int(unit, p) if not unit % p else 0
+                        kept.append((e, v + t, unit // p ** t, f))
+                        continue
+                if f < top:
+                    kept.append((e, f, 0, f))
+        base = min((c[1] for c in kept), default=0)
+        terms, floors = {}, {}
+        for e, v, unit, f in kept:
+            terms[e] = unit * p ** (v - base)
+            if not unit or f < top and f < v + nrel:
+                floors[e] = f
+        return _series(p, nrel, base, terms, floors, window, tail_free,
+                       base_floor, into)
 
     @classmethod
     def from_terms(cls, p, nrel, terms, window=None, max_width=None):
@@ -232,48 +245,140 @@ class LaurentSeries:
 
     # -- structural helpers ----------------------------------------------
 
+    def summary(self):
+        """(valuation, min valuation, abs floor, support hull, nonzero
+        cells), computed once: the valuation is base + v_p of the gcd of
+        the cells; the nonzero cells are the items of ``terms`` when no
+        cell is an inexact zero."""
+        stats = self._stats
+        if stats is None:
+            terms, bf = self.terms, self.base_floor
+            g = gcd(*terms.values())
+            val = None
+            mv = af = INF if bf is None else bf
+            if g:
+                val = self.base + vp_int(g, self.p) if not g % self.p \
+                    else self.base
+                if val < mv:
+                    mv = val
+                if val + self.nrel < af:
+                    af = val + self.nrel
+            zeros = False
+            for e, f in self.floors.items():
+                if f < af:
+                    af = f
+                if not terms[e]:
+                    zeros = True
+                    if f < mv:
+                        mv = f
+            stats = self._stats = (
+                val, mv, af, (min(terms), max(terms)) if terms else None,
+                [(e, r) for e, r in terms.items() if r] if zeros
+                else terms.items())
+        return stats
+
+    @property
+    def coeffs(self):
+        """The stored cells as a read-only {exponent: PadicNumber} map."""
+        return MappingProxyType(dict(self.items()))
+
     @property
     def support_hull(self):
-        if not self.coeffs:
-            return None
-        return (min(self.coeffs), max(self.coeffs))
+        return self.summary()[3]
 
     @property
     def is_zero_at_precision(self):
-        return self._val is None
+        return self.valuation() is None
 
     @property
     def is_exact_zero(self):
-        return not self.coeffs and self.base_floor is None
+        return not self.terms and self.base_floor is None
 
     def valuation(self):
         """Smallest valuation of a provably nonzero coefficient; None when
         the series is zero at working precision."""
-        return self._val
+        return self.summary()[0]
 
     def min_valuation(self):
         """Smallest coefficient valuation floor; INF for the exact zero."""
-        return INF if self._min_val is None else self._min_val
+        return self.summary()[1]
 
     def abs_floor(self):
         """Everything in the window is known modulo p^abs_floor."""
-        return INF if self._abs_floor is None else self._abs_floor
+        return self.summary()[2]
+
+    def _cell(self, e):
+        """(val, unit, prec) of the stored cell e: p^val * unit known to
+        prec relative digits, or for an inexact zero O(p^val), unit and
+        prec None."""
+        p, raw, f = self.p, self.terms[e], self.floors.get(e)
+        if not raw:
+            return f, None, None
+        t = vp_int(raw, p)
+        v = self.base + t
+        if f is None:
+            f = v + self.nrel
+            if self.base_floor is not None and self.base_floor < f:
+                f = self.base_floor
+        return v, raw // p ** t, f - v
+
+    def cells(self):
+        """The stored cells in exponent order, as (e, val, unit, prec)."""
+        return [(e, *self._cell(e)) for e in sorted(self.terms)]
+
+    def cell(self, e):
+        """The coefficient at e as a cell (val, unit, prec): a stored cell,
+        O(p^base_floor) in the window, else the exact zero (None, None,
+        None)."""
+        if e in self.terms:
+            return self._cell(e)
+        lo, hi = self.window
+        if self.base_floor is not None and lo <= e <= hi:
+            return self.base_floor, None, None
+        return None, None, None
 
     def coefficient(self, e):
-        if e in self.coeffs:
-            return self.coeffs[e]
-        if self.base_floor is not None and self.window[0] <= e <= self.window[1]:
-            return PadicNumber.inexact_zero(self.p, self.nrel, self.base_floor)
-        return PadicNumber.zero(self.p, self.nrel)
+        return PadicNumber.from_cell(self.p, self.nrel, self.cell(e))
 
     def items(self):
-        return sorted(self.coeffs.items())
+        return [(e, PadicNumber.from_cell(self.p, self.nrel, self._cell(e)))
+                for e in sorted(self.terms)]
+
+    def low_floors(self):
+        """{e: abs floor} of the stored cells known below the base floor:
+        every cell when there is none."""
+        bf, floors = self.base_floor, self.floors
+        if bf is not None and self.base + self.nrel >= bf:
+            return floors
+        p, top = self.p, INF if bf is None else bf
+        out = dict(floors)
+        for e, raw in self.terms.items():
+            if e not in floors:
+                f = self.base + self.nrel + (vp_int(raw, p) if not raw % p
+                                             else 0)
+                if f < top:
+                    out[e] = f
+        return out
+
+    def recast(self, window, tail_free, base_floor, keep=None):
+        """The stored cells (those where ``keep(e, raw)`` holds, when
+        given), each with its own floor, on ``window``, cut at
+        p^base_floor."""
+        low, bf, terms = self.low_floors(), self.base_floor, self.terms
+        cells = [(e, raw, low.get(e, bf)) for e, raw in terms.items()
+                 if keep is None or keep(e, raw)]
+        lo, hi = window
+        inside = [c for c in cells if lo <= c[0] <= hi]
+        return _series(self.p, self.nrel, self.base,
+                       *_settle(self.p, self.nrel, self.base, inside,
+                                base_floor),
+                       window, tail_free and len(inside) == len(cells),
+                       base_floor)
 
     def restrict(self, window):
         lo = max(window[0], self.window[0])
         hi = min(window[1], self.window[1])
-        return LaurentSeries(self.p, self.nrel, dict(self.coeffs), (lo, hi),
-                             self.tail_free, self.base_floor)
+        return self.on_window((lo, hi), self.tail_free)
 
     def on_window(self, window, tail_free=True):
         """The same terms and base floor on ``window``.  With ``tail_free``
@@ -281,17 +386,24 @@ class LaurentSeries:
         everywhere: the working-window idiom computes on surrogates over a
         padded window, then restores honest windows and floors
         (``linalg.smat_honest``)."""
-        return LaurentSeries(self.p, self.nrel, self.coeffs, window,
-                             tail_free, self.base_floor)
+        lo, hi = window
+        terms = self.terms
+        if terms and (min(terms) < lo or max(terms) > hi):
+            terms = {e: r for e, r in terms.items() if lo <= e <= hi}
+            floors = {e: f for e, f in self.floors.items() if lo <= e <= hi}
+            return _series(self.p, self.nrel, self.base, terms, floors,
+                           (lo, hi), False, self.base_floor)
+        s = _series(self.p, self.nrel, self.base, terms, self.floors,
+                    (lo, hi), tail_free, self.base_floor)
+        s._stats = self._stats
+        return s
 
     def widen_floor(self, floor):
         """Weaken the series to be known only modulo p^floor."""
         if floor is None:
             return self
-        new = {e: c.truncate_floor(floor) for e, c in self.coeffs.items()}
         bf = floor if self.base_floor is None else min(self.base_floor, floor)
-        return LaurentSeries(self.p, self.nrel, new, self.window,
-                             self.tail_free, bf)
+        return self.recast(self.window, self.tail_free, bf)
 
     def __repr__(self):
         terms = ", ".join(f"u^{e}: {c!r}" for e, c in self.items())
@@ -301,83 +413,89 @@ class LaurentSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-
     def __neg__(self):
-        return LaurentSeries(self.p, self.nrel,
-                             {e: -c for e, c in self.coeffs.items()},
-                             self.window, self.tail_free, self.base_floor)
+        p, base, bf = self.p, self.base, self.base_floor
+        low = self.low_floors()
+        terms = {e: -raw % p ** (low.get(e, bf) - base) if raw else 0
+                 for e, raw in self.terms.items()}
+        return _series(p, self.nrel, base, terms, self.floors, self.window,
+                       self.tail_free, bf)
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        self._check(other)
-        nrel = min(self.nrel, other.nrel)
-        lo = max(self.window[0], other.window[0])
-        hi = min(self.window[1], other.window[1])
-        mine, theirs = self.coeffs, other.coeffs
-        coeffs = {}
-        for e, c in mine.items():
-            d = theirs.get(e)
-            coeffs[e] = other._plus_absent(e, c) if d is None else c + d
-        for e, d in theirs.items():
-            if e not in mine:
-                coeffs[e] = self._plus_absent(e, d)
-        tail_free = self.tail_free and other.tail_free
-        if tail_free and coeffs:
-            lo = min(lo, min(coeffs))
-            hi = max(hi, max(coeffs))
-        floors = [f for f in (self.base_floor, other.base_floor)
-                  if f is not None]
-        bf = min(floors) if floors else None
-        return LaurentSeries(self.p, nrel, coeffs, (lo, hi), tail_free, bf)
-
-    def _plus_absent(self, e, c):
-        """``c + self.coefficient(e)`` at an exponent e this series does not
-        store, without building the zero placeholder."""
-        lo, hi = self.window
-        if self.base_floor is None or not lo <= e <= hi:
-            # the placeholder is an exact zero: only the precision cap acts
-            return c if c.nrel <= self.nrel else c._cap(self.nrel)
-        return c + PadicNumber.inexact_zero(self.p, self.nrel,
-                                            self.base_floor)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other.  Adding an exact zero that is tail-free (zero
+        everywhere) at no lower nrel only moves the window, to the
+        intersection and then, for a polynomial, out to its keys: such a
+        sum, about a third of a module-cli pass's, skips the kernel."""
+        x, zero = (self, other) if other.is_exact_zero else (other, self)
+        if not (zero.is_exact_zero and zero.tail_free
+                and zero.nrel >= x.nrel and x.p == zero.p):
+            return _series(*accumulate((series_term(self, 1),
+                                        series_term(other, sign))))
+        if x is other and sign < 0:
+            x = -x
+        lo = max(x.window[0], zero.window[0])
+        hi = min(x.window[1], zero.window[1])
+        if x.tail_free and x.terms:
+            lo, hi = min(lo, min(x.terms)), max(hi, max(x.terms))
+        return x.on_window((lo, hi), x.tail_free)
 
     def scale(self, c: PadicNumber):
         """Multiply every coefficient by a scalar."""
+        p, nrel, base, bf = self.p, self.nrel, self.base, self.base_floor
         if c.is_exact_zero:
-            return LaurentSeries(self.p, self.nrel, {}, self.window,
-                                 self.tail_free, self.base_floor)
-        coeffs = {e: x * c for e, x in self.coeffs.items()}
-        bf = self.base_floor
+            return _series(p, nrel, base, {}, {}, self.window,
+                           self.tail_free, bf)
+        low = self.low_floors()
+        shift = c.val
         if bf is not None:
-            bf += c.valuation if c.unit is not None else c.val
-            bf = int(bf)
-        return LaurentSeries(self.p, self.nrel, coeffs, self.window,
-                             self.tail_free, bf)
+            bf += shift
+        if c.unit is None:
+            # O(p^k) * p^v unit is O(p^(v + k)), O(p^k) * O(p^f) O(p^(f + k))
+            cells = [(e, 0, (base + vp_int(raw, p) if raw else low[e]) + shift)
+                     for e, raw in self.terms.items()]
+            cap = nrel
+        else:
+            unit = c.unit
+            cells = [(e, raw * unit, low.get(e, self.base_floor) + shift)
+                     for e, raw in self.terms.items()]
+            cap = min(c.prec, nrel)
+        return _series(p, nrel, base + shift,
+                       *_settle(p, nrel, base + shift, cells, bf, cap),
+                       self.window, self.tail_free, bf)
 
     def shift_val(self, m: int):
         """Multiply by p^m (exact)."""
-        return self.scale(PadicNumber.from_rational(
-            self.p, self.nrel, Fraction(self.p) ** m))
+        bf = self.base_floor
+        return _series(self.p, self.nrel, self.base + m, self.terms,
+                       {e: f + m for e, f in self.floors.items()},
+                       self.window, self.tail_free,
+                       None if bf is None else bf + m)
 
     def shift_exp(self, k: int, max_width=None):
         """Multiply by u^k (exact)."""
-        coeffs = {e + k: c for e, c in self.coeffs.items()}
-        window = (self.window[0] + k, self.window[1] + k)
-        return LaurentSeries(self.p, self.nrel, coeffs, window,
-                             self.tail_free, self.base_floor)
+        return self._reindex(lambda e: e + k, (self.window[0] + k,
+                                               self.window[1] + k))
+
+    def _reindex(self, move, window):
+        """The same cells at exponents ``move(e)``, on ``window``."""
+        return _series(self.p, self.nrel, self.base,
+                       {move(e): r for e, r in self.terms.items()},
+                       {move(e): f for e, f in self.floors.items()},
+                       window, self.tail_free, self.base_floor)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        self._check(other)
         return series_dot(((self, other),))
 
     def mul(self, other, max_width=None, out_window=None):
@@ -397,30 +515,28 @@ class LaurentSeries:
         if scale == 1 or not power:
             return self
         width = max_width or DEFAULT_MAX_WIDTH
-        coeffs = {e * scale: c for e, c in self.coeffs.items()}
         window = (self.window[0] * scale, self.window[1] * scale)
-        if coeffs:
-            hull = (min(coeffs), max(coeffs))
+        hull = self.support_hull
+        if hull:
+            hull = (hull[0] * scale, hull[1] * scale)
             if hull[1] - hull[0] + 1 > width:
                 raise WindowOverflow(
                     "frobenius image support exceeds the window cap")
-            window = _clip_window(window, hull, width)
+            window = clip_window(window, hull, width)
         else:
-            window = _clip_window(window, (0, 0), width)
-        return LaurentSeries(self.p, self.nrel, coeffs, window,
-                             self.tail_free, self.base_floor)
+            window = clip_window(window, (0, 0), width)
+        return self._reindex(lambda e: e * scale, window)
 
     def derivative(self):
         """Termwise u-derivative: sum(j x_j u^(j-1))."""
-        coeffs = {}
-        for e, c in self.coeffs.items():
-            if e == 0:
-                continue
-            j = PadicNumber.from_int(self.p, self.nrel, e)
-            coeffs[e - 1] = c * j
+        p, bf = self.p, self.base_floor
+        low = self.low_floors()
+        cells = [(e - 1, raw * e, low.get(e, bf) + vp_int(e, p))
+                 for e, raw in self.terms.items() if e]
         window = (self.window[0] - 1, self.window[1] - 1)
-        return LaurentSeries(self.p, self.nrel, coeffs, window,
-                             self.tail_free, self.base_floor)
+        return _series(p, self.nrel, self.base,
+                       *_settle(p, self.nrel, self.base, cells, bf),
+                       window, self.tail_free, bf)
 
     # -- inversion -----------------------------------------------------------
 
@@ -440,9 +556,11 @@ class LaurentSeries:
         if vmin is None:
             raise NotAUnit("series is zero at working precision")
         a1 = self.shift_val(-vmin)
-        ordl = min(e for e, c in a1.coeffs.items()
-                   if c.unit is not None and c.val == 0)
-        c0 = a1.coeffs[ordl]
+        # a cell of valuation 0 is p^-base times a unit
+        unit_cells = {e for e, raw in a1.terms.items()
+                      if raw and a1.base + vp_int(raw, p) == 0}
+        ordl = min(unit_cells)
+        c0 = a1.coefficient(ordl)
         cinv = PadicNumber.from_int(p, nrel, 1) / c0
         a3 = a1.shift_exp(-ordl).scale(cinv)     # 1 + g, constant term 1
 
@@ -455,37 +573,33 @@ class LaurentSeries:
         wide_target = (target_window[0] - span, target_window[1] + span)
         tw = (wide_target[0] + ordl, wide_target[1] + ordl)
 
-        g_plus = {e: c for e, c in a3.coeffs.items()
-                  if e > 0 and c.unit is not None}
-        g_minus = {e: c for e, c in a3.coeffs.items()
-                   if e < 0 and c.unit is not None}
-        const = a3.coefficient(0) - PadicNumber.from_int(p, nrel, 1)
-        if const.unit is not None:
+        if (a3.coefficient(0) - PadicNumber.from_int(p, nrel, 1)).unit \
+                is not None:
             raise NotAUnit("normalised constant term is not 1")
-
-        depth = -min(g_minus) if g_minus else 0
+        g = [cell for cell in a3.cells() if cell[2] is not None]
+        minus = [e for e, _, _, _ in g if e < 0]
+        depth = -min(minus) if minus else 0
         pad = depth * (nrel + 1)
         wlo = min(tw[0], 0) - pad
         whi = max(tw[1], 0) + pad
         big_width = whi - wlo + 1 + depth + 8
 
-        # one-sided inverse of (1 + g_plus) by the convolution recursion
-        h = {0: PadicNumber.from_int(p, nrel, 1)}
-        gp = sorted(g_plus.items())
+        # one-sided inverse of (1 + g_plus) by the convolution recursion,
+        # each h[k] = sum (-g_j) h[k-j] as one cell_dot
+        gp = [(e, (v, -unit, prec)) for e, v, unit, prec in g if e > 0]
+        h = {0: (0, 1, nrel)}
         for k in range(1, whi + 1):
-            pairs = [(gj, h[k - j]) for j, gj in gp if k - j in h]
+            pairs = [(x, h[k - j]) for j, x in gp if k - j in h]
             if pairs:
-                acc = padic_dot(pairs)
-                if not acc.is_exact_zero:
-                    h[k] = -acc
+                h[k] = cell_dot(p, nrel, pairs)
 
         # internal polynomial surrogates; honesty is restored by the final
         # verification and the truncated window of the returned value
-        hs = LaurentSeries(p, nrel, h, (wlo, whi), True, None)
-        if g_minus:
-            gm = LaurentSeries(p, nrel, g_minus,
-                               (min(g_minus), max(g_minus)), True, None)
-            total = hs
+        hs = LaurentSeries.from_cells(p, nrel, h, (wlo, whi), True, None)
+        if minus:
+            gm = a3.recast((min(minus), max(minus)), True, None,
+                           lambda e, raw: e < 0 and raw)
+            terms = [hs]
             term = hs
             for _ in range(nrel + 1):
                 # polynomial surrogates on the working window: neglected
@@ -495,245 +609,90 @@ class LaurentSeries:
                 term = -term.on_window((wlo, whi))
                 if term.min_valuation() > nrel:
                     break
-                total = total + term
-            hfull = total
+                terms.append(term)
+            hfull = series_sum(terms)
         else:
             hfull = hs
         hfull = hfull.restrict(tw)
         b = hfull.scale(cinv).shift_exp(-ordl).shift_val(-vmin)
-        mv = b.min_valuation()
-        floor = None if mv is INF else int(mv) + nrel
-        b_wide = LaurentSeries(p, nrel, b.coeffs, wide_target, False, floor)
+        # the normalised inverse is known to nrel digits; an error of
+        # valuation >= abs_floor in the input moves 1/x by -dx / x^2, of
+        # valuation >= abs_floor - 2 vmin
+        floor = int(min(b.min_valuation() + nrel, nrel - vmin,
+                        self.abs_floor() - 2 * vmin))
+        b_wide = b.recast(wide_target, False, floor)
         residual = self.mul(b_wide, max_width) - LaurentSeries.one(
             p, nrel, window=wide_target)
-        for e in sorted(residual.coeffs):
-            if residual.coeffs[e].unit is not None:
+        for e in sorted(residual.terms):
+            if residual.terms[e]:
                 raise NotAUnit(
                     f"inverse failed to converge at exponent {e}; the input "
                     "is not a unit on this window at working precision")
         return b_wide.restrict(target_window)
 
 
-def _clip_window(window, hull, width):
-    lo, hi = window
-    if hi - lo + 1 <= width:
-        return window
-    hlo, hhi = hull
-    if hhi - hlo + 1 > width:
-        raise WindowOverflow("populated exponents exceed the window cap")
-    room = width - (hhi - hlo + 1)
-    lo2 = max(lo, hlo - room // 2)
-    hi2 = lo2 + width - 1
-    if hi2 > hi:
-        hi2 = hi
-        lo2 = hi2 - width + 1
-    return (lo2, hi2)
+def _series(p, nrel, base, terms, floors, window, tail_free, base_floor,
+            s=None):
+    """A series (``s``, when given) from its canonical integer form: no
+    normalising pass."""
+    s = s or LaurentSeries.__new__(LaurentSeries)
+    if window[0] > window[1]:
+        raise WindowOverflow("empty exponent window")
+    s.p = p
+    s.nrel = nrel
+    s.base = base
+    s.terms = terms
+    s.floors = floors
+    s.window = window
+    s.tail_free = tail_free
+    s.base_floor = base_floor
+    s._stats = None
+    return s
 
 
-def _operand(s):
-    """(support hull, integer terms) of s, computed once per series: the
-    hull of the stored exponents ((0, 0) when there are none) and
-    (exponent, unit * p^(val - min_val)) for each provably nonzero
-    coefficient."""
-    cached = s._ints
-    if cached is None:
-        coeffs = s.coeffs
-        p, mv = s.p, s._min_val
-        cached = s._ints = (
-            (min(coeffs), max(coeffs)) if coeffs else (0, 0),
-            [(e, c.unit * p ** (c.val - mv))
-             for e, c in coeffs.items() if c.unit is not None])
-    return cached
+def _settle(p, nrel, base, cells, bf, cap=None):
+    """Canonical (terms, floors) of ``cells``, triples (e, raw, floor) with
+    p^base * raw known modulo p^floor (INF: exactly), to at most ``cap``
+    (default nrel) relative digits.  Each cell is cut at p^bf; an exact
+    zero, and a zero at or beyond bf, is dropped.  A nonzero cell keeps its
+    residue in [0, p^(floor - base)), and ``floors`` holds the floor of
+    every cell that is not min(bf, valuation + nrel): every zero, and each
+    cell known to fewer digits."""
+    cap = nrel if cap is None else cap
+    top = INF if bf is None else bf
+    terms, floors = {}, {}
+    for e, raw, f in cells:
+        if raw:
+            v = base + vp_int(raw, p) if not raw % p else base
+            if v + cap < f:
+                f = v + cap
+            if top < f:
+                f = top
+            if f > v:
+                terms[e] = raw % p ** (f - base)
+                if f < v + nrel and f < top:
+                    floors[e] = f
+                continue
+        elif top < f:
+            f = top
+        if f < top:
+            terms[e] = 0
+            floors[e] = f
+    return terms, floors
 
 
-def _product_term(a, b, width, out_window):
-    """Everything about ``a * b`` but its coefficients: (nrel, window,
-    tail_free, floor, base, cell range, whole, integer terms of a and of
-    b); floor and base are None for the exact zero.  The product is p^base
-    times the integer convolution of the terms on the cell range, known
-    modulo p^floor; ``whole`` when the window holds all of it."""
-    nrel = min(a.nrel, b.nrel)
-    mva, mvb = a._min_val, b._min_val
-    ha, raw_a = _operand(a)
-    hb, raw_b = _operand(b)
-    if mva is None or mvb is None:
-        # only the exact zero has no (min valuation, abs floor)
-        window = _clamp(_window_of_product(a, b, ha, hb, width, (0, 0)),
-                        out_window)
-        return (nrel, window, True, None, None, 1, 0, True, (), ())
-    floor = min(a._abs_floor + mvb, b._abs_floor + mva)
-    full = (ha[0] + hb[0], ha[1] + hb[1])
-    hull = full
-    if out_window is not None:
-        hull = (max(hull[0], out_window[0]), min(hull[1], out_window[1]))
-        if hull[0] > hull[1]:
-            hull = (out_window[0], out_window[0])
-    window = _clamp(_window_of_product(a, b, ha, hb, width, hull), out_window)
-    lo, hi = window
-    whole = lo <= full[0] and full[1] <= hi
-    return (nrel, window, a.tail_free and b.tail_free and whole, floor,
-            mva + mvb, max(lo, full[0]), min(hi, full[1]), whole,
-            raw_a, raw_b)
-
-
-def _clamp(window, out_window):
-    if out_window is None:
-        return window
-    lo = max(window[0], out_window[0])
-    hi = min(window[1], out_window[1])
-    if lo > hi:
-        raise WindowOverflow("requested output window is not provable")
-    return (lo, hi)
-
-
-def _valuation(cell, p, base, floor):
-    """Valuation of p^base * cell known modulo p^floor; None when it is
-    zero there."""
-    r = cell % p ** (floor - base)
-    return None if r == 0 else base + vp_int(r, p)
-
-
-def _first_kept(exponents, acc, glo, low, bf, p, base):
-    """The first exponent at which a running sum keeps a coefficient (its
-    cell in ``acc`` is nonzero, or zero below the uniform floor bf), or
-    None."""
-    for e in exponents:
-        f = min(bf, low.get(e, bf))
-        if f < bf or _valuation(acc[e - glo], p, base, f) is not None:
-            return e
-    return None
-
-
-def series_dot(pairs, max_width=None, out_window=None):
-    """Sum of the products ``a.mul(b, max_width, out_window)`` over
-    ``pairs``: the series that folding ``+`` over them left to right gives.
-
-    Every cell is one integer over the smallest base valuation of the
-    products, normalised once at the end.  The fold is replayed step by
-    step on those integers only where it depends on order: a sum of
-    tail-free series widens its window to the keys that survive the
-    step's floor, and a step that lowers nrel caps each cell at its
-    valuation + nrel.  Everything else is order-free: a sum of products
-    is the canonical form of the exact sum modulo p^(smallest floor).
-    """
+def series_sum(terms, max_width=None, out_window=None):
+    """The series that folding ``+`` over ``terms`` left to right gives:
+    each term a series, or a pair (a, b) that stands for ``a.mul(b,
+    max_width, out_window)``."""
     width = max_width or DEFAULT_MAX_WIDTH
-    terms = []
-    p = base = glo = ghi = None
-    for a, b in pairs:
-        if p is None:
-            p = a.p
-        elif a.p != p:
-            raise ValueError("mixed primes")
-        term = _product_term(a, b, width, out_window)
-        terms.append(term)
-        tbase, clo, chi = term[4:7]
-        if tbase is not None and (base is None or tbase < base):
-            base = tbase
-        if clo <= chi:
-            glo = clo if glo is None or clo < glo else glo
-            ghi = chi if ghi is None or chi > ghi else ghi
-    if p is None:
-        raise ValueError("empty dot product")
-    if glo is None:
-        glo = ghi = 0       # no product has a cell
-    acc = [0] * (ghi - glo + 1)
-    low = {}                # cells whose floor is below the uniform floor
-    nrel = lo = hi = tail_free = bf = None
-    alo, ahi = 0, -1        # cell range of the running sum
-
-    for n, window, tf, f, tbase, clo, chi, whole, raw_a, raw_b in terms:
-        keys = []           # surviving keys outside the window, when tf
-        if nrel is None:
-            nrel, (lo, hi), tail_free = n, window, tf
-        else:
-            lo, hi = max(lo, window[0]), min(hi, window[1])
-            tail_free = tail_free and tf
-            if n < nrel and bf is not None:
-                # the running sum is capped at n relative digits
-                for e in range(alo, ahi + 1):
-                    fe = min(bf, low.get(e, bf))
-                    v = _valuation(acc[e - glo], p, base, fe)
-                    if v is not None and v + n < fe:
-                        low[e] = v + n
-            nrel = min(nrel, n)
-            if tail_free:
-                ends = (range(alo, min(ahi + 1, lo)),
-                        range(ahi, max(alo - 1, hi), -1))
-                keys = [e for e in (_first_kept(es, acc, glo, low, bf, p,
-                                                base) for es in ends)
-                        if e is not None]
-        if f is not None:
-            capped = f - tbase > nrel
-            widens = tail_free and (clo < lo or chi > hi)
-            # integer convolution over the cell range, relative to base;
-            # into its own cells when they must be looked at first
-            own = capped or widens
-            out, off = ([0] * (chi - clo + 1), clo) if own else (acc, glo)
-            shift = p ** (tbase - base)
-            for ea, ra in raw_a:
-                ra *= shift
-                if whole:
-                    ea -= off
-                    for eb, rb in raw_b:
-                        out[ea + eb] += ra * rb
-                    continue
-                for eb, rb in raw_b:
-                    k = ea + eb
-                    if clo <= k <= chi:
-                        out[k - off] += ra * rb
-            if widens:
-                keys += [e for e in range(clo, chi + 1)
-                         if (e < lo or e > hi)
-                         and _valuation(out[e - clo], p, base, f) is not None]
-            if capped:
-                # a cell of this product keeps at most nrel relative digits
-                for e in range(clo, chi + 1):
-                    v = _valuation(out[e - clo], p, base, f)
-                    if v is not None and v + nrel < f:
-                        low[e] = min(low.get(e, f), v + nrel)
-            if own:
-                for k, c in enumerate(out, clo - glo):
-                    acc[k] += c
-        if keys:
-            lo, hi = min(lo, *keys), max(hi, *keys)
-        if lo > hi:
-            raise WindowOverflow("empty exponent window")
-        if f is not None:
-            if clo <= chi:
-                alo, ahi = ((clo, chi) if alo > ahi
-                            else (min(alo, clo), max(ahi, chi)))
-            bf = f if bf is None else min(bf, f)
-
-    coeffs = {}
-    top = None if bf is None else p ** (bf - base)
-    for e in range(max(alo, lo), min(ahi, hi) + 1):
-        fe = min(bf, low.get(e, bf)) if low else bf
-        cell = acc[e - glo]
-        if cell % (top if fe == bf else p ** (fe - base)):
-            coeffs[e] = PadicNumber._at_floor(p, nrel, base, cell, fe)
-        elif fe < bf:
-            coeffs[e] = PadicNumber.inexact_zero(p, nrel, fe)
-    return LaurentSeries(p, nrel, coeffs, (lo, hi), tail_free, bf)
+    return _series(*accumulate([product_term(t, width, out_window)
+                                if isinstance(t, tuple) else series_term(t, 1)
+                                for t in terms]))
 
 
-def _window_of_product(a, b, ha, hb, width, hull):
-    """Provable window of a * b, given the operands' support hulls."""
-    ifa = a.tail_free
-    ifb = b.tail_free
-    if ifa and ifb:
-        window = (a.window[0] + b.window[0], a.window[1] + b.window[1])
-        return _clip_window(window, hull, width)
-    los, his = [], []
-    if not ifa:
-        los.append(a.window[0] + hb[1])
-        his.append(a.window[1] + hb[0])
-    if not ifb:
-        los.append(b.window[0] + ha[1])
-        his.append(b.window[1] + ha[0])
-    lo, hi = max(los), min(his)
-    if lo > hi:
-        raise WindowOverflow("provable window of product is empty")
-    return _clip_window((lo, hi), hull, width)
+# a sum of products ``a.mul(b, max_width, out_window)`` of pairs (a, b)
+series_dot = series_sum
 
 
 # ---------------------------------------------------------------------------
@@ -794,11 +753,10 @@ def membership(a: LaurentSeries, label: RingLabel) -> MembershipResult:
     membership, so Consistent means consistent-on-the-visible-window.
     """
     kind = label.kind
-    for e in sorted(a.coeffs):
-        c = a.coeffs[e]
-        if c.unit is None:
+    for e, v, unit, _ in a.cells():
+        if unit is None:
             continue
-        v = Fraction(c.val)
+        v = Fraction(v)
         if kind == GAMMA_PLUS:
             if e < 0 or v < 0:
                 return MembershipResult(False, e)
@@ -856,8 +814,9 @@ def series_agree(a: LaurentSeries, b: LaurentSeries) -> AgreementVerdict:
     window = d.window
     floor = d.abs_floor()
     floor = None if floor is INF else int(floor)
-    for e in sorted(d.coeffs):
-        c = d.coeffs[e]
-        if c.unit is not None:
-            return AgreementVerdict(False, floor, window, e, c.val)
+    for e in sorted(d.terms):
+        raw = d.terms[e]
+        if raw:
+            return AgreementVerdict(False, floor, window, e,
+                                    d.base + vp_int(raw, d.p))
     return AgreementVerdict(True, floor, window)

@@ -37,33 +37,45 @@ FORMAT_VERSION = 1
 def emit_scalar(x: PadicNumber) -> str:
     if x.is_exact_zero:
         return "0"
-    if x.unit is None:
-        return f"O({x.p}^{x.val})"
-    return f"{x.p}^{x.val}*{x.unit} mod {x.p}^{x.prec}"
+    return _cell_text(x.p, x.val, x.unit, x.prec)
 
 
-def parse_scalar(p, nrel, s) -> PadicNumber:
+def _cell_text(p, val, unit, prec):
+    if unit is None:
+        return f"O({p}^{val})"
+    return f"{p}^{val}*{unit} mod {p}^{prec}"
+
+
+def _scalar_cell(p, nrel, s):
+    """(val, unit, prec) of a scalar string, read as ``PadicNumber._make``
+    reads them: val None for "0", unit None for O(p^val)."""
     if not isinstance(s, str):
         raise ParseError(f"a scalar must be a string, not {s!r}")
     s = s.strip()
     if s == "0":
-        return PadicNumber.zero(p, nrel)
-
-    def power(text):
-        """The exponent k of the text p^k."""
-        base, _, k = text.partition("^")
-        if int(base) != p:
-            raise ParseError(f"bad scalar {s!r}: prime mismatch: {base} vs "
-                             f"{p}")
-        return int(k)
-
+        return None, None, None
     if s.startswith("O(") and s.endswith(")"):
-        return PadicNumber.inexact_zero(p, nrel, power(s[2:-1]))
+        return _power(p, s, s[2:-1]), None, None
     head, _, tail = s.partition(" mod ")
     pv, _, m = head.partition("*")
-    v = power(pv)
-    return PadicNumber._make(p, nrel, v, int(m),
-                             power(tail) if tail else nrel)
+    return _power(p, s, pv), int(m), _power(p, s, tail) if tail else nrel
+
+
+def _power(p, s, text):
+    """The exponent k of the text p^k in the scalar s."""
+    base, _, k = text.partition("^")
+    if int(base) != p:
+        raise ParseError(f"bad scalar {s!r}: prime mismatch: {base} vs {p}")
+    return int(k)
+
+
+def parse_scalar(p, nrel, s) -> PadicNumber:
+    val, unit, prec = _scalar_cell(p, nrel, s)
+    if val is None:
+        return PadicNumber.zero(p, nrel)
+    if unit is None:
+        return PadicNumber.inexact_zero(p, nrel, val)
+    return PadicNumber._make(p, nrel, val, unit, prec)
 
 
 def emit_fraction(x) -> str:
@@ -94,7 +106,8 @@ def parse_label(obj) -> RingLabel:
 def emit_series_body(s: LaurentSeries):
     return {
         "window": list(s.window),
-        "terms": [[e, emit_scalar(c)] for e, c in s.items()],
+        "terms": [[e, _cell_text(s.p, v, unit, prec)]
+                  for e, v, unit, prec in s.cells()],
         "tail_free": s.tail_free,
         "floor": s.base_floor,
     }
@@ -135,9 +148,10 @@ def parse_series_body(p, nrel, obj) -> LaurentSeries:
     if not isinstance(tail_free, bool):
         raise ParseError(f"bad series: tail_free must be a boolean, not "
                          f"{tail_free!r}")
-    coeffs = {_int(e, "an exponent"): parse_scalar(p, nrel, c)
-              for e, c in obj["terms"]}
-    return LaurentSeries(p, nrel, coeffs, tuple(window), tail_free, floor)
+    cells = {_int(e, "an exponent"): _scalar_cell(p, nrel, c)
+             for e, c in obj["terms"]}
+    return LaurentSeries.from_cells(p, nrel, cells, tuple(window), tail_free,
+                                    floor)
 
 
 def emit_series_matrix(mat, p, nrel):
@@ -156,10 +170,15 @@ def _matrix(rows, parse_entry):
 
 def _square(rows, parse_entry, side=None):
     """A square matrix of parsed entries, with ``side`` rows when given."""
-    mat = _matrix(rows, parse_entry)
+    return require_square(_matrix(rows, parse_entry), side)
+
+
+def require_square(mat, side=None, what="a square matrix"):
+    """``mat`` when it is square, with ``side`` rows when given; else
+    ``ParseError`` naming it ``what``."""
     if len(mat[0]) != len(mat) or side not in (None, len(mat)):
-        raise ParseError(f"expected a square matrix of side "
-                         f"{side or len(mat)}, not {len(mat)}x{len(mat[0])}")
+        raise ParseError(f"expected {what} of side {side or len(mat)}, not "
+                         f"{len(mat)}x{len(mat[0])}")
     return mat
 
 

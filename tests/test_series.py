@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from sigma_nabla.series import (
     series_agree,
     series_dot,
     series_invert,
+    series_sum,
     sigma_apply,
 )
 
@@ -71,6 +73,19 @@ def test_sum_window_is_intersection():
     a = S([(0, 1)], window=(-4, 10))
     b = S([(1, 1)], window=(-10, 4))
     assert (a + b).window == (-4, 4)
+
+
+def test_sum_with_a_truncated_exact_zero_is_truncated():
+    # an exact zero that makes no claim outside (0, 0): the sum is known
+    # only there, whatever the other operand's window
+    zero = LaurentSeries(P, N, {}, (0, 0), False, None)
+    x = S([(0, 1), (5, 1)], window=(0, 5))
+    for s in (x + zero, zero + x, x - zero, zero - x):
+        assert (s.window, s.tail_free, s.base_floor, sorted(s.terms)) == (
+            (0, 0), False, None, [0])
+    x5 = S([(5, 1)], window=(0, 5))
+    for verdict in (series_agree(x5, zero), series_agree(zero, x5)):
+        assert verdict.holds and verdict.window == (0, 0)
 
 
 def rand_truncated(rng, nrel):
@@ -234,11 +249,13 @@ def rand_coefficient(rng, nrel, inexact=True):
 def rand_operand(rng, nrel):
     """An exact zero, a pure floor, a truncation, or a tail-free polynomial
     whose window hugs its support, so that sums of products widen."""
-    kind = rng.choice(("zero", "floor", "truncated", "truncated",
-                       "polynomial", "polynomial", "polynomial"))
+    kind = rng.choice(("zero", "zero", "floor", "truncated", "truncated",
+                       "polynomial", "polynomial", "polynomial", "surrogate"))
     if kind == "zero":
-        return LaurentSeries.zero(P, nrel, window=(-rng.randint(0, 9),
-                                                   rng.randint(0, 9)))
+        # tail-free, or making no claim outside its window
+        return LaurentSeries(P, nrel, {}, (-rng.randint(0, 9),
+                                           rng.randint(0, 9)),
+                             rng.random() < 0.5, None)
     if kind == "floor":
         return LaurentSeries(P, nrel, {}, (-rng.randint(0, 12),
                                            rng.randint(0, 12)),
@@ -253,7 +270,8 @@ def rand_operand(rng, nrel):
                              False, rng.randint(1, 12))
     return LaurentSeries(P, nrel, terms, (lo - rng.randint(0, 2),
                                           hi + rng.randint(0, 2)),
-                         True, None)
+                         True, rng.randint(1, 12) if kind == "surrogate"
+                         else None)
 
 
 def at_nrel(s, nrel):
@@ -263,11 +281,67 @@ def at_nrel(s, nrel):
                          s.window, s.tail_free, s.base_floor)
 
 
-def fold_of_products(pairs, max_width, out_window):
+class Folded:
+    """A sum of series folded cell by cell with ``PadicNumber.__add__``,
+    apart from the integer kernel: windows intersect, a sum of two
+    polynomials widens its window to the stored exponents, the base floor
+    is the smaller one and every cell is cut at it, and a cell outside the
+    window is dropped, after which the sum is no longer tail-free."""
+
+    def __init__(self, s):
+        self.nrel, self.window = s.nrel, s.window
+        self.tail_free, self.base_floor = s.tail_free, s.base_floor
+        self.coeffs = dict(s.items())
+
+    def coefficient(self, e):
+        if e in self.coeffs:
+            return self.coeffs[e]
+        lo, hi = self.window
+        if self.base_floor is not None and lo <= e <= hi:
+            return PadicNumber.inexact_zero(P, self.nrel, self.base_floor)
+        return PadicNumber.zero(P, self.nrel)
+
+    def __neg__(self):
+        out = copy.copy(self)
+        out.coeffs = {e: -c for e, c in self.coeffs.items()}
+        return out
+
+    def __add__(self, other):
+        out = copy.copy(self)
+        nrel = out.nrel = min(self.nrel, other.nrel)
+        lo = max(self.window[0], other.window[0])
+        hi = min(self.window[1], other.window[1])
+        cells = {e: self.coefficient(e) + other.coefficient(e)
+                 for e in self.coeffs.keys() | other.coeffs.keys()}
+        out.tail_free = self.tail_free and other.tail_free
+        if out.tail_free and cells:
+            lo, hi = min(lo, *cells), max(hi, *cells)
+        if lo > hi:
+            raise WindowOverflow("empty exponent window")
+        floors = [f for f in (self.base_floor, other.base_floor)
+                  if f is not None]
+        bf = out.base_floor = min(floors, default=None)
+        out.window, out.coeffs = (lo, hi), {}
+        for e, c in cells.items():
+            if not lo <= e <= hi:
+                out.tail_free = False
+                continue
+            if bf is not None:
+                c = c + PadicNumber.inexact_zero(P, nrel, bf)
+                if c.val >= bf:
+                    continue
+            out.coeffs[e] = c
+        return out
+
+
+def reference_sum(terms, max_width=None, out_window=None):
+    """``series_sum``'s terms folded by ``Folded``: each a series, or a pair
+    (a, b) multiplied by ``a.mul(b, max_width, out_window)``."""
     acc = None
-    for a, b in pairs:
-        term = a.mul(b, max_width, out_window)
-        acc = term if acc is None else acc + term
+    for t in terms:
+        if isinstance(t, tuple):
+            t = t[0].mul(t[1], max_width, out_window)
+        acc = Folded(t) if acc is None else acc + Folded(t)
     return acc
 
 
@@ -276,8 +350,9 @@ def outcome(fn, *args):
         s = fn(*args)
     except WindowOverflow as exc:
         return type(exc).__name__
-    return (repr(s), s.window, s.tail_free, s.base_floor, s.nrel,
-            [c.nrel for _, c in s.items()])
+    items = s.coeffs.items() if isinstance(s, Folded) else s.items()
+    return (s.window, s.tail_free, s.base_floor, s.nrel,
+            sorted((e, repr(c), c.nrel) for e, c in items))
 
 
 def test_series_dot_matches_the_fold_of_products():
@@ -306,8 +381,17 @@ def test_series_dot_matches_the_fold_of_products():
         if rng.random() < 0.25:
             lo = -rng.randint(0, 10)
             out_window = (lo, lo + rng.randint(0, 20))
-        want = outcome(fold_of_products, pairs, max_width, out_window)
+        want = outcome(reference_sum, pairs, max_width, out_window)
         assert outcome(series_dot, pairs, max_width, out_window) == want
+        # products and series mixed, and a - b
+        mixed = [a if rng.random() < 0.5 else (a, b) for a, b in pairs]
+        assert (outcome(series_sum, mixed, max_width, out_window)
+                == outcome(reference_sum, mixed, max_width, out_window))
+        a, b = pairs[0]
+        assert outcome(lambda: a - b) == outcome(
+            lambda: Folded(a) + -Folded(b))
+        assert outcome(lambda: b + a) == outcome(
+            lambda: Folded(b) + Folded(a))
         if want == "WindowOverflow":
             seen["overflow"] += 1
             continue

@@ -1,0 +1,268 @@
+"""Soundness of the series layer at two precisions.
+
+Each operation runs twice on the same exact-rational inputs: once at a
+relative precision nrel, once at 2*nrel + 4 with every absolute floor of
+the inputs raised by the same nrel + 4 digits.  The high inputs refine the
+low ones (they admit fewer exact completions), so whatever the low run
+claims must hold for the high run's values too:
+
+* every cell of the low result agrees with the high result modulo the
+  smaller of their two absolute floors (when the high floor is the larger,
+  this is the low run's whole claim), and
+* the low window lies inside the high window.  A product shrinks its
+  window by its partner's stored support, which more digits can widen, so
+  windows are compared only where the supports that shape them are the
+  same in both runs: a single operation on operands whose stored supports
+  agree.  (A coefficient dropped at the floor is O(p^floor), and every
+  coefficient of a series, in its window or not, has valuation at least
+  its min valuation; the product floor covers both, so the low run's
+  wider window is no overclaim.)
+
+Inputs are exact Laurent polynomials and their truncations: stored cells
+cut to an absolute floor (inexact zeros among them), a base floor, and
+``tail_free`` False.
+"""
+
+import random
+from fractions import Fraction
+
+from sigma_nabla.errors import NotAUnit, WindowOverflow
+from sigma_nabla.linalg import smat_det, smat_inv
+from sigma_nabla.padic import INF, PadicNumber, vp_int
+from sigma_nabla.series import LaurentSeries, series_dot
+
+P = 3
+
+
+def lift_of(nrel):
+    """Extra digits of the high run: it works at nrel + lift = 2*nrel + 4."""
+    return nrel + 4
+
+
+def rand_value(rng, vmin=-1, vmax=3):
+    unit = rng.randrange(1, 81)
+    while unit % P == 0:
+        unit = rng.randrange(1, 81)
+    den = rng.choice((1, 1, 2, 5, 7))
+    return rng.choice((1, -1)) * Fraction(unit, den) * \
+        Fraction(P) ** rng.randint(vmin, vmax)
+
+
+def rand_spec(rng, unit=False):
+    """(terms, window, tail_free, base floor, cell floors): exact rational
+    terms, and the floors a truncation of them is known to; with ``unit``,
+    a Gamma-unit up to a power of p, with a valuation-zero term."""
+    if unit:
+        v0 = rng.randint(-1, 1)
+        terms = {rng.randint(-2, 2): rand_value(rng, 0, 0) * Fraction(P) ** v0}
+        for _ in range(rng.randint(0, 3)):
+            terms.setdefault(rng.randint(-3, 3),
+                             rand_value(rng, 1, 3) * Fraction(P) ** v0)
+    else:
+        terms = {rng.randint(-4, 4): rand_value(rng)
+                 for _ in range(rng.randint(0, 4))}
+    support = list(terms) or [0]
+    tail_free = rng.random() < 0.4
+    pad = (0, 2) if tail_free else (2, 12)
+    window = (min(support) - rng.randint(*pad),
+              max(support) + rng.randint(*pad))
+    base_floor = None if rng.random() < 0.4 else rng.randint(-1, 6)
+    floors = {}
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        floors[rng.randint(*window)] = rng.randint(-1, 5)
+    return terms, window, tail_free, base_floor, floors
+
+
+def build(spec, nrel, lift=0):
+    """The series of ``spec`` at ``nrel``, every floor raised by ``lift``."""
+    terms, window, tail_free, base_floor, floors = spec
+    if not floors and base_floor is None and tail_free:
+        return LaurentSeries.from_terms(P, nrel, terms, window)
+    cells = {}
+    for e in set(terms) | set(floors):
+        c = PadicNumber.from_rational(P, nrel, terms.get(e, 0))
+        f = floors[e] + lift if e in floors else INF
+        if c.is_exact_zero or c.val >= f:
+            cells[e] = (int(f), None, None)      # O(p^f)
+        else:
+            cells[e] = (c.val, c.unit, min(c.prec, f - c.val))
+    return LaurentSeries.from_cells(
+        P, nrel, cells, window, tail_free,
+        None if base_floor is None else base_floor + lift)
+
+
+def pair(spec, nrel):
+    return build(spec, nrel), build(spec, nrel + lift_of(nrel),
+                                    lift_of(nrel))
+
+
+def representative(c):
+    return Fraction(0) if c.unit is None else c.to_rational()
+
+
+class Tally:
+    """Cells compared, and those where the high run checks the whole low
+    claim (its floor is at least the low floor)."""
+
+    def __init__(self):
+        self.cells = self.full = self.results = 0
+
+
+def check(low, high, tally, what, windows=True):
+    """Compare the low result with the high one on their common window,
+    and with ``windows`` the windows themselves."""
+    if windows:
+        assert high.window[0] <= low.window[0] <= low.window[1] \
+            <= high.window[1], (what, low.window, high.window)
+    assert low.nrel <= high.nrel, what
+    tally.results += 1
+    lo = max(low.window[0], high.window[0])
+    hi = min(low.window[1], high.window[1])
+    for e in range(lo, hi + 1):
+        a, b = low.coefficient(e), high.coefficient(e)
+        fa, fb = a.abs_floor, b.abs_floor
+        diff = representative(a) - representative(b)
+        tally.cells += 1
+        tally.full += fb >= fa
+        if diff:
+            f = min(fa, fb)
+            assert f is not INF and vp_int(diff.numerator, P) - \
+                vp_int(diff.denominator, P) >= f, (what, e, a, b, low, high)
+
+
+def assert_strong(tally, least=0.9):
+    """The high run checks most claims in full, so the harness is not
+    vacuous; and it ran on enough results."""
+    assert tally.results >= 50, tally.results
+    assert tally.full >= least * tally.cells, (tally.full, tally.cells)
+
+
+def hulls(operands):
+    return [s.support_hull for s in operands]
+
+
+def runs(rng, op, n_specs, trials=400, unit=False, windows=True):
+    """Run ``op`` on fresh specs at both precisions; an error the low run
+    raises (precision too low for a unit, a window cap) is no claim."""
+    tally = Tally()
+    for t in range(trials):
+        nrel = rng.choice((3, 4, 6))
+        specs = [rand_spec(rng, unit) for _ in range(n_specs)]
+        lows, highs = zip(*(pair(s, nrel) for s in specs))
+        same = hulls(lows) == hulls(highs)
+        try:
+            low = op(rng.getstate(), nrel, *lows)
+        except (NotAUnit, WindowOverflow):
+            continue
+        try:
+            high = op(rng.getstate(), nrel + lift_of(nrel), *highs)
+        except WindowOverflow:
+            # more stored digits widen a support, and with it shrink a
+            # product's provable window: here to nothing
+            continue
+        finally:
+            rng.random()
+        check(low, high, tally, (op.__name__, t, specs), windows and same)
+    return tally
+
+
+def test_sum_and_difference():
+    rng = random.Random(101)
+    assert_strong(runs(rng, lambda _s, _n, a, b: a + b, 2))
+    assert_strong(runs(rng, lambda _s, _n, a, b: a - b, 2))
+
+
+def test_product():
+    rng = random.Random(102)
+    assert_strong(runs(rng, lambda _s, _n, a, b: a * b, 2))
+
+
+def test_series_dot_with_output_window():
+    def dot(state, _nrel, *ops):
+        r = random.Random()
+        r.setstate(state)
+        pairs = list(zip(ops[::2], ops[1::2]))
+        lo = r.randint(-8, 2)
+        out_window = None if r.random() < 0.3 else (lo, lo + r.randint(0, 12))
+        return series_dot(pairs, r.choice((None, 48)), out_window)
+
+    rng = random.Random(103)
+    for k in (1, 2, 3):
+        assert_strong(runs(rng, dot, 2 * k, trials=300))
+
+
+def test_invert():
+    def invert(state, _nrel, a):
+        r = random.Random()
+        r.setstate(state)
+        lo = r.randint(-12, 0)
+        return a.invert((lo, lo + r.randint(0, 16)))
+
+    assert_strong(runs(random.Random(104), invert, 1, unit=True), 0.75)
+
+
+def test_invert_of_a_truncation_claims_no_more_than_its_floor():
+    # 1 + 3u^-1 known modulo 3^5: its inverse sum (-3)^k u^-k is known
+    # only modulo 3^5, though the input's terms have 12 relative digits
+    one = PadicNumber.from_int(P, 12, 1)
+    three = PadicNumber.from_int(P, 12, 3)
+    a = LaurentSeries(P, 12, {0: one, -1: three}, (-20, 20), False, 5)
+    b = a.invert()
+    assert b.base_floor <= 5
+    assert b.abs_floor() <= 5
+    for k in range(20):
+        assert b.coefficient(-k).agrees(
+            PadicNumber.from_int(P, 12, (-3) ** k))
+
+
+def test_frobenius_derivative_and_scale():
+    def scale(state, nrel, a):
+        r = random.Random()
+        r.setstate(state)
+        return a.scale(PadicNumber.from_rational(P, nrel, rand_value(r)))
+
+    rng = random.Random(105)
+    assert_strong(runs(rng, lambda _s, _n, a: a.frobenius(1), 1))
+    assert_strong(runs(rng, lambda _s, _n, a: a.frobenius(2), 1))
+    assert_strong(runs(rng, lambda _s, _n, a: a.derivative(), 1))
+    assert_strong(runs(rng, scale, 1))
+
+
+def matrix(ops, n):
+    return [list(ops[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def test_determinant():
+    # minors are products of products: windows are not compared
+    rng = random.Random(106)
+    assert_strong(runs(rng, lambda _s, _n, *ops: smat_det(matrix(ops, 2)),
+                       4, windows=False))
+    assert_strong(runs(rng, lambda _s, _n, *ops: smat_det(matrix(ops, 3)),
+                       9, trials=250, windows=False))
+
+
+def test_inverse():
+    def inverse(state, _nrel, *ops):
+        return smat_inv(matrix(ops, 2), (-6, 6))
+
+    tally = Tally()
+    rng = random.Random(107)
+    for t in range(200):
+        nrel = rng.choice((3, 4))
+        # a unit diagonal and small off-diagonal entries: det is a unit
+        specs = [rand_spec(rng, unit=i in (0, 3)) for i in range(4)]
+        for i in (1, 2):
+            terms, window, tail_free, bf, floors = specs[i]
+            specs[i] = ({e: c * P for e, c in terms.items()}, window,
+                        tail_free, bf, floors)
+        lows, highs = zip(*(pair(s, nrel) for s in specs))
+        try:
+            low = inverse(None, nrel, *lows)
+            high = inverse(None, nrel + lift_of(nrel), *highs)
+        except (NotAUnit, WindowOverflow):
+            continue
+        for i in range(2):
+            for j in range(2):
+                check(low[i][j], high[i][j], tally, ("inverse", t, specs),
+                      False)
+    assert_strong(tally, 0.75)

@@ -260,9 +260,13 @@ def test_cli_factor_out_is_the_factor_directory(runner, tmp_path):
     assert rep["y_path"] == str(outdir / "Y.json")
 
 
-def _without(name, key):
+def _fixture_doc(name):
     with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
-        doc = json.load(fh)
+        return json.load(fh)
+
+
+def _without(name, key):
+    doc = _fixture_doc(name)
     del doc[key]
     return doc
 
@@ -293,6 +297,33 @@ def test_cli_malformed_documents_exit_two(runner, tmp_path, args, docs):
     res = runner.invoke(main, args + paths)
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("parse error")
+    assert isinstance(res.exception, SystemExit)
+
+
+IDENTITY_2 = textio.emit_series_matrix(
+    [[S([(0, int(i == j))]) for j in range(2)] for i in range(2)], P, N)
+
+
+@pytest.mark.parametrize("args, docs", [
+    (["check-product"], [IDENTITY_2, _fixture_doc("factor_gamma/Z.json"),
+                         _fixture_doc("factor_gamma/x.json")]),
+    (["descend"], [_fixture_doc("descend/module.json"), IDENTITY_2]),
+    (["glue"], [_fixture_doc("glue/m1.json"), _fixture_doc("glue/m2.json"),
+                IDENTITY_2]),
+    (["slopes"], [{"format_version": 1, "kind": "scalar_matrix",
+                   "field": "padic", "p": 3, "nrel": 6,
+                   "entries": [["3^0*1 mod 3^6", "3^1*1 mod 3^6"]]}]),
+])
+def test_cli_shape_mismatch_exits_two(runner, tmp_path, args, docs):
+    # each document parses; their sizes disagree, or a square one is not
+    paths = []
+    for k, doc in enumerate(docs):
+        paths.append(str(tmp_path / f"doc{k}.json"))
+        textio.dump_path(paths[-1], doc)
+    res = runner.invoke(main, args + paths)
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("parse error")
+    assert "Traceback" not in res.stderr
     assert isinstance(res.exception, SystemExit)
 
 
