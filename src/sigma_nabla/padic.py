@@ -646,10 +646,11 @@ class IntPolynomial:
 
     ``coeffs[i]`` is the coefficient of t^i; trailing zeros are stripped so
     the leading coefficient of a nonzero polynomial is nonzero.  An integral
-    coefficient is stored as an ``int``, any other as a ``Fraction``.
+    coefficient is stored as an ``int``, any other as a ``Fraction``.  The
+    polynomial is immutable, so its hash is computed once.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs):
         coeffs = [c if type(c) is int else exact_rational(c) for c in coeffs]
@@ -658,6 +659,7 @@ class IntPolynomial:
         if not coeffs:
             coeffs = [0]
         self.coeffs = tuple(coeffs)
+        self._hash = hash(self.coeffs)
 
     @property
     def degree(self):
@@ -673,7 +675,7 @@ class IntPolynomial:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return self._hash
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -4,13 +4,17 @@ characteristic-polynomial coefficient map.
 
 Matrices here are plain scalar matrices; entries may be Fractions (exact
 paths), PadicNumbers, or UnramifiedScalars (semilinear case, where sigma
-acts on entries through the field's Frobenius).
+acts on entries through the field's Frobenius).  The characteristic
+polynomial of a rational matrix runs on integers over one common
+denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -178,15 +182,31 @@ def block_companion(f_g, n):
 def char_coeffs(mat):
     """Coefficients of det(T*I - F), leading first: (1, c_{n-1}, ..., c_0).
 
-    Berkowitz's division-free algorithm, O(n^4) ring operations.  Write
-    the leading (r+1) x (r+1) block of F as [[M, C], [R, a]]; its
-    characteristic polynomial is the lower-triangular Toeplitz matrix with
-    first column (1, -a, -R C, -R M C, ..., -R M^(r-1) C) applied to that
-    of M.  Only +, * and zero - x are used, so Fraction, PadicNumber and
-    UnramifiedScalar entries all work.
+    Berkowitz's division-free algorithm (``_berkowitz``).  A rational
+    matrix (int and Fraction entries) runs on Python integers over one
+    common denominator d: the coefficient of T^(n-k) for F is that for
+    d*F divided by d^k, and every coefficient comes back a Fraction.  Other
+    entries (PadicNumber, UnramifiedScalar) run in their own ring through
+    the left fold ``_dot``, which keeps their precision bookkeeping.
     """
+    if all(isinstance(x, (int, Fraction)) for row in mat for x in row):
+        d = lcm(*(x.denominator for row in mat for x in row))
+        ints = [[x.numerator * (d // x.denominator) for x in row]
+                for row in mat]
+        poly = _berkowitz(ints, 0, 1, lambda xs, ys: sum(map(mul, xs, ys)))
+        return [Fraction(c, d ** k) for k, c in enumerate(poly)]
     ops = ops_for(mat[0][0])
-    zero, one = ops.zero(), ops.one()
+    return _berkowitz(mat, ops.zero(), ops.one(), _dot)
+
+
+def _berkowitz(mat, zero, one, dot):
+    """det(T*I - mat) leading first, by Berkowitz's algorithm: O(n^4) ring
+    operations, only +, * and zero - x.  Write the leading (r+1) x (r+1)
+    block as [[M, C], [R, a]]; its characteristic polynomial is the
+    lower-triangular Toeplitz matrix with first column
+    (1, -a, -R C, -R M C, ..., -R M^(r-1) C) applied to that of M.
+    ``dot(xs, ys)`` is the sum of x * y over zip(xs, ys).
+    """
     poly = [one]
     for r in range(len(mat)):
         m_cols = [[mat[i][j] for i in range(r)] for j in range(r)]
@@ -195,9 +215,9 @@ def char_coeffs(mat):
         toeplitz = [one, zero - mat[r][r]]
         for k in range(r):
             if k:
-                rm = [_dot(rm, col) for col in m_cols]
-            toeplitz.append(zero - _dot(rm, c))
-        poly = [_dot(toeplitz[i::-1], poly) for i in range(r + 2)]
+                rm = [dot(rm, col) for col in m_cols]
+            toeplitz.append(zero - dot(rm, c))
+        poly = [dot(toeplitz[i::-1], poly) for i in range(r + 2)]
     return poly
 
 

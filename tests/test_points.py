@@ -8,7 +8,13 @@ from sigma_nabla.errors import (
     PreconditionFailed,
     SingularFrobenius,
 )
-from sigma_nabla.linalg import mat_agree, mat_inv, mat_mul, ops_for
+from sigma_nabla.linalg import (
+    FractionOps,
+    mat_agree,
+    mat_inv,
+    mat_mul,
+    ops_for,
+)
 from sigma_nabla.padic import (
     IntPolynomial,
     PadicNumber,
@@ -16,6 +22,8 @@ from sigma_nabla.padic import (
 )
 from sigma_nabla.points import (
     PointFrobenius,
+    _berkowitz,
+    _dot,
     average_projector,
     average_projector_group,
     block_companion,
@@ -367,7 +375,9 @@ def test_char_coeffs_berkowitz_matches_permutations_padic(rng):
             diag.append(F(c * p ** rng.randint(0, 2)))
         f = [[PadicNumber.from_rational(p, nrel, x) for x in row]
              for row in conjugated_diagonal(rng, diag)]
-        assert repr(char_coeffs(f)) == repr(permutation_char_coeffs(f)), f
+        got = char_coeffs(f)
+        assert repr(got) == repr(permutation_char_coeffs(f)), f
+        assert repr(got) == repr(ring_char_coeffs(f, ops_for(f[0][0])))
 
 
 def test_char_coeffs_berkowitz_matches_permutations_unramified(rng):
@@ -379,6 +389,37 @@ def test_char_coeffs_berkowitz_matches_permutations_unramified(rng):
         got, want = char_coeffs(f), permutation_char_coeffs(f)
         assert len(got) == len(want) == n + 1
         assert all(a.agrees(b) for a, b in zip(got, want)), f
+        assert repr(got) == repr(ring_char_coeffs(f, ops_for(f[0][0])))
+
+
+def ring_char_coeffs(mat, ops):
+    """Berkowitz on the entries themselves, through the left fold."""
+    return _berkowitz(mat, ops.zero(), ops.one(), _dot)
+
+
+def test_char_coeffs_integer_path_matches_ring_path(rng):
+    # rational matrices run on integers over one common denominator; the
+    # ring path on Fractions is the reference
+    dens = (1, 2, 3, 4, 7, 9, 1_000_003, 2 ** 61 - 1)
+
+    def fraction():
+        return F(rng.randint(-30, 30), rng.choice(dens))
+
+    def mixed():
+        return rng.choice((rng.randint(-9, 9), fraction()))
+
+    entries = (lambda: rng.randint(-9, 9), fraction, mixed)
+    cases = [[[0]], [[F(-7, 3)]], [[2 ** 61 - 1]], [[0] * 3 for _ in range(3)],
+             [[F(0)] * 4 for _ in range(4)]]
+    for n in range(1, 9):
+        for entry in entries:
+            for _ in range(2):
+                cases.append([[entry() for _ in range(n)] for _ in range(n)])
+    for mat in cases:
+        got = char_coeffs(mat)
+        assert got == ring_char_coeffs(mat, FractionOps()), mat
+        assert len(got) == len(mat) + 1
+        assert all(type(c) is F for c in got), mat
 
 
 def test_point_frobenius_local_polynomial_rank_10(rng):

@@ -1,4 +1,5 @@
-"""Soundness of the series layer at two precisions.
+"""Soundness of the series layer, and of ``char_coeffs`` on p-adic
+matrices, at two precisions.
 
 Each operation runs twice on the same exact-rational inputs: once at a
 relative precision nrel, once at 2*nrel + 4 with every absolute floor of
@@ -20,7 +21,8 @@ claims must hold for the high run's values too:
 
 Inputs are exact Laurent polynomials and their truncations: stored cells
 cut to an absolute floor (inexact zeros among them), a base floor, and
-``tail_free`` False.
+``tail_free`` False; matrix entries are exact rationals and their
+truncations.
 """
 
 import random
@@ -29,6 +31,7 @@ from fractions import Fraction
 from sigma_nabla.errors import NotAUnit, WindowOverflow
 from sigma_nabla.linalg import smat_det, smat_inv
 from sigma_nabla.padic import INF, PadicNumber, vp_int
+from sigma_nabla.points import char_coeffs
 from sigma_nabla.series import LaurentSeries, series_dot
 
 P = 3
@@ -119,15 +122,21 @@ def check(low, high, tally, what, windows=True):
     lo = max(low.window[0], high.window[0])
     hi = min(low.window[1], high.window[1])
     for e in range(lo, hi + 1):
-        a, b = low.coefficient(e), high.coefficient(e)
-        fa, fb = a.abs_floor, b.abs_floor
-        diff = representative(a) - representative(b)
-        tally.cells += 1
-        tally.full += fb >= fa
-        if diff:
-            f = min(fa, fb)
-            assert f is not INF and vp_int(diff.numerator, P) - \
-                vp_int(diff.denominator, P) >= f, (what, e, a, b, low, high)
+        check_cell(low.coefficient(e), high.coefficient(e), tally,
+                   (what, e, low, high))
+
+
+def check_cell(a, b, tally, what):
+    """The low number ``a`` agrees with the high one ``b`` modulo the
+    smaller of their absolute floors."""
+    fa, fb = a.abs_floor, b.abs_floor
+    diff = representative(a) - representative(b)
+    tally.cells += 1
+    tally.full += fb >= fa
+    if diff:
+        f = min(fa, fb)
+        assert f is not INF and vp_int(diff.numerator, P) - \
+            vp_int(diff.denominator, P) >= f, (what, a, b)
 
 
 def assert_strong(tally, least=0.9):
@@ -266,3 +275,31 @@ def test_inverse():
                 check(low[i][j], high[i][j], tally, ("inverse", t, specs),
                       False)
     assert_strong(tally, 0.75)
+
+
+def test_char_coeffs():
+    # Berkowitz on p-adic entries: exact rationals (some exact zeros), one
+    # in four cut to an absolute floor, which the high run raises by the
+    # lift like every other floor
+    def entry(x, floor, nrel, lift=0):
+        c = PadicNumber.from_rational(P, nrel, x)
+        if floor is None:
+            return c
+        return c + PadicNumber.inexact_zero(P, nrel, floor + lift)
+
+    tally = Tally()
+    rng = random.Random(108)
+    for t in range(150):
+        nrel = rng.choice((3, 4, 6))
+        n = rng.randint(1, 5)
+        spec = [(0 if rng.random() < 0.15 else rand_value(rng),
+                 rng.randint(-1, 5) if rng.random() < 0.25 else None)
+                for _ in range(n * n)]
+        low = char_coeffs(matrix([entry(x, f, nrel) for x, f in spec], n))
+        high = char_coeffs(matrix(
+            [entry(x, f, nrel + lift_of(nrel), lift_of(nrel))
+             for x, f in spec], n))
+        tally.results += 1
+        for k, (a, b) in enumerate(zip(low, high)):
+            check_cell(a, b, tally, ("char_coeffs", t, spec, k))
+    assert_strong(tally)
