@@ -545,6 +545,41 @@ def test_membership_monotone_along_lattice(rng):
                         assert membership(s, labels[b]).consistent, (a, b)
 
 
+# the witness (None when consistent) of each seeded series below under
+# every kind, then GammaDagger, EDagger and R with (lam, c) = (1/3, 1)
+MEMBERSHIP_WITNESSES = [
+    [-5, 2, 2, -5, None, None, -5, None, 2, None, None],
+    [-1, None, -1, -1, None, -1, -1, -1, None, None, None],
+    [-5, 1, -5, -5, None, -5, -5, -5, 1, None, None],
+    [-4, -2, -4, -4, None, -4, -4, -4, -2, -2, -2],
+    [-6, None, -6, -6, None, -6, -6, -6, None, None, None],
+    [-8, None, -8, -8, None, -8, -8, -8, -5, -5, -5],
+    [-7, None, -6, -7, None, -6, -7, -6, None, None, None],
+    [-8, -4, -8, -8, None, -8, -8, -8, -4, -4, -4],
+    [-7, None, -7, -7, None, -7, -7, -7, -7, -7, -7],
+    [-6, 5, 5, -6, None, None, -6, None, 5, None, None],
+    [-3, None, -3, -3, None, -3, -3, -3, None, None, None],
+    [6, 6, 6, None, None, None, None, None, 6, None, None],
+    [None, None, None, None, None, None, None, None, None, None, None],
+    [-7, 0, -7, -7, None, -7, -7, -7, -7, -7, -7],
+    [0, 0, 0, None, None, None, None, None, 0, None, None],
+    [-5, 5, -5, -5, None, -5, -5, -5, 5, None, None],
+]
+
+
+def test_membership_witnesses_are_pinned():
+    # negative exponents, negative valuations and dagger-bound breaches
+    labels = [RingLabel(k) for k in RING_KINDS] + [
+        RingLabel(k, Fraction(1, 3), Fraction(1))
+        for k in ("GammaDagger", "EDagger", "R")]
+    rng = random.Random(1729)
+    for witnesses in MEMBERSHIP_WITNESSES:
+        s = rand_series(rng, P, N, -8, 6, -2, 4, 5)
+        got = [membership(s, label) for label in labels]
+        assert [(r.consistent, r.witness) for r in got] == \
+            [(w is None, w) for w in witnesses]
+
+
 def test_lattice_relations():
     gp = RingLabel("GammaPlus")
     for k in ("Gamma", "GammaDagger", "EPlus", "RPlus", "E", "EDagger", "R"):

@@ -225,6 +225,9 @@ GOLDEN_REPORTS = [
     (["pole-order", "--q", "2", "--d", "2"], ["pole_order/poly.json"],
      "pole_order/report.json", 0),
     (["slopes"], ["slopes/frobenius.json"], "slopes/report.json", 0),
+    (["horizontal"], ["glue/m2.json"], "horizontal/report.json", 0),
+    (["probe-nilpotence"], ["module.json"],
+     "probe_nilpotence/report.json", 0),
 ]
 
 
