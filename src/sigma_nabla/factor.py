@@ -22,7 +22,7 @@ Two factorizations are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -39,7 +39,6 @@ from .linalg import (
     smat_det,
     smat_honest,
     smat_identity,
-    smat_inv,
     smat_mul,
     smat_shape,
     smat_sub,
@@ -59,7 +58,6 @@ from .series import (
     R_PLUS,
     LaurentSeries,
     RingLabel,
-    membership,
     require_membership,
     series_sum,
 )
@@ -420,6 +418,17 @@ def _dagger_certificate(y):
 # ---------------------------------------------------------------------------
 
 
+def _rebased(mod, y, y_inv, label, max_width, what=""):
+    """The module in the basis of y (``basis_transform``) at its uniform
+    floor p^nrel, relabelled ``label`` once every entry is consistent with
+    it; a violation names the entry after the prefix ``what``."""
+    out = module_at_floor(basis_transform(mod, y, y_inv, None, max_width),
+                          mod.nrel)
+    for name, s in out.entries():
+        require_membership(s, label, what + name)
+    return replace(out, ring=label)
+
+
 @dataclass
 class DescentResult:
     module: SigmaNablaModule
@@ -435,21 +444,10 @@ def descend_to_eplus(mod: SigmaNablaModule, x, max_width=None,
     hypothesis (conjugated matrices consistent with R-plus) is checked,
     then x = Y Z is factored and the Y-basis is taken.
     """
-    rp = RingLabel(R_PLUS)
-    nrel = mod.nrel
     if check_hypothesis:
-        x_inv = smat_inv(x, None, max_width)
-        conj = module_at_floor(
-            basis_transform(mod, x, x_inv, None, max_width), nrel)
-        for name, s in conj.entries():
-            require_membership(s, rp, f"conjugated {name}")
+        _rebased(mod, x, None, RingLabel(R_PLUS), max_width, "conjugated ")
     fact = matfact_robba(x, max_width)
-    out = module_at_floor(
-        basis_transform(mod, fact.y, fact.y_inv, None, max_width), nrel)
-    target = RingLabel(E_PLUS)
-    for name, s in out.entries():
-        require_membership(s, target, name)
-    out = SigmaNablaModule(target, out.q, out.phi, out.nmat, out.bmat)
+    out = _rebased(mod, fact.y, fact.y_inv, RingLabel(E_PLUS), max_width)
     compat = check_compat(out, max_width)
     return DescentResult(out, fact, compat)
 
@@ -472,14 +470,9 @@ def glue_dieudonne(m1: SigmaNablaModule, m2: Optional[SigmaNablaModule], x,
     """
     if m1.bmat is None:
         raise ValueError("m1 must carry a Verschiebung matrix")
-    ep = RingLabel(E_PLUS)
-    nrel = m1.nrel
     if check_hypothesis:
-        x_inv = smat_inv(x, None, max_width)
-        conj = module_at_floor(
-            basis_transform(m1, x, x_inv, None, max_width), nrel)
-        for name, s in conj.entries():
-            require_membership(s, ep, f"conjugated {name}")
+        conj = _rebased(m1, x, None, RingLabel(E_PLUS), max_width,
+                        "conjugated ")
         if m2 is not None:
             for (pa, pb) in (("phi", "phi"), ("nmat", "nmat"),
                              ("bmat", "bmat")):
@@ -493,13 +486,7 @@ def glue_dieudonne(m1: SigmaNablaModule, m2: Optional[SigmaNablaModule], x,
                         f"x does not carry m1 into m2: {pa} disagrees at "
                         f"{verdict.witness}")
     fact = matfact_gamma(x, max_width)
-    y_inv = smat_inv(fact.y, None, max_width)
-    out = module_at_floor(
-        basis_transform(m1, fact.y, y_inv, None, max_width), nrel)
-    target = RingLabel(GAMMA_PLUS)
-    for name, s in out.entries():
-        require_membership(s, target, name)
-    out = SigmaNablaModule(target, out.q, out.phi, out.nmat, out.bmat)
+    out = _rebased(m1, fact.y, None, RingLabel(GAMMA_PLUS), max_width)
     compat = check_compat(out, max_width)
     fv = check_fv(out, max_width)
     return GlueResult(out, fact, compat, fv)

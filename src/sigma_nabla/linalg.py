@@ -79,16 +79,16 @@ def smat_scale(a, c: PadicNumber):
     return [[x.scale(c) for x in row] for row in a]
 
 
-def smat_map(a, fn):
+def mat_map(a, fn):
     return [[fn(x) for x in row] for row in a]
 
 
 def smat_sigma(a, power, max_width=None):
-    return smat_map(a, lambda s: s.frobenius(power, max_width))
+    return mat_map(a, lambda s: s.frobenius(power, max_width))
 
 
 def smat_deriv(a):
-    return smat_map(a, lambda s: s.derivative())
+    return mat_map(a, lambda s: s.derivative())
 
 
 def smat_agree(a, b) -> AgreementVerdict:
@@ -294,10 +294,6 @@ def mat_mul(a, b):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_map(a, fn):
-    return [[fn(x) for x in row] for row in a]
 
 
 def mat_agree(a, b, ops):

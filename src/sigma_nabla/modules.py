@@ -26,12 +26,12 @@ from typing import Optional
 
 from .errors import MembershipViolated, SingularFrobenius
 from .linalg import (
+    mat_map,
     smat_add,
     smat_agree,
     smat_deriv,
     smat_identity,
     smat_inv,
-    smat_map,
     smat_mul,
     smat_mul_add,
     smat_scale,
@@ -39,7 +39,7 @@ from .linalg import (
     smat_sigma,
 )
 from .padic import INF, PadicNumber
-from .series import LaurentSeries, RingLabel, log_p, membership
+from .series import LaurentSeries, RingLabel, log_p, membership, series_sum
 
 
 @dataclass
@@ -102,7 +102,7 @@ def check_compat(mod: SigmaNablaModule, max_width=None) -> CompatVerdict:
     lhs = smat_mul_add(mod.nmat, mod.phi, smat_deriv(mod.phi), max_width)
     sig_n = smat_sigma(mod.nmat, mod.f, max_width)
     rhs = smat_mul(mod.phi, sig_n, max_width)
-    rhs = smat_map(rhs, lambda s: s.mul(
+    rhs = mat_map(rhs, lambda s: s.mul(
         _u_power_q(p, nrel, q), max_width))
     verdict = smat_agree(lhs, rhs)
     return CompatVerdict(verdict.holds, verdict.floor, verdict.window,
@@ -121,10 +121,10 @@ def check_fv(mod: SigmaNablaModule, max_width=None):
     v1 = smat_agree(smat_mul(mod.phi, mod.bmat, max_width), p_id)
     v2 = smat_agree(smat_mul(mod.bmat, mod.phi, max_width), p_id)
     lhs = smat_add(smat_deriv(mod.bmat),
-                   smat_map(smat_mul(smat_sigma(mod.nmat, mod.f, max_width),
-                                     mod.bmat, max_width),
-                            lambda s: s.mul(_u_power_q(p, nrel, q),
-                                            max_width)))
+                   mat_map(smat_mul(smat_sigma(mod.nmat, mod.f, max_width),
+                                    mod.bmat, max_width),
+                           lambda s: s.mul(_u_power_q(p, nrel, q),
+                                           max_width)))
     rhs = smat_mul(mod.bmat, mod.nmat, max_width)
     v3 = smat_agree(lhs, rhs)
     floors = [v.floor for v in (v1, v2, v3) if v.floor is not None]
@@ -228,13 +228,10 @@ def quasi_nilpotence_probe(mod: SigmaNablaModule, n_max, v_target,
         vals = []
         hit_target = False
         for step in range(1, n_max + 1):
-            nxt = []
-            for i in range(n):
-                acc = vec[i].derivative()
-                for k in range(n):
-                    acc = acc + mod.nmat[i][k].mul(vec[k], max_width)
-                nxt.append(acc)
-            vec = nxt
+            vec = [series_sum([vec[i].derivative()]
+                              + [(mod.nmat[i][k], vec[k]) for k in range(n)],
+                              max_width)
+                   for i in range(n)]
             v = min((s.min_valuation() for s in vec))
             vals.append(v)
             if v is INF or v >= v_target:

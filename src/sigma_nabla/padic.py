@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -83,17 +84,7 @@ class PadicNumber:
             prec = nrel
         if prec <= 0:
             return cls.inexact_zero(p, nrel, val)
-        return cls._at_floor(p, nrel, val, raw, val + prec)
-
-    @classmethod
-    def _at_floor(cls, p, nrel, base, raw, floor):
-        """Canonical form of ``p^base * raw`` modulo ``p^floor`` (floor >=
-        base); the caller guarantees floor - valuation <= nrel."""
-        raw %= p ** (floor - base)
-        if raw == 0:
-            return cls.inexact_zero(p, nrel, floor)
-        t = vp_int(raw, p)
-        return cls(p, nrel, base + t, raw // p ** t, floor - base - t)
+        return cls(p, nrel, *cell_at_floor(p, val, raw, val + prec))
 
     @classmethod
     def from_cell(cls, p, nrel, cell):
@@ -259,11 +250,7 @@ class PadicNumber:
         return self.compare(other) != UNEQUAL
 
     def __repr__(self):
-        if self.is_exact_zero:
-            return "0"
-        if self.unit is None:
-            return f"O({self.p}^{self.val})"
-        return f"{self.p}^{self.val}*{self.unit} mod {self.p}^{self.prec}"
+        return cell_text(self.p, (self.val, self.unit, self.prec))
 
     def to_rational(self):
         """Exact rational p^val * unit of the stored representative."""
@@ -272,6 +259,27 @@ class PadicNumber:
         if self.unit is None:
             raise ValueError("inexact zero has no representative")
         return Fraction(self.unit) * Fraction(self.p) ** self.val
+
+
+def cell_at_floor(p, base, raw, floor):
+    """The cell (val, unit, prec) of ``p^base * raw`` modulo ``p^floor``:
+    the inexact zero (floor, None, None) when no digit survives."""
+    if floor > base:
+        raw %= p ** (floor - base)
+        if raw:
+            t = vp_int(raw, p)
+            return (base + t, raw // p ** t, floor - base - t)
+    return (floor, None, None)
+
+
+def cell_text(p, cell):
+    """The text of a cell: "0", "O(p^val)" or "p^val*unit mod p^prec"."""
+    val, unit, prec = cell
+    if val is None:
+        return "0"
+    if unit is None:
+        return f"O({p}^{val})"
+    return f"{p}^{val}*{unit} mod {p}^{prec}"
 
 
 def cell_dot(p, nrel, pairs):
@@ -307,41 +315,9 @@ def cell_dot(p, nrel, pairs):
             base = v
     if floor is INF:
         return (None, None, None)
-    if base is not None and floor > base:
-        raw %= p ** (floor - base)
-        if raw:
-            t = vp_int(raw, p)
-            return (base + t, raw // p ** t, floor - base - t)
-    return (floor, None, None)
-
-
-def padic_dot(pairs):
-    """Sum of the products ``x * y`` over ``pairs``: the number that folding
-    ``+`` over them left to right gives, summed by ``cell_dot``.
-
-    Only a step that lowers the precision cap nrel depends on what came
-    before: it caps the running sum at its own valuation + nrel, so the
-    pairs are summed in runs of one cap, each run starting from the sum
-    before it.
-    """
-    p = nrel = None
-    run = []
-    for x, y in pairs:
-        if p is None:
-            p = x.p
-        if x.p != p or y.p != p:
-            raise ValueError("mixed primes in a dot product")
-        n = x.nrel if x.nrel < y.nrel else y.nrel
-        if nrel is None:
-            nrel = n
-        elif n < nrel:
-            # the sum so far times one known to n digits: capped at n
-            run = [(cell_dot(p, nrel, run), (0, 1, n))]
-            nrel = n
-        run.append(((x.val, x.unit, x.prec), (y.val, y.unit, y.prec)))
-    if p is None:
-        raise ValueError("empty dot product")
-    return PadicNumber.from_cell(p, nrel, cell_dot(p, nrel, run))
+    if base is None:
+        return (floor, None, None)
+    return cell_at_floor(p, base, raw, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -349,75 +325,58 @@ def padic_dot(pairs):
 # ---------------------------------------------------------------------------
 
 
-def _polymul_mod(a, b, p):
+def _mulmod(a, b, g, m):
+    """The product of a and b in (Z/m)[x]/(g), g monic of degree f: its f
+    coefficients, each in [0, m)."""
+    f = len(g) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _polyrem(a, g, p):
-    """a mod g over F_p, g monic."""
-    a = list(a)
-    dg = len(g) - 1
-    while len(a) - 1 >= dg:
-        lead = a[-1] % p
+                out[i + j] += ai * bj
+    for k in range(len(out) - 1, f - 1, -1):
+        lead = out[k] % m
         if lead:
-            shift = len(a) - 1 - dg
-            for i in range(dg + 1):
-                a[shift + i] = (a[shift + i] - lead * g[i]) % p
-        a.pop()
-    while len(a) > 1 and a[-1] % p == 0:
-        a.pop()
-    return [c % p for c in a]
+            for i in range(f):
+                out[k - f + i] -= lead * g[i]
+    return [c % m for c in out[:f]] + [0] * (f - len(out))
 
 
-def _poly_pow_x(e, g, p):
-    """x^e modulo (g, p) by square and multiply."""
-    result = [1]
-    base = [0, 1]
-    base = _polyrem(base, g, p)
+def _powmod(a, e, g, m):
+    """a^e in (Z/m)[x]/(g) by square and multiply."""
+    result = [1] + [0] * (len(g) - 2)
     while e:
         if e & 1:
-            result = _polyrem(_polymul_mod(result, base, p), g, p)
-        base = _polyrem(_polymul_mod(base, base, p), g, p)
+            result = _mulmod(result, a, g, m)
         e >>= 1
+        if e:
+            a = _mulmod(a, a, g, m)
     return result
 
 
 def _is_irreducible(g, p):
-    """Monic g irreducible over F_p: x^(p^f) = x and x^(p^d) != x for d|f."""
+    """Monic g irreducible over F_p: x^(p^f) = x and x^(p^d) != x for the
+    proper divisors d of f."""
     f = len(g) - 1
-    x = [0, 1]
-    if _poly_pow_x(p ** f, g, p) != _polyrem(x, g, p):
-        return False
+    x = y = _powmod([0, 1], 1, g, p)
     for d in range(1, f):
-        if f % d == 0:
-            if _poly_pow_x(p ** d, g, p) == _polyrem(x, g, p):
-                return False
-    return True
+        y = _powmod(y, p, g, p)            # x^(p^d)
+        if f % d == 0 and y == x:
+            return False
+    return _powmod(y, p, g, p) == x
 
 
 def find_irreducible(p, f):
-    """Small monic irreducible of degree f over F_p, deterministic."""
+    """Small monic irreducible of degree f over F_p, deterministic: the
+    first candidate with coefficients in [-bound, bound], constant term
+    varying fastest, for bound = 1, 2, ..."""
     if f == 1:
         return [0, 1]
-    # enumerate low-coefficient candidates in a fixed order
     bound = 1
     while True:
-        rng = range(-bound, bound + 1)
-        for tail_int in range((2 * bound + 1) ** f):
-            tail = []
-            t = tail_int
-            for _ in range(f):
-                tail.append(list(rng)[t % (2 * bound + 1)])
-                t //= 2 * bound + 1
-            g = [c % p for c in tail] + [1]
-            if g[0] % p == 0:
-                continue
-            if _is_irreducible(g, p):
+        for tail in product(range(-bound, bound + 1), repeat=f):
+            g = [c % p for c in reversed(tail)] + [1]
+            if g[0] and _is_irreducible(g, p):
                 return g
         bound += 1
 
@@ -438,83 +397,33 @@ class UnramifiedField:
         self.modulus = find_irreducible(p, f)  # integer coefficients, monic
         self.frob_matrix = self._lift_frobenius()
 
-    def _mulmod(self, a, b, pk):
-        g = self.modulus
-        f = self.f
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % pk
-        # reduce by monic g
-        while len(out) > f:
-            lead = out[-1]
-            if lead:
-                shift = len(out) - 1 - f
-                for i in range(f + 1):
-                    out[shift + i] = (out[shift + i] - lead * g[i]) % pk
-            out.pop()
-        out += [0] * (f - len(out))
-        return out
-
-    def _eval_poly(self, coeffs, at, pk):
-        """Evaluate an integer polynomial at an algebra element."""
-        acc = [0] * self.f
-        for c in reversed(coeffs):
-            acc = self._mulmod(acc, at, pk)
-            acc[0] = (acc[0] + c) % pk
-        return acc
-
     def _lift_frobenius(self):
-        p, f = self.p, self.f
+        """The columns r^0 .. r^(f-1) for the root r of g lifting x^p, by
+        one Newton loop r <- r - g(r) v that lifts v = g'(r)^-1 alongside,
+        from its value modulo p, by v <- v (2 - g'(r) v)."""
+        p, f, g = self.p, self.f, self.modulus
         pk = p ** self.kwork
-        g = self.modulus
-        dg = [(i * g[i]) for i in range(1, len(g))]
-        # start from the root x^p of g modulo p
-        r = _poly_pow_x(p, g, p) + [0] * f
-        r = r[:f]
-        # Newton: r <- r - g(r)/g'(r), doubling p-adic accuracy
-        known = 1
-        while known < self.kwork:
+        r = _powmod([0, 1], p, g, p)
+        known, v = 1, None
+        while True:
+            powers = [[1] + [0] * (f - 1)]          # r^0 .. r^f
+            for _ in range(f):
+                powers.append(_mulmod(powers[-1], r, g, pk))
+            if known >= self.kwork:
+                break
+            dgr = [sum(i * g[i] * powers[i - 1][k] for i in range(1, f + 1))
+                   for k in range(f)]
+            if v is None:
+                v = _powmod(dgr, p ** f - 2, g, p)
+            else:
+                dv = _mulmod(dgr, v, g, pk)
+                v = _mulmod(v, [2 - dv[0]] + [-c for c in dv[1:]], g, pk)
+            gr = [sum(g[i] * powers[i][k] for i in range(f + 1))
+                  for k in range(f)]
+            r = [(a - b) % pk for a, b in zip(r, _mulmod(gr, v, g, pk))]
             known = min(2 * known, self.kwork)
-            gr = self._eval_poly(g, r, pk)
-            dgr = self._eval_poly(dg, r, pk)
-            inv = self._invert_vec(dgr, pk)
-            corr = self._mulmod(gr, inv, pk)
-            r = [(ri - ci) % pk for ri, ci in zip(r, corr)]
-        # columns: coordinates of r^j
-        cols = []
-        acc = [1] + [0] * (f - 1)
-        for j in range(f):
-            cols.append(list(acc))
-            acc = self._mulmod(acc, r, pk)
-        # row-major matrix: frob(x^j) = sum_i M[i][j] x^i
-        return [[cols[j][i] for j in range(f)] for i in range(f)]
-
-    def _invert_vec(self, a, pk):
-        """Inverse in (Z/pk)[x]/(g) for a vector that is a unit mod p."""
-        p, f = self.p, self.f
-        # invert mod p by brute extended power: a^(p^f - 2) mod (g, p)
-        ap = [c % p for c in a]
-        inv = [1] + [0] * (f - 1)
-        e = p ** f - 2
-        base = ap
-        while e:
-            if e & 1:
-                inv = _polyrem(_polymul_mod(inv, base, p), self.modulus, p)
-            base = _polyrem(_polymul_mod(base, base, p), self.modulus, p)
-            e >>= 1
-        inv += [0] * (f - len(inv))
-        # Newton lift: b <- b(2 - ab)
-        known = 1
-        b = [c % pk for c in inv]
-        while known < self.kwork:
-            known = min(2 * known, self.kwork)
-            ab = self._mulmod(a, b, pk)
-            two_minus = [(-c) % pk for c in ab]
-            two_minus[0] = (two_minus[0] + 2) % pk
-            b = self._mulmod(b, two_minus, pk)
-        return b
+        # row-major matrix: frob(x^j) = r^j = sum_i M[i][j] x^i
+        return [[powers[j][i] for j in range(f)] for i in range(f)]
 
     # -- scalar factory ------------------------------------------------
 

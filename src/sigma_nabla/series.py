@@ -752,36 +752,16 @@ def membership(a: LaurentSeries, label: RingLabel) -> MembershipResult:
     Only provably nonzero coefficients can refute; truncation cannot prove
     membership, so Consistent means consistent-on-the-visible-window.
     """
-    kind = label.kind
+    reach = _REACH[label.kind]
+    integral = GAMMA in reach                # valuations >= 0
+    plus = R_PLUS in reach                   # no negative exponents
+    dagger = label.kind in _DAGGER_KINDS     # v >= lam * (-e) - c, e < 0
     for e, v, unit, _ in a.cells():
         if unit is None:
             continue
-        v = Fraction(v)
-        if kind == GAMMA_PLUS:
-            if e < 0 or v < 0:
-                return MembershipResult(False, e)
-        elif kind == GAMMA:
-            if v < 0:
-                return MembershipResult(False, e)
-        elif kind == GAMMA_DAGGER:
-            if v < 0:
-                return MembershipResult(False, e)
-            if e < 0 and v < label.lam * (-e) - label.c:
-                return MembershipResult(False, e)
-        elif kind == E_PLUS:
-            if e < 0:
-                return MembershipResult(False, e)
-        elif kind == E:
-            pass
-        elif kind == E_DAGGER:
-            if e < 0 and v < label.lam * (-e) - label.c:
-                return MembershipResult(False, e)
-        elif kind == R_PLUS:
-            if e < 0:
-                return MembershipResult(False, e)
-        elif kind == R:
-            if e < 0 and v < label.lam * (-e) - label.c:
-                return MembershipResult(False, e)
+        if ((integral and v < 0) or (e < 0 and (
+                plus or (dagger and v < label.lam * (-e) - label.c)))):
+            return MembershipResult(False, e)
     return MembershipResult(True)
 
 

@@ -22,7 +22,7 @@ from functools import partial
 from .errors import ParseError
 from .lfunctions import CharPolyTable
 from .modules import SigmaNablaModule
-from .padic import IntPolynomial, PadicNumber, is_prime
+from .padic import IntPolynomial, PadicNumber, cell_text, is_prime
 from .points import average_projector, average_projector_group
 from .series import LaurentSeries, RingLabel
 
@@ -35,15 +35,7 @@ FORMAT_VERSION = 1
 
 
 def emit_scalar(x: PadicNumber) -> str:
-    if x.is_exact_zero:
-        return "0"
-    return _cell_text(x.p, x.val, x.unit, x.prec)
-
-
-def _cell_text(p, val, unit, prec):
-    if unit is None:
-        return f"O({p}^{val})"
-    return f"{p}^{val}*{unit} mod {p}^{prec}"
+    return cell_text(x.p, (x.val, x.unit, x.prec))
 
 
 def _scalar_cell(p, nrel, s):
@@ -106,7 +98,7 @@ def parse_label(obj) -> RingLabel:
 def emit_series_body(s: LaurentSeries):
     return {
         "window": list(s.window),
-        "terms": [[e, _cell_text(s.p, v, unit, prec)]
+        "terms": [[e, cell_text(s.p, (v, unit, prec))]
                   for e, v, unit, prec in s.cells()],
         "tail_free": s.tail_free,
         "floor": s.base_floor,
