@@ -33,8 +33,6 @@ from .errors import (
     SingularInput,
 )
 from .linalg import (
-    FractionOps,
-    mat_inv,
     smat_agree,
     smat_det,
     smat_honest,
@@ -153,6 +151,14 @@ def matfact_gamma(x, max_width=None, verify=True) -> GammaFactorization:
     Column operations (all constant, hence absorbed into Z) normalise the
     p-content and strip constant mod-p kernels until det(Y) has valuation
     zero.  Raises SingularInput when X admits no such factorization.
+
+    Z is kept exact, as an integer matrix over one power of p: X = A * Z
+    throughout, so a column operation E on A is the row operation E^-1 on
+    Z.  Scaling A's column j by p^-v scales Z's row j by p^v (for v < 0,
+    the other rows by p^-v over a denominator raised by -v), and adding
+    multiples vec[t] of the other columns to column j subtracts vec[t]
+    times row j from each row t.  Nothing is truncated, so Z has no tail
+    and no floor; a Fraction is built once per entry, for its series.
     """
     n, m = smat_shape(x)
     if n != m:
@@ -160,27 +166,37 @@ def matfact_gamma(x, max_width=None, verify=True) -> GammaFactorization:
     p = x[0][0].p
     nrel = x[0][0].nrel
     a = [row[:] for row in x]
-    # z_inv accumulates the constant column operations: A = X * z_inv
-    z_inv = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    # Z = zint / p^den, zint an integer matrix
+    zint = [[int(i == j) for j in range(n)] for i in range(n)]
+    den = 0
 
     def scale_col(j, mval):
+        # A's column j times p^-mval: Z's row j times p^mval
+        nonlocal den
         if mval == 0:
             return
         for i in range(n):
             a[i][j] = a[i][j].shift_val(-mval)
-        for i in range(n):
-            z_inv[i][j] = z_inv[i][j] / Fraction(p) ** mval
+        if mval > 0:
+            zint[j] = [c * p ** mval for c in zint[j]]
+            return
+        q = p ** -mval
+        for t in range(n):
+            if t != j:
+                zint[t] = [c * q for c in zint[t]]
+        den -= mval
 
     def combine_col(j, vec):
-        # col_j <- sum_i vec[i] * col_i  (vec[j] == 1)
+        # col_j <- sum_t vec[t] * col_t  (vec[j] == 1): row_t of Z loses
+        # vec[t] * row_j for t != j
         for i in range(n):
             terms = [a[i][t] if vec[t] == 1 else a[i][t].scale(
                 PadicNumber.from_int(p, nrel, vec[t]))
                 for t in range(n) if vec[t]]
             a[i][j] = terms[0] if len(terms) == 1 else series_sum(terms)
-        for i in range(n):
-            z_inv[i][j] = sum((Fraction(vec[t]) * z_inv[i][t]
-                               for t in range(n)), Fraction(0))
+        for t in range(n):
+            if t != j and vec[t]:
+                zint[t] = [c - vec[t] * d for c, d in zip(zint[t], zint[j])]
 
     rounds = 0
     for j in range(n):
@@ -210,10 +226,9 @@ def matfact_gamma(x, max_width=None, verify=True) -> GammaFactorization:
         # divides column j, hence det(A), by exactly p^v
         dv -= v
 
-    # Z = (z_inv)^-1 as exact rational constants
-    z_const = mat_inv(z_inv, FractionOps())
-    z = [[LaurentSeries.from_terms(p, nrel, [(0, c)] if c else [])
-          for c in row] for row in z_const]
+    q = p ** den
+    z = [[LaurentSeries.from_terms(p, nrel, [(0, Fraction(c, q))] if c else [])
+          for c in row] for row in zint]
     verdict = None
     if verify:
         prod = smat_mul(a, z, max_width)

@@ -3,21 +3,37 @@ complete DVR with uniformiser p) and intersections of free lattices.
 
 Working-window contract of ``lattice_smith``: the entries and each pivot
 inverse are polynomial surrogates (``LaurentSeries.on_window``) on a
-working window, the inputs' common window padded on each side by
-(r + 1) * (nrel + 1) exponents, r the largest |exponent| the inputs store.
-A truncated entry stands for its completion by zeros, which agrees with it
-on its window: the result is a Smith form of that completion.  A
-Gamma-unit c u^a (1 + g) with g divisible by p has an inverse that loses
-a digit per span of g, so the terms the surrogates drop at the padded
-edges are zero at working precision before they reach the inputs' window
-(not proven for a pivot whose reduction mod p has several terms).  U, W
-and their inverses are returned as truncations on the inputs' common
-window, known modulo p^min(nrel, the inputs' absolute floor); D is exact.
+working window, the inputs' common window [lo, hi] padded on each side by
+a margin.  A truncated entry stands for its completion by zeros, which
+agrees with it on its window: the result is a Smith form of that
+completion.  U, W and their inverses are returned as truncations on the
+inputs' common window, known modulo p^min(nrel, the inputs' absolute
+floor); D is exact.
+
+The margin is derived from a decay rate when the inputs are integral and
+their reduction mod p is a monomial pattern: the valuation-0 cells of
+each row i lie in one entry, in a column of its own, the lowest at
+exponent s_i.  Let r be the least v/(s_i - e) over the cells (e, v) of
+row i below s_i, and S the largest |s_i|.  With N(x) = min over cells of
+v + r*e (N(xy) >= N(x) + N(y)), the rows shifted by u^-s_i lie in the
+ring N >= 0, whose elements reduce into k[[u]]; every pivot is then a
+unit there (its constant term mod p is nonzero), so the elimination
+stays in that ring, and every quantity it computes is u^k times an
+element of it with |k| <= 2S.  A cell dropped above hi + margin, or one
+below lo - margin, then reaches the inputs' window with valuation at
+least r * (margin - 4S - max(0, lo)), so a margin of ceil((nrel + 1)/r)
++ 4S + max(0, lo) (4S + max(0, lo) when no cell lies below its s_i) puts
+every dropped term beyond the working precision.
+Elsewhere the margin stays (R + 1) * (nrel + 1), R the largest |exponent|
+the inputs store: a Gamma-unit c u^a (1 + g) with g divisible by p has an
+inverse that loses a digit per span of g (not proven for a pivot whose
+reduction mod p has several terms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import PrecisionExhausted
 from .linalg import smat_honest, smat_identity, smat_mul, smat_shape
@@ -58,6 +74,25 @@ def _swap_and_clear(mat, fwd, inv_t, step, k, col, v, plus):
                        for j, y in enumerate(inv_t[step])]
 
 
+def _decay_margin(a, nrel, lo):
+    """The margin ceil((nrel + 1)/r) + 4S + max(0, lo) of the module
+    docstring, or None when the inputs are not integral with a monomial
+    reduction mod p."""
+    rates, shift, cols = [], 0, set()
+    for row in a:
+        cells = [(j, e, v) for j, s in enumerate(row)
+                 for e, v, unit, _ in s.cells() if unit is not None]
+        units = {j for j, _, v in cells if v == 0}
+        if len(units) != 1 or units & cols or any(v < 0 for *_, v in cells):
+            return None
+        cols |= units
+        low = min(e for _, e, v in cells if v == 0)
+        shift = max(shift, abs(low))
+        rates += [Fraction(v, low - e) for _, e, v in cells if e < low]
+    pad = -(-(nrel + 1) // min(rates)) if rates else 0
+    return pad + 4 * shift + max(0, lo)
+
+
 def lattice_smith(a) -> SmithForm:
     """A = U D W over Gamma with D = diag(p^{d_1}, ..), d_1 <= d_2 <= ...
 
@@ -73,16 +108,22 @@ def lattice_smith(a) -> SmithForm:
     entries = [s for row in a for s in row]
     lo = max(s.window[0] for s in entries)
     hi = min(s.window[1] for s in entries)
-    radius = max((max(-h[0], h[1]) for h in (s.support_hull for s in entries)
-                  if h is not None), default=0)
-    margin = (radius + 1) * (nrel + 1)
+    margin = _decay_margin(a, nrel, lo)
+    if margin is None:
+        hulls = [s.support_hull for s in entries if s.support_hull]
+        radius = max((max(-h[0], h[1]) for h in hulls), default=0)
+        margin = (radius + 1) * (nrel + 1)
     work = (lo - margin, hi + margin)
     width = 2 * (work[1] - work[0] + 1)
     one = LaurentSeries.one(p, nrel, work)
 
+    def dot(pairs):
+        # a sum of products as a surrogate on the working window: the cells
+        # a product has outside it are the dropped terms the margin bounds
+        return series_dot(pairs, width, work).on_window(work)
+
     def plus(x, pairs):
-        # x + the sum of the products, on the working window
-        return series_dot([(one, x)] + pairs, width, work)
+        return dot([(one, x)] + pairs)
 
     mat = [[s.on_window(work) for s in row] for row in a]
     # left: L and the transpose of L^-1; right: R^T and R^-1; L A R = mat
@@ -103,8 +144,8 @@ def lattice_smith(a) -> SmithForm:
         unit = mat[bi][bj].shift_val(-v)
         unit_inv = unit.invert(max_width=width).on_window(work)
         for x in (mat, left[0]):
-            x[bi] = [y.mul(unit_inv, width, work) for y in x[bi]]
-        left[1][bi] = [y.mul(unit, width, work) for y in left[1][bi]]
+            x[bi] = [dot([(y, unit_inv)]) for y in x[bi]]
+        left[1][bi] = [dot([(y, unit)]) for y in left[1][bi]]
         _swap_and_clear(mat, *left, step, bi, bj, v, plus)
         mat_t = _transpose(mat)
         _swap_and_clear(mat_t, *right, step, bj, step, v, plus)

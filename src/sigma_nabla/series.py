@@ -547,9 +547,15 @@ class LaurentSeries:
         invertible in k((t)); in a truncation this means some coefficient
         has valuation 0 after removing the p-power content.
 
-        The computation runs on a window padded by (minus-depth)*(nrel+1)
-        so that every neglected tail term has valuation beyond the working
-        precision; the result is verified by multiplying back.
+        After normalising to 1 + g, every term g_e u^e with e < 0 has
+        valuation v_e >= 1; r = min v_e/|e| is its decay rate.  A neglected
+        term of the Neumann expansion reaches the target only through
+        minus terms whose exponents sum past the pad, so it has valuation
+        at least r * pad: a pad of ceil((nrel + 1)/r) (at most the
+        depth * (nrel + 1) that r >= 1/depth gives) puts it beyond the
+        working precision.  The result is verified by multiplying it back
+        onto the input's stored terms, so the check's window does not
+        shrink as more digits widen the inverse's support.
         """
         p, nrel = self.p, self.nrel
         vmin = self.valuation()
@@ -577,12 +583,12 @@ class LaurentSeries:
                 is not None:
             raise NotAUnit("normalised constant term is not 1")
         g = [cell for cell in a3.cells() if cell[2] is not None]
-        minus = [e for e, _, _, _ in g if e < 0]
-        depth = -min(minus) if minus else 0
-        pad = depth * (nrel + 1)
+        minus = {e: v for e, v, _, _ in g if e < 0}
+        pad = max((-((nrel + 1) * e // v) for e, v in minus.items()),
+                  default=0)
         wlo = min(tw[0], 0) - pad
         whi = max(tw[1], 0) + pad
-        big_width = whi - wlo + 1 + depth + 8
+        big_width = whi - wlo + 9
 
         # one-sided inverse of (1 + g_plus) by the convolution recursion,
         # each h[k] = sum (-g_j) h[k-j] as one cell_dot
@@ -621,8 +627,8 @@ class LaurentSeries:
         floor = int(min(b.min_valuation() + nrel, nrel - vmin,
                         self.abs_floor() - 2 * vmin))
         b_wide = b.recast(wide_target, False, floor)
-        residual = self.mul(b_wide, max_width) - LaurentSeries.one(
-            p, nrel, window=wide_target)
+        residual = self.on_window(self.window).mul(b_wide, max_width) - \
+            LaurentSeries.one(p, nrel, window=wide_target)
         for e in sorted(residual.terms):
             if residual.terms[e]:
                 raise NotAUnit(

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,13 +16,21 @@ from conftest import (
 )
 from sigma_nabla.errors import NotConverged, SingularInput
 from sigma_nabla.factor import (
+    _col_min_valuation,
     _det_valuation,
+    _mod_p_kernel,
     descend_to_eplus,
     glue_dieudonne,
     matfact_gamma,
     matfact_robba,
 )
-from sigma_nabla.linalg import smat_agree, smat_identity, smat_mul
+from sigma_nabla.linalg import (
+    FractionOps,
+    mat_inv,
+    smat_agree,
+    smat_identity,
+    smat_mul,
+)
 from sigma_nabla.modules import basis_transform
 from sigma_nabla.series import LaurentSeries, RingLabel, membership
 
@@ -49,6 +58,57 @@ def test_gamma_diag_split():
     assert smat_agree(f.y, [[S([(1, 1)]), S([])], [S([]), S([(0, 1)])]]).holds
     assert f.z_constants[0][0].to_rational() == Fraction(1, P)
     assert f.z_constants[1][1].to_rational() == 1
+
+
+def fraction_z(x):
+    """Z the former way: matfact_gamma's column operations on A = X * z_inv,
+    accumulated on Fractions in z_inv, and Z = z_inv^-1 by Gauss-Jordan."""
+    n = len(x)
+    a = [row[:] for row in x]
+    z_inv = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+
+    def scale_col(j, v):
+        for i in range(n):
+            a[i][j] = a[i][j].shift_val(-v)
+            z_inv[i][j] /= Fraction(P) ** v
+
+    for j in range(n):
+        scale_col(j, _col_min_valuation(a, j))
+    dv = _det_valuation(a, None)
+    while dv > 0:
+        vec = _mod_p_kernel(a, P)
+        j = max(i for i, v in enumerate(vec) if v)
+        vec = [v * pow(vec[j], -1, P) % P for v in vec]
+        for i in range(n):
+            a[i][j] = sum((a[i][t] * S([(0, vec[t])]) for t in range(n)
+                           if t != j), a[i][j])
+            z_inv[i][j] = sum(vec[t] * z_inv[i][t] for t in range(n))
+        v = _col_min_valuation(a, j)
+        scale_col(j, v)
+        dv -= v
+    return mat_inv(z_inv, FractionOps())
+
+
+def test_gamma_integer_z_is_the_inverse_of_the_fraction_accumulator():
+    # Z kept on integers over one power of p against the Fraction
+    # bookkeeping it replaced; Z0's diagonal powers of p start at p^-1, so
+    # some columns of X start at a negative valuation and raise the
+    # denominator
+    rng = random.Random(112)
+    negative = 0
+    for trial in range(12):
+        n = 1 + trial % 4
+        y0, _ = rand_gamma_invertible(rng, P, N, n)
+        z0, _ = rand_const_invertible(rng, P, N, n, pmin=-1)
+        x = smat_mul(y0, const_series_matrix(z0, P, N))
+        negative += any(_col_min_valuation(x, j) < 0 for j in range(n))
+        z = matfact_gamma(x).z
+        for row, want in zip(z, fraction_z(x)):
+            for s, c in zip(row, want):
+                w = S([(0, c)] if c else [])
+                assert (s.window, s.tail_free, s.base_floor, s.cells()) == \
+                    (w.window, w.tail_free, w.base_floor, w.cells()), trial
+    assert negative >= 3
 
 
 def test_gamma_roundtrip_random(rng):

@@ -175,7 +175,8 @@ def hulls(operands):
 
 def runs(rng, op, n_specs, trials=400, unit=False, windows=True):
     """Run ``op`` on fresh specs at both precisions; an error the low run
-    raises (precision too low for a unit, a window cap) is no claim."""
+    raises (precision too low for a unit, a window cap) is no claim.  The
+    tally counts the runs skipped at each precision."""
     tally = Tally()
     for t in range(trials):
         nrel = rng.choice((3, 4, 6))
@@ -240,7 +241,20 @@ def test_invert():
 
     tally = runs(random.Random(104), invert, 1, unit=True)
     assert_strong(tally, 0.75)
-    assert_skips(tally, 88, 13)
+    assert_skips(tally, 74, 0)
+
+
+def test_invert_of_a_truncation_is_monotone_in_precision():
+    # more digits widen the inverse's stored support; the multiply-back
+    # check must not shrink its window with it, or the high run raises
+    # WindowOverflow
+    spec = ({0: -891, -1: -240, -3: Fraction(1917, 7), 1: -144}, (-9, 3),
+            False, 4, {-9: 3})
+    for nrel in (3, 4, 6, 12):
+        tally = Tally()
+        low, high = (a.invert((-6, 2)) for a in pair(spec, nrel))
+        check(low, high, tally, ("invert", nrel))
+        assert tally.cells == 9
 
 
 def test_invert_of_a_truncation_claims_no_more_than_its_floor():
