@@ -228,6 +228,14 @@ GOLDEN_REPORTS = [
     (["horizontal"], ["glue/m2.json"], "horizontal/report.json", 0),
     (["probe-nilpotence"], ["module.json"],
      "probe_nilpotence/report.json", 0),
+    (["check-product"], ["factor_gamma/Y.json", "factor_gamma/Z.json",
+                         "factor_gamma/x.json"],
+     "check_product/holds_report.json", 0),
+    # X with one cell of entry (1, 2) moved by 3^5: the witness exponent
+    # and the residual valuation are printed
+    (["check-product"], ["factor_gamma/Y.json", "factor_gamma/Z.json",
+                         "check_product/x_perturbed.json"],
+     "check_product/fails_report.json", 1),
 ]
 
 
