@@ -29,7 +29,7 @@ from .lfunctions import (
     pole_order_at,
     trace_formula_check,
 )
-from .linalg import smat_agree, smat_mul
+from .linalg import smat_product_agree
 from .modules import check_compat, check_fv, quasi_nilpotence_probe
 from .padic import INF
 from .points import (
@@ -166,7 +166,7 @@ def cmd_check_product(cfg, y_path, z_path, x_path):
     side = len(textio.require_square(y, None, "Y to be a square matrix"))
     textio.require_square(z, side, "Z to be a square matrix")
     textio.require_square(x, side, "X to be a square matrix")
-    verdict = smat_agree(smat_mul(y, z, cfg.max_width), x)
+    verdict = smat_product_agree(y, z, x, cfg.max_width)
     body = {"verdict": "holds" if verdict.holds else "fails",
             "floor": _floor_json(verdict.floor)}
     if not verdict.holds:

@@ -38,6 +38,7 @@ from .linalg import (
     smat_honest,
     smat_identity,
     smat_mul,
+    smat_product_agree,
     smat_shape,
     smat_sub,
 )
@@ -158,7 +159,9 @@ def matfact_gamma(x, max_width=None, verify=True) -> GammaFactorization:
     the other rows by p^-v over a denominator raised by -v), and adding
     multiples vec[t] of the other columns to column j subtracts vec[t]
     times row j from each row t.  Nothing is truncated, so Z has no tail
-    and no floor; a Fraction is built once per entry, for its series.
+    and no floor; each entry c / p^den is built from the integers, as the
+    cell (v_p(c) - den, c / p^v_p(c)) that ``from_rational`` would make,
+    and A * Z is checked against X without being built.
     """
     n, m = smat_shape(x)
     if n != m:
@@ -226,13 +229,18 @@ def matfact_gamma(x, max_width=None, verify=True) -> GammaFactorization:
         # divides column j, hence det(A), by exactly p^v
         dv -= v
 
-    q = p ** den
-    z = [[LaurentSeries.from_terms(p, nrel, [(0, Fraction(c, q))] if c else [])
-          for c in row] for row in zint]
+    zero = LaurentSeries.zero(p, nrel)
+
+    def constant(c):
+        v = vp_int(c, p)
+        return LaurentSeries.from_cells(
+            p, nrel, {0: (v - den, c // p ** v, nrel)}, zero.window, True,
+            None)
+
+    z = [[constant(c) if c else zero for c in row] for row in zint]
     verdict = None
     if verify:
-        prod = smat_mul(a, z, max_width)
-        verdict = smat_agree(prod, x)
+        verdict = smat_product_agree(a, z, x, max_width)
         if not verdict.holds:
             raise SingularInput("internal error: product check failed")
     return GammaFactorization(a, z, 0, rounds, verdict)
@@ -367,8 +375,7 @@ def matfact_robba(x, max_width=None, max_iterations=None,
 
     verdict = None
     if verify:
-        prod = smat_mul(y, z, big_width)
-        verdict = smat_agree(prod, x)
+        verdict = smat_product_agree(y, z, x, big_width)
         if not verdict.holds:
             raise NotConverged("product verification failed",
                                iterations=iterations)

@@ -2,9 +2,11 @@
 
 Matrices are lists of lists (row major).  The series helpers thread the
 window cap through products; ``smat_det`` and ``smat_inv`` share one
-cofactor memo.  The scalar helpers are generic over Fraction, PadicNumber
-and UnramifiedScalar entries via a tiny ops adapter, and ``mat_inv`` is
-the one Gauss-Jordan elimination over scalars.  An adapter provides:
+cofactor memo, and ``smat_product_agree`` checks A * B = X without
+building A * B, one kernel fold per entry.  The scalar helpers are
+generic over Fraction, PadicNumber and UnramifiedScalar entries via a
+tiny ops adapter, and ``mat_inv`` is the one Gauss-Jordan elimination
+over scalars.  An adapter provides:
 
 * ``zero()``, ``one()``, ``from_int(n)``: constants;
 * ``is_exact_zero(x)``: x is provably zero, so elimination may skip it
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from .errors import SingularInput
 from .padic import INF, PadicNumber, UnramifiedScalar
-from .series import (AgreementVerdict, LaurentSeries, series_agree,
+from .series import (AgreementVerdict, LaurentSeries, residual_verdict,
                      series_dot, series_sum)
 
 
@@ -94,11 +96,35 @@ def smat_deriv(a):
 def smat_agree(a, b) -> AgreementVerdict:
     """Entrywise agreement at precision; reports the worst finding, and on
     failure the (row, column) of the first entry that disagrees."""
+    return _matrix_verdict((x - y for x, y in zip(ra, rb))
+                           for ra, rb in zip(a, b))
+
+
+def smat_product_agree(a, b, x, max_width=None,
+                       plus=None) -> AgreementVerdict:
+    """``smat_agree(smat_mul(a, b, max_width), x)``, or with ``plus`` that of
+    ``smat_mul_add(a, b, plus, max_width)``, with no product built: each
+    residual sum a_ik * b_kj (+ plus_ij) - x_ij is one kernel fold, exact
+    because the kernel replays the left fold of ``+``."""
+    if smat_shape(a)[1] != smat_shape(b)[0]:
+        raise ValueError("shape mismatch")
+    cols = list(zip(*b))
+    plus = plus or [[None] * len(cols) for _ in a]
+    return _matrix_verdict(
+        [[series_sum(list(zip(row, col)) + ([] if z is None else [z]),
+                     max_width, minus=y)
+          for col, z, y in zip(cols, zrow, xrow)]
+         for row, zrow, xrow in zip(a, plus, x)])
+
+
+def _matrix_verdict(residuals):
+    """The verdicts on rows of residuals, scanned in order: the worst
+    floor, or the first failure with its (row, column)."""
     floor = INF
     window = None
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        for j, (x, y) in enumerate(zip(ra, rb)):
-            v = series_agree(x, y)
+    for i, row in enumerate(residuals):
+        for j, d in enumerate(row):
+            v = residual_verdict(d)
             if not v.holds:
                 return replace(v, position=(i, j))
             if v.floor is not None and v.floor < floor:

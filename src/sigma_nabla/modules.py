@@ -34,6 +34,7 @@ from .linalg import (
     smat_inv,
     smat_mul,
     smat_mul_add,
+    smat_product_agree,
     smat_scale,
     smat_shape,
     smat_sigma,
@@ -99,12 +100,12 @@ def _u_power_q(p, nrel, q):
 def check_compat(mod: SigmaNablaModule, max_width=None) -> CompatVerdict:
     """Verify N*Phi + d(Phi) = q*u^(q-1)*Phi*sigma(N) at precision."""
     p, nrel, q = mod.p, mod.nrel, mod.q
-    lhs = smat_mul_add(mod.nmat, mod.phi, smat_deriv(mod.phi), max_width)
     sig_n = smat_sigma(mod.nmat, mod.f, max_width)
     rhs = smat_mul(mod.phi, sig_n, max_width)
     rhs = mat_map(rhs, lambda s: s.mul(
         _u_power_q(p, nrel, q), max_width))
-    verdict = smat_agree(lhs, rhs)
+    verdict = smat_product_agree(mod.nmat, mod.phi, rhs, max_width,
+                                 plus=smat_deriv(mod.phi))
     return CompatVerdict(verdict.holds, verdict.floor, verdict.window,
                          verdict.position, verdict.residual_valuation)
 
@@ -118,8 +119,8 @@ def check_fv(mod: SigmaNablaModule, max_width=None):
     n = mod.rank
     p_id = smat_scale(smat_identity(n, p, nrel),
                       PadicNumber.from_int(p, nrel, p))
-    v1 = smat_agree(smat_mul(mod.phi, mod.bmat, max_width), p_id)
-    v2 = smat_agree(smat_mul(mod.bmat, mod.phi, max_width), p_id)
+    v1 = smat_product_agree(mod.phi, mod.bmat, p_id, max_width)
+    v2 = smat_product_agree(mod.bmat, mod.phi, p_id, max_width)
     lhs = smat_add(smat_deriv(mod.bmat),
                    mat_map(smat_mul(smat_sigma(mod.nmat, mod.f, max_width),
                                     mod.bmat, max_width),

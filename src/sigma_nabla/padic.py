@@ -20,8 +20,6 @@ import math
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from .errors import AmbiguousValuation, DivisionByZero, NumericalFailure
 
 INF = math.inf
@@ -629,6 +627,7 @@ def complex_root_magnitudes(poly: IntPolynomial):
     numerically; relative error is below 1e-9 for degrees up to 64.
     The product of the returned magnitudes is |leading/constant|.
     """
+    import numpy as np      # here only: it costs every import of the CLI
     if poly.is_zero:
         raise ValueError("zero polynomial has no roots")
     if poly.coeffs[0] == 0:

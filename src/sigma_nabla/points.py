@@ -189,14 +189,23 @@ def char_coeffs(mat):
     entries (PadicNumber, UnramifiedScalar) run in their own ring through
     the left fold ``_dot``, which keeps their precision bookkeeping.
     """
-    if all(isinstance(x, (int, Fraction)) for row in mat for x in row):
-        d = lcm(*(x.denominator for row in mat for x in row))
-        ints = [[x.numerator * (d // x.denominator) for x in row]
-                for row in mat]
-        poly = _berkowitz(ints, 0, 1, lambda xs, ys: sum(map(mul, xs, ys)))
-        return [Fraction(c, d ** k) for k, c in enumerate(poly)]
+    coeffs = _rational_char_coeffs(mat)
+    if coeffs is not None:
+        return [Fraction(c) for c in coeffs]
     ops = ops_for(mat[0][0])
     return _berkowitz(mat, ops.zero(), ops.one(), _dot)
+
+
+def _rational_char_coeffs(mat):
+    """``char_coeffs`` of a rational matrix with each integral coefficient
+    an int; None for other entries."""
+    if not all(isinstance(x, (int, Fraction)) for row in mat for x in row):
+        return None
+    d = lcm(*(x.denominator for row in mat for x in row))
+    ints = [[x.numerator * (d // x.denominator) for x in row] for row in mat]
+    poly = _berkowitz(ints, 0, 1, lambda xs, ys: sum(map(mul, xs, ys)))
+    return [Fraction(c, d ** k) if c % d ** k else c // d ** k
+            for k, c in enumerate(poly)]
 
 
 def _berkowitz(mat, zero, one, dot):
@@ -299,8 +308,8 @@ class PointFrobenius:
 
         Entries must be exact rationals for the L-function pipeline.
         """
-        coeffs = char_coeffs(self.matrix)       # leading first
-        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        coeffs = _rational_char_coeffs(self.matrix)     # leading first
+        if coeffs is None:
             raise TypeError("local polynomials need exact rational entries")
         # det(1 - sF) has s^k coefficient equal to the T^(n-k) coefficient
         expanded = []

@@ -687,14 +687,17 @@ def _settle(p, nrel, base, cells, bf, cap=None):
     return terms, floors
 
 
-def series_sum(terms, max_width=None, out_window=None):
+def series_sum(terms, max_width=None, out_window=None, minus=None):
     """The series that folding ``+`` over ``terms`` left to right gives:
     each term a series, or a pair (a, b) that stands for ``a.mul(b,
-    max_width, out_window)``."""
+    max_width, out_window)``; then ``- minus``, when given, as the fold's
+    last step."""
     width = max_width or DEFAULT_MAX_WIDTH
-    return _series(*accumulate([product_term(t, width, out_window)
-                                if isinstance(t, tuple) else series_term(t, 1)
-                                for t in terms]))
+    kterms = [product_term(t, width, out_window) if isinstance(t, tuple)
+              else series_term(t, 1) for t in terms]
+    if minus is not None:
+        kterms.append(series_term(minus, -1))
+    return _series(*accumulate(kterms))
 
 
 # a sum of products ``a.mul(b, max_width, out_window)`` of pairs (a, b)
@@ -796,7 +799,11 @@ class AgreementVerdict:
 
 
 def series_agree(a: LaurentSeries, b: LaurentSeries) -> AgreementVerdict:
-    d = a - b
+    return residual_verdict(a - b)
+
+
+def residual_verdict(d: LaurentSeries) -> AgreementVerdict:
+    """The verdict on d = a - b; on failure its first nonzero cell."""
     window = d.window
     floor = d.abs_floor()
     floor = None if floor is INF else int(floor)

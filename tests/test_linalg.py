@@ -1,17 +1,31 @@
 import itertools
 import math
+import random
 
 import pytest
 
-from conftest import rand_series, series
+from conftest import (
+    const_series_matrix,
+    rand_const_invertible,
+    rand_gamma_invertible,
+    rand_robba_regime_x,
+    rand_series,
+    series,
+)
 from sigma_nabla.errors import SigmaNablaError
+from sigma_nabla.factor import matfact_gamma, matfact_robba
 from sigma_nabla.linalg import (
     PadicOps,
     UnramOps,
     mat_inv,
+    smat_add,
     smat_agree,
+    smat_deriv,
     smat_det,
     smat_inv,
+    smat_mul,
+    smat_mul_add,
+    smat_product_agree,
 )
 from sigma_nabla.padic import UnramifiedField
 from sigma_nabla.series import LaurentSeries
@@ -112,6 +126,68 @@ def test_agree_reports_failing_position():
     assert v.position == (1, 1)
     assert v.witness == 0
     assert smat_agree([[one]], [[one]]).position is None
+
+
+def outcome(fn):
+    """fn's result, or the type of the library error it raises."""
+    try:
+        return fn()
+    except SigmaNablaError as exc:
+        return type(exc)
+
+
+def perturbed(rng, x):
+    """X in half the draws; else X with one entry replaced by the exact
+    zero, or with one of its cells moved by p^k (k up to 14, so some moves
+    are below the floor and invisible)."""
+    mode = rng.randrange(4)
+    if mode < 2:
+        return x
+    x = [row[:] for row in x]
+    i, j = rng.randrange(len(x)), rng.randrange(len(x))
+    s = x[i][j]
+    if mode == 2:
+        x[i][j] = LaurentSeries.zero(P, N)
+    else:
+        e = rng.choice(sorted(s.terms) or [0])
+        x[i][j] = s + LaurentSeries.monomial(P, N, P ** rng.randint(0, 14), e)
+    return x
+
+
+def test_product_agree_is_the_verdict_on_the_built_product():
+    # seeded gamma and robba factors Y, Z of X: the verdict on Y * Z (+ dY)
+    # against X (+ dY), perturbed in about half the draws, equals the one
+    # on the built product field for field, or both raise the same error;
+    # at the default window cap and at a cap of 8, where some products
+    # overflow
+    rng = random.Random(7)
+    seen = set()
+    for trial in range(24):
+        n = 1 + trial % 3
+        if trial % 2:
+            y0, _ = rand_gamma_invertible(rng, P, N, n)
+            z0, _ = rand_const_invertible(rng, P, N, n, pmin=-1)
+            x = smat_mul(y0, const_series_matrix(z0, P, N))
+            f = matfact_gamma(x)
+        else:
+            x, *_ = rand_robba_regime_x(rng, P, N, n)
+            f = matfact_robba(x)
+        a, b = f.y, f.z
+        for width in (None, 8):
+            for plus in (None, smat_deriv(a)):
+                xp = perturbed(rng, x if plus is None else smat_add(x, plus))
+                if plus is None:
+                    old = outcome(lambda: smat_agree(smat_mul(a, b, width),
+                                                     xp))
+                else:
+                    old = outcome(lambda: smat_agree(
+                        smat_mul_add(a, b, plus, width), xp))
+                new = outcome(lambda: smat_product_agree(a, b, xp, width,
+                                                         plus))
+                assert new == old, (trial, width, plus is None, old, new)
+                if not isinstance(old, type):
+                    seen.add((width, old.holds))
+    assert seen == {(w, h) for w in (None, 8) for h in (False, True)}
 
 
 # ---------------------------------------------------------------------------

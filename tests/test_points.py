@@ -1,7 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import sigma_nabla
 
 from sigma_nabla.errors import (
     CocycleViolated,
@@ -253,6 +258,25 @@ def test_purity_examples():
                         q, d, 2).pure
 
 
+def test_cli_import_leaves_numpy_out():
+    # numpy is imported by the one routine that calls it, on first use
+    code = "\n".join((
+        "import sys",
+        "import sigma_nabla.cli",
+        "assert 'numpy' not in sys.modules, 'numpy imported by the CLI'",
+        "from sigma_nabla.padic import IntPolynomial",
+        "from sigma_nabla.points import purity_check",
+        "assert purity_check(IntPolynomial([1, 0, 9]), 3, 1, 2).pure",
+        "assert not purity_check(IntPolynomial([1, 0, 10]), 3, 1, 2).pure",
+    ))
+    src = os.path.dirname(os.path.dirname(sigma_nabla.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+
+
 def test_char_coeffs_examples():
     assert char_coeffs(frac_mat([[2, 0], [0, 3]])) == [F(1), F(-5), F(6)]
     assert char_coeffs(frac_mat([[0, 1], [7, 0]])) == [F(1), F(0), F(-7)]
@@ -420,6 +444,44 @@ def test_char_coeffs_integer_path_matches_ring_path(rng):
         assert got == ring_char_coeffs(mat, FractionOps()), mat
         assert len(got) == len(mat) + 1
         assert all(type(c) is F for c in got), mat
+
+
+def fraction_local_polynomial(mat, deg):
+    """det(1 - t^deg * F) through Berkowitz on the Fraction entries, each
+    coefficient turned back into an int when integral."""
+    coeffs = ring_char_coeffs([[F(x) for x in row] for row in mat],
+                              FractionOps())
+    expanded = []
+    for c in coeffs:
+        expanded.extend([c] + [0] * (deg - 1))
+    return IntPolynomial(expanded[:len(coeffs) * deg - (deg - 1)])
+
+
+def test_local_polynomial_integer_path_matches_fraction_path(rng):
+    # the local polynomial takes Berkowitz's integers over d^k directly;
+    # the ring path on Fractions is the reference, value and type (int
+    # when integral) alike
+    dens = (1, 2, 3, 4, 7, 9, 1_000_003, 2 ** 61 - 1)
+
+    def fraction():
+        return F(rng.randint(-30, 30), rng.choice(dens))
+
+    def mixed():
+        return rng.choice((rng.randint(-9, 9), fraction()))
+
+    entries = (lambda: rng.randint(-9, 9), fraction, mixed)
+    cases = [[[0]], [[F(-7, 3)]], [[F(1, 2 ** 61 - 1)]],
+             [[F(0)] * 4 for _ in range(4)]]
+    for n in range(1, 9):
+        for entry in entries:
+            for _ in range(2):
+                cases.append([[entry() for _ in range(n)] for _ in range(n)])
+    for mat in cases:
+        for deg in (1, 2):
+            got = PointFrobenius(2, deg, mat).local_polynomial().coeffs
+            want = fraction_local_polynomial(mat, deg).coeffs
+            assert got == want, mat
+            assert [type(c) for c in got] == [type(c) for c in want], mat
 
 
 def test_point_frobenius_local_polynomial_rank_10(rng):
