@@ -21,6 +21,7 @@ from sigma_nabla.lfunctions import (
     trace_formula_check,
 )
 from sigma_nabla.padic import IntPolynomial
+from sigma_nabla.points import purity_check
 
 F = Fraction
 
@@ -282,6 +283,35 @@ def test_pure_system_flags_offender():
     assert not rep.all_pure
     assert rep.entries[("a", 0)].pure
     assert not rep.entries[("a", 1)].pure
+
+
+def test_pure_system_entries_equal_direct_checks():
+    # places a and b share every factor; 1 + 3t^2 sits at a point of
+    # degree 1 and at one of degree 2, where its verdicts differ (so the
+    # rank is given); b alone carries the impure 1 + 5t^2
+    shared = {0: [1, 0, 3], 1: [1, 0, 3], 2: [1, -2, 3], 3: [1, 0, 2, 0, 9]}
+    polys = {(place, pid): IntPolynomial(c)
+             for place in "ab" for pid, c in shared.items()}
+    polys[("b", 4)] = IntPolynomial([1, 0, 5])
+    points = [(0, 1), (1, 2), (2, 1), (3, 2), (4, 1)]
+    t = CharPolyTable(3, ["a", "b"], points, polys, rank=2)
+    degs = dict(points)
+    rep = check_pure_system(t, 1)
+    assert list(rep.entries) == sorted(polys)
+    for (place, pid), verdict in rep.entries.items():
+        assert verdict == purity_check(polys[(place, pid)], 3, degs[pid], 1)
+    assert rep.entries[("a", 0)] != rep.entries[("a", 1)]
+    assert [k for k, v in rep.entries.items() if not v.pure] == [("b", 4)]
+    assert not rep.all_pure
+
+
+def test_pure_system_rejects_factor_not_in_t_to_the_degree():
+    # 1 - 2t + 3t^2 passes at the degree-1 point, not at the degree-2 one
+    poly = IntPolynomial([1, -2, 3])
+    t = CharPolyTable(3, ["a"], [(0, 1), (1, 2)],
+                      {("a", 0): poly, ("a", 1): poly}, rank=2)
+    with pytest.raises(ValueError, match=r"t\^1 nonzero.*not in t\^2"):
+        check_pure_system(t, 1)
 
 
 def test_weight_zero_roots_of_unity():

@@ -29,6 +29,7 @@ from sigma_nabla.points import (
     PointFrobenius,
     _berkowitz,
     _dot,
+    _rational_char_coeffs,
     average_projector,
     average_projector_group,
     block_companion,
@@ -296,6 +297,19 @@ def test_char_coeffs_conjugation_invariance(rng):
             continue
         conj = mat_mul(mat_mul(g, f), ginv)
         assert char_coeffs(conj) == char_coeffs(f)
+
+
+def test_rational_char_coeffs_integer_matrix_gives_ints():
+    # d = 1: Berkowitz's integers come back as they are; char_coeffs
+    # still returns Fractions, and other entries return None at the gate
+    for mat in ([[2, 0], [0, 3]], frac_mat([[0, 1], [7, 0]]), [[-5]],
+                [[1, F(4), 0], [2, 3, -1], [0, 6, 5]]):
+        got = _rational_char_coeffs(mat)
+        assert all(type(c) is int for c in got), mat
+        want = char_coeffs(mat)
+        assert all(type(c) is F for c in want), mat
+        assert got == want
+    assert _rational_char_coeffs(padic_mat([[1, 0], [0, 5]])) is None
 
 
 def test_purity_invariant_under_conjugation():
