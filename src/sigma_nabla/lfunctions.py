@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 from typing import Optional
 
 from .padic import IntPolynomial, exact_rational
@@ -202,15 +204,15 @@ def lfunction_truncated(table: CharPolyTable, place, truncation) -> LSeries:
     """Product of inverse local factors, expanded to O(t^(T+1)).
 
     The caller asserts the table holds every point of degree <= T for the
-    chosen place; the product simply multiplies what it is given, once per
-    listed point.  Equal factors are grouped, so each distinct factor's
-    power sums are computed once.
+    chosen place; the product simply multiplies what it is given: one
+    count per listed point, in one C-level pass, and a point with no
+    factor at the place counts under None, which is dropped.  Equal
+    factors are grouped, so each distinct factor's power sums are
+    computed once.
     """
-    counts = Counter()
-    for pid, _deg in table.points:
-        poly = table.polys.get((place, pid))
-        if poly is not None:
-            counts[poly] += 1
+    counts = Counter(map(table.polys.get, zip(
+        repeat(place), map(itemgetter(0), table.points))))
+    counts.pop(None, None)
     sums = _weighted_power_sums(counts.items(), truncation)
     return exp_power_sums(sums, truncation)
 
@@ -278,13 +280,15 @@ class PurityReport:
 
 
 def check_pure_system(table: CharPolyTable, w, tol=1e-6) -> PurityReport:
-    """Apply the purity check to every stored local factor."""
+    """Apply the purity check to every stored local factor: one check per
+    distinct factor and degree, since the verdict depends only on those
+    (a compatible system repeats its factors at every place)."""
     degs = dict(table.points)
+    verdicts = {}
     entries = {}
-    ok = True
     for key in sorted(table.polys, key=lambda k: (k[0], str(k[1]))):
-        place, pid = key
-        verdict = purity_check(table.polys[key], table.q, degs[pid], w, tol)
-        entries[key] = verdict
-        ok = ok and verdict.pure
-    return PurityReport(w, entries, ok)
+        poly, deg = table.polys[key], degs[key[1]]
+        if (poly, deg) not in verdicts:
+            verdicts[poly, deg] = purity_check(poly, table.q, deg, w, tol)
+        entries[key] = verdicts[poly, deg]
+    return PurityReport(w, entries, all(v.pure for v in entries.values()))

@@ -394,6 +394,12 @@ class UnramifiedField:
         self.kwork = nrel + 2
         self.modulus = find_irreducible(p, f)  # integer coefficients, monic
         self.frob_matrix = self._lift_frobenius()
+        # the same integers as PadicNumbers, built once for every product
+        # and Frobenius (a PadicNumber is never mutated, so they are shared)
+        self.modulus_padic = [PadicNumber.from_int(p, nrel, c)
+                              for c in self.modulus]
+        self.frob_padic = [[PadicNumber.from_int(p, nrel, c) for c in row]
+                           for row in self.frob_matrix]
 
     def _lift_frobenius(self):
         """The columns r^0 .. r^(f-1) for the root r of g lifting x^p, by
@@ -490,27 +496,26 @@ class UnramifiedScalar:
             for j, b in enumerate(other.coords):
                 prod[i + j] = prod[i + j] + a * b
         # reduce by the monic modulus with exact integer coefficients
-        g = self.field.modulus
+        g = self.field.modulus_padic
         for k in range(2 * f - 2, f - 1, -1):
             lead = prod[k]
             if lead.is_exact_zero:
                 continue
             for i in range(f):
-                gi = PadicNumber.from_int(p, nrel, g[i])
-                prod[k - f + i] = prod[k - f + i] - lead * gi
+                prod[k - f + i] = prod[k - f + i] - lead * g[i]
         return UnramifiedScalar(self.field, prod[:f])
 
     def frobenius(self, power=1):
         """Apply the canonical lift of x -> x^p, ``power`` times."""
         p, nrel = self.field.p, self.field.nrel
         out = self
+        m = self.field.frob_padic
         for _ in range(power % self.field.f):
-            m = self.field.frob_matrix
             coords = []
             for i in range(self.field.f):
                 acc = PadicNumber.zero(p, nrel)
                 for j in range(self.field.f):
-                    acc = acc + PadicNumber.from_int(p, nrel, m[i][j]) * out.coords[j]
+                    acc = acc + m[i][j] * out.coords[j]
                 coords.append(acc)
             out = UnramifiedScalar(self.field, coords)
         return out

@@ -201,9 +201,12 @@ def _rational_char_coeffs(mat):
     an int; None for other entries."""
     if not all(isinstance(x, (int, Fraction)) for row in mat for x in row):
         return None
-    d = lcm(*(x.denominator for row in mat for x in row))
-    ints = [[x.numerator * (d // x.denominator) for x in row] for row in mat]
+    ratios = [[x.as_integer_ratio() for x in row] for row in mat]
+    d = lcm(*(den for row in ratios for _, den in row))
+    ints = [[num * (d // den) for num, den in row] for row in ratios]
     poly = _berkowitz(ints, 0, 1, lambda xs, ys: sum(map(mul, xs, ys)))
+    if d == 1:
+        return poly
     return [Fraction(c, d ** k) if c % d ** k else c // d ** k
             for k, c in enumerate(poly)]
 
