@@ -1,10 +1,20 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_gamma_invertible, series
+from conftest import rand_gamma_invertible, rand_gammaplus_dieudonne, series
 from sigma_nabla.errors import MembershipViolated, SingularFrobenius
-from sigma_nabla.linalg import smat_agree
+from sigma_nabla.linalg import (
+    mat_map,
+    smat_add,
+    smat_agree,
+    smat_deriv,
+    smat_identity,
+    smat_mul,
+    smat_scale,
+    smat_sigma,
+)
 from sigma_nabla.modules import (
     SigmaNablaModule,
     base_change,
@@ -14,6 +24,7 @@ from sigma_nabla.modules import (
     quasi_nilpotence_probe,
     recover_verschiebung,
 )
+from sigma_nabla.padic import PadicNumber
 from sigma_nabla.series import LaurentSeries, RingLabel
 
 P, N = 3, 12
@@ -134,6 +145,40 @@ def test_fv_transform_law(rng):
         y, y_inv = rand_gamma_invertible(rng, P, N, 2)
         out = basis_transform(mod, y, y_inv)
         assert check_fv(out).holds
+
+
+def _fv_by_products(mod):
+    """check_fv's (holds, floor) with every product built and compared:
+    Phi*B and B*Phi against p*I, and d(B) + q*u^(q-1)*sigma(N)*B
+    against B*N."""
+    p_id = smat_scale(smat_identity(mod.rank, P, N),
+                      PadicNumber.from_int(P, N, P))
+    u_q = LaurentSeries.monomial(P, N, mod.q, mod.q - 1)
+    lhs = smat_add(smat_deriv(mod.bmat),
+                   mat_map(smat_mul(smat_sigma(mod.nmat, mod.f), mod.bmat),
+                           lambda s: s.mul(u_q)))
+    verdicts = [smat_agree(smat_mul(mod.phi, mod.bmat), p_id),
+                smat_agree(smat_mul(mod.bmat, mod.phi), p_id),
+                smat_agree(lhs, smat_mul(mod.bmat, mod.nmat))]
+    floors = [v.floor for v in verdicts if v.floor is not None]
+    return all(v.holds for v in verdicts), min(floors) if floors else None
+
+
+def test_fv_matches_product_formula(rng):
+    # seeded Dieudonne modules (FV = p, compatible), then the same modules
+    # with one B entry or one N entry corrupted
+    seen = set()
+    for k in range(6):
+        mod = rand_gammaplus_dieudonne(rng, P, N, 1 + k % 3)
+        bad_b = [row[:] for row in mod.bmat]
+        bad_b[0][-1] = bad_b[0][-1] + S([(1, 1)])
+        bad_n = [row[:] for row in mod.nmat]
+        bad_n[-1][0] = bad_n[-1][0] + S([(0, 1)])
+        for m in (mod, replace(mod, bmat=bad_b), replace(mod, nmat=bad_n)):
+            v = check_fv(m)
+            assert (v.holds, v.floor) == _fv_by_products(m)
+            seen.add(v.holds)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
