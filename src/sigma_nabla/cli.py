@@ -35,7 +35,6 @@ from .padic import INF
 from .points import (
     block_companion,
     frob_iterate,
-    is_unit_root,
     newton_slopes_frob,
 )
 from .series import DEFAULT_MAX_WIDTH
@@ -241,7 +240,7 @@ def cmd_slopes(cfg, path):
     return True, {
         "slopes": [[str(s), m] for s, m in poly.slopes],
         "offset": poly.offset,
-        "unit_root": is_unit_root(mat),
+        "unit_root": poly.unit_root,
     }
 
 

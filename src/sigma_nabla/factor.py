@@ -40,7 +40,6 @@ from .linalg import (
     smat_mul,
     smat_product_agree,
     smat_shape,
-    smat_sub,
 )
 from .modules import (
     SigmaNablaModule,
@@ -146,7 +145,7 @@ def _mod_p_kernel(a, p):
     return vec
 
 
-def matfact_gamma(x, max_width=None, verify=True) -> GammaFactorization:
+def matfact_gamma(x, max_width=None) -> GammaFactorization:
     """Factor X over E as Y * Z, Y invertible over Gamma, Z constant.
 
     Column operations (all constant, hence absorbed into Z) normalise the
@@ -238,11 +237,9 @@ def matfact_gamma(x, max_width=None, verify=True) -> GammaFactorization:
             None)
 
     z = [[constant(c) if c else zero for c in row] for row in zint]
-    verdict = None
-    if verify:
-        verdict = smat_product_agree(a, z, x, max_width)
-        if not verdict.holds:
-            raise SingularInput("internal error: product check failed")
+    verdict = smat_product_agree(a, z, x, max_width)
+    if not verdict.holds:
+        raise SingularInput("internal error: product check failed")
     return GammaFactorization(a, z, 0, rounds, verdict)
 
 
@@ -281,8 +278,7 @@ def _dominant_monomial(s: LaurentSeries):
     return key, key[1], s.coefficient(key[1])
 
 
-def matfact_robba(x, max_width=None, max_iterations=None,
-                  verify=True) -> RobbaFactorization:
+def matfact_robba(x, max_width=None) -> RobbaFactorization:
     """Factor X = Y * Z, Y over E-dagger, Z over R-plus (restricted regime).
 
     Requires X = D (I + M) with D a diagonal of monomials and the minus
@@ -295,7 +291,6 @@ def matfact_robba(x, max_width=None, max_iterations=None,
         raise ValueError("matfact_robba expects a square matrix")
     p = x[0][0].p
     nrel = x[0][0].nrel
-    max_iterations = max_iterations or (4 * nrel + 16)
 
     # peel off the diagonal of dominant monomials
     d_fwd, d_inv = [], []
@@ -313,9 +308,8 @@ def matfact_robba(x, max_width=None, max_iterations=None,
         return [[mat[i][j].scale(d_inv[i][1]).shift_exp(d_inv[i][0])
                  for j in range(n)] for i in range(n)]
 
-    w = apply_d_inv(x)          # I + M
-    ident = smat_identity(n, p, nrel)
-    minus, mu = _mat_minus(smat_sub(w, ident))
+    w = apply_d_inv(x)          # I + M: its minus part is M's
+    minus, mu = _mat_minus(w)
     if mu is not None and mu < 1:
         raise NotConverged(
             "minus part has valuation < 1; input is outside the "
@@ -342,11 +336,11 @@ def matfact_robba(x, max_width=None, max_iterations=None,
     stall = 0
     last_mu = 0
     while True:
-        mk, mu = _mat_minus(smat_sub(w, ident), work)
+        mk, mu = _mat_minus(w, work)
         if mu is None or mu >= nrel:
             break
         iterations += 1
-        if iterations > max_iterations:
+        if iterations > 4 * nrel + 16:
             raise NotConverged("iteration budget exhausted",
                                iterations=iterations)
         if mu <= last_mu:
@@ -373,12 +367,10 @@ def matfact_robba(x, max_width=None, max_iterations=None,
     # iteration could not distinguish from zero are absorbed into it
     y, z, y_inv = (smat_honest(mat, work, nrel) for mat in (y, w, y_inv))
 
-    verdict = None
-    if verify:
-        verdict = smat_product_agree(y, z, x, big_width)
-        if not verdict.holds:
-            raise NotConverged("product verification failed",
-                               iterations=iterations)
+    verdict = smat_product_agree(y, z, x, big_width)
+    if not verdict.holds:
+        raise NotConverged("product verification failed",
+                           iterations=iterations)
 
     lam, cc = _dagger_certificate(y)
     y_label = RingLabel(E_DAGGER, lam, cc)
@@ -401,17 +393,16 @@ def smat_add_ident(a, p, nrel):
     return out
 
 
-def _neumann_inverse(mk, p, nrel, max_width, out_window=None):
+def _neumann_inverse(mk, p, nrel, max_width, out_window):
     """(I + mk)^-1 for mk with positive valuation: sum of (-mk)^j, each
-    entry summed once."""
+    entry summed once, the powers on ``out_window``."""
     n = len(mk)
-    term = smat_identity(n, p, nrel)
-    terms = [term]
     neg = [[-s for s in row] for row in mk]
-    for _ in range(nrel + 1):
+    term = neg
+    terms = [smat_identity(n, p, nrel), neg]
+    for _ in range(nrel):
         term = smat_mul(term, neg, max_width, out_window)
-        if out_window is not None:
-            term = [[s.on_window(out_window) for s in row] for row in term]
+        term = [[s.on_window(out_window) for s in row] for row in term]
         terms.append(term)
         if all(s.is_zero_at_precision or s.valuation() >= nrel
                for row in term for s in row):
@@ -458,16 +449,15 @@ class DescentResult:
     compat: object
 
 
-def descend_to_eplus(mod: SigmaNablaModule, x, max_width=None,
-                     check_hypothesis=True) -> DescentResult:
+def descend_to_eplus(mod: SigmaNablaModule, x,
+                     max_width=None) -> DescentResult:
     """Rewrite an E-dagger module in a basis where it lives over E-plus.
 
     ``x`` is the matrix over R carrying the module into R-plus; the
     hypothesis (conjugated matrices consistent with R-plus) is checked,
     then x = Y Z is factored and the Y-basis is taken.
     """
-    if check_hypothesis:
-        _rebased(mod, x, None, RingLabel(R_PLUS), max_width, "conjugated ")
+    _rebased(mod, x, None, RingLabel(R_PLUS), max_width, "conjugated ")
     fact = matfact_robba(x, max_width)
     out = _rebased(mod, fact.y, fact.y_inv, RingLabel(E_PLUS), max_width)
     compat = check_compat(out, max_width)
@@ -483,7 +473,7 @@ class GlueResult:
 
 
 def glue_dieudonne(m1: SigmaNablaModule, m2: Optional[SigmaNablaModule], x,
-                   max_width=None, check_hypothesis=True) -> GlueResult:
+                   max_width=None) -> GlueResult:
     """Glue a Dieudonne module over Gamma with one over E-plus into one
     over Gamma-plus, via the constant-Z factorization of x.
 
@@ -492,21 +482,17 @@ def glue_dieudonne(m1: SigmaNablaModule, m2: Optional[SigmaNablaModule], x,
     """
     if m1.bmat is None:
         raise ValueError("m1 must carry a Verschiebung matrix")
-    if check_hypothesis:
-        conj = _rebased(m1, x, None, RingLabel(E_PLUS), max_width,
-                        "conjugated ")
-        if m2 is not None:
-            for (pa, pb) in (("phi", "phi"), ("nmat", "nmat"),
-                             ("bmat", "bmat")):
-                va = getattr(conj, pa)
-                vb = getattr(m2, pb)
-                if vb is None:
-                    continue
-                verdict = smat_agree(va, vb)
-                if not verdict.holds:
-                    raise MembershipViolated(
-                        f"x does not carry m1 into m2: {pa} disagrees at "
-                        f"{verdict.witness}")
+    conj = _rebased(m1, x, None, RingLabel(E_PLUS), max_width, "conjugated ")
+    if m2 is not None:
+        for name in ("phi", "nmat", "bmat"):
+            want = getattr(m2, name)
+            if want is None:
+                continue
+            verdict = smat_agree(getattr(conj, name), want)
+            if not verdict.holds:
+                raise MembershipViolated(
+                    f"x does not carry m1 into m2: {name} disagrees at "
+                    f"{verdict.witness}")
     fact = matfact_gamma(x, max_width)
     out = _rebased(m1, fact.y, None, RingLabel(GAMMA_PLUS), max_width)
     compat = check_compat(out, max_width)

@@ -191,13 +191,9 @@ def lattice_intersect(l1: LatticeBasis, l2: LatticeBasis,
     stacked = [l1.vectors[i][:] + [-s for s in l2.vectors[i]]
                for i in range(n)]
     sf = lattice_smith(stacked)
-    kernel_cols = []
-    for j in range(m1 + m2):
-        if j >= sf.rank:
-            kernel_cols.append(j)
+    kernel_cols = range(sf.rank, m1 + m2)
     if not kernel_cols:
-        zero = LaurentSeries.zero(l1.vectors[0][0].p, l1.vectors[0][0].nrel)
-        return LatticeBasis([[zero] * 0 for _ in range(n)])
+        return LatticeBasis([[] for _ in range(n)])
     # kernel basis = W * e_j for zero columns of D
     kb = [[sf.w_inv[i][j] for j in kernel_cols] for i in range(m1 + m2)]
     xpart = kb[:m1]

@@ -204,17 +204,21 @@ def lfunction_truncated(table: CharPolyTable, place, truncation) -> LSeries:
     """Product of inverse local factors, expanded to O(t^(T+1)).
 
     The caller asserts the table holds every point of degree <= T for the
-    chosen place; the product simply multiplies what it is given: one
-    count per listed point, in one C-level pass, and a point with no
-    factor at the place counts under None, which is dropped.  Equal
-    factors are grouped, so each distinct factor's power sums are
-    computed once.
+    chosen place; the product simply multiplies what it is given.
     """
+    return exp_power_sums(_euler_power_sums(table, place, truncation),
+                          truncation)
+
+
+def _euler_power_sums(table: CharPolyTable, place, truncation):
+    """The power sums of the Euler product at ``place``: one count per
+    listed point, in one C-level pass, and a point with no factor at the
+    place counts under None, which is dropped.  Equal factors are grouped,
+    so each distinct factor's power sums are computed once."""
     counts = Counter(map(table.polys.get, zip(
         repeat(place), map(itemgetter(0), table.points))))
     counts.pop(None, None)
-    sums = _weighted_power_sums(counts.items(), truncation)
-    return exp_power_sums(sums, truncation)
+    return _weighted_power_sums(counts.items(), truncation)
 
 
 @dataclass(frozen=True)
@@ -229,13 +233,16 @@ class TraceFormulaVerdict:
 
 def trace_formula_check(table: CharPolyTable, place, cohomology,
                         truncation) -> TraceFormulaVerdict:
-    """Euler product against P1 / (P0 P2) as truncated power series."""
+    """Euler product against P1 / (P0 P2) as truncated power series.
+
+    Both series start with 1 and k L_k = sum_{j<=k} S_j L_{k-j}, so they
+    agree through degree k exactly when their power sums S_1..S_k do; the
+    power sums are what is compared."""
     p0, p1, p2 = cohomology
-    lhs = lfunction_truncated(table, place, truncation)
-    sums = _weighted_power_sums(((p0, 1), (p1, -1), (p2, 1)), truncation)
-    rhs = exp_power_sums(sums, truncation)
-    for k in range(truncation + 1):
-        if lhs.coeffs[k] != rhs.coeffs[k]:
+    lhs = _euler_power_sums(table, place, truncation)
+    rhs = _weighted_power_sums(((p0, 1), (p1, -1), (p2, 1)), truncation)
+    for k in range(1, truncation + 1):
+        if lhs[k] != rhs[k]:
             return TraceFormulaVerdict(False, truncation, k)
     return TraceFormulaVerdict(True, truncation)
 

@@ -47,10 +47,6 @@ def smat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def smat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def smat_mul(a, b, max_width=None, out_window=None):
     n, k = smat_shape(a)
     k2, m = smat_shape(b)

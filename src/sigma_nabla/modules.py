@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .errors import MembershipViolated, SingularFrobenius
+from .errors import SingularFrobenius
 from .linalg import (
     mat_map,
     smat_add,
-    smat_agree,
     smat_deriv,
     smat_identity,
     smat_inv,
@@ -40,7 +39,8 @@ from .linalg import (
     smat_sigma,
 )
 from .padic import INF, PadicNumber
-from .series import LaurentSeries, RingLabel, log_p, membership, series_sum
+from .series import (LaurentSeries, RingLabel, log_p, require_membership,
+                     series_sum)
 
 
 @dataclass
@@ -126,8 +126,7 @@ def check_fv(mod: SigmaNablaModule, max_width=None):
                                     mod.bmat, max_width),
                            lambda s: s.mul(_u_power_q(p, nrel, q),
                                            max_width)))
-    rhs = smat_mul(mod.bmat, mod.nmat, max_width)
-    v3 = smat_agree(lhs, rhs)
+    v3 = smat_product_agree(mod.bmat, mod.nmat, lhs, max_width)
     floors = [v.floor for v in (v1, v2, v3) if v.floor is not None]
     return CompatVerdict(v1.holds and v2.holds and v3.holds,
                          min(floors) if floors else None, v1.window)
@@ -143,11 +142,7 @@ def base_change(mod: SigmaNablaModule, target: RingLabel) -> SigmaNablaModule:
         raise ValueError(
             f"{mod.ring.kind} is not contained in {target.kind}")
     for name, s in mod.entries():
-        res = membership(s, target)
-        if not res:
-            raise MembershipViolated(
-                f"{name} violates {target.kind} at exponent {res.witness}",
-                entry=name, exponent=res.witness)
+        require_membership(s, target, name)
     return replace(mod, ring=target)
 
 

@@ -666,6 +666,11 @@ class NewtonPolygon:
         self.slopes = tuple(sorted(slopes))   # list of (Fraction, int)
         self.offset = offset
 
+    @property
+    def unit_root(self):
+        """Every root is a unit: offset and all slopes zero."""
+        return self.offset == 0 and all(s == 0 for s, _ in self.slopes)
+
     def multiset(self):
         out = []
         for s, m in self.slopes:

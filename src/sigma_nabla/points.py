@@ -84,7 +84,6 @@ def average_projector(pi, frob, n):
     conjugation with the Frobenius.
     """
     ops = ops_for(pi[0][0])
-    size = len(pi)
     _check_projector(pi, ops)
     fi = [frob_iterate(frob, i) for i in range(n + 1)]
     fi_inv = [frob_iterate(frob, -i) for i in range(n + 1)]
@@ -94,19 +93,24 @@ def average_projector(pi, frob, n):
         raise PreconditionFailed(
             "pi_not_endomorphism_of_iterate",
             "pi does not commute with the n-th Frobenius iterate")
-    terms = []
-    for i in range(n):
-        conj = mat_mul(mat_mul(fi[i], twisted[i]), fi_inv[i])
-        # image stability: pi must fix the image of the conjugate
+    return _stable_mean(
+        pi, ops, ((i, mat_mul(mat_mul(fi[i], twisted[i]), fi_inv[i]))
+                  for i in range(n)),
+        "F^[{}] does not carry the image of pi into itself")
+
+
+def _stable_mean(pi, ops, conjugates, unstable):
+    """The mean of the (label, conjugate) pairs, each checked to keep the
+    image of pi (pi fixes the conjugate's image); a failure names its
+    label in ``unstable``."""
+    acc = None
+    for count, (label, conj) in enumerate(conjugates, 1):
         if not mat_agree(mat_mul(pi, conj), conj, ops):
-            raise PreconditionFailed(
-                "image_not_stable",
-                f"F^[{i}] does not carry the image of pi into itself")
-        terms.append(conj)
-    inv_n = ops.inv(ops.from_int(n))
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, t)]
+            raise PreconditionFailed("image_not_stable",
+                                     unstable.format(label))
+        acc = conj if acc is None else \
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, conj)]
+    inv_n = ops.inv(ops.from_int(count))
     return [[x * inv_n for x in row] for row in acc]
 
 
@@ -135,19 +139,10 @@ def average_projector_group(pi, cocycle, group_table, actions=None):
                 raise CocycleViolated(g, h)
     _check_projector(pi, ops)
     inv = {g: mat_inv(mats[g], ops) for g in labels}
-    for g in labels:
-        conj = mat_mul(mat_mul(mats[g], apply_action(g, pi)), inv[g])
-        if not mat_agree(mat_mul(pi, conj), conj, ops):
-            raise PreconditionFailed(
-                "image_not_stable",
-                f"iota_{g} does not preserve the image of pi")
-    acc = None
-    for g in labels:
-        conj = mat_mul(mat_mul(mats[g], apply_action(g, pi)), inv[g])
-        acc = conj if acc is None else \
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, conj)]
-    inv_n = ops.inv(ops.from_int(len(labels)))
-    return [[x * inv_n for x in row] for row in acc]
+    return _stable_mean(
+        pi, ops, ((g, mat_mul(mat_mul(mats[g], apply_action(g, pi)), inv[g]))
+                  for g in labels),
+        "iota_{} does not preserve the image of pi")
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +246,6 @@ def newton_slopes_frob(mat):
     else:
         raise TypeError("newton_slopes_frob expects PadicNumber entries")
     return newton_polygon(asc)
-
-
-def is_unit_root(mat):
-    poly = newton_slopes_frob(mat)
-    return poly.offset == 0 and all(s == 0 for s, _ in poly.slopes)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,6 @@ return Consistent / Violated(witness) rather than yes/no.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -67,7 +66,7 @@ from .errors import MembershipViolated, NotAUnit, WindowOverflow
 from .kernel import accumulate, clip_window, product_term, series_term
 from .padic import INF, PadicNumber, cell_dot, vp_int
 
-DEFAULT_MAX_WIDTH = int(os.environ.get("SIGMA_NABLA_MAX_WINDOW", "256"))
+DEFAULT_MAX_WIDTH = 256
 
 
 # ---------------------------------------------------------------------------

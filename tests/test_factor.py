@@ -196,6 +196,19 @@ def test_robba_rejects_outside_regime():
         matfact_robba(x)
 
 
+@pytest.mark.parametrize("e", [-130, -100])
+def test_robba_rejects_minus_cell_of_valuation_zero(e):
+    # a truncation on (-140, 10) whose minus part has valuation 0 at u^e;
+    # u^-130 lies outside the default window (-127, 128) of the identity
+    def T(terms):
+        return S(terms, window=(-140, 10)).on_window((-140, 10), False)
+
+    x = [[T([(0, 1)]), T([])], [T([(e, 1), (-1, P)]), T([(0, 1)])]]
+    with pytest.raises(NotConverged, match="valuation < 1") as exc:
+        matfact_robba(x)
+    assert exc.value.iterations == 0
+
+
 # ---------------------------------------------------------------------------
 # Descent to E-plus.
 # ---------------------------------------------------------------------------

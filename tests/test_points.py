@@ -35,7 +35,6 @@ from sigma_nabla.points import (
     block_companion,
     char_coeffs,
     frob_iterate,
-    is_unit_root,
     newton_slopes_frob,
     purity_check,
 )
@@ -238,7 +237,7 @@ def padic_mat(rows, p=5, nrel=10):
 def test_slopes_mixed():
     poly = newton_slopes_frob(padic_mat([[1, 0], [0, 5]]))
     assert poly.multiset() == [F(0), F(1)]
-    assert not is_unit_root(padic_mat([[1, 0], [0, 5]]))
+    assert not poly.unit_root
 
 
 def test_slopes_half():
@@ -247,7 +246,8 @@ def test_slopes_half():
 
 
 def test_unit_root_permutation():
-    assert is_unit_root(padic_mat([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+    poly = newton_slopes_frob(padic_mat([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+    assert poly.unit_root
 
 
 def test_purity_examples():

@@ -100,18 +100,6 @@ def test_ring_label_certificate_roundtrip():
     assert textio.parse_label(textio.emit_label(lab)) == lab
 
 
-def test_env_var_overrides_window_cap(tmp_path):
-    import subprocess
-    import sys
-
-    env = dict(os.environ, SIGMA_NABLA_MAX_WINDOW="64")
-    out = subprocess.run(
-        [sys.executable, "-m", "sigma_nabla.cli", "--help"],
-        capture_output=True, text=True, env=env)
-    assert out.returncode == 0
-    assert "[default: 64]" in out.stdout
-
-
 def test_parse_errors_carry_position():
     with pytest.raises(textio.ParseError) as exc:
         textio.loads("{\n  broken")
