@@ -191,11 +191,9 @@ def lattice_intersect(l1: LatticeBasis, l2: LatticeBasis,
     stacked = [l1.vectors[i][:] + [-s for s in l2.vectors[i]]
                for i in range(n)]
     sf = lattice_smith(stacked)
-    kernel_cols = range(sf.rank, m1 + m2)
-    if not kernel_cols:
-        return LatticeBasis([[] for _ in range(n)])
-    # kernel basis = W * e_j for zero columns of D
-    kb = [[sf.w_inv[i][j] for j in kernel_cols] for i in range(m1 + m2)]
+    # kernel basis = W * e_j for zero columns of D (none: an empty basis)
+    kb = [[sf.w_inv[i][j] for j in range(sf.rank, m1 + m2)]
+          for i in range(m1 + m2)]
     xpart = kb[:m1]
     vectors = smat_mul(l1.vectors, xpart, max_width)
     return LatticeBasis(vectors)
