@@ -326,6 +326,22 @@ def test_cli_shape_mismatch_exits_two(runner, tmp_path, args, docs):
     assert isinstance(res.exception, SystemExit)
 
 
+def test_cli_product_past_the_window_cap_exits_one(runner, tmp_path):
+    # (1 + u^200)^2 populates u^0 and u^400, which no 256-exponent window
+    # holds: WindowOverflow, exit 1, one line on stderr and no report
+    wide = textio.emit_series_matrix(
+        [[S([(0, 1), (200, 1)], window=(0, 200))]], P, N)
+    paths = []
+    for k in range(3):
+        paths.append(str(tmp_path / f"doc{k}.json"))
+        textio.dump_path(paths[-1], wide)
+    res = runner.invoke(main, ["check-product"] + paths)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == (
+        "WindowOverflow: populated exponents exceed the window cap\n")
+
+
 def test_cli_check_module_fails(runner, tmp_path):
     bad = SigmaNablaModule(RingLabel("Gamma"), P, [[S([(1, 1)])]],
                            [[S([])]])
