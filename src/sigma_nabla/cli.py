@@ -37,12 +37,10 @@ from .points import (
     frob_iterate,
     newton_slopes_frob,
 )
-from .series import DEFAULT_MAX_WIDTH
 
 
 @dataclass
 class JobConfig:
-    max_width: int
     k_max: int
     n_max: int
     tol: float
@@ -60,19 +58,15 @@ def _load(path, *kinds):
 
 
 @click.group()
-@click.option("--window", type=int, default=DEFAULT_MAX_WIDTH,
-              show_default=True, help="maximum exponent-window width")
 @click.option("--kmax", type=int, default=32, show_default=True)
 @click.option("--nmax", type=int, default=64, show_default=True)
 @click.option("--tol", type=float, default=1e-6, show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help="also write the report (or factors) here")
 @click.pass_context
-def main(ctx, window, kmax, nmax, tol, out):
+def main(ctx, kmax, nmax, tol, out):
     """Exact computations with sigma/nabla-module and Frobenius data."""
-    if window < 8:
-        raise click.UsageError("--window must be at least 8")
-    ctx.obj = JobConfig(window, kmax, nmax, tol, out)
+    ctx.obj = JobConfig(kmax, nmax, tol, out)
 
 
 def command(name, report_file=True):
@@ -110,7 +104,7 @@ def command(name, report_file=True):
 def cmd_check_module(cfg, path):
     """Verify the compatibility law (and FV = p when B is present)."""
     mod = _load(path, "module")
-    verdict = check_compat(mod, cfg.max_width)
+    verdict = check_compat(mod)
     body = {
         "verdict": "holds" if verdict.holds else "fails",
         "floor": _floor_json(verdict.floor),
@@ -121,7 +115,7 @@ def cmd_check_module(cfg, path):
         body["residual_valuation"] = _floor_json(verdict.residual_valuation)
     ok = verdict.holds
     if mod.bmat is not None:
-        fv = check_fv(mod, cfg.max_width)
+        fv = check_fv(mod)
         body["fv_verdict"] = "holds" if fv.holds else "fails"
         body["fv_floor"] = _floor_json(fv.floor)
         ok = ok and fv.holds
@@ -138,10 +132,10 @@ def cmd_factor(cfg, mode, path):
     outdir = cfg.out or os.path.dirname(os.path.abspath(path))
     os.makedirs(outdir, exist_ok=True)
     if mode == "gamma":
-        fact = matfact_gamma(x, cfg.max_width)
+        fact = matfact_gamma(x)
         body = {"rounds": fact.rounds, "det_valuation": fact.det_valuation}
     else:
-        fact = matfact_robba(x, cfg.max_width)
+        fact = matfact_robba(x)
         body = {"iterations": fact.iterations,
                 "y_label": textio.emit_label(fact.y_label)}
     body["command"] = f"factor-{mode}"     # the report names the mode
@@ -165,7 +159,7 @@ def cmd_check_product(cfg, y_path, z_path, x_path):
     side = len(textio.require_square(y, None, "Y to be a square matrix"))
     textio.require_square(z, side, "Z to be a square matrix")
     textio.require_square(x, side, "X to be a square matrix")
-    verdict = smat_product_agree(y, z, x, cfg.max_width)
+    verdict = smat_product_agree(y, z, x)
     body = {"verdict": "holds" if verdict.holds else "fails",
             "floor": _floor_json(verdict.floor)}
     if not verdict.holds:
@@ -182,7 +176,7 @@ def cmd_descend(cfg, module_path, x_path):
     mod = _load(module_path, "module")
     x, _, _ = _load(x_path, "series_matrix")
     textio.require_square(x, mod.rank, "X to be a square matrix")
-    res = descend_to_eplus(mod, x, cfg.max_width)
+    res = descend_to_eplus(mod, x)
     return res.compat.holds, {
         "verdict": "holds" if res.compat.holds else "fails",
         "compat_floor": _floor_json(res.compat.floor),
@@ -203,7 +197,7 @@ def cmd_glue(cfg, m1_path, m2_path, x_path):
     x, _, _ = _load(x_path, "series_matrix")
     textio.require_square(m2.phi, m1.rank, "m2 to have a Phi")
     textio.require_square(x, m1.rank, "X to be a square matrix")
-    res = glue_dieudonne(m1, m2, x, cfg.max_width)
+    res = glue_dieudonne(m1, m2, x)
     ok = res.compat.holds and res.fv.holds
     return ok, {
         "verdict": "holds" if ok else "fails",
@@ -220,7 +214,7 @@ def cmd_horizontal(cfg, module_path):
     """Horizontal basis through u-degree kmax by the power-series
     recursion."""
     mod = _load(module_path, "module")
-    hb = horizontal_basis(mod.nmat, cfg.k_max, cfg.max_width)
+    hb = horizontal_basis(mod.nmat, cfg.k_max)
     return not hb.exhausted or hb.degree_achieved > 0, {
         "degree_achieved": hb.degree_achieved,
         "k_max": hb.k_max,
@@ -252,7 +246,7 @@ def cmd_probe(cfg, module_path, vtarget):
     """Iterate the differential operator and watch valuations."""
     mod = _load(module_path, "module")
     target = mod.nrel if vtarget is None else vtarget
-    res = quasi_nilpotence_probe(mod, cfg.n_max, target, cfg.max_width)
+    res = quasi_nilpotence_probe(mod, cfg.n_max, target)
     return not res.refuted, {
         "verdict": "refuted" if res.refuted else "plausible",
         "profiles": [[_floor_json(v) for v in prof]

@@ -86,8 +86,8 @@ def _col_min_valuation(a, j):
     return min(vals)
 
 
-def _det_valuation(a, max_width):
-    det = smat_det(a, max_width)
+def _det_valuation(a):
+    det = smat_det(a)
     v = det.valuation()
     if v is None:
         if det.abs_floor() is not INF:
@@ -145,7 +145,7 @@ def _mod_p_kernel(a, p):
     return vec
 
 
-def matfact_gamma(x, max_width=None) -> GammaFactorization:
+def matfact_gamma(x) -> GammaFactorization:
     """Factor X over E as Y * Z, Y invertible over Gamma, Z constant.
 
     Column operations (all constant, hence absorbed into Z) normalise the
@@ -203,7 +203,7 @@ def matfact_gamma(x, max_width=None) -> GammaFactorization:
     rounds = 0
     for j in range(n):
         scale_col(j, _col_min_valuation(a, j))
-    dv = _det_valuation(a, max_width)
+    dv = _det_valuation(a)
     while dv > 0:
         rounds += 1
         if rounds > 16 * (dv + n + 4):
@@ -237,7 +237,7 @@ def matfact_gamma(x, max_width=None) -> GammaFactorization:
             None)
 
     z = [[constant(c) if c else zero for c in row] for row in zint]
-    verdict = smat_product_agree(a, z, x, max_width)
+    verdict = smat_product_agree(a, z, x)
     if not verdict.holds:
         raise SingularInput("internal error: product check failed")
     return GammaFactorization(a, z, 0, rounds, verdict)
@@ -278,7 +278,7 @@ def _dominant_monomial(s: LaurentSeries):
     return key, key[1], s.coefficient(key[1])
 
 
-def matfact_robba(x, max_width=None) -> RobbaFactorization:
+def matfact_robba(x) -> RobbaFactorization:
     """Factor X = Y * Z, Y over E-dagger, Z over R-plus (restricted regime).
 
     Requires X = D (I + M) with D a diagonal of monomials and the minus
@@ -324,7 +324,6 @@ def matfact_robba(x, max_width=None) -> RobbaFactorization:
     wlo = min(s.window[0] for r in x for s in r) - (depth + 1) * (nrel + 1)
     whi = max(s.window[1] for r in x for s in r) + (depth + 1) * (nrel + 1)
     work = (wlo, whi)
-    big_width = whi - wlo + 1 + 8
 
     def poly(mat):
         return [[s.on_window(work) for s in row] for row in mat]
@@ -353,10 +352,10 @@ def matfact_robba(x, max_width=None) -> RobbaFactorization:
             stall = 0
         last_mu = mu
         corr = smat_add_ident(mk, p, nrel)
-        corr_inv = _neumann_inverse(mk, p, nrel, big_width, work)
-        y_corr = poly(smat_mul(y_corr, corr, big_width, work))
-        y_corr_inv = poly(smat_mul(corr_inv, y_corr_inv, big_width, work))
-        w = poly(smat_mul(corr_inv, w, big_width, work))
+        corr_inv = _neumann_inverse(mk, p, nrel, work)
+        y_corr = poly(smat_mul(y_corr, corr, work))
+        y_corr_inv = poly(smat_mul(corr_inv, y_corr_inv, work))
+        w = poly(smat_mul(corr_inv, w, work))
 
     # Y = D * (I + corrections), entries of E-dagger type
     y = [[y_corr[i][j].scale(d_fwd[i][1]).shift_exp(d_fwd[i][0])
@@ -367,7 +366,7 @@ def matfact_robba(x, max_width=None) -> RobbaFactorization:
     # iteration could not distinguish from zero are absorbed into it
     y, z, y_inv = (smat_honest(mat, work, nrel) for mat in (y, w, y_inv))
 
-    verdict = smat_product_agree(y, z, x, big_width)
+    verdict = smat_product_agree(y, z, x, work)
     if not verdict.holds:
         raise NotConverged("product verification failed",
                            iterations=iterations)
@@ -393,7 +392,7 @@ def smat_add_ident(a, p, nrel):
     return out
 
 
-def _neumann_inverse(mk, p, nrel, max_width, out_window):
+def _neumann_inverse(mk, p, nrel, out_window):
     """(I + mk)^-1 for mk with positive valuation: sum of (-mk)^j, each
     entry summed once, the powers on ``out_window``."""
     n = len(mk)
@@ -401,7 +400,7 @@ def _neumann_inverse(mk, p, nrel, max_width, out_window):
     term = neg
     terms = [smat_identity(n, p, nrel), neg]
     for _ in range(nrel):
-        term = smat_mul(term, neg, max_width, out_window)
+        term = smat_mul(term, neg, out_window)
         term = [[s.on_window(out_window) for s in row] for row in term]
         terms.append(term)
         if all(s.is_zero_at_precision or s.valuation() >= nrel
@@ -431,12 +430,11 @@ def _dagger_certificate(y):
 # ---------------------------------------------------------------------------
 
 
-def _rebased(mod, y, y_inv, label, max_width, what=""):
+def _rebased(mod, y, y_inv, label, what=""):
     """The module in the basis of y (``basis_transform``) at its uniform
     floor p^nrel, relabelled ``label`` once every entry is consistent with
     it; a violation names the entry after the prefix ``what``."""
-    out = module_at_floor(basis_transform(mod, y, y_inv, None, max_width),
-                          mod.nrel)
+    out = module_at_floor(basis_transform(mod, y, y_inv), mod.nrel)
     for name, s in out.entries():
         require_membership(s, label, what + name)
     return replace(out, ring=label)
@@ -449,18 +447,17 @@ class DescentResult:
     compat: object
 
 
-def descend_to_eplus(mod: SigmaNablaModule, x,
-                     max_width=None) -> DescentResult:
+def descend_to_eplus(mod: SigmaNablaModule, x) -> DescentResult:
     """Rewrite an E-dagger module in a basis where it lives over E-plus.
 
     ``x`` is the matrix over R carrying the module into R-plus; the
     hypothesis (conjugated matrices consistent with R-plus) is checked,
     then x = Y Z is factored and the Y-basis is taken.
     """
-    _rebased(mod, x, None, RingLabel(R_PLUS), max_width, "conjugated ")
-    fact = matfact_robba(x, max_width)
-    out = _rebased(mod, fact.y, fact.y_inv, RingLabel(E_PLUS), max_width)
-    compat = check_compat(out, max_width)
+    _rebased(mod, x, None, RingLabel(R_PLUS), "conjugated ")
+    fact = matfact_robba(x)
+    out = _rebased(mod, fact.y, fact.y_inv, RingLabel(E_PLUS))
+    compat = check_compat(out)
     return DescentResult(out, fact, compat)
 
 
@@ -472,8 +469,8 @@ class GlueResult:
     fv: object
 
 
-def glue_dieudonne(m1: SigmaNablaModule, m2: Optional[SigmaNablaModule], x,
-                   max_width=None) -> GlueResult:
+def glue_dieudonne(m1: SigmaNablaModule, m2: Optional[SigmaNablaModule],
+                   x) -> GlueResult:
     """Glue a Dieudonne module over Gamma with one over E-plus into one
     over Gamma-plus, via the constant-Z factorization of x.
 
@@ -482,7 +479,7 @@ def glue_dieudonne(m1: SigmaNablaModule, m2: Optional[SigmaNablaModule], x,
     """
     if m1.bmat is None:
         raise ValueError("m1 must carry a Verschiebung matrix")
-    conj = _rebased(m1, x, None, RingLabel(E_PLUS), max_width, "conjugated ")
+    conj = _rebased(m1, x, None, RingLabel(E_PLUS), "conjugated ")
     if m2 is not None:
         for name in ("phi", "nmat", "bmat"):
             want = getattr(m2, name)
@@ -493,8 +490,8 @@ def glue_dieudonne(m1: SigmaNablaModule, m2: Optional[SigmaNablaModule], x,
                 raise MembershipViolated(
                     f"x does not carry m1 into m2: {name} disagrees at "
                     f"{verdict.witness}")
-    fact = matfact_gamma(x, max_width)
-    out = _rebased(m1, fact.y, None, RingLabel(GAMMA_PLUS), max_width)
-    compat = check_compat(out, max_width)
-    fv = check_fv(out, max_width)
+    fact = matfact_gamma(x)
+    out = _rebased(m1, fact.y, None, RingLabel(GAMMA_PLUS))
+    compat = check_compat(out)
+    fv = check_fv(out)
     return GlueResult(out, fact, compat, fv)

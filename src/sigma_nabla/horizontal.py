@@ -54,7 +54,7 @@ def _neg_over(cell, dv, du, p):
     return v - dv, -u * pow(du, -1, q) % q, prec
 
 
-def horizontal_basis(nmat, k_max, max_width=None) -> HorizontalBasis:
+def horizontal_basis(nmat, k_max) -> HorizontalBasis:
     """Solve (k+1) H_{k+1} = -(N H)_k from H_0 = I, coefficientwise.
 
     ``nmat`` must have no provably nonzero negative exponents (the module
@@ -117,7 +117,7 @@ def horizontal_basis(nmat, k_max, max_width=None) -> HorizontalBasis:
     resid_val = INF
     if degree > 0:
         hprime = [[h[i][j].derivative() for j in range(n)] for i in range(n)]
-        nh = smat_mul(nmat_ext, h, max_width)
+        nh = smat_mul(nmat_ext, h)
         for i in range(n):
             for j in range(n):
                 r = hprime[i][j] + nh[i][j]
@@ -138,7 +138,7 @@ class SubBasisResult:
     residual_position: Optional[tuple] = None
 
 
-def horizontal_sub_basis(inclusion, phi0_diag, max_width=None,
+def horizontal_sub_basis(inclusion, phi0_diag,
                          raise_on_failure=True) -> SubBasisResult:
     """Echelonise an inclusion matrix over a horizontal ambient basis.
 
@@ -173,9 +173,9 @@ def horizontal_sub_basis(inclusion, phi0_diag, max_width=None,
                 "Frobenius-determinant hypothesis fails at precision")
         used.add(piv_row)
         pivot_rows.append(piv_row)
-        inv = a[piv_row][j].invert(max_width=max_width)
+        inv = a[piv_row][j].invert()
         for i in range(n):
-            a[i][j] = a[i][j].mul(inv, max_width)
+            a[i][j] = a[i][j].mul(inv)
         for jj in range(l):
             if jj == j:
                 continue
@@ -183,7 +183,7 @@ def horizontal_sub_basis(inclusion, phi0_diag, max_width=None,
             if factor.is_zero_at_precision:
                 continue
             for i in range(n):
-                a[i][jj] = a[i][jj] - a[i][j].mul(factor, max_width)
+                a[i][jj] = a[i][jj] - a[i][j].mul(factor)
 
     # horizontality: entries must be constant, i.e. d(entry) = 0 at
     # precision; only provably nonzero derivative coefficients refute

@@ -28,6 +28,11 @@ from .errors import WindowOverflow
 from .padic import INF, vp_int
 
 
+# the widest window a product without an output window, a Frobenius image
+# or a default window may have
+MAX_WIDTH = 256
+
+
 def clip_window(window, hull, width):
     """``window`` cut to ``width`` exponents around ``hull``."""
     lo, hi = window
@@ -45,8 +50,11 @@ def clip_window(window, hull, width):
     return (lo2, hi2)
 
 
-def product_term(pair, width, out_window):
-    """The kernel's view of ``a * b`` for the pair (a, b)."""
+def product_term(pair, out_window):
+    """The kernel's view of ``a * b`` for the pair (a, b).  Given
+    ``out_window``, the product is exact on it: its window is the provable
+    window within ``out_window``, uncapped.  Otherwise the provable window
+    is cut to ``MAX_WIDTH`` exponents around the product's support."""
     a, b = pair
     p = a.p
     if b.p != p:
@@ -58,7 +66,8 @@ def product_term(pair, width, out_window):
     window = _window_of_product(a, b, ha, hb)
     if mva is INF or mvb is INF:
         # only the exact zero has no (min valuation, abs floor)
-        window = _clamp(clip_window(window, (0, 0), width), out_window)
+        window = (clip_window(window, (0, 0), MAX_WIDTH)
+                  if out_window is None else _clamp(window, out_window))
         return (p, nrel, window, True, INF, 0, 0, 1, 0, True, (), (), None)
     floor = fla + mvb
     if flb + mva < floor:
@@ -66,12 +75,9 @@ def product_term(pair, width, out_window):
     flo, fhi = ha[0] + hb[0], ha[1] + hb[1]
     lo, hi = window
     if out_window is not None:
-        hull = (max(flo, out_window[0]), min(fhi, out_window[1]))
-        if hull[0] > hull[1]:
-            hull = (out_window[0], out_window[0])
-        lo, hi = _clamp(clip_window(window, hull, width), out_window)
-    elif hi - lo >= width:
-        lo, hi = clip_window(window, (flo, fhi), width)
+        lo, hi = _clamp(window, out_window)
+    elif hi - lo >= MAX_WIDTH:
+        lo, hi = clip_window(window, (flo, fhi), MAX_WIDTH)
     whole = lo <= flo and fhi <= hi
     if len(cells_a) > len(cells_b):
         cells_a, cells_b = cells_b, cells_a
@@ -91,8 +97,6 @@ def series_term(s, sign):
 
 
 def _clamp(window, out_window):
-    if out_window is None:
-        return window
     lo = max(window[0], out_window[0])
     hi = min(window[1], out_window[1])
     if lo > hi:
@@ -280,7 +284,7 @@ def accumulate(terms):
 
 def _window_of_product(a, b, ha, hb):
     """Provable window of a * b, given the operands' support hulls, before
-    the width cap."""
+    the window cap."""
     if a.tail_free:
         if b.tail_free:
             return (a.window[0] + b.window[0], a.window[1] + b.window[1])

@@ -100,8 +100,9 @@ def lattice_smith(a) -> SmithForm:
     (row, column).  Each pivot is normalised to p^v by one inversion; its
     column is cleared by row operations, then its row by the same routine
     on the transposes.  The remaining block keeps valuations >= v, so the
-    exponents come out sorted.  Every product runs at the working
-    window's width; the results are no wider than the inputs.
+    exponents come out sorted.  Every product is exact on the working
+    window (its output window); the results are no wider than the
+    inputs.
     """
     n, m = smat_shape(a)
     p, nrel = a[0][0].p, a[0][0].nrel
@@ -114,13 +115,12 @@ def lattice_smith(a) -> SmithForm:
         radius = max((max(-h[0], h[1]) for h in hulls), default=0)
         margin = (radius + 1) * (nrel + 1)
     work = (lo - margin, hi + margin)
-    width = 2 * (work[1] - work[0] + 1)
     one = LaurentSeries.one(p, nrel, work)
 
     def dot(pairs):
         # a sum of products as a surrogate on the working window: the cells
         # a product has outside it are the dropped terms the margin bounds
-        return series_dot(pairs, width, work).on_window(work)
+        return series_dot(pairs, work).on_window(work)
 
     def plus(x, pairs):
         return dot([(one, x)] + pairs)
@@ -142,7 +142,7 @@ def lattice_smith(a) -> SmithForm:
             break
         v, bi, bj = best
         unit = mat[bi][bj].shift_val(-v)
-        unit_inv = unit.invert(max_width=width).on_window(work)
+        unit_inv = unit.invert().on_window(work)
         for x in (mat, left[0]):
             x[bi] = [dot([(y, unit_inv)]) for y in x[bi]]
         left[1][bi] = [dot([(y, unit)]) for y in left[1][bi]]
@@ -176,8 +176,7 @@ class LatticeBasis:
         return len(self.vectors[0]) if self.vectors else 0
 
 
-def lattice_intersect(l1: LatticeBasis, l2: LatticeBasis,
-                      max_width=None) -> LatticeBasis:
+def lattice_intersect(l1: LatticeBasis, l2: LatticeBasis) -> LatticeBasis:
     """Basis of the intersection of two free Gamma-lattices.
 
     Solve L1 x = L2 y on the stacked matrix [L1 | -L2] via its Smith form;
@@ -195,11 +194,11 @@ def lattice_intersect(l1: LatticeBasis, l2: LatticeBasis,
     kb = [[sf.w_inv[i][j] for j in range(sf.rank, m1 + m2)]
           for i in range(m1 + m2)]
     xpart = kb[:m1]
-    vectors = smat_mul(l1.vectors, xpart, max_width)
+    vectors = smat_mul(l1.vectors, xpart)
     return LatticeBasis(vectors)
 
 
-def lattice_member(l: LatticeBasis, vector, max_width=None):
+def lattice_member(l: LatticeBasis, vector):
     """Whether a vector lies in the Gamma-span of the lattice columns.
 
     Solves via the Smith form: v in span(A) iff the transformed
@@ -209,7 +208,7 @@ def lattice_member(l: LatticeBasis, vector, max_width=None):
     sf = lattice_smith(l.vectors)
     n = l.ambient_rank
     # c = U^-1 v must satisfy: c_i divisible by p^{d_i}, c_i = 0 for i>rank
-    c = smat_mul(sf.u_inv, [[x] for x in vector], max_width)
+    c = smat_mul(sf.u_inv, [[x] for x in vector])
     for i in range(n):
         v = c[i][0].valuation()
         if v is not None and (i >= sf.rank or v < sf.exponents[i]):

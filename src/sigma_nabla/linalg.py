@@ -1,7 +1,8 @@
 """Small matrix helpers over Laurent series and over plain scalars.
 
-Matrices are lists of lists (row major).  The series helpers thread the
-window cap through products; ``smat_det`` and ``smat_inv`` share one
+Matrices are lists of lists (row major).  The series products take the
+kernel's window rules (an output window, else the cap); ``smat_det`` and
+``smat_inv`` share one
 cofactor memo, and ``smat_product_agree`` checks A * B = X without
 building A * B, one kernel fold per entry.  The scalar helpers are
 generic over Fraction, PadicNumber and UnramifiedScalar entries via a
@@ -37,9 +38,9 @@ def smat_shape(a):
     return len(a), len(a[0]) if a else 0
 
 
-def smat_identity(n, p, nrel, window=None, max_width=None):
-    one = LaurentSeries.one(p, nrel, window, max_width)
-    zero = LaurentSeries.zero(p, nrel, window, max_width)
+def smat_identity(n, p, nrel, window=None):
+    one = LaurentSeries.one(p, nrel, window)
+    zero = LaurentSeries.zero(p, nrel, window)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
@@ -47,20 +48,20 @@ def smat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def smat_mul(a, b, max_width=None, out_window=None):
+def smat_mul(a, b, out_window=None):
     n, k = smat_shape(a)
     k2, m = smat_shape(b)
     if k != k2:
         raise ValueError("shape mismatch")
     cols = [[row[j] for row in b] for j in range(m)]
-    return [[series_dot(zip(row, col), max_width, out_window) for col in cols]
+    return [[series_dot(zip(row, col), out_window) for col in cols]
             for row in a]
 
 
-def smat_mul_add(a, b, c, max_width=None):
+def smat_mul_add(a, b, c):
     """a * b + c, each entry summed by one ``series_sum``."""
     cols = list(zip(*b))
-    return [[series_sum(list(zip(row, col)) + [z], max_width)
+    return [[series_sum(list(zip(row, col)) + [z])
              for col, z in zip(cols, crow)] for row, crow in zip(a, c)]
 
 
@@ -81,8 +82,8 @@ def mat_map(a, fn):
     return [[fn(x) for x in row] for row in a]
 
 
-def smat_sigma(a, power, max_width=None):
-    return mat_map(a, lambda s: s.frobenius(power, max_width))
+def smat_sigma(a, power):
+    return mat_map(a, lambda s: s.frobenius(power))
 
 
 def smat_deriv(a):
@@ -96,19 +97,19 @@ def smat_agree(a, b) -> AgreementVerdict:
                            for ra, rb in zip(a, b))
 
 
-def smat_product_agree(a, b, x, max_width=None,
+def smat_product_agree(a, b, x, out_window=None,
                        plus=None) -> AgreementVerdict:
-    """``smat_agree(smat_mul(a, b, max_width), x)``, or with ``plus`` that of
-    ``smat_mul_add(a, b, plus, max_width)``, with no product built: each
-    residual sum a_ik * b_kj (+ plus_ij) - x_ij is one kernel fold, exact
-    because the kernel replays the left fold of ``+``."""
+    """``smat_agree(smat_mul(a, b, out_window), x)``, or with ``plus`` that
+    of a * b + plus with each product on ``out_window``, with no product
+    built: each residual sum a_ik * b_kj (+ plus_ij) - x_ij is one kernel
+    fold, exact because the kernel replays the left fold of ``+``."""
     if smat_shape(a)[1] != smat_shape(b)[0]:
         raise ValueError("shape mismatch")
     cols = list(zip(*b))
     plus = plus or [[None] * len(cols) for _ in a]
     return _matrix_verdict(
         [[series_sum(list(zip(row, col)) + ([] if z is None else [z]),
-                     max_width, minus=y)
+                     out_window, minus=y)
           for col, z, y in zip(cols, zrow, xrow)]
          for row, zrow, xrow in zip(a, plus, x)])
 
@@ -130,7 +131,7 @@ def _matrix_verdict(residuals):
                             window or (0, 0))
 
 
-def _cofactor_memo(a, max_width):
+def _cofactor_memo(a):
     """``minor(rows, cols)``: the determinant of the submatrix on the given
     row and column tuples, by cofactor expansion along ``rows[0]``.  Each
     minor is computed once; terms are formed and summed in the order of
@@ -153,7 +154,7 @@ def _cofactor_memo(a, max_width):
         signed = (a[r], negated[r])
         det = memo[key] = series_dot(
             ((signed[j % 2][c], minor(rest, cols[:j] + cols[j + 1:]))
-             for j, c in enumerate(cols)), max_width)
+             for j, c in enumerate(cols)))
         return det
 
     return minor
@@ -168,21 +169,21 @@ def _square(a, what):
     return n
 
 
-def smat_det(a, max_width=None):
+def smat_det(a):
     """Determinant by cofactor expansion along the first row, each minor
     computed once."""
     full = tuple(range(_square(a, "determinant")))
-    return _cofactor_memo(a, max_width)(full, full)
+    return _cofactor_memo(a)(full, full)
 
 
-def smat_inv(a, target_window=None, max_width=None):
+def smat_inv(a, target_window=None):
     """Inverse via the adjugate; the determinant must be a unit of E at
     working precision.  The determinant and the n^2 cofactors share one
     minor memo."""
     n = _square(a, "inverse")
-    minor = _cofactor_memo(a, max_width)
+    minor = _cofactor_memo(a)
     full = tuple(range(n))
-    det_inv = minor(full, full).invert(target_window, max_width)
+    det_inv = minor(full, full).invert(target_window)
     if n == 1:
         return [[det_inv]]
     adj = []
@@ -193,7 +194,7 @@ def smat_inv(a, target_window=None, max_width=None):
             cof = minor(full[:j] + full[j + 1:], full[:i] + full[i + 1:])
             if (i + j) % 2:
                 cof = -cof
-            row.append(cof.mul(det_inv, max_width))
+            row.append(cof.mul(det_inv))
         adj.append(row)
     return adj
 

@@ -97,20 +97,19 @@ def _u_power_q(p, nrel, q):
     return LaurentSeries.monomial(p, nrel, q, q - 1)
 
 
-def check_compat(mod: SigmaNablaModule, max_width=None) -> CompatVerdict:
+def check_compat(mod: SigmaNablaModule) -> CompatVerdict:
     """Verify N*Phi + d(Phi) = q*u^(q-1)*Phi*sigma(N) at precision."""
     p, nrel, q = mod.p, mod.nrel, mod.q
-    sig_n = smat_sigma(mod.nmat, mod.f, max_width)
-    rhs = smat_mul(mod.phi, sig_n, max_width)
-    rhs = mat_map(rhs, lambda s: s.mul(
-        _u_power_q(p, nrel, q), max_width))
-    verdict = smat_product_agree(mod.nmat, mod.phi, rhs, max_width,
+    sig_n = smat_sigma(mod.nmat, mod.f)
+    rhs = smat_mul(mod.phi, sig_n)
+    rhs = mat_map(rhs, lambda s: s.mul(_u_power_q(p, nrel, q)))
+    verdict = smat_product_agree(mod.nmat, mod.phi, rhs,
                                  plus=smat_deriv(mod.phi))
     return CompatVerdict(verdict.holds, verdict.floor, verdict.window,
                          verdict.position, verdict.residual_valuation)
 
 
-def check_fv(mod: SigmaNablaModule, max_width=None):
+def check_fv(mod: SigmaNablaModule):
     """Phi*B = B*Phi = p*Identity, at precision; the B-side diagram
     d(B) + q*u^(q-1)*sigma(N)*B = B*N comes with it."""
     if mod.bmat is None:
@@ -119,14 +118,12 @@ def check_fv(mod: SigmaNablaModule, max_width=None):
     n = mod.rank
     p_id = smat_scale(smat_identity(n, p, nrel),
                       PadicNumber.from_int(p, nrel, p))
-    v1 = smat_product_agree(mod.phi, mod.bmat, p_id, max_width)
-    v2 = smat_product_agree(mod.bmat, mod.phi, p_id, max_width)
+    v1 = smat_product_agree(mod.phi, mod.bmat, p_id)
+    v2 = smat_product_agree(mod.bmat, mod.phi, p_id)
     lhs = smat_add(smat_deriv(mod.bmat),
-                   mat_map(smat_mul(smat_sigma(mod.nmat, mod.f, max_width),
-                                    mod.bmat, max_width),
-                           lambda s: s.mul(_u_power_q(p, nrel, q),
-                                           max_width)))
-    v3 = smat_product_agree(mod.bmat, mod.nmat, lhs, max_width)
+                   mat_map(smat_mul(smat_sigma(mod.nmat, mod.f), mod.bmat),
+                           lambda s: s.mul(_u_power_q(p, nrel, q))))
+    v3 = smat_product_agree(mod.bmat, mod.nmat, lhs)
     floors = [v.floor for v in (v1, v2, v3) if v.floor is not None]
     return CompatVerdict(v1.holds and v2.holds and v3.holds,
                          min(floors) if floors else None, v1.window)
@@ -146,12 +143,11 @@ def base_change(mod: SigmaNablaModule, target: RingLabel) -> SigmaNablaModule:
     return replace(mod, ring=target)
 
 
-def recover_verschiebung(mod: SigmaNablaModule,
-                         target_window=None, max_width=None):
+def recover_verschiebung(mod: SigmaNablaModule):
     """B = p * Phi^-1, the unique Verschiebung (FV = VF = p)."""
     p, nrel = mod.p, mod.nrel
     try:
-        inv = smat_inv(mod.phi, target_window, max_width)
+        inv = smat_inv(mod.phi)
     except Exception as exc:
         raise SingularFrobenius(f"Phi is not invertible: {exc}") from exc
     b = smat_scale(inv, PadicNumber.from_int(p, nrel, p))
@@ -170,20 +166,19 @@ def module_at_floor(mod: SigmaNablaModule, floor) -> SigmaNablaModule:
                    bmat=cap(mod.bmat))
 
 
-def basis_transform(mod: SigmaNablaModule, y, y_inv=None,
-                    target_window=None, max_width=None) -> SigmaNablaModule:
+def basis_transform(mod: SigmaNablaModule, y,
+                    y_inv=None) -> SigmaNablaModule:
     """Rewrite the module in the basis v_j = sum_i Y[i][j] e_i."""
     if y_inv is None:
-        y_inv = smat_inv(y, target_window, max_width)
-    y_sigma = smat_sigma(y, mod.f, max_width)
-    phi = smat_mul(smat_mul(y_inv, mod.phi, max_width), y_sigma, max_width)
-    nmat = smat_mul_add(smat_mul(y_inv, mod.nmat, max_width), y,
-                        smat_mul(y_inv, smat_deriv(y), max_width), max_width)
+        y_inv = smat_inv(y)
+    y_sigma = smat_sigma(y, mod.f)
+    phi = smat_mul(smat_mul(y_inv, mod.phi), y_sigma)
+    nmat = smat_mul_add(smat_mul(y_inv, mod.nmat), y,
+                        smat_mul(y_inv, smat_deriv(y)))
     bmat = None
     if mod.bmat is not None:
-        y_inv_sigma = smat_sigma(y_inv, mod.f, max_width)
-        bmat = smat_mul(smat_mul(y_inv_sigma, mod.bmat, max_width), y,
-                        max_width)
+        y_inv_sigma = smat_sigma(y_inv, mod.f)
+        bmat = smat_mul(smat_mul(y_inv_sigma, mod.bmat), y)
     return replace(mod, phi=phi, nmat=nmat, bmat=bmat)
 
 
@@ -204,8 +199,8 @@ class NilpotenceVerdict:
         return not self.refuted
 
 
-def quasi_nilpotence_probe(mod: SigmaNablaModule, n_max, v_target,
-                           max_width=None) -> NilpotenceVerdict:
+def quasi_nilpotence_probe(mod: SigmaNablaModule, n_max,
+                           v_target) -> NilpotenceVerdict:
     """Iterate D = (d/du + N) on basis vectors and watch valuations.
 
     Refuted when, over a full period of p consecutive steps, the minimum
@@ -225,8 +220,7 @@ def quasi_nilpotence_probe(mod: SigmaNablaModule, n_max, v_target,
         hit_target = False
         for step in range(1, n_max + 1):
             vec = [series_sum([vec[i].derivative()]
-                              + [(mod.nmat[i][k], vec[k]) for k in range(n)],
-                              max_width)
+                              + [(mod.nmat[i][k], vec[k]) for k in range(n)])
                    for i in range(n)]
             v = min((s.min_valuation() for s in vec))
             vals.append(v)

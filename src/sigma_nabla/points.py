@@ -85,8 +85,13 @@ def average_projector(pi, frob, n):
     """
     ops = ops_for(pi[0][0])
     _check_projector(pi, ops)
-    fi = [frob_iterate(frob, i) for i in range(n + 1)]
-    fi_inv = [frob_iterate(frob, -i) for i in range(n + 1)]
+    # the iterates by frob_iterate's left fold, each built once
+    fops = ops_for(frob[0][0])
+    fi = [mat_identity(len(frob), fops), frob]
+    for i in range(2, n + 1):
+        fi.append(mat_mul(fi[i - 1], _sigma_entrywise(frob, i - 1)))
+    fi_inv = fi[:1] + [mat_inv(f, fops, error=SingularFrobenius)
+                       for f in fi[1:]]
     twisted = [_sigma_entrywise(pi, i) for i in range(n + 1)]
     conj_n = mat_mul(mat_mul(fi[n], twisted[n]), fi_inv[n])
     if not mat_agree(conj_n, pi, ops):

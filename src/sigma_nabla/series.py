@@ -29,9 +29,10 @@ read-only ``coeffs`` view build one per cell when asked; ``cell`` and
 Windows behave as regions of faithfulness: addition intersects them,
 multiplication uses the convolution-correct window (the full Minkowski sum
 for polynomial operands, shrunk by the partner's support radius when an
-operand is a truncation).  A configurable maximum width caps blowup;
-``WindowOverflow`` signals that genuinely populated exponents no longer
-fit.
+operand is a truncation).  A product given an output window is exact on
+it; every other product, the Frobenius image and a default window are
+capped at ``kernel.MAX_WIDTH`` = 256 exponents, and ``WindowOverflow``
+signals that genuinely populated exponents no longer fit.
 
 Cost: every sum and product goes through the one integer kernel of
 ``sigma_nabla.kernel``.  ``series_sum`` sums series and products of series
@@ -63,10 +64,9 @@ from types import MappingProxyType
 from typing import Optional
 
 from .errors import MembershipViolated, NotAUnit, WindowOverflow
-from .kernel import accumulate, clip_window, product_term, series_term
+from .kernel import MAX_WIDTH, accumulate, clip_window, product_term, \
+    series_term
 from .padic import INF, PadicNumber, cell_dot, vp_int
-
-DEFAULT_MAX_WIDTH = 256
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +149,6 @@ class MembershipResult:
 # ---------------------------------------------------------------------------
 
 
-def _pad_window(hull, width):
-    """Symmetric padding of a support hull to the requested width."""
-    lo, hi = hull
-    room = width - (hi - lo + 1)
-    if room < 0:
-        raise WindowOverflow(f"support {hull} exceeds window width {width}")
-    pad_lo = room // 2
-    return (lo - pad_lo, hi + (room - pad_lo))
-
-
 class LaurentSeries:
     __slots__ = ("p", "nrel", "window", "tail_free", "base_floor", "base",
                  "terms", "floors", "_stats")
@@ -210,9 +200,10 @@ class LaurentSeries:
                        base_floor, into)
 
     @classmethod
-    def from_terms(cls, p, nrel, terms, window=None, max_width=None):
+    def from_terms(cls, p, nrel, terms, window=None):
         """Laurent polynomial from (exponent, value) pairs; values may be
-        ints, Fractions or PadicNumbers."""
+        ints, Fractions or PadicNumbers.  The default window is
+        ``MAX_WIDTH`` exponents around the terms and 0."""
         items = terms.items() if isinstance(terms, dict) else terms
         coeffs = {}
         for e, v in items:
@@ -221,26 +212,22 @@ class LaurentSeries:
             if not v.is_exact_zero:
                 coeffs[int(e)] = v
         if window is None:
-            width = max_width or DEFAULT_MAX_WIDTH
-            if coeffs:
-                hull = (min(coeffs), max(coeffs))
-            else:
-                hull = (0, 0)
-            hull = (min(hull[0], 0), max(hull[1], 0))
-            window = _pad_window(hull, width)
+            keys = [0, *coeffs]
+            window = clip_window((-INF, INF), (min(keys), max(keys)),
+                                 MAX_WIDTH)
         return cls(p, nrel, coeffs, window, True, None)
 
     @classmethod
-    def zero(cls, p, nrel, window=None, max_width=None):
-        return cls.from_terms(p, nrel, [], window, max_width)
+    def zero(cls, p, nrel, window=None):
+        return cls.from_terms(p, nrel, [], window)
 
     @classmethod
-    def one(cls, p, nrel, window=None, max_width=None):
-        return cls.from_terms(p, nrel, [(0, 1)], window, max_width)
+    def one(cls, p, nrel, window=None):
+        return cls.from_terms(p, nrel, [(0, 1)], window)
 
     @classmethod
-    def monomial(cls, p, nrel, value, exponent, window=None, max_width=None):
-        return cls.from_terms(p, nrel, [(exponent, value)], window, max_width)
+    def monomial(cls, p, nrel, value, exponent, window=None):
+        return cls.from_terms(p, nrel, [(exponent, value)], window)
 
     # -- structural helpers ----------------------------------------------
 
@@ -480,7 +467,7 @@ class LaurentSeries:
                        self.window, self.tail_free,
                        None if bf is None else bf + m)
 
-    def shift_exp(self, k: int, max_width=None):
+    def shift_exp(self, k: int):
         """Multiply by u^k (exact)."""
         return self._reindex(lambda e: e + k, (self.window[0] + k,
                                                self.window[1] + k))
@@ -497,12 +484,12 @@ class LaurentSeries:
             return NotImplemented
         return series_dot(((self, other),))
 
-    def mul(self, other, max_width=None, out_window=None):
-        return series_dot(((self, other),), max_width, out_window)
+    def mul(self, other, out_window=None):
+        return series_dot(((self, other),), out_window)
 
     # -- endomorphisms ------------------------------------------------------
 
-    def frobenius(self, power=1, max_width=None):
+    def frobenius(self, power=1):
         """Power-Frobenius: x u^e -> x u^(e*p), applied ``power`` times.
 
         Coefficients in Q_p are fixed by the canonical lift, so only the
@@ -513,17 +500,10 @@ class LaurentSeries:
         scale = self.p ** power
         if scale == 1 or not power:
             return self
-        width = max_width or DEFAULT_MAX_WIDTH
         window = (self.window[0] * scale, self.window[1] * scale)
-        hull = self.support_hull
-        if hull:
-            hull = (hull[0] * scale, hull[1] * scale)
-            if hull[1] - hull[0] + 1 > width:
-                raise WindowOverflow(
-                    "frobenius image support exceeds the window cap")
-            window = clip_window(window, hull, width)
-        else:
-            window = clip_window(window, (0, 0), width)
+        hull = self.support_hull or (0, 0)
+        window = clip_window(window, (hull[0] * scale, hull[1] * scale),
+                             MAX_WIDTH)
         return self._reindex(lambda e: e * scale, window)
 
     def derivative(self):
@@ -539,7 +519,7 @@ class LaurentSeries:
 
     # -- inversion -----------------------------------------------------------
 
-    def invert(self, target_window=None, max_width=None):
+    def invert(self, target_window=None):
         """Multiplicative inverse on ``target_window`` at working precision.
 
         The reduction modulo p (after normalising by p^v and u^ord) must be
@@ -553,8 +533,9 @@ class LaurentSeries:
         at least r * pad: a pad of ceil((nrel + 1)/r) (at most the
         depth * (nrel + 1) that r >= 1/depth gives) puts it beyond the
         working precision.  The result is verified by multiplying it back
-        onto the input's stored terms, so the check's window does not
-        shrink as more digits widen the inverse's support.
+        onto the input's stored terms, exactly on the padded target, so
+        the check's window does not shrink as more digits widen the
+        inverse's support.
         """
         p, nrel = self.p, self.nrel
         vmin = self.valuation()
@@ -587,7 +568,6 @@ class LaurentSeries:
                   default=0)
         wlo = min(tw[0], 0) - pad
         whi = max(tw[1], 0) + pad
-        big_width = whi - wlo + 9
 
         # one-sided inverse of (1 + g_plus) by the convolution recursion,
         # each h[k] = sum (-g_j) h[k-j] as one cell_dot
@@ -609,8 +589,8 @@ class LaurentSeries:
             for _ in range(nrel + 1):
                 # polynomial surrogates on the working window: neglected
                 # products carry valuation beyond nrel or sit outside tw
-                term = series_dot(((gm, term),), big_width, (wlo, whi))
-                term = series_dot(((term, hs),), big_width, (wlo, whi))
+                term = series_dot(((gm, term),), (wlo, whi))
+                term = series_dot(((term, hs),), (wlo, whi))
                 term = -term.on_window((wlo, whi))
                 if term.min_valuation() > nrel:
                     break
@@ -626,7 +606,7 @@ class LaurentSeries:
         floor = int(min(b.min_valuation() + nrel, nrel - vmin,
                         self.abs_floor() - 2 * vmin))
         b_wide = b.recast(wide_target, False, floor)
-        residual = self.on_window(self.window).mul(b_wide, max_width) - \
+        residual = self.on_window(self.window).mul(b_wide, wide_target) - \
             LaurentSeries.one(p, nrel, window=wide_target)
         for e in sorted(residual.terms):
             if residual.terms[e]:
@@ -686,20 +666,19 @@ def _settle(p, nrel, base, cells, bf, cap=None):
     return terms, floors
 
 
-def series_sum(terms, max_width=None, out_window=None, minus=None):
+def series_sum(terms, out_window=None, minus=None):
     """The series that folding ``+`` over ``terms`` left to right gives:
     each term a series, or a pair (a, b) that stands for ``a.mul(b,
-    max_width, out_window)``; then ``- minus``, when given, as the fold's
-    last step."""
-    width = max_width or DEFAULT_MAX_WIDTH
-    kterms = [product_term(t, width, out_window) if isinstance(t, tuple)
+    out_window)``; then ``- minus``, when given, as the fold's last
+    step."""
+    kterms = [product_term(t, out_window) if isinstance(t, tuple)
               else series_term(t, 1) for t in terms]
     if minus is not None:
         kterms.append(series_term(minus, -1))
     return _series(*accumulate(kterms))
 
 
-# a sum of products ``a.mul(b, max_width, out_window)`` of pairs (a, b)
+# a sum of products ``a.mul(b, out_window)`` of pairs (a, b)
 series_dot = series_sum
 
 
@@ -708,12 +687,12 @@ series_dot = series_sum
 # ---------------------------------------------------------------------------
 
 
-def series_invert(a, target_window=None, max_width=None):
-    return a.invert(target_window, max_width)
+def series_invert(a, target_window=None):
+    return a.invert(target_window)
 
 
-def sigma_apply(a, power=1, max_width=None):
-    return a.frobenius(power, max_width)
+def sigma_apply(a, power=1):
+    return a.frobenius(power)
 
 
 @dataclass(frozen=True)

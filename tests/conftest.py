@@ -22,8 +22,8 @@ from sigma_nabla.series import LaurentSeries, RingLabel
 # ---------------------------------------------------------------------------
 
 
-def series(p, nrel, terms, window=None, max_width=None):
-    return LaurentSeries.from_terms(p, nrel, terms, window, max_width)
+def series(p, nrel, terms, window=None):
+    return LaurentSeries.from_terms(p, nrel, terms, window)
 
 
 def rand_series(rng, p, nrel, emin=-4, emax=4, vmin=0, vmax=3, nterms=4,
@@ -102,7 +102,7 @@ def oracle_matches(oracle, s, p, nrel):
 # ---------------------------------------------------------------------------
 
 
-def _strict_inverse(tri, p, nrel, max_width=None):
+def _strict_inverse(tri, p, nrel):
     """Inverse of I + S with S strictly triangular: finite Neumann sum."""
     n = len(tri)
     ident = smat_identity(n, p, nrel)
@@ -110,7 +110,7 @@ def _strict_inverse(tri, p, nrel, max_width=None):
     acc = smat_identity(n, p, nrel)
     term = smat_identity(n, p, nrel)
     for _ in range(n - 1):
-        term = smat_mul(term, [[-x for x in row] for row in s], max_width)
+        term = smat_mul(term, [[-x for x in row] for row in s])
         acc = [[acc[i][j] + term[i][j] for j in range(n)] for i in range(n)]
     return acc
 

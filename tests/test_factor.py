@@ -74,7 +74,7 @@ def fraction_z(x):
 
     for j in range(n):
         scale_col(j, _col_min_valuation(a, j))
-    dv = _det_valuation(a, None)
+    dv = _det_valuation(a)
     while dv > 0:
         vec = _mod_p_kernel(a, P)
         j = max(i for i, v in enumerate(vec) if v)
@@ -124,7 +124,7 @@ def test_gamma_roundtrip_random(rng):
         assert f.product_verdict.holds
         assert f.det_valuation == 0
         # the loop tracks det(Y)'s valuation without recomputing it
-        assert _det_valuation(f.y, None) == 0
+        assert _det_valuation(f.y) == 0
         for row in f.y:
             for s in row:
                 assert membership(s, gamma).consistent

@@ -12,7 +12,7 @@ from conftest import (
     rand_series,
     series,
 )
-from sigma_nabla.errors import SigmaNablaError
+from sigma_nabla.errors import SigmaNablaError, WindowOverflow
 from sigma_nabla.factor import matfact_gamma, matfact_robba
 from sigma_nabla.linalg import (
     PadicOps,
@@ -157,9 +157,7 @@ def perturbed(rng, x):
 def test_product_agree_is_the_verdict_on_the_built_product():
     # seeded gamma and robba factors Y, Z of X: the verdict on Y * Z (+ dY)
     # against X (+ dY), perturbed in about half the draws, equals the one
-    # on the built product field for field, or both raise the same error;
-    # at the default window cap and at a cap of 8, where some products
-    # overflow
+    # on the built product field for field, or both raise the same error
     rng = random.Random(7)
     seen = set()
     for trial in range(24):
@@ -173,21 +171,27 @@ def test_product_agree_is_the_verdict_on_the_built_product():
             x, *_ = rand_robba_regime_x(rng, P, N, n)
             f = matfact_robba(x)
         a, b = f.y, f.z
-        for width in (None, 8):
-            for plus in (None, smat_deriv(a)):
-                xp = perturbed(rng, x if plus is None else smat_add(x, plus))
-                if plus is None:
-                    old = outcome(lambda: smat_agree(smat_mul(a, b, width),
-                                                     xp))
-                else:
-                    old = outcome(lambda: smat_agree(
-                        smat_mul_add(a, b, plus, width), xp))
-                new = outcome(lambda: smat_product_agree(a, b, xp, width,
-                                                         plus))
-                assert new == old, (trial, width, plus is None, old, new)
-                if not isinstance(old, type):
-                    seen.add((width, old.holds))
-    assert seen == {(w, h) for w in (None, 8) for h in (False, True)}
+        for plus in (None, smat_deriv(a)):
+            xp = perturbed(rng, x if plus is None else smat_add(x, plus))
+            if plus is None:
+                old = outcome(lambda: smat_agree(smat_mul(a, b), xp))
+            else:
+                old = outcome(lambda: smat_agree(smat_mul_add(a, b, plus),
+                                                 xp))
+            new = outcome(lambda: smat_product_agree(a, b, xp, plus=plus))
+            assert new == old, (trial, plus is None, old, new)
+            if not isinstance(old, type):
+                seen.add(old.holds)
+    assert seen == {False, True}
+    # a product past the window cap: (1 + u^200)^2 populates u^0 and u^400
+    wide = [[series(P, N, [(0, 1), (200, 1)], (0, 200))]]
+    for plus in (None, wide):
+        old = outcome(lambda: smat_agree(
+            smat_mul(wide, wide) if plus is None
+            else smat_mul_add(wide, wide, plus), wide))
+        assert old is WindowOverflow
+        assert outcome(lambda: smat_product_agree(wide, wide, wide,
+                                                  plus=plus)) is old
 
 
 # ---------------------------------------------------------------------------

@@ -205,9 +205,20 @@ def test_polynomial_product_with_output_window_against_oracle(rng):
 
 
 def test_product_window_overflow():
-    a = S([(0, 1), (30, 1)], window=(0, 30))
+    # u^0 and u^400 populate the square: no 256-exponent window holds both
+    a = S([(0, 1), (200, 1)], window=(0, 200))
     with pytest.raises(WindowOverflow):
-        a.mul(a, max_width=32)
+        a.mul(a)
+
+
+def test_product_on_an_output_window_is_exact_past_the_cap():
+    # (1 + u^150)^2 asked for on (0, 300): the whole square, uncapped, and
+    # tail-free because its support lies in the window; like every product
+    # of nrel-digit operands it is known modulo p^nrel
+    a = S([(0, 1), (150, 1)])
+    got = a.mul(a, (0, 300))
+    assert (got.window, got.tail_free, got.base_floor, got.base, got.terms,
+            got.floors) == ((0, 300), True, N, 0, {0: 1, 150: 2, 300: 1}, {})
 
 
 def test_inexact_zero_below_the_floor_is_kept():
@@ -334,13 +345,13 @@ class Folded:
         return out
 
 
-def reference_sum(terms, max_width=None, out_window=None):
+def reference_sum(terms, out_window=None):
     """``series_sum``'s terms folded by ``Folded``: each a series, or a pair
-    (a, b) multiplied by ``a.mul(b, max_width, out_window)``."""
+    (a, b) multiplied by ``a.mul(b, out_window)``."""
     acc = None
     for t in terms:
         if isinstance(t, tuple):
-            t = t[0].mul(t[1], max_width, out_window)
+            t = t[0].mul(t[1], out_window)
         acc = Folded(t) if acc is None else acc + Folded(t)
     return acc
 
@@ -357,7 +368,7 @@ def outcome(fn, *args):
 
 def test_series_dot_matches_the_fold_of_products():
     rng = random.Random(5023)
-    seen = dict(widened=0, overflow=0, kept_zero=0, capped=0)
+    seen = dict(widened=0, overflow=0, window_cap=0, kept_zero=0, capped=0)
     for _ in range(1500):
         if rng.random() < 0.2:
             # a product at nrel 10, a higher-valuation one at nrel 6, then
@@ -375,18 +386,24 @@ def test_series_dot_matches_the_fold_of_products():
             if rng.random() < 0.3:
                 a, b = pairs[0]
                 pairs.append((at_nrel(-a, 6), at_nrel(b, 6)))
+            if rng.random() < 0.1:
+                # supports at -60..-80 and 60..80: a product at most 256
+                # exponents wide is cut to the cap, a wider one overflows
+                pairs.append(tuple(
+                    series(P, nrel or 10, [(-rng.randint(60, 80), 1),
+                                           (rng.randint(60, 80), 1)])
+                    for _ in range(2)))
             pairs = [(-a if rng.random() < 0.25 else a, b) for a, b in pairs]
-        max_width = rng.choice((None, 40, 64))
         out_window = None
         if rng.random() < 0.25:
             lo = -rng.randint(0, 10)
             out_window = (lo, lo + rng.randint(0, 20))
-        want = outcome(reference_sum, pairs, max_width, out_window)
-        assert outcome(series_dot, pairs, max_width, out_window) == want
+        want = outcome(reference_sum, pairs, out_window)
+        assert outcome(series_dot, pairs, out_window) == want
         # products and series mixed, and a - b
         mixed = [a if rng.random() < 0.5 else (a, b) for a, b in pairs]
-        assert (outcome(series_sum, mixed, max_width, out_window)
-                == outcome(reference_sum, mixed, max_width, out_window))
+        assert (outcome(series_sum, mixed, out_window)
+                == outcome(reference_sum, mixed, out_window))
         a, b = pairs[0]
         assert outcome(lambda: a - b) == outcome(
             lambda: Folded(a) + -Folded(b))
@@ -394,9 +411,13 @@ def test_series_dot_matches_the_fold_of_products():
             lambda: Folded(b) + Folded(a))
         if want == "WindowOverflow":
             seen["overflow"] += 1
+            try:
+                series_dot(pairs, out_window)
+            except WindowOverflow as exc:
+                seen["window_cap"] += "window cap" in str(exc)
             continue
-        total = series_dot(pairs, max_width, out_window)
-        windows = [a.mul(b, max_width, out_window).window for a, b in pairs]
+        total = series_dot(pairs, out_window)
+        windows = [a.mul(b, out_window).window for a, b in pairs]
         if total.window != (max(w[0] for w in windows),
                             min(w[1] for w in windows)):
             seen["widened"] += 1

@@ -223,7 +223,7 @@ def test_series_dot_with_output_window():
         pairs = list(zip(ops[::2], ops[1::2]))
         lo = r.randint(-8, 2)
         out_window = None if r.random() < 0.3 else (lo, lo + r.randint(0, 12))
-        return series_dot(pairs, r.choice((None, 48)), out_window)
+        return series_dot(pairs, out_window)
 
     rng = random.Random(103)
     for k, skips in ((1, (31, 3)), (2, (63, 6)), (3, (91, 10))):
