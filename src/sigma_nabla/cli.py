@@ -43,7 +43,6 @@ from .points import (
 class JobConfig:
     k_max: int
     n_max: int
-    tol: float
     out: Optional[str]
 
 
@@ -60,13 +59,12 @@ def _load(path, *kinds):
 @click.group()
 @click.option("--kmax", type=int, default=32, show_default=True)
 @click.option("--nmax", type=int, default=64, show_default=True)
-@click.option("--tol", type=float, default=1e-6, show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help="also write the report (or factors) here")
 @click.pass_context
-def main(ctx, kmax, nmax, tol, out):
+def main(ctx, kmax, nmax, out):
     """Exact computations with sigma/nabla-module and Frobenius data."""
-    ctx.obj = JobConfig(kmax, nmax, tol, out)
+    ctx.obj = JobConfig(kmax, nmax, out)
 
 
 def command(name, report_file=True):
@@ -326,8 +324,7 @@ def cmd_compat(cfg, table_path):
 @click.argument("table_path", type=click.Path(exists=True))
 def cmd_purity(cfg, table_path, weight):
     """Check every local factor for purity of the given weight."""
-    report = check_pure_system(_load(table_path, "charpoly_table"), weight,
-                               cfg.tol)
+    report = check_pure_system(_load(table_path, "charpoly_table"), weight)
     entries = {
         f"{place}:{pid}": {"pure": verdict.pure,
                            "expected": verdict.expected,

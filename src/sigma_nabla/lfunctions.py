@@ -286,7 +286,7 @@ class PurityReport:
     all_pure: bool
 
 
-def check_pure_system(table: CharPolyTable, w, tol=1e-6) -> PurityReport:
+def check_pure_system(table: CharPolyTable, w) -> PurityReport:
     """Apply the purity check to every stored local factor: one check per
     distinct factor and degree, since the verdict depends only on those
     (a compatible system repeats its factors at every place)."""
@@ -296,6 +296,6 @@ def check_pure_system(table: CharPolyTable, w, tol=1e-6) -> PurityReport:
     for key in sorted(table.polys, key=lambda k: (k[0], str(k[1]))):
         poly, deg = table.polys[key], degs[key[1]]
         if (poly, deg) not in verdicts:
-            verdicts[poly, deg] = purity_check(poly, table.q, deg, w, tol)
+            verdicts[poly, deg] = purity_check(poly, table.q, deg, w)
         entries[key] = verdicts[poly, deg]
     return PurityReport(w, entries, all(v.pure for v in entries.values()))

@@ -1,6 +1,6 @@
 """Point-level F-isocrystal algebra: twisted Frobenius iterates, projector
-averaging, block-companion matrices, Newton slopes, purity and the
-characteristic-polynomial coefficient map.
+averaging, block-companion matrices, Newton slopes, an exact purity
+verdict and the characteristic-polynomial coefficient map.
 
 Matrices here are plain scalar matrices; entries may be Fractions (exact
 paths), PadicNumbers, or UnramifiedScalars (semilinear case, where sigma
@@ -28,6 +28,8 @@ from .padic import (
     PadicNumber,
     UnramifiedScalar,
     complex_root_magnitudes,
+    exact_rational,
+    horner,
     newton_polygon,
 )
 
@@ -264,14 +266,14 @@ class PurityVerdict:
         return self.pure
 
 
-def purity_check(local_poly: IntPolynomial, q, deg, w,
-                 tol=1e-6) -> PurityVerdict:
+def purity_check(local_poly: IntPolynomial, q, deg, w) -> PurityVerdict:
     """All reciprocal roots of det(1 - t^deg Frob) of size q^(w*deg/2)?
 
     The polynomial must be supported on powers of t^deg (it is a
     polynomial in t^deg); its reciprocal roots in that variable are the
-    Frobenius eigenvalues, compared against q^(w*deg/2) within ``tol``
-    relative error.
+    Frobenius eigenvalues.  The verdict is exact (``_is_weil_polynomial``);
+    the magnitudes are numerical and only reported, and the witness of an
+    impure factor is the magnitude farthest from q^(w*deg/2).
     """
     if local_poly.coeffs[0] != 1:
         raise ValueError("local factor must have constant term 1")
@@ -282,15 +284,96 @@ def purity_check(local_poly: IntPolynomial, q, deg, w,
         elif c != 0:
             raise ValueError(
                 f"coefficient of t^{i} nonzero; polynomial is not in t^{deg}")
+    e = w * deg
+    if e != int(e):
+        raise ValueError(f"weight {w} at degree {deg}: q^(w*deg) must be "
+                         f"an integral power of q")
+    e = int(e)
     poly = IntPolynomial(compressed)
     mags = complex_root_magnitudes(poly)
-    expected = float(q) ** (w * deg / 2.0)
-    offenders = [m for m in mags
-                 if abs(m - expected) > tol * max(expected, 1.0)]
-    if offenders:
-        worst = max(offenders, key=lambda m: abs(m - expected))
-        return PurityVerdict(False, expected, tuple(mags), worst)
-    return PurityVerdict(True, expected, tuple(mags))
+    expected = float(q) ** (e / 2.0)
+    if _is_weil_polynomial(poly.coeffs,
+                           q ** e if e >= 0 else Fraction(1, q ** -e)):
+        return PurityVerdict(True, expected, tuple(mags))
+    worst = max(mags, key=lambda m: abs(m - expected))
+    return PurityVerdict(False, expected, tuple(mags), worst)
+
+
+def _is_weil_polynomial(c, Q):
+    """Is |alpha|^2 = Q for every reciprocal root alpha of sum(c[i] t^i),
+    c[0] = 1?  Decided on exact rationals by the root-unitary test of
+    Kedlaya, "Search techniques for root-unitary polynomials" (Contemp.
+    Math. 463, 2008), scaled from the unit circle to the circle of radius
+    sqrt(Q).  Sage's ``Polynomial.is_weil_polynomial`` asks the same.
+    Polynomials here are ascending coefficient lists."""
+    n = len(c) - 1
+    # |alpha|^2 = Q makes alpha -> Q/alpha (complex conjugation) permute the
+    # roots; it does iff the functional equation c_k Q^(n-k) = c_n c_(n-k)
+    if any(c[k] * Q ** (n - k) != c[n] * c[n - k] for k in range(n + 1)):
+        return False
+    # the roots themselves, monic; then divide out every copy of the roots
+    # alpha = +-sqrt(Q), which pair with themselves: r = a x + b mod x^2 - Q
+    # has both as roots when a = b = 0, and one, x0 = -b/a, when b^2 = a^2 Q
+    r = c[::-1]
+    while len(r) > 1:
+        b, a = horner(r[0::2], Q), horner(r[1::2], Q)
+        if a == b == 0:
+            r = _divmod(r, [-Q, 0, 1])[0]
+        elif b * b == a * a * Q:
+            r = _divmod(r, [exact_rational(Fraction(b) / a), 1])[0]
+        else:
+            break
+    # the rest pair off as alpha != Q/alpha: r(x) = x^m u(x + Q/x), through
+    # x^j + Q^j x^-j = D_j(x + Q/x), D_0 = 2, D_1 = y,
+    # D_(j+1) = y D_j - Q D_(j-1)
+    m = len(r) // 2
+    u, prev, cur = [r[m]] + [0] * m, [2], [0, 1]
+    for j in range(1, m + 1):
+        for i, d in enumerate(cur):
+            u[i] += r[m + j] * d
+        nxt = [0] + cur
+        for i, d in enumerate(prev):
+            nxt[i] -= Q * d
+        prev, cur = cur, nxt
+    # the pair is on the circle iff y = alpha + Q/alpha is real in
+    # [-2 sqrt(Q), 2 sqrt(Q)], so iff y^2 is a root in [0, 4Q] of v, where
+    # v(y^2) = u(y) u(-y) = even(y^2)^2 - y^2 odd(y^2)^2; a root y^2 = 0 is
+    # inside, and 4Q is none, since the roots +-sqrt(Q) are gone
+    even, odd = IntPolynomial(u[0::2]), IntPolynomial(u[1::2] or [0])
+    v = list((even * even + IntPolynomial([0, -1]) * odd * odd).coeffs)
+    while v[0] == 0:
+        del v[0]
+    # Sturm: the distinct roots of v in (0, 4Q) are V(0) - V(4Q), and the
+    # sequence ends at gcd(v, v'), so v has deg v - deg gcd distinct roots
+    seq = [v, [i * d for i, d in enumerate(v)][1:]]
+    while len(seq[-1]) > 1:
+        seq.append([-d for d in _divmod(seq[-2], seq[-1])[1]])
+    if not seq[-1]:
+        seq.pop()
+    inside = (_sign_changes([s[0] for s in seq]) -
+              _sign_changes([horner(s, 4 * Q) for s in seq]))
+    return inside == len(v) - len(seq[-1])
+
+
+def _divmod(a, b):
+    """Quotient and remainder of a by b (nonzero leading coefficient), with
+    the remainder's trailing zeros stripped: [] is the zero polynomial."""
+    rem, lead, shift = list(a), b[-1], len(b) - 1
+    quo = [0] * max(len(a) - shift, 0)
+    for i in range(len(a) - 1 - shift, -1, -1):
+        quo[i] = d = rem[i + shift] if lead == 1 else \
+            Fraction(rem[i + shift]) / lead
+        for j, e in enumerate(b):
+            rem[i + j] -= d * e
+    del rem[shift:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def _sign_changes(values):
+    signs = [x > 0 for x in values if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 @dataclass

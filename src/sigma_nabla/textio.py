@@ -277,8 +277,12 @@ def emit_table(table):
 def parse_table(obj):
     points = [(pid, _int(deg, "a point degree", 1))
               for pid, deg in obj["points"]]
-    polys = {(place, pid): _polynomial(coeffs)
-             for place, pid, coeffs in obj["polys"]}
+    # equal factors share one object, so the Euler product's count of
+    # repeated factors settles each dict hit on identity
+    polys, shared = {}, {}
+    for place, pid, coeffs in obj["polys"]:
+        poly = _polynomial(coeffs)
+        polys[place, pid] = shared.setdefault(poly, poly)
     # det(1 - t^deg Frob_x) is a polynomial in t^deg, as purity assumes
     degs = dict(points)
     for (place, pid), poly in polys.items():

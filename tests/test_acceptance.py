@@ -3,7 +3,7 @@
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines.
 All tolerances are pinned here: equality means agreement at working
 precision (residuals carry their valuation floors), the compatibility
-floor must reach nrel - 3, purity uses 1e-6 relative tolerance, and the
+floor must reach nrel - 3, purity is decided exactly, and the
 factorization batch must finish within its 60 second budget.
 """
 
@@ -331,10 +331,10 @@ def test_criterion_7_lfunctions_and_trace_formula():
 
 def test_criterion_8_purity():
     """1 - 3t + 4t^2 is pure of weight 1 at q = 4 and 1 - 5t + 4t^2 is
-    impure (tolerance 1e-6); char_coeffs is exactly conjugation
+    impure (an exact verdict); char_coeffs is exactly conjugation
     invariant."""
-    assert purity_check(IntPolynomial([1, -3, 4]), 4, 1, 1, tol=1e-6).pure
-    verdict = purity_check(IntPolynomial([1, -5, 4]), 4, 1, 1, tol=1e-6)
+    assert purity_check(IntPolynomial([1, -3, 4]), 4, 1, 1).pure
+    verdict = purity_check(IntPolynomial([1, -5, 4]), 4, 1, 1)
     assert not verdict.pure
 
     rng = random.Random(108)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -259,16 +260,83 @@ def test_purity_examples():
                         q, d, 2).pure
 
 
+# Factors that a relative tolerance of 1e-6 on float magnitudes called pure
+# at w = 2 (magnitudes 10000.00005 and 3.0000000044): the product of their
+# roots is 10^8 + 1, not Q = 10^8, and 3^16 + 1, not Q^8 = 3^16.
+NEAR_THE_CIRCLE = [(IntPolynomial([1, 0, 10 ** 8 + 1]), 10 ** 4),
+                   (IntPolynomial([1] + [0] * 15 + [3 ** 16 + 1]), 3)]
+
+
+@pytest.mark.parametrize("poly, q", NEAR_THE_CIRCLE)
+def test_purity_is_exact_near_the_circle(poly, q):
+    verdict = purity_check(poly, q, 1, 2)
+    assert not verdict.pure
+    assert verdict.witness == pytest.approx(q, rel=1e-6)
+    # the factor one step nearer, 1 + Q^(n/2) t^n, is pure
+    top = IntPolynomial(poly.coeffs[:-1] + (poly.coeffs[-1] - 1,))
+    assert purity_check(top, q, 1, 2).pure
+
+
+def test_purity_of_weil_products(rng):
+    """Products of Weil quadratics 1 - a s + Q s^2 with a^2 <= 4Q (a^2 = 4Q,
+    a double root, among them when Q is a square) and of the real factors
+    1 -+ sqrt(Q) s (square Q) or 1 - Q s^2 are pure, with s = t^deg.  One
+    more or one less in the top coefficient makes them impure, and so does
+    one more factor that keeps the functional equation but is off the
+    circle: a real pair with a^2 just above 4Q, or the quadruple of
+    alpha + Q/alpha = +-i."""
+    for trial in range(200):
+        q, w, deg = rng.choice([2, 3, 4, 5, 9]), rng.randint(1, 3), \
+            rng.randint(1, 2)
+        Q = q ** (w * deg)
+        root, bound = math.isqrt(Q), math.isqrt(4 * Q)
+        choices = [[1, -rng.randint(-bound, bound), Q]]
+        if root * root == Q:
+            choices += [[1, -2 * root, Q], [1, 2 * root, Q], [1, -root],
+                        [1, root]]
+        else:
+            choices.append([1, 0, -Q])
+        poly = IntPolynomial([1])
+        for _ in range(rng.randint(1, 4)):
+            poly = poly * IntPolynomial(rng.choice(choices))
+        coeffs = list(poly.coeffs)
+        assert purity_check(in_t_deg(coeffs, deg), q, deg, w).pure, \
+            (trial, coeffs)
+        for step in (1, -1):
+            bent = coeffs[:-1] + [coeffs[-1] + step]
+            assert not purity_check(in_t_deg(bent, deg), q, deg, w).pure, \
+                (trial, bent)
+        for off in ([1, rng.choice([-1, 1]) * (bound + 1), Q],
+                    [1, 0, 2 * Q + 1, 0, Q * Q]):
+            moved = list((poly * IntPolynomial(off)).coeffs)
+            assert not purity_check(in_t_deg(moved, deg), q, deg, w).pure, \
+                (trial, moved)
+
+
+def in_t_deg(coeffs, deg):
+    """sum(coeffs[i] s^i) at s = t^deg."""
+    out = [0] * (deg * (len(coeffs) - 1) + 1)
+    out[::deg] = coeffs
+    return IntPolynomial(out)
+
+
 def test_cli_import_leaves_numpy_out():
-    # numpy is imported by the one routine that calls it, on first use
+    # no library path needs numpy: with its import blocked, the magnitudes,
+    # the purity verdict and the purity command run all the same
+    table = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                         "charpoly", "table.json")
     code = "\n".join((
         "import sys",
+        "sys.modules['numpy'] = None",
         "import sigma_nabla.cli",
-        "assert 'numpy' not in sys.modules, 'numpy imported by the CLI'",
-        "from sigma_nabla.padic import IntPolynomial",
+        "from sigma_nabla.padic import IntPolynomial, complex_root_magnitudes",
         "from sigma_nabla.points import purity_check",
+        "mags = complex_root_magnitudes(IntPolynomial([1, 0, 0, -8]))",
+        "assert [round(m, 12) for m in mags] == [2.0, 2.0, 2.0], mags",
         "assert purity_check(IntPolynomial([1, 0, 9]), 3, 1, 2).pure",
         "assert not purity_check(IntPolynomial([1, 0, 10]), 3, 1, 2).pure",
+        "assert sigma_nabla.cli.main(['purity', '-w', '1', %r],"
+        " standalone_mode=False) == 0" % table,
     ))
     src = os.path.dirname(os.path.dirname(sigma_nabla.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -276,6 +344,7 @@ def test_cli_import_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
+    assert '"verdict": "pure"' in out.stdout
 
 
 def test_char_coeffs_examples():

@@ -79,6 +79,19 @@ def test_table_roundtrip(rng):
     assert back.polys[("a", 1)] == t.polys[("a", 1)]
 
 
+def test_parse_table_shares_equal_factors():
+    # one IntPolynomial per distinct factor: the fixture's two places hold
+    # the same factors, and equal factors are one object
+    with open(os.path.join(FIXTURES, "charpoly", "table.json")) as fh:
+        table = textio.parse_table(json.load(fh))
+    distinct = {}
+    for key, poly in table.polys.items():
+        assert distinct.setdefault(poly, poly) is poly, key
+    assert len(distinct) < len(table.polys)
+    assert all(table.polys["a", pid] is table.polys["b", pid]
+               for pid, _ in table.points)
+
+
 def test_scalar_matrix_and_polynomial_roundtrip():
     mat = [[PadicNumber.from_int(P, N, 3), PadicNumber.zero(P, N)],
            [PadicNumber.from_rational(P, N, Fraction(1, 2)),
@@ -433,6 +446,19 @@ def test_cli_purity_and_pole_order(runner, tmp_path):
                                 str(pp)])
     assert res2.exit_code == 0
     assert json.loads(res2.output)["order"] == 2
+
+
+def test_cli_purity_refutes_a_factor_near_the_circle(runner, tmp_path):
+    # |alpha|^2 = 10^8 + 1 != q^2, though both magnitudes are within 5e-9
+    # of q = 10^4
+    t = CharPolyTable(10 ** 4, ["a"], [(0, 1)],
+                      {("a", 0): IntPolynomial([1, 0, 10 ** 8 + 1])})
+    tp = tmp_path / "t.json"
+    textio.dump_path(str(tp), textio.emit_table(t))
+    res = runner.invoke(main, ["purity", "-w", "2", str(tp)])
+    assert res.exit_code == 1
+    rep = json.loads(res.output)
+    assert rep["verdict"] == "impure" and not rep["entries"]["a:0"]["pure"]
 
 
 @pytest.mark.parametrize("d", [1, -1])
