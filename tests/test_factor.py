@@ -14,7 +14,7 @@ from conftest import (
     rand_series,
     series,
 )
-from sigma_nabla.errors import NotConverged, SingularInput
+from sigma_nabla.errors import NotConverged, PrecisionExhausted, SingularInput
 from sigma_nabla.factor import (
     _col_min_valuation,
     _det_valuation,
@@ -144,10 +144,21 @@ def test_gamma_rejects_unfactorable():
 
 def test_gamma_rejects_singular():
     # det cancels exactly; at precision that reads as "no digits left"
-    from sigma_nabla.errors import PrecisionExhausted
     with pytest.raises((SingularInput, PrecisionExhausted)):
         matfact_gamma([[S([(0, 1)]), S([(0, 1)])],
                        [S([(0, 1)]), S([(0, 1)])]])
+
+
+def test_gamma_column_zero_at_precision_is_not_exactly_zero():
+    # O(3^5) is a zero only at precision: its digits ran out, nothing
+    # proves X singular; the exact zero does
+    o5 = LaurentSeries.from_cells(P, N, {0: (5, None, None)}, (0, 0), True,
+                                  None)
+    with pytest.raises(PrecisionExhausted,
+                       match="column 0 is indistinguishable from zero"):
+        matfact_gamma([[o5]])
+    with pytest.raises(SingularInput, match="column 0 is exactly zero"):
+        matfact_gamma([[S([])]])
 
 
 # ---------------------------------------------------------------------------
