@@ -8,9 +8,11 @@ Two factorizations are provided:
   class of X that actually admit such a factorization; the algorithm
   normalises the p-content of each column and then strips constant kernels
   of the mod-p reduction, so the determinant valuation strictly drops
-  until it reaches zero.  Inputs outside the class are detected (no
-  constant mod-p kernel despite positive determinant valuation) and
-  rejected.
+  until it reaches zero.  The reduction itself decides when it is zero
+  (an invertible row-leading matrix mod p); a series determinant is built
+  only when the reduction cannot decide.  Inputs outside the class are
+  detected (no constant mod-p kernel despite positive determinant
+  valuation) and rejected.
 
 * ``matfact_robba``: X = Y * Z with Y a product of a diagonal of monomials
   and (I + strictly-negative-exponent corrections), Z free of negative
@@ -79,10 +81,10 @@ def _col_min_valuation(a, j):
     col = [row[j] for row in a]
     vals = [s.valuation() for s in col if not s.is_zero_at_precision]
     if not vals:
-        if any(s.base_floor is not None and s.base_floor <= 0 for s in col):
-            raise PrecisionExhausted(
-                f"column {j} is indistinguishable from zero")
-        raise SingularInput(f"column {j} is exactly zero")
+        if all(s.is_exact_zero for s in col):
+            raise SingularInput(f"column {j} is exactly zero")
+        raise PrecisionExhausted(
+            f"column {j} is indistinguishable from zero")
     return min(vals)
 
 
@@ -97,16 +99,20 @@ def _det_valuation(a):
     return v
 
 
-def _mod_p_kernel(a, p):
-    """A constant vector c over F_p with A c = 0 mod p, or None.
-
-    Every valuation-zero coefficient of every entry contributes one linear
-    condition per (row, exponent) pair.
-    """
+def _mod_p_reduction(a, p):
+    """A mod p as ``(rows, exact)``.  ``rows`` maps each (row i, exponent
+    e) at which some entry of row i has a cell of valuation 0 to the
+    coefficients of u^e in that row mod p.  ``exact`` says that these
+    cells are all of A mod p: every entry is tail-free, integral and known
+    modulo p."""
     n = len(a[0])
     rows = {}
+    exact = True
     for i, row in enumerate(a):
         for j, s in enumerate(row):
+            if exact and not (s.tail_free and s.min_valuation() >= 0
+                              and s.abs_floor() >= 1):
+                exact = False
             if s.base > 0:
                 continue
             # a cell of valuation 0 is p^-base times a unit
@@ -115,8 +121,13 @@ def _mod_p_kernel(a, p):
                 unit, rest = divmod(raw, q)
                 if not rest and unit % p:
                     rows.setdefault((i, e), [0] * n)[j] = unit % p
-    system = list(rows.values())
-    # Gauss-Jordan over F_p so each pivot row touches only its own column
+    return rows, exact
+
+
+def _fp_pivots(system, p, n):
+    """Gauss-Jordan over F_p on the length-n rows ``system``: {pivot
+    column: reduced row}, each reduced row 1 at its own pivot column and 0
+    at every other."""
     pivots = {}
     for eq in system:
         eq = eq[:]
@@ -134,6 +145,14 @@ def _mod_p_kernel(a, p):
                 f = req[lead] % p
                 pivots[col] = [(x - f * y) % p for x, y in zip(req, eq)]
         pivots[lead] = eq
+    return pivots
+
+
+def _mod_p_kernel(rows, p, n):
+    """A constant vector c over F_p with A c = 0 mod p, or None, from the
+    ``rows`` of ``_mod_p_reduction``: one linear condition per (row,
+    exponent) pair."""
+    pivots = _fp_pivots(rows.values(), p, n)
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return None
@@ -145,12 +164,38 @@ def _mod_p_kernel(a, p):
     return vec
 
 
+def _row_leading_invertible(rows, p, n):
+    """Whether the row-leading matrix C of A mod p is invertible.  Row i of
+    C holds the coefficients of u^o_i, o_i the lowest exponent with a unit
+    cell in row i, so that A mod p = diag(u^o_i) (C + u R) with R over
+    F_p[u].  When C is invertible, det(A mod p) has the nonzero term
+    det(C) u^(sum o_i), so det(A) has a unit coefficient."""
+    lead = {}
+    for (i, e), eq in rows.items():
+        if i not in lead or e < lead[i][0]:
+            lead[i] = (e, eq)
+    return len(lead) == n and len(
+        _fp_pivots([eq for _, eq in lead.values()], p, n)) == n
+
+
 def matfact_gamma(x) -> GammaFactorization:
     """Factor X over E as Y * Z, Y invertible over Gamma, Z constant.
 
     Column operations (all constant, hence absorbed into Z) normalise the
     p-content and strip constant mod-p kernels until det(Y) has valuation
-    zero.  Raises SingularInput when X admits no such factorization.
+    zero.  Raises SingularInput when X admits no such factorization, and
+    PrecisionExhausted when X is singular at working precision (a column
+    the rounds reduce to an indistinguishable zero).
+
+    Each round reads A mod p once.  When every entry is tail-free,
+    integral and known modulo p, that reduction is exact, and it decides
+    v_p(det A): an invertible row-leading matrix (``_row_leading_invertible``)
+    proves it zero, and the loop stops; a constant kernel proves it
+    positive, and the loop takes the round.  Otherwise (an inexact
+    reduction, a singular row-leading matrix without constant kernel, or
+    16 (n + 4) rounds without a decision) the loop counts down instead:
+    v_p(det A) is that of the series determinant of A before the rounds,
+    built once, less the digits the rounds divided out.
 
     Z is kept exact, as an integer matrix over one power of p: X = A * Z
     throughout, so a column operation E on A is the row operation E^-1 on
@@ -203,16 +248,33 @@ def matfact_gamma(x) -> GammaFactorization:
     rounds = 0
     for j in range(n):
         scale_col(j, _col_min_valuation(a, j))
-    dv = _det_valuation(a)
-    while dv > 0:
-        rounds += 1
-        if rounds > 16 * (dv + n + 4):
-            raise SingularInput("factorization did not terminate")
-        vec = _mod_p_kernel(a, p)
+    # v_p(det A) = d0 - gained: d0 that of A before the rounds, a series
+    # determinant built only once A mod p cannot decide; each round
+    # divides det(A) by p^v
+    a0 = [row[:] for row in a]
+    d0 = None
+    gained = 0
+    while d0 is None or gained < d0:
+        rows, exact = _mod_p_reduction(a, p)
+        vec = None
+        if d0 is None and exact and rounds < 16 * (n + 4):
+            if _row_leading_invertible(rows, p, n):
+                break
+            # a constant kernel makes A mod p singular: v_p(det A) >= 1
+            vec = _mod_p_kernel(rows, p, n)
         if vec is None:
-            raise SingularInput(
-                "no constant-Z factorization exists at working precision: "
-                "the mod-p reduction has no constant kernel")
+            if d0 is None:
+                d0 = _det_valuation(a0)
+                if gained >= d0:
+                    break
+            if rounds >= 16 * (d0 - gained + n + 4):
+                raise SingularInput("factorization did not terminate")
+            vec = _mod_p_kernel(rows, p, n)
+            if vec is None:
+                raise SingularInput(
+                    "no constant-Z factorization exists at working "
+                    "precision: the mod-p reduction has no constant kernel")
+        rounds += 1
         j = max(i for i, v in enumerate(vec) if v)
         inv = pow(vec[j], -1, p)
         vec = [(v * inv) % p for v in vec]
@@ -226,7 +288,7 @@ def matfact_gamma(x) -> GammaFactorization:
         # combine_col adds multiples of the other columns to column j
         # (vec[j] == 1), which leaves det(A) unchanged; scale_col(j, v)
         # divides column j, hence det(A), by exactly p^v
-        dv -= v
+        gained += v
 
     zero = LaurentSeries.zero(p, nrel)
 

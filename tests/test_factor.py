@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,11 +15,19 @@ from conftest import (
     rand_series,
     series,
 )
-from sigma_nabla.errors import NotConverged, PrecisionExhausted, SingularInput
+from sigma_nabla import factor
+from sigma_nabla.errors import (
+    NotConverged,
+    PrecisionExhausted,
+    SigmaNablaError,
+    SingularInput,
+)
 from sigma_nabla.factor import (
     _col_min_valuation,
     _det_valuation,
     _mod_p_kernel,
+    _mod_p_reduction,
+    _row_leading_invertible,
     descend_to_eplus,
     glue_dieudonne,
     matfact_gamma,
@@ -30,9 +39,11 @@ from sigma_nabla.linalg import (
     smat_agree,
     smat_identity,
     smat_mul,
+    smat_product_agree,
 )
 from sigma_nabla.modules import basis_transform
-from sigma_nabla.series import LaurentSeries, RingLabel, membership
+from sigma_nabla.padic import PadicNumber
+from sigma_nabla.series import LaurentSeries, RingLabel, membership, series_sum
 
 P, N = 3, 12
 
@@ -60,33 +71,49 @@ def test_gamma_diag_split():
     assert f.z_constants[1][1].to_rational() == 1
 
 
-def fraction_z(x):
-    """Z the former way: matfact_gamma's column operations on A = X * z_inv,
-    accumulated on Fractions in z_inv, and Z = z_inv^-1 by Gauss-Jordan."""
-    n = len(x)
+def countdown_gamma(x):
+    """matfact_gamma's loop as it was before A mod p decided v_p(det A):
+    one series determinant, counted down by the digits each round gains.
+    Returns (rounds, Y, Z), Z on Fractions: the column operations are
+    accumulated in z_inv, and Z = z_inv^-1 by Gauss-Jordan."""
+    p, nrel, n = x[0][0].p, x[0][0].nrel, len(x)
     a = [row[:] for row in x]
     z_inv = [[Fraction(i == j) for j in range(n)] for i in range(n)]
 
     def scale_col(j, v):
         for i in range(n):
             a[i][j] = a[i][j].shift_val(-v)
-            z_inv[i][j] /= Fraction(P) ** v
+            z_inv[i][j] /= Fraction(p) ** v
 
+    rounds = 0
     for j in range(n):
         scale_col(j, _col_min_valuation(a, j))
     dv = _det_valuation(a)
     while dv > 0:
-        vec = _mod_p_kernel(a, P)
+        rounds += 1
+        if rounds > 16 * (dv + n + 4):
+            raise SingularInput("factorization did not terminate")
+        vec = _mod_p_kernel(_mod_p_reduction(a, p)[0], p, n)
+        if vec is None:
+            raise SingularInput("no constant kernel")
         j = max(i for i, v in enumerate(vec) if v)
-        vec = [v * pow(vec[j], -1, P) % P for v in vec]
+        vec = [v * pow(vec[j], -1, p) % p for v in vec]
         for i in range(n):
-            a[i][j] = sum((a[i][t] * S([(0, vec[t])]) for t in range(n)
-                           if t != j), a[i][j])
+            a[i][j] = series_sum(
+                [a[i][t] if vec[t] == 1 else
+                 a[i][t].scale(PadicNumber.from_int(p, nrel, vec[t]))
+                 for t in range(n) if vec[t]])
             z_inv[i][j] = sum(vec[t] * z_inv[i][t] for t in range(n))
         v = _col_min_valuation(a, j)
+        if v <= 0:
+            raise PrecisionExhausted("kernel column failed to gain a digit")
         scale_col(j, v)
         dv -= v
-    return mat_inv(z_inv, FractionOps())
+    return rounds, a, mat_inv(z_inv, FractionOps())
+
+
+def describe(s):
+    return s.window, s.tail_free, s.base_floor, s.cells()
 
 
 def test_gamma_integer_z_is_the_inverse_of_the_fraction_accumulator():
@@ -103,11 +130,10 @@ def test_gamma_integer_z_is_the_inverse_of_the_fraction_accumulator():
         x = smat_mul(y0, const_series_matrix(z0, P, N))
         negative += any(_col_min_valuation(x, j) < 0 for j in range(n))
         z = matfact_gamma(x).z
-        for row, want in zip(z, fraction_z(x)):
+        for row, want in zip(z, countdown_gamma(x)[2]):
             for s, c in zip(row, want):
-                w = S([(0, c)] if c else [])
-                assert (s.window, s.tail_free, s.base_floor, s.cells()) == \
-                    (w.window, w.tail_free, w.base_floor, w.cells()), trial
+                assert describe(s) == describe(S([(0, c)] if c else [])), \
+                    trial
     assert negative >= 3
 
 
@@ -123,7 +149,8 @@ def test_gamma_roundtrip_random(rng):
         rounds += f.rounds
         assert f.product_verdict.holds
         assert f.det_valuation == 0
-        # the loop tracks det(Y)'s valuation without recomputing it
+        # the loop decides det(Y)'s valuation from Y mod p, with no
+        # series determinant
         assert _det_valuation(f.y) == 0
         for row in f.y:
             for s in row:
@@ -159,6 +186,136 @@ def test_gamma_column_zero_at_precision_is_not_exactly_zero():
         matfact_gamma([[o5]])
     with pytest.raises(SingularInput, match="column 0 is exactly zero"):
         matfact_gamma([[S([])]])
+
+
+def rand_integral_matrix(rng, p, n):
+    """(kind, A): an n x n matrix of integer Laurent polynomials on the
+    exponents -2..2, of one of four kinds.  0: as drawn; 1: one row times
+    p, so that it has no unit cell; 2: one column a constant multiple of
+    another mod p, so that A mod p has a constant kernel though det A is
+    seldom zero; 3: one row u times another mod p, so that A mod p is
+    singular, seldom with a constant kernel."""
+    def entry():
+        return series(p, N, [
+            (e, rng.randint(-p ** 2, p ** 2) * p ** rng.choice((0, 0, 0, 1)))
+            for e in range(-2, 3) if rng.random() < 0.5])
+
+    a = [[entry() for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(4 if n > 1 else 2)
+    if kind == 1:
+        i = rng.randrange(n)
+        a[i] = [s.shift_val(1) for s in a[i]]
+    elif kind == 2:
+        j, t = rng.sample(range(n), 2)
+        c = series(p, N, [(0, rng.randrange(1, p))])
+        for row in a:
+            row[j] = row[t] * c + row[j].shift_val(1)
+    elif kind == 3:
+        i, k = rng.sample(range(n), 2)
+        a[i] = [s.shift_exp(1) + t.shift_val(1) for s, t in zip(a[k], a[i])]
+    return kind, a
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_gamma_mod_p_decision_is_sound(p):
+    # A mod p decides v_p(det A) = 0 only where the series determinant
+    # has a unit coefficient, and a constant kernel mod p only where it
+    # has none
+    rng = random.Random(170 + p)
+    seen = Counter()
+    for trial in range(160):
+        n = 1 + trial % 4
+        kind, a = rand_integral_matrix(rng, p, n)
+        rows, exact = _mod_p_reduction(a, p)
+        assert exact, trial
+        if _row_leading_invertible(rows, p, n):
+            assert kind != 1, trial
+            assert _det_valuation(a) == 0, trial
+            seen["unit"] += 1
+        elif _mod_p_kernel(rows, p, n) is not None:
+            try:
+                dv = _det_valuation(a)
+            except (SingularInput, PrecisionExhausted):
+                seen["kernel, det zero"] += 1
+            else:
+                assert dv >= 1, trial
+                seen["kernel, det nonzero"] += 1
+        else:
+            seen["undecided"] += 1
+        seen["kind", kind] += 1
+    assert seen["unit"] >= 20 and seen["kernel, det nonzero"] >= 20, seen
+    assert seen["kind", 1] >= 20 and seen["undecided"] >= 5, seen
+
+
+def test_gamma_matches_the_countdown(monkeypatch, rng):
+    # the same rounds, Y, Z and product floor as the loop that counted
+    # v_p(det A) down from one series determinant, or the same error, on
+    # factorable X (as built, truncated, or at a low floor) and on
+    # integral matrices that seldom factor
+    dets = []
+    det_valuation = factor._det_valuation
+    monkeypatch.setattr(factor, "_det_valuation",
+                        lambda a: dets.append(a) or det_valuation(a))
+
+    def outcome(fn, x):
+        try:
+            return fn(x)
+        except SigmaNablaError as exc:
+            return type(exc)
+
+    paths = Counter()
+    for trial in range(160):
+        p, n, kind = (3, 5)[trial % 2], 1 + trial // 2 % 4, trial // 8 % 4
+        if kind == 3:
+            x = rand_integral_matrix(rng, p, n)[1]
+        else:
+            y0, _ = rand_gamma_invertible(rng, p, N, n)
+            z0, _ = rand_const_invertible(rng, p, N, n)
+            x = smat_mul(y0, const_series_matrix(z0, p, N))
+        if kind == 1:
+            x = [[s.on_window(s.window, rng.random() < 0.5) for s in row]
+                 for row in x]
+        elif kind == 2:
+            x = [[s.widen_floor(rng.randint(1, 4)) for s in row]
+                 for row in x]
+        dets.clear()
+        got = outcome(matfact_gamma, x)
+        paths["fallback" if dets else "mod p"] += 1
+        want = outcome(countdown_gamma, x)
+        if isinstance(want, type):
+            if want is PrecisionExhausted and not isinstance(got, type):
+                # the determinant lost a digit that A mod p still holds
+                assert got.product_verdict.holds, trial
+                assert det_valuation(got.y) == 0, trial
+                paths["rescued"] += 1
+                continue
+            assert got is want, trial
+            paths["error"] += 1
+            continue
+        rounds, y, z = want
+        z = [[series(p, N, [(0, c)] if c else []) for c in row]
+             for row in z]
+        assert got.rounds == rounds, trial
+        for mine, theirs in ((got.y, y), (got.z, z)):
+            assert [[describe(s) for s in row] for row in mine] == \
+                [[describe(s) for s in row] for row in theirs], trial
+        assert got.product_verdict.floor == \
+            smat_product_agree(y, z, x).floor, trial
+    assert paths["mod p"] >= 10 and paths["fallback"] >= 10, paths
+    assert paths["error"] >= 10 and paths["rescued"] >= 1, paths
+
+
+def test_gamma_acceptance_batch_builds_no_determinant(monkeypatch):
+    # the factorable inputs of acceptance criterion 1 are all decided by
+    # A mod p
+    monkeypatch.setattr(factor, "_det_valuation", None)
+    rng = random.Random(101)
+    for trial in range(200):
+        p, n = (3, 5)[trial % 2], trial % 4 + 1
+        y0, _ = rand_gamma_invertible(rng, p, N, n)
+        z0, _ = rand_const_invertible(rng, p, N, n)
+        assert matfact_gamma(
+            smat_mul(y0, const_series_matrix(z0, p, N))).product_verdict.holds
 
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,31 @@ def test_cli_product_past_the_window_cap_exits_one(runner, tmp_path):
         "WindowOverflow: populated exponents exceed the window cap\n")
 
 
+def test_cli_factor_gamma_refutations(runner, tmp_path):
+    # [[u, 1], [0, p]] has no constant-Z factorization: exit 1, no report,
+    # and the committed stderr line; the singular [[1, 1], [1, 1]] runs out
+    # of digits: exit 1 and one PrecisionExhausted line
+    path = os.path.join(FIXTURES, "factor_gamma", "unfactorable_x.json")
+    x = [[S([(1, 1)]), S([(0, 1)])], [S([]), S([(0, P)])]]
+    assert textio.dumps(textio.emit_series_matrix(x, P, N)).encode() == \
+        fixture_bytes("factor_gamma", "unfactorable_x.json")
+    res = runner.invoke(main, ["factor", "gamma", path])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.encode() == \
+        fixture_bytes("factor_gamma", "unfactorable_stderr.txt")
+    singular = tmp_path / "singular.json"
+    one = S([(0, 1)])
+    textio.dump_path(str(singular),
+                     textio.emit_series_matrix([[one, one], [one, one]], P, N))
+    res = runner.invoke(main, ["factor", "gamma", str(singular)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("PrecisionExhausted: ")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_check_module_fails(runner, tmp_path):
     bad = SigmaNablaModule(RingLabel("Gamma"), P, [[S([(1, 1)])]],
                            [[S([])]])
