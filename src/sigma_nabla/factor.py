@@ -256,20 +256,19 @@ def matfact_gamma(x) -> GammaFactorization:
     gained = 0
     while d0 is None or gained < d0:
         rows, exact = _mod_p_reduction(a, p)
-        vec = None
-        if d0 is None and exact and rounds < 16 * (n + 4):
-            if _row_leading_invertible(rows, p, n):
-                break
-            # a constant kernel makes A mod p singular: v_p(det A) >= 1
-            vec = _mod_p_kernel(rows, p, n)
-        if vec is None:
+        mod_p = d0 is None and exact and rounds < 16 * (n + 4)
+        if mod_p and _row_leading_invertible(rows, p, n):
+            break
+        # with the reduction exact, a constant kernel makes A mod p
+        # singular, so v_p(det A) >= 1
+        vec = _mod_p_kernel(rows, p, n)
+        if vec is None or not mod_p:
             if d0 is None:
                 d0 = _det_valuation(a0)
                 if gained >= d0:
                     break
             if rounds >= 16 * (d0 - gained + n + 4):
                 raise SingularInput("factorization did not terminate")
-            vec = _mod_p_kernel(rows, p, n)
             if vec is None:
                 raise SingularInput(
                     "no constant-Z factorization exists at working "

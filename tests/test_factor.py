@@ -216,6 +216,18 @@ def rand_integral_matrix(rng, p, n):
     return kind, a
 
 
+def test_gamma_mod_p_reduction_is_exact_only_on_all_of_a_mod_p():
+    # a unit cell at u^0; then a cell below valuation 0, an unknown tail
+    # and a cell known only modulo p^0 each hide part of A mod p
+    one = S([(0, 1)])
+    assert _mod_p_reduction([[one]], P) == ({(0, 0): [1]}, True)
+    for s in (S([(0, 1), (1, Fraction(1, P))]),
+              one.on_window(one.window, False),
+              one + LaurentSeries.from_cells(P, N, {1: (0, None, None)},
+                                             one.window, True, None)):
+        assert not _mod_p_reduction([[s]], P)[1], s
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_gamma_mod_p_decision_is_sound(p):
     # A mod p decides v_p(det A) = 0 only where the series determinant
@@ -252,6 +264,19 @@ def test_gamma_matches_the_countdown(monkeypatch, rng):
     # v_p(det A) down from one series determinant, or the same error, on
     # factorable X (as built, truncated, or at a low floor) and on
     # integral matrices that seldom factor
+    def low(cells):
+        return LaurentSeries.from_cells(P, N, cells, (-10, 10), True, None)
+
+    # two inputs on which a round leaves A's reduction inexact, and the
+    # determinant of A after it has lost digits that det(A) before the
+    # rounds still holds: the countdown must start from the latter
+    pinned = [
+        [[low({2: (2, 2, 1)}), low({0: (1, 1, 1), 2: (0, 2, 1)})],
+         [low({}), low({1: (2, 1, 12)})]],
+        [[low({1: (1, 1, 1)}), low({}), low({})],
+         [low({1: (2, 1, 1)}), low({}), low({})],
+         [low({2: (0, 2, 12)}), low({1: (0, 2, 2)}),
+          low({1: (2, 1, 1), 2: (0, 1, 1)})]]]
     dets = []
     det_valuation = factor._det_valuation
     monkeypatch.setattr(factor, "_det_valuation",
@@ -263,21 +288,26 @@ def test_gamma_matches_the_countdown(monkeypatch, rng):
         except SigmaNablaError as exc:
             return type(exc)
 
-    paths = Counter()
-    for trial in range(160):
-        p, n, kind = (3, 5)[trial % 2], 1 + trial // 2 % 4, trial // 8 % 4
-        if kind == 3:
-            x = rand_integral_matrix(rng, p, n)[1]
-        else:
+    def draws():
+        yield from pinned
+        for trial in range(160):
+            p, n, kind = (3, 5)[trial % 2], 1 + trial // 2 % 4, trial // 8 % 4
+            if kind == 3:
+                yield rand_integral_matrix(rng, p, n)[1]
+                continue
             y0, _ = rand_gamma_invertible(rng, p, N, n)
             z0, _ = rand_const_invertible(rng, p, N, n)
             x = smat_mul(y0, const_series_matrix(z0, p, N))
-        if kind == 1:
-            x = [[s.on_window(s.window, rng.random() < 0.5) for s in row]
-                 for row in x]
-        elif kind == 2:
-            x = [[s.widen_floor(rng.randint(1, 4)) for s in row]
-                 for row in x]
+            if kind == 1:
+                x = [[s.on_window(s.window, rng.random() < 0.5) for s in row]
+                     for row in x]
+            elif kind == 2:
+                x = [[s.widen_floor(rng.randint(1, 4)) for s in row]
+                     for row in x]
+            yield x
+
+    paths = Counter()
+    for trial, x in enumerate(draws()):
         dets.clear()
         got = outcome(matfact_gamma, x)
         paths["fallback" if dets else "mod p"] += 1
@@ -293,7 +323,7 @@ def test_gamma_matches_the_countdown(monkeypatch, rng):
             paths["error"] += 1
             continue
         rounds, y, z = want
-        z = [[series(p, N, [(0, c)] if c else []) for c in row]
+        z = [[series(x[0][0].p, N, [(0, c)] if c else []) for c in row]
              for row in z]
         assert got.rounds == rounds, trial
         for mine, theirs in ((got.y, y), (got.z, z)):
