@@ -536,6 +536,14 @@ class LaurentSeries:
         onto the input's stored terms, exactly on the padded target, so
         the check's window does not shrink as more digits widen the
         inverse's support.
+
+        The inverse h of 1 + g_plus is computed only modulo p^nrel: g is
+        integral, so a cell of h of valuation >= nrel changes no later
+        cell below p^nrel.  Every Neumann product multiplies h by an
+        integral series, so a dropped cell lands at valuation >= nrel +
+        mv(term), at or above that product's floor; the returned floor is
+        at most nrel - vmin, and the multiply-back check still verifies
+        the result.
         """
         p, nrel = self.p, self.nrel
         vmin = self.valuation()
@@ -569,18 +577,22 @@ class LaurentSeries:
         wlo = min(tw[0], 0) - pad
         whi = max(tw[1], 0) + pad
 
-        # one-sided inverse of (1 + g_plus) by the convolution recursion,
-        # each h[k] = sum (-g_j) h[k-j] as one cell_dot
+        # one-sided inverse of (1 + g_plus) modulo p^nrel by the convolution
+        # recursion, each h[k] = sum (-g_j) h[k-j] as one cell_dot; g_plus
+        # is integral, so a cell of valuation >= nrel moves no later cell
+        # below p^nrel
         gp = [(e, (v, -unit, prec)) for e, v, unit, prec in g if e > 0]
         h = {0: (0, 1, nrel)}
         for k in range(1, whi + 1):
             pairs = [(x, h[k - j]) for j, x in gp if k - j in h]
             if pairs:
-                h[k] = cell_dot(p, nrel, pairs)
+                c = cell_dot(p, nrel, pairs)
+                if c[0] is not None and c[0] < nrel:
+                    h[k] = c
 
         # internal polynomial surrogates; honesty is restored by the final
         # verification and the truncated window of the returned value
-        hs = LaurentSeries.from_cells(p, nrel, h, (wlo, whi), True, None)
+        hs = LaurentSeries.from_cells(p, nrel, h, (wlo, whi), True, nrel)
         if minus:
             gm = a3.recast((min(minus), max(minus)), True, None,
                            lambda e, raw: e < 0 and raw)
