@@ -360,7 +360,7 @@ def outcome(fn, *args):
     try:
         s = fn(*args)
     except WindowOverflow as exc:
-        return type(exc).__name__
+        return f"{type(exc).__name__}: {exc}"
     items = s.coeffs.items() if isinstance(s, Folded) else s.items()
     return (s.window, s.tail_free, s.base_floor, s.nrel,
             sorted((e, repr(c), c.nrel) for e, c in items))
@@ -409,7 +409,7 @@ def test_series_dot_matches_the_fold_of_products():
             lambda: Folded(a) + -Folded(b))
         assert outcome(lambda: b + a) == outcome(
             lambda: Folded(b) + Folded(a))
-        if want == "WindowOverflow":
+        if isinstance(want, str):
             seen["overflow"] += 1
             try:
                 series_dot(pairs, out_window)
