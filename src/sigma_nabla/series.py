@@ -711,16 +711,8 @@ series_dot = series_sum
 
 
 # ---------------------------------------------------------------------------
-# Spec-level operation names.
+# Differentials.
 # ---------------------------------------------------------------------------
-
-
-def series_invert(a, target_window=None):
-    return a.invert(target_window)
-
-
-def sigma_apply(a, power=1):
-    return a.frobenius(power)
 
 
 @dataclass(frozen=True)
