@@ -9,12 +9,14 @@ from conftest import (
     oracle_from_series,
     oracle_matches,
     oracle_mul,
+    rand_gamma_invertible,
     rand_series,
     rand_unit_series,
     series,
 )
 from sigma_nabla.errors import NotAUnit, WindowOverflow
-from sigma_nabla.padic import PadicNumber
+from sigma_nabla.lattice import lattice_smith
+from sigma_nabla.padic import PadicNumber, cell_dot, vp_int
 from sigma_nabla.series import (
     RING_KINDS,
     LaurentSeries,
@@ -469,6 +471,131 @@ def test_invert_rejects_non_unit():
         S([]).invert()
     with pytest.raises(NotAUnit):
         LaurentSeries(P, N, {}, (-4, 4), False, 5).invert()
+
+
+def exact_recursion_invert(a, target_window=None):
+    """``invert`` as it was when the one-sided inverse h of 1 + g_plus was
+    exact: every h[k] out to the working window's top, and h a polynomial
+    surrogate with no base floor."""
+    p, nrel = a.p, a.nrel
+    vmin = a.valuation()
+    if vmin is None:
+        raise NotAUnit("series is zero at working precision")
+    a1 = a.shift_val(-vmin)
+    ordl = min(e for e, raw in a1.terms.items()
+               if raw and a1.base + vp_int(raw, p) == 0)
+    cinv = PadicNumber.from_int(p, nrel, 1) / a1.coefficient(ordl)
+    a3 = a1.shift_exp(-ordl).scale(cinv)
+    if (a3.coefficient(0) - PadicNumber.from_int(p, nrel, 1)).unit \
+            is not None:
+        raise NotAUnit("normalised constant term is not 1")
+    if target_window is None:
+        target_window = a.window
+    hull = a.support_hull
+    span = hull[1] - hull[0]
+    wide_target = (target_window[0] - span, target_window[1] + span)
+    tw = (wide_target[0] + ordl, wide_target[1] + ordl)
+    g = [cell for cell in a3.cells() if cell[2] is not None]
+    minus = {e: v for e, v, _, _ in g if e < 0}
+    pad = max((-((nrel + 1) * e // v) for e, v in minus.items()), default=0)
+    wlo, whi = min(tw[0], 0) - pad, max(tw[1], 0) + pad
+    gp = [(e, (v, -unit, prec)) for e, v, unit, prec in g if e > 0]
+    h = {0: (0, 1, nrel)}
+    for k in range(1, whi + 1):
+        pairs = [(x, h[k - j]) for j, x in gp if k - j in h]
+        if pairs:
+            h[k] = cell_dot(p, nrel, pairs)
+    hs = LaurentSeries.from_cells(p, nrel, h, (wlo, whi), True, None)
+    hfull = hs
+    if minus:
+        gm = a3.recast((min(minus), max(minus)), True, None,
+                       lambda e, raw: e < 0 and raw)
+        terms = [hs]
+        term = hs
+        for _ in range(nrel + 1):
+            term = series_dot(((gm, term),), (wlo, whi))
+            term = series_dot(((term, hs),), (wlo, whi))
+            term = -term.on_window((wlo, whi))
+            if term.min_valuation() > nrel:
+                break
+            terms.append(term)
+        hfull = series_sum(terms)
+    b = hfull.restrict(tw).scale(cinv).shift_exp(-ordl).shift_val(-vmin)
+    floor = int(min(b.min_valuation() + nrel, nrel - vmin,
+                    a.abs_floor() - 2 * vmin))
+    b_wide = b.recast(wide_target, False, floor)
+    residual = a.on_window(a.window).mul(b_wide, wide_target) - \
+        LaurentSeries.one(p, nrel, window=wide_target)
+    if any(residual.terms.values()):
+        raise NotAUnit("inverse failed to converge")
+    return b_wide.restrict(target_window)
+
+
+def inverse_outcome(inv, a, target_window=None):
+    try:
+        b = inv(a, target_window)
+    except NotAUnit:
+        return "NotAUnit"
+    return b.window, b.tail_free, b.base_floor, b.cells()
+
+
+def smith_pivots(a):
+    """The (series, target window) pairs ``lattice_smith(a)`` inverts."""
+    seen = []
+    invert = LaurentSeries.invert
+
+    def record(s, target_window=None):
+        seen.append((s, target_window))
+        return invert(s, target_window)
+
+    LaurentSeries.invert = record
+    try:
+        lattice_smith(a)
+    finally:
+        LaurentSeries.invert = invert
+    return seen
+
+
+def test_invert_matches_the_exact_recursion():
+    # h modulo p^nrel gives the window, tail_free, base floor and cells the
+    # exact recursion gives: on the entries of seeded Gamma-invertible
+    # matrices, the pivots lattice_smith inverts (among them those of the
+    # 97-term pivot at nrel 28 whose working window is ~1 000 exponents),
+    # and the draws of test_invert_roundtrip_random
+    cases = []
+    for nrel, seeds in ((12, range(1, 6)), (48, (1, 2)), (28, [51])):
+        for seed in seeds:
+            a, _ = rand_gamma_invertible(random.Random(seed), P, nrel, 3)
+            cases += [(s, None) for row in a for s in row]
+            cases += smith_pivots(a)
+    rng = random.Random(20260808)
+    cases += [(rand_unit_series(rng, P, N), (-24, 24)) for _ in range(15)]
+    units = 0
+    for a, target in cases:
+        want = inverse_outcome(exact_recursion_invert, a, target)
+        assert inverse_outcome(LaurentSeries.invert, a, target) == want
+        units += want != "NotAUnit"
+    assert units >= 100, units
+
+
+def test_invert_recursion_stops_at_the_working_floor(monkeypatch):
+    # the pivots of rand_gamma_invertible(Random(51), 3, 28, 3): the exact
+    # recursion ran one cell_dot per exponent up to the working window's
+    # top (391, 481 and 336 calls); modulo p^28, h keeps few cells
+    from sigma_nabla import series as series_mod
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return cell_dot(*args)
+
+    a, _ = rand_gamma_invertible(random.Random(51), P, 28, 3)
+    pivots = smith_pivots(a)
+    monkeypatch.setattr(series_mod, "cell_dot", counted)
+    for s, target in pivots:
+        s.invert(target)
+    assert len(pivots) == 3
+    assert len(calls) <= 100, len(calls)
 
 
 # ---------------------------------------------------------------------------
