@@ -44,7 +44,7 @@ from sigma_nabla.errors import (
 from sigma_nabla.factor import matfact_gamma
 from sigma_nabla.lattice import lattice_smith
 from sigma_nabla.linalg import smat_det, smat_inv, smat_mul
-from sigma_nabla.padic import INF, PadicNumber, vp_int
+from sigma_nabla.padic import INF, PadicNumber, cell_dot, vp_int
 from sigma_nabla.points import char_coeffs
 from sigma_nabla.series import LaurentSeries, series_dot
 
@@ -65,15 +65,21 @@ def rand_value(rng, vmin=-1, vmax=3):
         Fraction(P) ** rng.randint(vmin, vmax)
 
 
-def rand_spec(rng, unit=False):
+def rand_spec(rng, unit=False, tail=False):
     """(terms, window, tail_free, base floor, cell floors): exact rational
     terms, and the floors a truncation of them is known to; with ``unit``,
-    a Gamma-unit up to a power of p, with a valuation-zero term."""
+    a Gamma-unit up to a power of p, with a valuation-zero term, and with
+    ``tail`` also 3 to 8 terms of valuation 1 to 3 up to 8 exponents above
+    it, so that its inverse decays over a long plus tail."""
     if unit:
         v0 = rng.randint(-1, 1)
-        terms = {rng.randint(-2, 2): rand_value(rng, 0, 0) * Fraction(P) ** v0}
+        e0 = rng.randint(-2, 2)
+        terms = {e0: rand_value(rng, 0, 0) * Fraction(P) ** v0}
         for _ in range(rng.randint(0, 3)):
             terms.setdefault(rng.randint(-3, 3),
+                             rand_value(rng, 1, 3) * Fraction(P) ** v0)
+        for _ in range(rng.randint(3, 8) if tail else 0):
+            terms.setdefault(e0 + rng.randint(1, 8),
                              rand_value(rng, 1, 3) * Fraction(P) ** v0)
     else:
         terms = {rng.randint(-4, 4): rand_value(rng)
@@ -173,14 +179,15 @@ def hulls(operands):
     return [s.support_hull for s in operands]
 
 
-def runs(rng, op, n_specs, trials=400, unit=False, windows=True):
+def runs(rng, op, n_specs, trials=400, unit=False, windows=True,
+         nrels=(3, 4, 6), tail=False):
     """Run ``op`` on fresh specs at both precisions; an error the low run
     raises (precision too low for a unit, a window cap) is no claim.  The
     tally counts the runs skipped at each precision."""
     tally = Tally()
     for t in range(trials):
-        nrel = rng.choice((3, 4, 6))
-        specs = [rand_spec(rng, unit) for _ in range(n_specs)]
+        nrel = rng.choice(nrels)
+        specs = [rand_spec(rng, unit, tail) for _ in range(n_specs)]
         lows, highs = zip(*(pair(s, nrel) for s in specs))
         same = hulls(lows) == hulls(highs)
         try:
@@ -242,6 +249,51 @@ def test_invert():
     tally = runs(random.Random(104), invert, 1, unit=True)
     assert_strong(tally, 0.75)
     assert_skips(tally, 74, 0)
+
+
+def test_invert_at_the_working_floor(monkeypatch):
+    # Gamma-units with long plus tails at nrel 12, on targets as wide as
+    # lattice_smith's working window: the recursion for the inverse of
+    # 1 + g_plus drops the cells it reaches at valuation >= nrel
+    from sigma_nabla import series as series_mod
+    cut = []
+
+    def watched(p, nrel, pairs):
+        c = cell_dot(p, nrel, pairs)
+        cut.append(c[0] is not None and c[0] >= nrel)
+        return c
+
+    def invert(state, nrel, a):
+        r = random.Random()
+        r.setstate(state)
+        lo = r.randint(-80, -20)
+        del cut[:]
+        b = a.invert((lo, lo + r.randint(80, 160)))
+        dropped[nrel] += any(cut)
+        return b
+
+    monkeypatch.setattr(series_mod, "cell_dot", watched)
+    dropped = {12: 0, 28: 0}
+    tally = runs(random.Random(112), invert, 1, trials=120, unit=True,
+                 nrels=(12,), tail=True)
+    assert_strong(tally, 0.75)
+    assert_skips(tally, 20, 0)
+    # the low run drops cells of the recursion in most draws
+    assert dropped[12] >= 75, dropped
+
+
+def test_invert_keeps_the_neumann_terms_past_the_working_window():
+    # at nrel 28 the 23rd Neumann term reaches the working window's low
+    # end; cut there, it must stay a polynomial surrogate, or the next
+    # product's provable window collapses, the terms of valuation 23 to 28
+    # are lost and the multiply-back check raises NotAUnit
+    spec = ({1: Fraction(5, 3), -1: Fraction(-79, 5), -3: 3, 2: 93, 4: 84,
+             5: Fraction(477, 2), 10: Fraction(387, 7), 11: Fraction(43, 5),
+             12: -70}, (-10, 24), False, None, {})
+    low, high = (a.invert((-17, 95)) for a in pair(spec, 12))
+    tally = Tally()
+    check(low, high, tally, "invert")
+    assert tally.full == tally.cells == 113
 
 
 def test_invert_of_a_truncation_is_monotone_in_precision():
