@@ -600,8 +600,11 @@ class LaurentSeries:
             term = hs
             for _ in range(nrel + 1):
                 # polynomial surrogates on the working window: neglected
-                # products carry valuation beyond nrel or sit outside tw
-                term = series_dot(((gm, term),), (wlo, whi))
+                # products carry valuation beyond nrel or sit outside tw;
+                # a product cut at the window's ends is re-wrapped, or the
+                # next one's provable window would shrink by hs's support
+                term = series_dot(((gm, term),), (wlo, whi)).on_window(
+                    (wlo, whi))
                 term = series_dot(((term, hs),), (wlo, whi))
                 term = -term.on_window((wlo, whi))
                 if term.min_valuation() > nrel:
