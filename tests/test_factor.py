@@ -335,6 +335,31 @@ def test_gamma_matches_the_countdown(monkeypatch, rng):
     assert paths["error"] >= 10 and paths["rescued"] >= 1, paths
 
 
+def test_gamma_hands_off_to_the_countdown_at_the_round_cap(monkeypatch):
+    # X = [[1, c], [1, c + p^K]], c = 1 + p + ... + p^(K-1): A mod p keeps
+    # the kernel (1, -1) exactly for K rounds, one digit each, so the mod-p
+    # path reaches its cap of 16 (n + 4) = 96 rounds and the countdown
+    # finishes from det(A) = p^K
+    k, nrel = 100, 150
+    c = sum(P ** i for i in range(k))
+    x = [[series(P, nrel, [(0, e)]) for e in row]
+         for row in ((1, c), (1, c + P ** k))]
+    dets = []
+    det_valuation = factor._det_valuation
+    monkeypatch.setattr(factor, "_det_valuation",
+                        lambda a: dets.append(a) or det_valuation(a))
+    got = matfact_gamma(x)
+    assert len(dets) == 1
+    assert got.rounds == k > 16 * (2 + 4)
+    rounds, y, z = countdown_gamma(x)
+    z = [[series(P, nrel, [(0, e)] if e else []) for e in row] for row in z]
+    assert got.rounds == rounds
+    for mine, theirs in ((got.y, y), (got.z, z)):
+        assert [[describe(s) for s in row] for row in mine] == \
+            [[describe(s) for s in row] for row in theirs]
+    assert got.product_verdict.floor == smat_product_agree(y, z, x).floor
+
+
 def test_gamma_acceptance_batch_builds_no_determinant(monkeypatch):
     # the factorable inputs of acceptance criterion 1 are all decided by
     # A mod p
