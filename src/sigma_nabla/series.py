@@ -686,21 +686,14 @@ def series_sum(terms, out_window=None, minus=None):
     each term a series, or a pair (a, b) that stands for ``a.mul(b,
     out_window)``; then ``- minus``, when given, as the fold's last
     step."""
+    kterms = []
     try:
-        kterms = [product_term(t, out_window) if isinstance(t, tuple)
-                  else series_term(t, 1) for t in terms]
+        for t in terms:
+            kterms.append(product_term(t, out_window) if isinstance(t, tuple)
+                          else series_term(t, 1))
     except WindowOverflow:
         # the fold forms each product at its own step, so its steps
         # before the first product that overflows raise first
-        kterms = []
-        for t in terms:
-            if isinstance(t, tuple):
-                try:
-                    kterms.append(product_term(t, out_window))
-                except WindowOverflow:
-                    break
-            else:
-                kterms.append(series_term(t, 1))
         if kterms:
             accumulate(kterms)
         raise

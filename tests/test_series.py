@@ -14,6 +14,7 @@ from conftest import (
     rand_unit_series,
     series,
 )
+from sigma_nabla import series as series_mod
 from sigma_nabla.errors import NotAUnit, WindowOverflow
 from sigma_nabla.lattice import lattice_smith
 from sigma_nabla.padic import PadicNumber, cell_dot, vp_int
@@ -582,7 +583,6 @@ def test_invert_recursion_stops_at_the_working_floor(monkeypatch):
     # the pivots of rand_gamma_invertible(Random(51), 3, 28, 3): the exact
     # recursion ran one cell_dot per exponent up to the working window's
     # top (391, 481 and 336 calls); modulo p^28, h keeps few cells
-    from sigma_nabla import series as series_mod
     calls = []
 
     def counted(*args):

@@ -35,6 +35,7 @@ from conftest import (
     rand_const_invertible,
     rand_gamma_invertible,
 )
+from sigma_nabla import series as series_mod
 from sigma_nabla.errors import (
     NotAUnit,
     PrecisionExhausted,
@@ -255,7 +256,6 @@ def test_invert_at_the_working_floor(monkeypatch):
     # Gamma-units with long plus tails at nrel 12, on targets as wide as
     # lattice_smith's working window: the recursion for the inverse of
     # 1 + g_plus drops the cells it reaches at valuation >= nrel
-    from sigma_nabla import series as series_mod
     cut = []
 
     def watched(p, nrel, pairs):
