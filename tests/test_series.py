@@ -475,9 +475,11 @@ def test_invert_rejects_non_unit():
 
 
 def exact_recursion_invert(a, target_window=None):
-    """``invert`` as it was when the one-sided inverse h of 1 + g_plus was
-    exact: every h[k] out to the working window's top, and h a polynomial
-    surrogate with no base floor."""
+    """``invert`` with the one-sided inverse h of 1 + g_plus computed
+    exactly, the reference for the recursion modulo p^nrel: every h[k] out
+    to the working window's top, h a polynomial surrogate with no base
+    floor, and no re-wrap of a Neumann product cut at the working window
+    (the cases compared here do not depend on it)."""
     p, nrel = a.p, a.nrel
     vmin = a.valuation()
     if vmin is None:
@@ -560,9 +562,8 @@ def smith_pivots(a):
 def test_invert_matches_the_exact_recursion():
     # h modulo p^nrel gives the window, tail_free, base floor and cells the
     # exact recursion gives: on the entries of seeded Gamma-invertible
-    # matrices, the pivots lattice_smith inverts (among them those of the
-    # 97-term pivot at nrel 28 whose working window is ~1 000 exponents),
-    # and the draws of test_invert_roundtrip_random
+    # matrices, the pivots lattice_smith inverts (among them a 97-term
+    # pivot at nrel 28), and the draws of test_invert_roundtrip_random
     cases = []
     for nrel, seeds in ((12, range(1, 6)), (48, (1, 2)), (28, [51])):
         for seed in seeds:
@@ -581,7 +582,7 @@ def test_invert_matches_the_exact_recursion():
 
 def test_invert_recursion_stops_at_the_working_floor(monkeypatch):
     # the pivots of rand_gamma_invertible(Random(51), 3, 28, 3): the exact
-    # recursion ran one cell_dot per exponent up to the working window's
+    # recursion makes one cell_dot per exponent up to the working window's
     # top (391, 481 and 336 calls); modulo p^28, h keeps few cells
     calls = []
 

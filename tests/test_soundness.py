@@ -256,7 +256,7 @@ def test_invert_at_the_working_floor(monkeypatch):
     # Gamma-units with long plus tails at nrel 12, on targets as wide as
     # lattice_smith's working window: the recursion for the inverse of
     # 1 + g_plus drops the cells it reaches at valuation >= nrel
-    cut = []
+    cut, dropped = [], {12: 0, 28: 0}
 
     def watched(p, nrel, pairs):
         c = cell_dot(p, nrel, pairs)
@@ -273,7 +273,6 @@ def test_invert_at_the_working_floor(monkeypatch):
         return b
 
     monkeypatch.setattr(series_mod, "cell_dot", watched)
-    dropped = {12: 0, 28: 0}
     tally = runs(random.Random(112), invert, 1, trials=120, unit=True,
                  nrels=(12,), tail=True)
     assert_strong(tally, 0.75)
