@@ -7,7 +7,11 @@ normalised once at the end, and only the steps of the fold that depend on
 order (a window that widens to surviving keys, a lower nrel capping the
 running sum) are replayed.  It reads a series' integer form (``base``,
 ``terms``, ``floors``, window, ``tail_free``, ``base_floor`` and its
-summary) and returns one, which ``series`` wraps.
+summary) and returns one, which ``series`` wraps; or, for the residual
+of an agreement check, only its verdict, read from the folded integers,
+so that a residual that holds is never built as a series.  A product
+reads its operands through their views (``view``): summary, window,
+hull and cells, which a matrix routine prepares once per operand.
 
 A term is a tuple (p, nrel, window, tail_free, floor, base, digits, lo, hi,
 whole, cells, factor, low): the series p^base * (cells convolved with
@@ -50,20 +54,28 @@ def clip_window(window, hull, width):
     return (lo2, hi2)
 
 
+def view(s):
+    """The kernel's view of series ``s`` as a factor of a product: (p,
+    nrel, window, tail_free, base, min valuation, abs floor, support hull,
+    nonzero cells as a tuple).  A matrix routine prepares it once per
+    operand, so a product reads no summary and copies no cells."""
+    _, mv, fl, hull, cells = s.summary()
+    return (s.p, s.nrel, s.window, s.tail_free, s.base, mv, fl,
+            hull or (0, 0), tuple(cells))
+
+
 def product_term(pair, out_window):
-    """The kernel's view of ``a * b`` for the pair (a, b).  Given
-    ``out_window``, the product is exact on it: its window is the provable
-    window within ``out_window``, uncapped.  Otherwise the provable window
-    is cut to ``MAX_WIDTH`` exponents around the product's support."""
-    a, b = pair
-    p = a.p
-    if b.p != p:
+    """The kernel's term for ``a * b``, given the pair of views (``view``)
+    of a and b.  Given ``out_window``, the product is exact on it: its
+    window is the provable window within ``out_window``, uncapped.
+    Otherwise the provable window is cut to ``MAX_WIDTH`` exponents around
+    the product's support."""
+    (p, na, wa, tfa, basea, mva, fla, ha, cells_a), \
+        (pb, nb, wb, tfb, baseb, mvb, flb, hb, cells_b) = pair
+    if pb != p:
         raise ValueError("mixed primes")
-    nrel = a.nrel if a.nrel < b.nrel else b.nrel
-    _, mva, fla, ha, cells_a = a.summary()
-    _, mvb, flb, hb, cells_b = b.summary()
-    ha, hb = ha or (0, 0), hb or (0, 0)
-    window = _window_of_product(a, b, ha, hb)
+    nrel = na if na < nb else nb
+    window = _window_of_product(wa, tfa, ha, wb, tfb, hb)
     if mva is INF or mvb is INF:
         # only the exact zero has no (min valuation, abs floor)
         window = (clip_window(window, (0, 0), MAX_WIDTH)
@@ -81,10 +93,9 @@ def product_term(pair, out_window):
     whole = lo <= flo and fhi <= hi
     if len(cells_a) > len(cells_b):
         cells_a, cells_b = cells_b, cells_a
-    # the inner loop runs over a tuple: iterating a dict view costs more
-    return (p, nrel, (lo, hi), a.tail_free and b.tail_free and whole, floor,
-            a.base + b.base, floor - mva - mvb, lo if lo > flo else flo,
-            hi if hi < fhi else fhi, whole, cells_a, tuple(cells_b), None)
+    return (p, nrel, (lo, hi), tfa and tfb and whole, floor, basea + baseb,
+            floor - mva - mvb, lo if lo > flo else flo,
+            hi if hi < fhi else fhi, whole, cells_a, cells_b, None)
 
 
 def series_term(s, sign):
@@ -124,10 +135,15 @@ def _first_kept(exponents, acc, glo, low, bf, p, base):
     return None
 
 
-def accumulate(terms):
+def accumulate(terms, verdict=False):
     """The fold of ``+`` over ``terms``, as one integer sum: the integer
     form (p, nrel, base, terms, floors, window, tail_free, base_floor) of
-    the series that folding ``+`` over them left to right gives.
+    the series that folding ``+`` over them left to right gives.  With
+    ``verdict``, the fold is a residual and only its agreement verdict is
+    read from the folded integers: (floor, window) when every cell in the
+    window is zero modulo its own floor, with floor the smallest of those
+    floors (INF: exactly), which is the residual series' ``abs_floor``;
+    else None.
 
     Every cell is one integer over the smallest base valuation of the
     terms, normalised once at the end.  The fold is replayed step by step
@@ -252,8 +268,22 @@ def accumulate(terms):
         if f < bf:
             bf = f
 
-    out, floors = {}, {}
     top = None if bf is INF else p ** (bf - base)
+    if verdict:
+        # the cells the canonical form below would keep, each zero modulo
+        # its floor: a holding residual keeps only inexact zeros
+        floor = bf
+        for e in range(max(alo, lo), min(ahi, hi) + 1):
+            fe = low.get(e, bf)
+            if fe < bf:
+                if acc[e - glo] % p ** (fe - base):
+                    return None
+                if fe < floor:
+                    floor = fe
+            elif top is not None and acc[e - glo] % top:
+                return None
+        return floor, (lo, hi)
+    out, floors = {}, {}
     for e in range(max(alo, lo), min(ahi, hi) + 1):
         fe = low.get(e, bf)
         cell = acc[e - glo]
@@ -282,17 +312,17 @@ def accumulate(terms):
             None if bf is INF else bf)
 
 
-def _window_of_product(a, b, ha, hb):
-    """Provable window of a * b, given the operands' support hulls, before
-    the window cap."""
-    if a.tail_free:
-        if b.tail_free:
-            return (a.window[0] + b.window[0], a.window[1] + b.window[1])
-        lo, hi = b.window[0] + ha[1], b.window[1] + ha[0]
+def _window_of_product(wa, tfa, ha, wb, tfb, hb):
+    """Provable window of a * b, given the operands' windows, tail-free
+    markers and support hulls, before the window cap."""
+    if tfa:
+        if tfb:
+            return (wa[0] + wb[0], wa[1] + wb[1])
+        lo, hi = wb[0] + ha[1], wb[1] + ha[0]
     else:
-        lo, hi = a.window[0] + hb[1], a.window[1] + hb[0]
-        if not b.tail_free:
-            lo, hi = max(lo, b.window[0] + ha[1]), min(hi, b.window[1] + ha[0])
+        lo, hi = wa[0] + hb[1], wa[1] + hb[0]
+        if not tfb:
+            lo, hi = max(lo, wb[0] + ha[1]), min(hi, wb[1] + ha[0])
     if lo > hi:
         raise WindowOverflow("provable window of product is empty")
     return lo, hi

@@ -1,13 +1,15 @@
 """Small matrix helpers over Laurent series and over plain scalars.
 
 Matrices are lists of lists (row major).  The series products take the
-kernel's window rules (an output window, else the cap); ``smat_det`` and
-``smat_inv`` share one
-cofactor memo, and ``smat_product_agree`` checks A * B = X without
-building A * B, one kernel fold per entry.  The scalar helpers are
-generic over Fraction, PadicNumber and UnramifiedScalar entries via a
-tiny ops adapter, and ``mat_inv`` is the one Gauss-Jordan elimination
-over scalars.  An adapter provides:
+kernel's window rules (an output window, else the cap) and read each
+operand through one kernel view per routine; ``smat_det`` and
+``smat_inv`` share one cofactor memo.  ``smat_product_agree`` checks
+A * B = X without building A * B, and ``smat_agree`` checks A = B: one
+kernel fold per entry, whose verdict is read from the folded integers;
+only a failing entry's residual series is built, for its witness.  The
+scalar helpers are generic over Fraction, PadicNumber and
+UnramifiedScalar entries via a tiny ops adapter, and ``mat_inv`` is the
+one Gauss-Jordan elimination over scalars.  An adapter provides:
 
 * ``zero()``, ``one()``, ``from_int(n)``: constants;
 * ``is_exact_zero(x)``: x is provably zero, so elimination may skip it
@@ -25,8 +27,9 @@ from fractions import Fraction
 
 from .errors import SingularInput
 from .padic import INF, PadicNumber, UnramifiedScalar
-from .series import (AgreementVerdict, LaurentSeries, residual_verdict,
-                     series_dot, series_sum)
+from .kernel import accumulate, view
+from .series import (AgreementVerdict, LaurentSeries, _series, kernel_terms,
+                     residual_verdict, series_dot, series_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -49,20 +52,25 @@ def smat_add(a, b):
 
 
 def smat_mul(a, b, out_window=None):
-    n, k = smat_shape(a)
-    k2, m = smat_shape(b)
-    if k != k2:
+    if smat_shape(a)[1] != smat_shape(b)[0]:
         raise ValueError("shape mismatch")
-    cols = [[row[j] for row in b] for j in range(m)]
+    cols = _views(zip(*b))
     return [[series_dot(zip(row, col), out_window) for col in cols]
-            for row in a]
+            for row in _views(a)]
 
 
 def smat_mul_add(a, b, c):
     """a * b + c, each entry summed by one ``series_sum``."""
-    cols = list(zip(*b))
+    cols = _views(zip(*b))
     return [[series_sum(list(zip(row, col)) + [z])
-             for col, z in zip(cols, crow)] for row, crow in zip(a, c)]
+             for col, z in zip(cols, crow)]
+            for row, crow in zip(_views(a), c)]
+
+
+def _views(rows):
+    """The kernel view (``kernel.view``) of every entry, prepared once for
+    all the products it takes part in."""
+    return [[view(s) for s in row] for row in rows]
 
 
 def smat_honest(a, window, floor):
@@ -92,8 +100,10 @@ def smat_deriv(a):
 
 def smat_agree(a, b) -> AgreementVerdict:
     """Entrywise agreement at precision; reports the worst finding, and on
-    failure the (row, column) of the first entry that disagrees."""
-    return _matrix_verdict((x - y for x, y in zip(ra, rb))
+    failure the (row, column) of the first entry that disagrees.  Every
+    difference is formed first, so one that cannot be formed raises."""
+    return _matrix_verdict((kernel_terms((x,), minus=y)
+                            for x, y in zip(ra, rb))
                            for ra, rb in zip(a, b))
 
 
@@ -105,28 +115,33 @@ def smat_product_agree(a, b, x, out_window=None,
     fold, exact because the kernel replays the left fold of ``+``."""
     if smat_shape(a)[1] != smat_shape(b)[0]:
         raise ValueError("shape mismatch")
-    cols = list(zip(*b))
+    cols = _views(zip(*b))
     plus = plus or [[None] * len(cols) for _ in a]
     return _matrix_verdict(
-        [[series_sum(list(zip(row, col)) + ([] if z is None else [z]),
-                     out_window, minus=y)
-          for col, z, y in zip(cols, zrow, xrow)]
-         for row, zrow, xrow in zip(a, plus, x)])
+        (kernel_terms(list(zip(row, col)) + ([] if z is None else [z]),
+                      out_window, y)
+         for col, z, y in zip(cols, zrow, xrow))
+        for row, zrow, xrow in zip(_views(a), plus, x))
 
 
 def _matrix_verdict(residuals):
-    """The verdicts on rows of residuals, scanned in order: the worst
-    floor, or the first failure with its (row, column)."""
+    """The verdict on rows of residuals, each given by its kernel terms:
+    every residual is folded, in row-major order, to its verdict alone
+    (``accumulate(..., verdict=True)``), then scanned in that order for
+    the worst floor, or the first failure, whose residual series alone is
+    built for its witness, with its (row, column)."""
+    folded = [[(kterms, accumulate(kterms, True)) for kterms in row]
+              for row in residuals]
     floor = INF
     window = None
-    for i, row in enumerate(residuals):
-        for j, d in enumerate(row):
-            v = residual_verdict(d)
-            if not v.holds:
-                return replace(v, position=(i, j))
-            if v.floor is not None and v.floor < floor:
-                floor = v.floor
-            window = v.window if window is None else window
+    for i, row in enumerate(folded):
+        for j, (kterms, v) in enumerate(row):
+            if v is None:
+                d = residual_verdict(_series(*accumulate(kterms)))
+                return replace(d, position=(i, j))
+            if v[0] < floor:
+                floor = v[0]
+            window = v[1] if window is None else window
     return AgreementVerdict(True, None if floor is INF else int(floor),
                             window or (0, 0))
 
@@ -139,7 +154,15 @@ def _cofactor_memo(a):
     ((-x) * m and -(x * m) are the same series).
     """
     memo = {}
-    negated = {}
+    views = {}      # (rows, cols): the kernel view of that minor
+    signed = {}     # row: the views of its entries and of their negatives
+
+    def operand(rows, cols):
+        key = (rows, cols)
+        v = views.get(key)
+        if v is None:
+            v = views[key] = view(minor(rows, cols))
+        return v
 
     def minor(rows, cols):
         if len(cols) == 1:
@@ -149,11 +172,10 @@ def _cofactor_memo(a):
         if det is not None:
             return det
         r, rest = rows[0], rows[1:]
-        if r not in negated:
-            negated[r] = [-x for x in a[r]]
-        signed = (a[r], negated[r])
+        if r not in signed:
+            signed[r] = ([view(x) for x in a[r]], [view(-x) for x in a[r]])
         det = memo[key] = series_dot(
-            ((signed[j % 2][c], minor(rest, cols[:j] + cols[j + 1:]))
+            ((signed[r][j % 2][c], operand(rest, cols[:j] + cols[j + 1:]))
              for j, c in enumerate(cols)))
         return det
 

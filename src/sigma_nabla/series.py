@@ -65,7 +65,7 @@ from typing import Optional
 
 from .errors import MembershipViolated, NotAUnit, WindowOverflow
 from .kernel import MAX_WIDTH, accumulate, clip_window, product_term, \
-    series_term
+    series_term, view
 from .padic import INF, PadicNumber, cell_dot, vp_int
 
 
@@ -580,15 +580,21 @@ class LaurentSeries:
         # one-sided inverse of (1 + g_plus) modulo p^nrel by the convolution
         # recursion, each h[k] = sum (-g_j) h[k-j] as one cell_dot; g_plus
         # is integral, so a cell of valuation >= nrel moves no later cell
-        # below p^nrel
+        # below p^nrel; once k is past the last stored h[k] by more than
+        # g_plus's top exponent, no later h[k] has a term
         gp = [(e, (v, -unit, prec)) for e, v, unit, prec in g if e > 0]
+        reach = gp[-1][0] if gp else 0
         h = {0: (0, 1, nrel)}
+        last = 0
         for k in range(1, whi + 1):
+            if k - last > reach:
+                break
             pairs = [(x, h[k - j]) for j, x in gp if k - j in h]
             if pairs:
                 c = cell_dot(p, nrel, pairs)
                 if c[0] is not None and c[0] < nrel:
                     h[k] = c
+                    last = k
 
         # internal polynomial surrogates; honesty is restored by the final
         # verification and the truncated window of the returned value
@@ -681,16 +687,20 @@ def _settle(p, nrel, base, cells, bf, cap=None):
     return terms, floors
 
 
-def series_sum(terms, out_window=None, minus=None):
-    """The series that folding ``+`` over ``terms`` left to right gives:
-    each term a series, or a pair (a, b) that stands for ``a.mul(b,
-    out_window)``; then ``- minus``, when given, as the fold's last
-    step."""
+def kernel_terms(terms, out_window=None, minus=None):
+    """The kernel terms of ``series_sum(terms, out_window, minus)``; a pair
+    may hold kernel views (``kernel.view``) in place of series."""
     kterms = []
     try:
         for t in terms:
-            kterms.append(product_term(t, out_window) if isinstance(t, tuple)
-                          else series_term(t, 1))
+            if isinstance(t, tuple):
+                a, b = t
+                t = product_term((a if type(a) is tuple else view(a),
+                                  b if type(b) is tuple else view(b)),
+                                 out_window)
+            else:
+                t = series_term(t, 1)
+            kterms.append(t)
     except WindowOverflow:
         # the fold forms each product at its own step, so its steps
         # before the first product that overflows raise first
@@ -699,7 +709,15 @@ def series_sum(terms, out_window=None, minus=None):
         raise
     if minus is not None:
         kterms.append(series_term(minus, -1))
-    return _series(*accumulate(kterms))
+    return kterms
+
+
+def series_sum(terms, out_window=None, minus=None):
+    """The series that folding ``+`` over ``terms`` left to right gives:
+    each term a series, or a pair (a, b) that stands for ``a.mul(b,
+    out_window)``; then ``- minus``, when given, as the fold's last
+    step."""
+    return _series(*accumulate(kernel_terms(terms, out_window, minus)))
 
 
 # a sum of products ``a.mul(b, out_window)`` of pairs (a, b)

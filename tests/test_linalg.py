@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -27,8 +28,13 @@ from sigma_nabla.linalg import (
     smat_mul_add,
     smat_product_agree,
 )
-from sigma_nabla.padic import UnramifiedField
-from sigma_nabla.series import LaurentSeries
+from sigma_nabla.padic import INF, PadicNumber, UnramifiedField
+from sigma_nabla.series import (
+    AgreementVerdict,
+    LaurentSeries,
+    residual_verdict,
+    series_sum,
+)
 
 P, N = 3, 12
 
@@ -128,6 +134,16 @@ def test_agree_reports_failing_position():
     assert smat_agree([[one]], [[one]]).position is None
 
 
+def test_agree_forms_every_difference_before_the_scan():
+    # entry (0, 0) disagrees, and entry (0, 1) is the difference of two
+    # polynomials on disjoint windows, which has none: it raises, as a
+    # later entry of smat_product_agree does
+    one, two = series(P, N, [(0, 1)]), series(P, N, [(0, 2)])
+    left, right = (LaurentSeries.zero(P, N, w) for w in ((0, 0), (5, 5)))
+    with pytest.raises(WindowOverflow, match="empty exponent window"):
+        smat_agree([[one, left]], [[two, right]])
+
+
 def outcome(fn):
     """fn's result, or the type of the library error it raises."""
     try:
@@ -192,6 +208,160 @@ def test_product_agree_is_the_verdict_on_the_built_product():
         assert old is WindowOverflow
         assert outcome(lambda: smat_product_agree(wide, wide, wide,
                                                   plus=plus)) is old
+
+
+def reference_verdict(residuals):
+    """The verdicts on rows of residual series, scanned in row-major order,
+    one ``residual_verdict`` per entry: the worst floor, or the first
+    failure with its (row, column)."""
+    floor, window = INF, None
+    for i, row in enumerate(residuals):
+        for j, d in enumerate(row):
+            v = residual_verdict(d)
+            if not v.holds:
+                return replace(v, position=(i, j))
+            if v.floor is not None and v.floor < floor:
+                floor = v.floor
+            window = v.window if window is None else window
+    return AgreementVerdict(True, None if floor is INF else int(floor),
+                            window or (0, 0))
+
+
+def entry_terms(a, b, i, j, plus):
+    return list(zip(a[i], (row[j] for row in b))) + (
+        [] if plus is None else [plus[i][j]])
+
+
+def reference_product_agree(a, b, x, out_window, plus):
+    """Each residual series built by ``series_sum`` (every entry, before
+    the scan), and the residuals themselves."""
+    residuals = [[series_sum(entry_terms(a, b, i, j, plus), out_window,
+                             minus=x[i][j]) for j in range(len(x[0]))]
+                 for i in range(len(x))]
+    return reference_verdict(residuals), residuals
+
+
+def verdict_outcome(fn):
+    """fn's verdict, or the type and message of the error it raises."""
+    try:
+        return fn()
+    except WindowOverflow as exc:
+        return type(exc).__name__, str(exc)
+
+
+def rand_entry(rng, nrel):
+    """An exact zero, a pure floor O(p^f), a truncation (inexact zeros and
+    cells known to few digits among its cells) or a polynomial, whose
+    cells each keep their own floor, below any uniform one."""
+    kind = rng.choice(("zero", "floor", "truncated", "truncated",
+                       "polynomial", "polynomial"))
+    if kind == "zero":
+        return LaurentSeries(P, nrel, {}, (-rng.randint(0, 6),
+                                           rng.randint(0, 6)),
+                             rng.random() < 0.5, None)
+    if kind == "floor":
+        return LaurentSeries(P, nrel, {}, (-rng.randint(0, 8),
+                                           rng.randint(0, 8)),
+                             False, rng.randint(0, 8))
+    cells = {}
+    for _ in range(rng.randint(1, 4)):
+        e = rng.randint(-4, 4)
+        if rng.random() < 0.15:
+            cells[e] = PadicNumber.inexact_zero(P, nrel, rng.randint(0, 6))
+            continue
+        prec = nrel if rng.random() < 0.6 else rng.randint(1, nrel)
+        unit = rng.randrange(1, P ** prec)
+        while unit % P == 0:
+            unit = rng.randrange(1, P ** prec)
+        cells[e] = PadicNumber._make(P, nrel, rng.randint(0, 3), unit, prec)
+    lo, hi = min(cells), max(cells)
+    if kind == "truncated":
+        return LaurentSeries(P, nrel, cells, (lo - rng.randint(8, 14),
+                                              hi + rng.randint(8, 14)),
+                             False, rng.randint(3, 12))
+    return LaurentSeries(P, nrel, cells, (lo - rng.randint(0, 2),
+                                          hi + rng.randint(0, 2)), True,
+                         None)
+
+
+def test_product_agree_reads_the_verdict_of_each_residual():
+    # seeded sums of products against X built from them, as built or with
+    # one cell of one entry moved, or one entry replaced: the verdict read
+    # from the kernel's fold equals the verdicts of the residual series
+    # scanned in row-major order, field for field, or both raise the same
+    # error; and so does smat_agree against the verdicts on X - X'
+    rng = random.Random(19)
+    seen = dict(holds=0, fails_later=0, raises_after_failure=0,
+                low_floor_holds=0, inexact_zero=0, out_window=0, plus=0)
+    for trial in range(600):
+        nrel = rng.choice((6, 10, None))
+        n, k, m = (rng.randint(1, 3) for _ in range(3))
+
+        def entry():
+            return rand_entry(rng, nrel or rng.choice((6, 10)))
+
+        a = [[entry() for _ in range(k)] for _ in range(n)]
+        b = [[entry() for _ in range(m)] for _ in range(k)]
+        plus = ([[entry() for _ in range(m)] for _ in range(n)]
+                if rng.random() < 0.3 else None)
+        out_window = None
+        if rng.random() < 0.25:
+            lo = -rng.randint(0, 8)
+            out_window = (lo, lo + rng.randint(0, 16))
+        wide = out_window is None and m > 1 and rng.random() < 0.1
+        if wide:
+            # (u^-70 + u^70)^2 populates 281 exponents, past the window
+            # cap: entry (0, m - 1) raises after entry (0, 0) is checked
+            t = rng.randrange(k)
+            a[0][t], b[t][m - 1] = (series(P, nrel or 10, [(-70, 1), (70, 1)])
+                                    for _ in range(2))
+            b[t][0] = series(P, nrel or 10, [(rng.randint(-4, 4), 1)])
+        built = [[verdict_outcome(lambda: series_sum(
+            entry_terms(a, b, i, j, plus), out_window))
+            for j in range(m)] for i in range(n)]
+        x = [[s if isinstance(s, LaurentSeries) else entry() for s in row]
+             for row in built]
+        mode = rng.randrange(4)
+        if wide or mode >= 2:
+            i, j = ((0, 0) if wide else
+                    (rng.randrange(n), rng.randrange(m)))
+            s = x[i][j]
+            if mode == 3 and not wide:
+                x[i][j] = entry()
+            else:
+                e = rng.choice(sorted(s.terms) or [0])
+                x[i][j] = s + LaurentSeries.monomial(
+                    P, s.nrel, P ** (0 if wide else rng.randint(0, 12)), e)
+        try:
+            want, residuals = reference_product_agree(a, b, x, out_window,
+                                                      plus)
+        except WindowOverflow as exc:
+            want = type(exc).__name__, str(exc)
+        got = verdict_outcome(
+            lambda: smat_product_agree(a, b, x, out_window, plus))
+        assert got == want, (trial, want, got)
+        operands = [s for mat in (a, b, x, plus or []) for row in mat
+                    for s in row]
+        seen["inexact_zero"] += any(not r for s in operands
+                                    for r in s.terms.values())
+        seen["out_window"] += out_window is not None
+        seen["plus"] += plus is not None
+        if isinstance(want, tuple):
+            # the error of a later entry, whatever an earlier one says
+            first = verdict_outcome(lambda: reference_verdict(
+                [[series_sum(entry_terms(a, b, 0, 0, plus), None,
+                             minus=x[0][0])]]))
+            seen["raises_after_failure"] += wide and not isinstance(
+                first, tuple) and not first.holds
+            continue
+        seen["holds"] += want.holds
+        seen["fails_later"] += (not want.holds) and want.position != (0, 0)
+        seen["low_floor_holds"] += want.holds and any(
+            d.floors for row in residuals for d in row)
+        # the same path for X against X'
+        assert smat_agree(built, x) == reference_verdict(
+            [[s - t for s, t in zip(rs, rt)] for rs, rt in zip(built, x)])
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Soundness of the series layer, of ``char_coeffs`` on p-adic matrices,
-and of ``lattice_smith`` and ``matfact_gamma``, at two precisions.
+and of ``lattice_smith``, ``matfact_gamma`` and ``matfact_robba``, at two
+precisions.
 
 Each operation runs twice on the same exact-rational inputs: once at a
 relative precision nrel, once at 2*nrel + 4 with every absolute floor of
@@ -23,8 +24,9 @@ Inputs are exact Laurent polynomials and their truncations: stored cells
 cut to an absolute floor (inexact zeros among them), a base floor, and
 ``tail_free`` False; matrix entries are exact rationals and their
 truncations.  The Smith form and the constant-Z factorization take the
-seeded Gamma-invertible matrices of ``tests/conftest.py``, drawn at both
-precisions from one seed.
+seeded Gamma-invertible matrices of ``tests/conftest.py``, and the Robba
+factorization its contraction-regime products, drawn at both precisions
+from one seed.
 """
 
 import random
@@ -34,15 +36,17 @@ from conftest import (
     const_series_matrix,
     rand_const_invertible,
     rand_gamma_invertible,
+    rand_robba_regime_x,
 )
 from sigma_nabla import series as series_mod
 from sigma_nabla.errors import (
     NotAUnit,
+    NotConverged,
     PrecisionExhausted,
     SingularInput,
     WindowOverflow,
 )
-from sigma_nabla.factor import matfact_gamma
+from sigma_nabla.factor import matfact_gamma, matfact_robba
 from sigma_nabla.lattice import lattice_smith
 from sigma_nabla.linalg import smat_det, smat_inv, smat_mul
 from sigma_nabla.padic import INF, PadicNumber, cell_dot, vp_int
@@ -519,6 +523,30 @@ def test_matfact_gamma():
         # stored support, which more digits can widen
         same = hulls(sum(low_x, [])) == hulls(sum(high_x, []))
         check_matrices((low.y, low.z), (high.y, high.z), tally, ("gamma", t),
+                       same)
+    assert_strong(tally)
+    assert_skips(tally, 0, 0)
+
+
+def test_matfact_robba():
+    # X = Y0 * Z0 in the contraction regime, ranks 1 to 3: Y, Z and Y^-1
+    # agree; the closing product check reads its verdict from the fold
+    tally = Tally()
+    rng = random.Random(112)
+    for t in range(30):
+        n = 1 + t % 3
+        low_x, high_x = seeded_pair(
+            lambda r, k: rand_robba_regime_x(r, P, k, n)[0], rng)
+        try:
+            low = matfact_robba(low_x)
+        except NotConverged:
+            tally.low_skips += 1
+            continue
+        high = matfact_robba(high_x)
+        same = hulls(sum(low_x, [])) == hulls(sum(high_x, []))
+        check_matrices((low.y, low.z), (high.y, high.z), tally,
+                       ("robba", t), same)
+        check_matrices((low.y_inv,), (high.y_inv,), tally, ("robba", t),
                        same)
     assert_strong(tally)
     assert_skips(tally, 0, 0)

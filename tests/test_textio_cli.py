@@ -237,6 +237,11 @@ GOLDEN_REPORTS = [
     (["check-product"], ["factor_gamma/Y.json", "factor_gamma/Z.json",
                          "check_product/x_perturbed.json"],
      "check_product/fails_report.json", 1),
+    # the glue fixture's first module with the cell u^0 of N's entry
+    # (1, 2) moved by 3^5: the compatibility check N*Phi + d(Phi) fails at
+    # entry (0, 2), and the B-side diagram of the FV check fails too
+    (["check-module"], ["check_module/m1_n_perturbed.json"],
+     "check_module/fails_report.json", 1),
 ]
 
 
