@@ -1,21 +1,23 @@
 """Command-line front end.
 
-Every command is a function from the group's ``JobConfig`` and its own
-arguments to ``(ok, body)``, registered with ``command``; the runner there
-owns the rest.  Exit status: 0 for verdicts of the Holds/Compatible/Pure
-family, 1 when the mathematics refutes the claim (or a mathematical-failure
-error such as NotConverged is raised), 2 for malformed input.  Reports are
-deterministic JSON documents on stdout (and, with --out, on disk).
+One ``argparse`` parser, built at import, holds the global options and one
+subparser per command.  Every command is a function from the global
+options' ``JobConfig`` and its own arguments to ``(ok, body)``, registered
+with ``command``; the runner there owns the rest.  Exit status: 0 for
+verdicts of the Holds/Compatible/Pure family, 1 when the mathematics
+refutes the claim (or a mathematical-failure error such as NotConverged is
+raised), 2 for malformed input and for usage errors, each with one line on
+stderr.  Reports are deterministic JSON documents on stdout (and, with
+--out, the same bytes on disk).  ``main`` is the entry point.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
-
-import click
 
 from . import textio
 from .errors import ParseError, SigmaNablaError
@@ -38,6 +40,8 @@ from .points import (
     newton_slopes_frob,
 )
 
+PROG = "sigma-nabla"
+
 
 @dataclass
 class JobConfig:
@@ -56,49 +60,127 @@ def _load(path, *kinds):
     return textio.expect_kind(textio.load_path(path), *kinds)
 
 
-@click.group()
-@click.option("--kmax", type=int, default=32, show_default=True)
-@click.option("--nmax", type=int, default=64, show_default=True)
-@click.option("--out", type=click.Path(), default=None,
-              help="also write the report (or factors) here")
-@click.pass_context
-def main(ctx, kmax, nmax, out):
-    """Exact computations with sigma/nabla-module and Frobenius data."""
-    ctx.obj = JobConfig(kmax, nmax, out)
+class UsageError(Exception):
+    """A command line the parser or a command rejects: exit 2 with the
+    line ``PROG: error: message`` on stderr."""
+
+    def __init__(self, message, prog=PROG):
+        super().__init__(message)
+        self.prog = prog
 
 
-def command(name, report_file=True):
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` where argparse would print usage and exit."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help",
+                          help="show this message and exit")
+
+    def error(self, message):
+        raise UsageError(message, self.prog)
+
+
+def _existing(path):
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+def _natural(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"{value} is not in the range x>=0")
+    return value
+
+
+def arg(*flags, **kwargs):
+    """One ``add_argument`` call of a command, for ``command``."""
+    return flags, kwargs
+
+
+def document(name):
+    """A positional argument naming an existing document."""
+    return arg(name, metavar=name.upper(), type=_existing)
+
+
+_PARSER = _Parser(
+    prog=PROG,
+    description="Exact computations with sigma/nabla-module and Frobenius "
+                "data.")
+_PARSER.add_argument("--kmax", type=int, default=32,
+                     help="u-degree bound of horizontal "
+                          "(default: %(default)s)")
+_PARSER.add_argument("--nmax", type=int, default=64,
+                     help="iteration bound of probe-nilpotence "
+                          "(default: %(default)s)")
+_PARSER.add_argument("--out", metavar="PATH", default=None,
+                     help="also write the report (or factors) here")
+_COMMANDS = _PARSER.add_subparsers(dest="command", metavar="COMMAND",
+                                   required=True)
+
+
+def command(name, *params, report_file=True):
     """Register ``fn(config, **arguments) -> (ok, body)`` as the subcommand
-    ``name``.  ``ParseError`` exits 2 and any other ``SigmaNablaError``
-    exits 1, each with one line on stderr; otherwise the report goes to
-    stdout and, when ``report_file``, to --out, and the exit status is 0
-    if ok else 1.  A body may name the report's command itself."""
+    ``name`` with the ``arg`` and ``document`` parameters ``params``.
+    ``ParseError`` exits 2 and any other ``SigmaNablaError`` exits 1, each
+    with one line on stderr; otherwise the report goes to stdout and, when
+    ``report_file``, the same bytes to --out, and the exit status is 0 if
+    ok else 1.  A body may name the report's command itself."""
     def register(fn):
-        def run(**arguments):
-            ctx = click.get_current_context()
+        summary = " ".join(fn.__doc__.split())
+        sub = _COMMANDS.add_parser(name, help=summary, description=summary)
+        dests = [sub.add_argument(*flags, **kwargs).dest
+                 for flags, kwargs in params]
+
+        def run(config, args):
             try:
-                ok, body = fn(ctx.obj, **arguments)
+                ok, body = fn(config, **{d: getattr(args, d) for d in dests})
             except ParseError as exc:
                 where = ""
                 if exc.line is not None:
                     where = f" (line {exc.line}, column {exc.column})"
-                click.echo(f"parse error{where}: {exc}", err=True)
-                ctx.exit(2)
+                sys.stderr.write(f"parse error{where}: {exc}\n")
+                return 2
             except SigmaNablaError as exc:
-                click.echo(f"{type(exc).__name__}: {exc}", err=True)
-                ctx.exit(1)
+                sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+                return 1
             doc = {"format_version": textio.FORMAT_VERSION, "kind": "report",
                    "command": name, "ok": bool(ok), **body}
-            click.echo(textio.dumps(doc), nl=False)
-            if report_file and ctx.obj.out:
-                textio.dump_path(ctx.obj.out, doc)
-            ctx.exit(0 if ok else 1)
-        return main.command(name)(functools.update_wrapper(run, fn))
+            text = textio.dumps(doc)
+            sys.stdout.write(text)
+            if report_file and config.out:
+                textio.write_path(config.out, text)
+            return 0 if ok else 1
+
+        sub.set_defaults(run=run)
+        return fn
     return register
 
 
-@command("check-module")
-@click.argument("path", type=click.Path(exists=True))
+def main(argv=None, standalone_mode=True):
+    """Run the command line ``argv`` (default: ``sys.argv[1:]``) and exit
+    with its status; with ``standalone_mode=False``, return the status
+    instead of raising ``SystemExit``."""
+    try:
+        args = _PARSER.parse_args(argv)
+        code = args.run(JobConfig(args.kmax, args.nmax, args.out), args)
+    except UsageError as exc:
+        sys.stderr.write(f"{exc.prog}: error: {exc}\n")
+        code = 2
+    except SystemExit as exc:       # --help, printed by the parser
+        code = exc.code
+    if standalone_mode:
+        sys.exit(code)
+    return code
+
+
+@command("check-module", document("path"))
 def cmd_check_module(cfg, path):
     """Verify the compatibility law (and FV = p when B is present)."""
     mod = _load(path, "module")
@@ -120,9 +202,8 @@ def cmd_check_module(cfg, path):
     return ok, body
 
 
-@command("factor", report_file=False)
-@click.argument("mode", type=click.Choice(["gamma", "robba"]))
-@click.argument("path", type=click.Path(exists=True))
+@command("factor", arg("mode", choices=["gamma", "robba"]),
+         document("path"), report_file=False)
 def cmd_factor(cfg, mode, path):
     """Factor a series matrix as Y*Z (gamma: Z constant; robba: Z plus)."""
     x, p, nrel = _load(path, "series_matrix")
@@ -145,10 +226,8 @@ def cmd_factor(cfg, mode, path):
     return True, body
 
 
-@command("check-product")
-@click.argument("y_path", type=click.Path(exists=True))
-@click.argument("z_path", type=click.Path(exists=True))
-@click.argument("x_path", type=click.Path(exists=True))
+@command("check-product", document("y_path"), document("z_path"),
+         document("x_path"))
 def cmd_check_product(cfg, y_path, z_path, x_path):
     """Verify Y*Z = X at working precision on the common window."""
     y, _, _ = _load(y_path, "series_matrix")
@@ -166,9 +245,7 @@ def cmd_check_product(cfg, y_path, z_path, x_path):
     return verdict.holds, body
 
 
-@command("descend")
-@click.argument("module_path", type=click.Path(exists=True))
-@click.argument("x_path", type=click.Path(exists=True))
+@command("descend", document("module_path"), document("x_path"))
 def cmd_descend(cfg, module_path, x_path):
     """Descend an E-dagger module to E-plus through a factorization of X."""
     mod = _load(module_path, "module")
@@ -183,10 +260,8 @@ def cmd_descend(cfg, module_path, x_path):
     }
 
 
-@command("glue")
-@click.argument("m1_path", type=click.Path(exists=True))
-@click.argument("m2_path", type=click.Path(exists=True))
-@click.argument("x_path", type=click.Path(exists=True))
+@command("glue", document("m1_path"), document("m2_path"),
+         document("x_path"))
 def cmd_glue(cfg, m1_path, m2_path, x_path):
     """Glue Dieudonne modules over Gamma and E-plus into one over
     Gamma-plus."""
@@ -206,8 +281,7 @@ def cmd_glue(cfg, m1_path, m2_path, x_path):
     }
 
 
-@command("horizontal")
-@click.argument("module_path", type=click.Path(exists=True))
+@command("horizontal", document("module_path"))
 def cmd_horizontal(cfg, module_path):
     """Horizontal basis through u-degree kmax by the power-series
     recursion."""
@@ -223,8 +297,7 @@ def cmd_horizontal(cfg, module_path):
     }
 
 
-@command("slopes")
-@click.argument("path", type=click.Path(exists=True))
+@command("slopes", document("path"))
 def cmd_slopes(cfg, path):
     """Newton slopes of a point Frobenius matrix, and the unit-root test."""
     mat = textio.require_square(_load(path, "scalar_matrix"))
@@ -236,10 +309,10 @@ def cmd_slopes(cfg, path):
     }
 
 
-@command("probe-nilpotence")
-@click.option("--vtarget", type=int, default=None,
-              help="valuation to reach (default: the module's nrel)")
-@click.argument("module_path", type=click.Path(exists=True))
+@command("probe-nilpotence",
+         arg("--vtarget", type=int, default=None,
+             help="valuation to reach (default: the module's nrel)"),
+         document("module_path"))
 def cmd_probe(cfg, module_path, vtarget):
     """Iterate the differential operator and watch valuations."""
     mod = _load(module_path, "module")
@@ -254,16 +327,14 @@ def cmd_probe(cfg, module_path, vtarget):
     }
 
 
-@command("average-projector")
-@click.argument("path", type=click.Path(exists=True))
+@command("average-projector", document("path"))
 def cmd_average(cfg, path):
     """Average a projector along the Frobenius orbit or a descent datum."""
     job = _load(path, "projector_job", "projector_group_job")
     return True, {"projector": textio.emit_entries(job())}
 
 
-@command("companion")
-@click.argument("path", type=click.Path(exists=True))
+@command("companion", document("path"))
 def cmd_companion(cfg, path):
     """Block-companion matrix whose n-th iterate is block diagonal."""
     f_g, n = _load(path, "companion_job")
@@ -274,11 +345,10 @@ def cmd_companion(cfg, path):
     }
 
 
-@command("lfunction")
-@click.option("--place", required=True)
-@click.option("--truncation", "-T", "truncation", type=click.IntRange(0),
-              default=8, show_default=True)
-@click.argument("table_path", type=click.Path(exists=True))
+@command("lfunction", arg("--place", required=True),
+         arg("--truncation", "-T", type=_natural, default=8,
+             help="truncation degree (default: %(default)s)"),
+         document("table_path"))
 def cmd_lfunction(cfg, table_path, place, truncation):
     """Truncated Euler product of inverse local factors."""
     series = lfunction_truncated(_load(table_path, "charpoly_table"), place,
@@ -288,12 +358,10 @@ def cmd_lfunction(cfg, table_path, place, truncation):
                                    for c in series.coeffs]}
 
 
-@command("trace-check")
-@click.option("--place", required=True)
-@click.option("--truncation", "-T", "truncation", type=click.IntRange(0),
-              default=12, show_default=True)
-@click.argument("table_path", type=click.Path(exists=True))
-@click.argument("cohomology_path", type=click.Path(exists=True))
+@command("trace-check", arg("--place", required=True),
+         arg("--truncation", "-T", type=_natural, default=12,
+             help="truncation degree (default: %(default)s)"),
+         document("table_path"), document("cohomology_path"))
 def cmd_trace_check(cfg, table_path, cohomology_path, place, truncation):
     """Euler product against P1/(P0 P2) up to the truncation degree."""
     table = _load(table_path, "charpoly_table")
@@ -307,8 +375,7 @@ def cmd_trace_check(cfg, table_path, cohomology_path, place, truncation):
     return verdict.consistent, body
 
 
-@command("compat")
-@click.argument("table_path", type=click.Path(exists=True))
+@command("compat", document("table_path"))
 def cmd_compat(cfg, table_path):
     """Place-independence of the local factors of a compatible system."""
     verdict = check_compatible(_load(table_path, "charpoly_table"))
@@ -319,9 +386,8 @@ def cmd_compat(cfg, table_path):
     return verdict.compatible, body
 
 
-@command("purity")
-@click.option("--weight", "-w", type=int, required=True)
-@click.argument("table_path", type=click.Path(exists=True))
+@command("purity", arg("--weight", "-w", type=int, required=True),
+         document("table_path"))
 def cmd_purity(cfg, table_path, weight):
     """Check every local factor for purity of the given weight."""
     report = check_pure_system(_load(table_path, "charpoly_table"), weight)
@@ -335,14 +401,14 @@ def cmd_purity(cfg, table_path, weight):
         "verdict": "pure" if report.all_pure else "impure"}
 
 
-@command("pole-order")
-@click.option("--q", "qval", type=int, required=True)
-@click.option("--d", "dval", type=int, required=True)
-@click.argument("poly_path", type=click.Path(exists=True))
+@command("pole-order", arg("--q", dest="qval", type=int, required=True),
+         arg("--d", dest="dval", type=int, required=True),
+         document("poly_path"))
 def cmd_pole_order(cfg, poly_path, qval, dval):
     """Multiplicity of the root t = q^-d of an exact polynomial."""
     if qval < 2:
-        raise click.UsageError(f"--q must be at least 2, got {qval}")
+        raise UsageError(f"--q must be at least 2, got {qval}",
+                         f"{PROG} pole-order")
     order = pole_order_at(_load(poly_path, "int_polynomial"), qval, dval)
     return True, {"q": qval, "d": dval, "order": order}
 

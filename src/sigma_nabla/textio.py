@@ -372,8 +372,13 @@ def load_path(path):
 
 
 def dump_path(path, doc):
+    write_path(path, dumps(doc))
+
+
+def write_path(path, text):
+    """Write the ``dumps`` output ``text`` to ``path``, byte for byte."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(doc))
+        fh.write(text)
 
 
 _PARSERS = {

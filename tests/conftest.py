@@ -6,9 +6,13 @@ polynomial enumeration for point counts, integer lattice enumeration for
 intersections, and the Lefschetz expansion for synthetic L-data.
 """
 
+import contextlib
+import io
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -428,6 +432,59 @@ def elliptic_style_table(rng, places=("a", "b")):
         for place in places:
             polys[(place, pid)] = local
     return CharPolyTable(q, list(places), points, polys)
+
+
+# ---------------------------------------------------------------------------
+# In-process command-line runner.
+# ---------------------------------------------------------------------------
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also writes to the shared ``both``."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, text):
+        self.both.write(text)
+        return super().write(text)
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str         # stdout and stderr, interleaved as written
+    exception: Optional[BaseException]  # SystemExit on a nonzero exit
+
+    @property
+    def stdout_bytes(self):
+        return self.stdout.encode("utf-8")
+
+
+class CliRunner:
+    """Runs a console entry point ``main(argv)`` in process, as the shell
+    would: it exits by ``SystemExit``, and any other exception is kept."""
+
+    def invoke(self, main, args):
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        exception = None
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                main(args)
+                code = 0
+            except SystemExit as exc:
+                code = exc.code or 0
+                if code:
+                    exception = exc
+            except Exception as exc:
+                code, exception = 1, exc
+        return CliResult(code, out.getvalue(), err.getvalue(),
+                         both.getvalue(), exception)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ import json
 import os
 import random
 
-from click.testing import CliRunner
-
+from conftest import CliRunner
 from sigma_nabla import errors
 from sigma_nabla.cli import main
 

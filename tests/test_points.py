@@ -321,13 +321,15 @@ def in_t_deg(coeffs, deg):
 
 
 def test_cli_import_leaves_numpy_out():
-    # no library path needs numpy: with its import blocked, the magnitudes,
-    # the purity verdict and the purity command run all the same
+    # no library path needs numpy, and the command line does not need
+    # click: with both imports blocked, the magnitudes, the purity verdict
+    # and the purity command run all the same
     table = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
                          "charpoly", "table.json")
     code = "\n".join((
         "import sys",
         "sys.modules['numpy'] = None",
+        "sys.modules['click'] = None",
         "import sigma_nabla.cli",
         "from sigma_nabla.padic import IntPolynomial, complex_root_magnitudes",
         "from sigma_nabla.points import purity_check",

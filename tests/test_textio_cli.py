@@ -3,9 +3,8 @@ import os
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import rand_series, series
+from conftest import CliRunner, rand_series, series
 from sigma_nabla import textio
 from sigma_nabla.cli import main
 from sigma_nabla.lfunctions import CharPolyTable
@@ -512,6 +511,61 @@ def test_cli_negative_truncation_is_a_usage_error(runner, command, inputs):
     res = runner.invoke(main, [command, "--place", "p", "-T", "-1"] + paths)
     assert res.exit_code == 2
     assert "-1 is not in the range" in res.output
+
+
+COMMAND_NAMES = ["check-module", "factor", "check-product", "descend",
+                 "glue", "horizontal", "slopes", "probe-nilpotence",
+                 "average-projector", "companion", "lfunction", "trace-check",
+                 "compat", "purity", "pole-order"]
+
+USAGE_ERRORS = [
+    [],
+    ["no-such-command"],
+    ["check-module", os.path.join(FIXTURES, "no_such_document.json")],
+    ["factor", "foo", os.path.join(FIXTURES, "factor_gamma", "x.json")],
+    ["lfunction", "--place", "p", "-T", "-1",
+     os.path.join(FIXTURES, "lfunction", "table.json")],
+    ["pole-order", "--q", "1", "--d", "1",
+     os.path.join(FIXTURES, "pole_order", "poly.json")],
+]
+
+
+def _one_usage_line(stderr):
+    return stderr.startswith("sigma-nabla") and ": error: " in stderr \
+        and stderr.count("\n") == 1 and stderr.endswith("\n") \
+        and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS)
+def test_cli_usage_error_exits_two(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert _one_usage_line(res.stderr), res.stderr
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS)
+def test_cli_usage_error_returns_two_without_standalone_mode(capsys, args):
+    assert main(args, standalone_mode=False) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_usage_line(err), err
+
+
+def test_cli_help_lists_every_command(runner, capsys):
+    res = runner.invoke(main, ["--help"])
+    assert res.exit_code == 0
+    assert res.exception is None
+    assert res.stderr == ""
+    for name in COMMAND_NAMES:
+        assert f"\n    {name} " in res.stdout or \
+            f"\n    {name}\n" in res.stdout, name
+    assert main(["--help"], standalone_mode=False) == 0
+    assert capsys.readouterr().out == res.stdout
+    res = runner.invoke(main, ["factor", "--help"])
+    assert res.exit_code == 0
+    assert "gamma" in res.stdout and "robba" in res.stdout
 
 
 def test_cli_lfunction_and_trace(runner, tmp_path):
