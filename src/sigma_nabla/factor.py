@@ -14,12 +14,12 @@ Two factorizations are provided:
   detected (no constant mod-p kernel despite positive determinant
   valuation) and rejected.
 
-* ``matfact_robba``: X = Y * Z with Y a product of a diagonal of monomials
-  and (I + strictly-negative-exponent corrections), Z free of negative
-  exponents.  Implemented as a successive approximation that contracts in
-  the p-adic valuation of the minus part; it requires the documented
-  regime (minus part of D^-1 X - I of valuation >= 1) and raises
-  NotConverged otherwise.
+* ``matfact_robba``: X = Y * Z with Y a diagonal of monomials times
+  (I + strictly-negative-exponent part), Z free of negative exponents.
+  Rounds of I - M^- corrections contract the p-adic valuation of the
+  minus part M^-; Y is inverted once, after them, from their product
+  Y^-1.  It requires the documented regime (minus part of D^-1 X - I of
+  valuation >= 1) and raises NotConverged otherwise.
 """
 
 from __future__ import annotations
@@ -343,9 +343,15 @@ def matfact_robba(x) -> RobbaFactorization:
     """Factor X = Y * Z, Y over E-dagger, Z over R-plus (restricted regime).
 
     Requires X = D (I + M) with D a diagonal of monomials and the minus
-    part of M of valuation >= 1.  The iteration multiplies unit-plus-minus
-    corrections onto Y until the minus part of Y^-1 X vanishes at working
-    precision; stalling valuations raise NotConverged.
+    part of M of valuation >= 1.  Each round multiplies W (first D^-1 X)
+    and Y_corr^-1 on the left by C = I - M^-, M^- the minus part of W:
+    with W = I + M^- + P, v(M^-) = mu and v(P) = nu, the minus part of
+    C W = I + P - (M^-)^2 - M^- P has valuation >= min(2 mu, mu + nu),
+    against mu + nu for a Neumann inverse (I + M^-)^-1 per round, so
+    rounds are added only where nu > mu.  Stalling valuations raise
+    NotConverged.  Then Y_corr is inverted once from Y_corr^-1 - I
+    (negative exponents only, valuation >= 1), Y = D Y_corr and Z = W;
+    the closing Y Z = X check reads the inverted factor.
     """
     n, m = smat_shape(x)
     if n != m:
@@ -390,8 +396,8 @@ def matfact_robba(x) -> RobbaFactorization:
         return [[s.on_window(work) for s in row] for row in mat]
 
     w = poly(w)
-    y_corr = smat_identity(n, p, nrel)
-    y_corr_inv = smat_identity(n, p, nrel)
+    one = LaurentSeries.one(p, nrel, work)
+    y_corr_inv = smat_identity(n, p, nrel)      # C_k ... C_1
     iterations = 0
     stall = 0
     last_mu = 0
@@ -412,11 +418,15 @@ def matfact_robba(x) -> RobbaFactorization:
         else:
             stall = 0
         last_mu = mu
-        corr = smat_add_ident(mk, p, nrel)
-        corr_inv = _neumann_inverse(mk, p, nrel, work)
-        y_corr = poly(smat_mul(y_corr, corr, work))
-        y_corr_inv = poly(smat_mul(corr_inv, y_corr_inv, work))
-        w = poly(smat_mul(corr_inv, w, work))
+        c = [[one - s if i == j else -s for j, s in enumerate(row)]
+             for i, row in enumerate(mk)]
+        y_corr_inv = c if iterations == 1 else poly(
+            smat_mul(c, y_corr_inv, work))
+        w = poly(smat_mul(c, w, work))
+
+    y_corr = y_corr_inv if iterations == 0 else poly(_neumann_inverse(
+        [[s - one if i == j else s for j, s in enumerate(row)]
+         for i, row in enumerate(y_corr_inv)], p, nrel, work))
 
     # Y = D * (I + corrections), entries of E-dagger type
     y = [[y_corr[i][j].scale(d_fwd[i][1]).shift_exp(d_fwd[i][0])
@@ -445,19 +455,12 @@ def matfact_robba(x) -> RobbaFactorization:
     return RobbaFactorization(y, z, y_inv, iterations, y_label, verdict)
 
 
-def smat_add_ident(a, p, nrel):
-    out = [row[:] for row in a]
-    one = LaurentSeries.one(p, nrel)
-    for i in range(len(a)):
-        out[i][i] = out[i][i] + one
-    return out
-
-
-def _neumann_inverse(mk, p, nrel, out_window):
-    """(I + mk)^-1 for mk with positive valuation: sum of (-mk)^j, each
-    entry summed once, the powers on ``out_window``."""
-    n = len(mk)
-    neg = [[-s for s in row] for row in mk]
+def _neumann_inverse(a, p, nrel, out_window):
+    """(I + a)^-1 for a with positive valuation: sum of (-a)^j, each entry
+    summed once, the powers on ``out_window``.  ``matfact_robba`` calls it
+    once per factorization, to invert Y_corr^-1 = I + a."""
+    n = len(a)
+    neg = [[-s for s in row] for row in a]
     term = neg
     terms = [smat_identity(n, p, nrel), neg]
     for _ in range(nrel):

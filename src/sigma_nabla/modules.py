@@ -93,16 +93,11 @@ class CompatVerdict:
         return self.holds
 
 
-def _u_power_q(p, nrel, q):
-    return LaurentSeries.monomial(p, nrel, q, q - 1)
-
-
 def check_compat(mod: SigmaNablaModule) -> CompatVerdict:
     """Verify N*Phi + d(Phi) = q*u^(q-1)*Phi*sigma(N) at precision."""
-    p, nrel, q = mod.p, mod.nrel, mod.q
-    sig_n = smat_sigma(mod.nmat, mod.f)
-    rhs = smat_mul(mod.phi, sig_n)
-    rhs = mat_map(rhs, lambda s: s.mul(_u_power_q(p, nrel, q)))
+    uq = LaurentSeries.monomial(mod.p, mod.nrel, mod.q, mod.q - 1)
+    rhs = mat_map(smat_mul(mod.phi, smat_sigma(mod.nmat, mod.f)),
+                  lambda s: s.mul(uq))
     verdict = smat_product_agree(mod.nmat, mod.phi, rhs,
                                  plus=smat_deriv(mod.phi))
     return CompatVerdict(verdict.holds, verdict.floor, verdict.window,
@@ -114,15 +109,15 @@ def check_fv(mod: SigmaNablaModule):
     d(B) + q*u^(q-1)*sigma(N)*B = B*N comes with it."""
     if mod.bmat is None:
         raise ValueError("module has no Verschiebung matrix")
-    p, nrel, q = mod.p, mod.nrel, mod.q
-    n = mod.rank
-    p_id = smat_scale(smat_identity(n, p, nrel),
+    p, nrel = mod.p, mod.nrel
+    p_id = smat_scale(smat_identity(mod.rank, p, nrel),
                       PadicNumber.from_int(p, nrel, p))
     v1 = smat_product_agree(mod.phi, mod.bmat, p_id)
     v2 = smat_product_agree(mod.bmat, mod.phi, p_id)
+    uq = LaurentSeries.monomial(p, nrel, mod.q, mod.q - 1)
     lhs = smat_add(smat_deriv(mod.bmat),
                    mat_map(smat_mul(smat_sigma(mod.nmat, mod.f), mod.bmat),
-                           lambda s: s.mul(_u_power_q(p, nrel, q))))
+                           lambda s: s.mul(uq)))
     v3 = smat_product_agree(mod.bmat, mod.nmat, lhs)
     floors = [v.floor for v in (v1, v2, v3) if v.floor is not None]
     return CompatVerdict(v1.holds and v2.holds and v3.holds,

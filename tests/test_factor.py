@@ -17,6 +17,7 @@ from conftest import (
 )
 from sigma_nabla import factor
 from sigma_nabla.errors import (
+    MembershipViolated,
     NotConverged,
     PrecisionExhausted,
     SigmaNablaError,
@@ -411,6 +412,10 @@ def test_robba_roundtrip_random(rng):
         for row in f.y:
             for s in row:
                 assert membership(s, f.y_label).consistent
+        # Y is inverted from Y^-1: the pair must be inverse on both sides
+        ident = smat_identity(n, P, N)
+        assert smat_product_agree(f.y, f.y_inv, ident).holds
+        assert smat_product_agree(f.y_inv, f.y, ident).holds
 
 
 def test_robba_rejects_outside_regime():
@@ -490,6 +495,22 @@ def test_glue_constant_x(rng):
     res = glue_dieudonne(m1, m2, x)
     assert res.compat.holds and res.fv.holds
     assert res.module.ring.kind == "GammaPlus"
+
+
+def test_glue_refutes_m2_whose_phi_disagrees(rng):
+    # m2 as in test_glue_constant_x, with the cell u^0 of Phi[0][0] moved
+    # by p^5: the x-conjugate of m1 no longer agrees with it
+    m1full = rand_gammaplus_dieudonne(rng, P, N, 2)
+    m1 = replace(m1full, ring=RingLabel("Gamma"))
+    z0, z0_inv = rand_const_invertible(rng, P, N, 2)
+    x = const_series_matrix(z0, P, N)
+    m2 = basis_transform(m1full, x, const_series_matrix(z0_inv, P, N))
+    phi = [row[:] for row in m2.phi]
+    phi[0][0] = phi[0][0] + S([(0, P ** 5)])
+    m2 = replace(m2, ring=RingLabel("EPlus"), phi=phi)
+    with pytest.raises(MembershipViolated,
+                       match="x does not carry m1 into m2: phi disagrees"):
+        glue_dieudonne(m1, m2, x)
 
 
 def test_glue_rank_one_p_scaling():

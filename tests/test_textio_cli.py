@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -638,7 +639,6 @@ def test_cli_descend_and_glue(runner, tmp_path):
         rand_const_invertible,
         rand_gammaplus_dieudonne,
     )
-    from dataclasses import replace
 
     from sigma_nabla.modules import basis_transform
 
@@ -672,6 +672,26 @@ def test_cli_descend_and_glue(runner, tmp_path):
                                 str(tmp_path / "ident.json")])
     assert res2.exit_code == 0
     assert json.loads(res2.output)["module"]["ring"]["kind"] == "EPlus"
+
+
+def test_cli_glue_refutes_m2_whose_phi_disagrees(runner, tmp_path):
+    # the glue fixture's m2 with the cell u^0 of Phi[0][0] moved by 3^5:
+    # exit 1, no report, one MembershipViolated line on stderr
+    m2 = textio.parse_module(textio.load_path(
+        os.path.join(FIXTURES, "glue", "m2.json")))
+    phi = [row[:] for row in m2.phi]
+    phi[0][0] = phi[0][0] + S([(0, P ** 5)])
+    bad = tmp_path / "m2.json"
+    textio.dump_path(str(bad), textio.emit_module(replace(m2, phi=phi)))
+    res = runner.invoke(main, ["glue", os.path.join(FIXTURES, "glue",
+                                                    "m1.json"), str(bad),
+                               os.path.join(FIXTURES, "glue", "x.json")])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith(
+        "MembershipViolated: x does not carry m1 into m2: phi disagrees")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_horizontal(runner, tmp_path):
