@@ -14,19 +14,36 @@ reads its operands through their views (``view``): summary, window,
 hull and cells, which a matrix routine prepares once per operand.
 
 A term is a tuple (p, nrel, window, tail_free, floor, base, digits, lo, hi,
-whole, cells, factor, low): the series p^base * (cells convolved with
-factor), both sequences of (exponent, integer), or for a series its cells
-times the sign ``factor``, on the cell range [lo, hi]; known modulo
+whole, cells, factor, low, dense): the series p^base * (cells convolved
+with factor), both sequences of (exponent, integer), or for a series its
+cells times the sign ``factor``, on the cell range [lo, hi]; known modulo
 p^floor on its window (INF: exactly), except at the exponents ``low`` maps
 to lower floors (None for a product, whose cells are all at the floor but
 for the cap below).  ``digits`` bounds the relative digits any cell may
 claim; where it exceeds nrel, each cell is capped at its valuation + nrel.
-``whole`` when the cell range holds the whole convolution.
+``whole`` when the cell range holds the whole convolution.  ``dense`` is
+the pair of operand views of a whole product whose operands are both dense
+(``PACK_CELLS``, ``PACK_SPAN``), else None.
+
+A dense product is one product of two integers (Kronecker substitution,
+as in Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symb. Comp. 44, 2009).  The first dense product that
+reads a view packs its cells into one integer, a little-endian slot of
+whole bytes (at least 8) per exponent of its hull, and the view keeps it.
+A fold takes one slot width, wide enough for the sum of all its dense
+products, each times its base shift.  Cells are canonical residues,
+hence never negative, so no slot borrows from the next and each holds an
+exact sum.  The fold adds its dense products into one pending integer
+and unpacks that into its cells only where a step reads them: before an
+nrel cap, before the scan for surviving keys, and before the final pass.
+A dense product that must first be looked at on its own cells (capped,
+or widening the window) is unpacked into them.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from struct import unpack
 
 from .errors import WindowOverflow
 from .padic import INF, vp_int
@@ -35,6 +52,12 @@ from .padic import INF, vp_int
 # the widest window a product without an output window, a Frobenius image
 # or a default window may have
 MAX_WIDTH = 256
+
+# a whole product is packed when both operands have at least PACK_CELLS
+# stored cells, each on a hull of fewer than PACK_SPAN times as many
+# exponents
+PACK_CELLS = 8
+PACK_SPAN = 4
 
 
 def clip_window(window, hull, width):
@@ -57,11 +80,71 @@ def clip_window(window, hull, width):
 def view(s):
     """The kernel's view of series ``s`` as a factor of a product: (p,
     nrel, window, tail_free, base, min valuation, abs floor, support hull,
-    nonzero cells as a tuple).  A matrix routine prepares it once per
-    operand, so a product reads no summary and copies no cells."""
+    nonzero cells as a tuple, pack cache).  A matrix routine prepares it
+    once per operand, so a product reads no summary and copies no cells.
+    The pack cache starts empty: the first dense product that reads the
+    view fills it (``_cell_bits``, ``_packed``), so a view that takes part
+    in no dense product is never packed."""
     _, mv, fl, hull, cells = s.summary()
     return (s.p, s.nrel, s.window, s.tail_free, s.base, mv, fl,
-            hull or (0, 0), tuple(cells))
+            hull or (0, 0), tuple(cells), {})
+
+
+def _cell_bits(v):
+    """The bit length of view ``v``'s largest cell, cached under key 0."""
+    cache = v[9]
+    bits = cache.get(0)
+    if bits is None:
+        bits = cache[0] = max(r for _, r in v[8]).bit_length()
+    return bits
+
+
+def _packed(v, size):
+    """View ``v``'s cells as one integer, a little-endian slot of ``size``
+    bytes per exponent of its hull, cached under key ``size``."""
+    cache = v[9]
+    x = cache.get(size)
+    if x is None:
+        lo, hi = v[7]
+        slots = [bytes(size)] * (hi - lo + 1)
+        for e, r in v[8]:
+            slots[e - lo] = r.to_bytes(size, "little")
+        x = cache[size] = int.from_bytes(b"".join(slots), "little")
+    return x
+
+
+def _slot_width(terms, p, base):
+    """(slot width in bytes, lowest exponent) of the dense products among
+    ``terms``.  A cell of a product is below 2^(bits(a) + bits(b) +
+    bits(len)) times its shift p^(base of the term - ``base``), and a fold
+    adds at most one per dense product into a slot.  A slot narrower than
+    8 bytes is widened to 8, so that ``_unpack`` reads it as one word."""
+    bits, count, lo = 0, 0, None
+    for t in terms:
+        pair = t[13]
+        if pair is not None:
+            b = (_cell_bits(pair[0]) + _cell_bits(pair[1])
+                 + len(t[10]).bit_length() + (p ** (t[5] - base)).bit_length())
+            if b > bits:
+                bits = b
+            if lo is None or t[7] < lo:
+                lo = t[7]
+            count += 1
+    size = (bits + count.bit_length() + 7) // 8
+    return (8 if size < 8 else size), lo
+
+
+def _unpack(x, size, out, start):
+    """Add the slots of ``size`` bytes of ``x`` to out[start], out[start +
+    1], ...; 8-byte slots, most of those at nrel 12, are read by one
+    ``struct`` call."""
+    n = -(-x.bit_length() // (8 * size))
+    buf = x.to_bytes(n * size, "little")
+    slots = (unpack(f"<{n}Q", buf) if size == 8 else
+             [int.from_bytes(buf[j:j + size], "little")
+              for j in range(0, n * size, size)])
+    stop = start + n
+    out[start:stop] = [c + r for c, r in zip(out[start:stop], slots)]
 
 
 def product_term(pair, out_window):
@@ -70,8 +153,8 @@ def product_term(pair, out_window):
     window is the provable window within ``out_window``, uncapped.
     Otherwise the provable window is cut to ``MAX_WIDTH`` exponents around
     the product's support."""
-    (p, na, wa, tfa, basea, mva, fla, ha, cells_a), \
-        (pb, nb, wb, tfb, baseb, mvb, flb, hb, cells_b) = pair
+    (p, na, wa, tfa, basea, mva, fla, ha, cells_a, _), \
+        (pb, nb, wb, tfb, baseb, mvb, flb, hb, cells_b, _) = pair
     if pb != p:
         raise ValueError("mixed primes")
     nrel = na if na < nb else nb
@@ -80,7 +163,8 @@ def product_term(pair, out_window):
         # only the exact zero has no (min valuation, abs floor)
         window = (clip_window(window, (0, 0), MAX_WIDTH)
                   if out_window is None else _clamp(window, out_window))
-        return (p, nrel, window, True, INF, 0, 0, 1, 0, True, (), (), None)
+        return (p, nrel, window, True, INF, 0, 0, 1, 0, True, (), (), None,
+                None)
     floor = fla + mvb
     if flb + mva < floor:
         floor = flb + mva
@@ -91,11 +175,16 @@ def product_term(pair, out_window):
     elif hi - lo >= MAX_WIDTH:
         lo, hi = clip_window(window, (flo, fhi), MAX_WIDTH)
     whole = lo <= flo and fhi <= hi
-    if len(cells_a) > len(cells_b):
+    ka, kb = len(cells_a), len(cells_b)
+    dense = (whole and ka >= PACK_CELLS and kb >= PACK_CELLS
+             and ha[1] - ha[0] + 1 < PACK_SPAN * ka
+             and hb[1] - hb[0] + 1 < PACK_SPAN * kb)
+    if ka > kb:
         cells_a, cells_b = cells_b, cells_a
     return (p, nrel, (lo, hi), tfa and tfb and whole, floor, basea + baseb,
             floor - mva - mvb, lo if lo > flo else flo,
-            hi if hi < fhi else fhi, whole, cells_a, cells_b, None)
+            hi if hi < fhi else fhi, whole, cells_a, cells_b, None,
+            pair if dense else None)
 
 
 def series_term(s, sign):
@@ -104,7 +193,7 @@ def series_term(s, sign):
     hull = (min(terms), max(terms)) if terms else (1, 0)
     return (s.p, s.nrel, s.window, s.tail_free, INF if bf is None else bf,
             s.base, s.nrel, hull[0], hull[1], True, terms.items(), sign,
-            s.low_floors())
+            s.low_floors(), None)
 
 
 def _clamp(window, out_window):
@@ -176,13 +265,15 @@ def accumulate(terms, verdict=False):
     if glo is None:
         glo = ghi = 0           # no term has a cell
     acc = [0] * (ghi - glo + 1)
+    size = 0                # slot bytes, set at the first dense product
+    pending = 0             # dense products not yet unpacked into acc
     low = {}                # cells whose floor is below the uniform floor
     nrel = None
     bf = INF
     alo, ahi = 0, -1        # cell range of the running sum
 
     for (_, n, window, tf, f, tbase, digits, clo, chi, whole, cells, factor,
-         given) in terms:
+         given, pair) in terms:
         keys = None         # surviving keys outside the window, when tf
         if nrel is None:
             nrel, (lo, hi), tail_free = n, window, tf
@@ -194,6 +285,9 @@ def accumulate(terms, verdict=False):
             tail_free = tail_free and tf
             if n < nrel:
                 # the running sum is capped at n relative digits
+                if pending:
+                    _unpack(pending, size, acc, dlo - glo)
+                    pending = 0
                 for e in range(alo, ahi + 1):
                     fe = min(bf, low.get(e, bf))
                     v = _valuation(acc[e - glo], p, base, fe)
@@ -201,6 +295,9 @@ def accumulate(terms, verdict=False):
                         low[e] = v + n
                 nrel = n
             if tail_free and (alo < lo or ahi > hi):
+                if pending:
+                    _unpack(pending, size, acc, dlo - glo)
+                    pending = 0
                 ends = (range(alo, min(ahi + 1, lo)),
                         range(ahi, max(alo - 1, hi), -1))
                 keys = [e for e in (_first_kept(es, acc, glo, low, bf, p,
@@ -214,7 +311,18 @@ def accumulate(terms, verdict=False):
             own = capped or (widens and given is None)
             out, off = ([0] * (chi - clo + 1), clo) if own else (acc, glo)
             shift = p ** (tbase - base) if tbase != base else 1
-            if given is not None:
+            if pair is not None:
+                # a dense product: one product of packed integers
+                if not size:
+                    size, dlo = _slot_width(terms, p, base)
+                x = _packed(pair[0], size) * _packed(pair[1], size)
+                if shift != 1:
+                    x *= shift
+                if own:
+                    _unpack(x, size, out, 0)
+                else:
+                    pending += x << 8 * size * (clo - dlo)
+            elif given is not None:
                 # a series: its cells times the sign
                 shift *= factor
                 for ea, ra in cells:
@@ -268,6 +376,8 @@ def accumulate(terms, verdict=False):
         if f < bf:
             bf = f
 
+    if pending:
+        _unpack(pending, size, acc, dlo - glo)
     top = None if bf is INF else p ** (bf - base)
     if verdict:
         # the cells the canonical form below would keep, each zero modulo

@@ -2,7 +2,8 @@
 
 Matrices are lists of lists (row major).  The series products take the
 kernel's window rules (an output window, else the cap) and read each
-operand through one kernel view per routine; ``smat_det`` and
+operand through one kernel view per routine, which the kernel packs into
+one integer at the first dense product that reads it; ``smat_det`` and
 ``smat_inv`` share one cofactor memo.  ``smat_product_agree`` checks
 A * B = X without building A * B, and ``smat_agree`` checks A = B: one
 kernel fold per entry, whose verdict is read from the folded integers;
@@ -69,7 +70,8 @@ def smat_mul_add(a, b, c):
 
 def _views(rows):
     """The kernel view (``kernel.view``) of every entry, prepared once for
-    all the products it takes part in."""
+    all the products it takes part in, and packed at most once per slot
+    width."""
     return [[view(s) for s in row] for row in rows]
 
 

@@ -14,9 +14,11 @@ from conftest import (
     rand_unit_series,
     series,
 )
+from sigma_nabla import kernel
 from sigma_nabla import series as series_mod
 from sigma_nabla.errors import NotAUnit, WindowOverflow
 from sigma_nabla.lattice import lattice_smith
+from sigma_nabla.linalg import smat_mul, smat_product_agree
 from sigma_nabla.padic import INF, PadicNumber, cell_dot, vp_int
 from sigma_nabla.series import (
     RING_KINDS,
@@ -448,6 +450,129 @@ def test_series_dot_matches_the_fold_of_products():
             seen["capped"] += 1
     # every order-dependent step of the fold was exercised
     assert min(seen.values()) >= 10, seen
+
+
+def rand_dense(rng, nrel, lo):
+    """An exact Laurent polynomial dense enough to be packed: 16 to 24
+    cells from exponent ``lo`` on fewer than twice as many exponents, on a
+    window that hugs them.  Each value is p^v times a unit of either sign,
+    v one of the entry's two valuations (-1 to 3), and a third of the units
+    are within 6 of p^nrel, so that sums of products come close to the
+    slot bound.  Returns the exact terms and the series."""
+    count = rng.randint(16, 24)
+    exps = [lo] + rng.sample(range(lo + 1, lo + 2 * count), count - 1)
+    v = rng.randint(-1, 2)
+    terms = {}
+    for e in exps:
+        unit = (P ** nrel - rng.randint(1, 6) if rng.random() < 0.3
+                else rng.randrange(1, P ** nrel))
+        while unit % P == 0:
+            unit -= 1
+        terms[e] = (rng.choice((1, -1)) * Fraction(unit)
+                    * Fraction(P) ** (v + rng.choice((0, 0, 1))))
+    return terms, series(P, nrel, terms, (min(exps), max(exps)))
+
+
+def claim_holds(s, exact):
+    """Every coefficient of ``s`` in its window is the exact one, ``exact``
+    (exponent: Fraction), modulo the floor ``s`` reports for it."""
+    for e in range(s.window[0], s.window[1] + 1):
+        c = s.coefficient(e)
+        diff = exact.get(e, 0) - (0 if c.unit is None else c.to_rational())
+        if not diff:
+            continue
+        if c.is_exact_zero:
+            return False
+        floor = c.val if c.unit is None else c.val + c.prec
+        if vp_int(diff.numerator, P) - vp_int(diff.denominator, P) < floor:
+            return False
+    return True
+
+
+def integer_form(s):
+    return (s.nrel, s.base, s.terms, s.floors, s.window, s.tail_free,
+            s.base_floor)
+
+
+def test_dense_products_are_packed_exactly(monkeypatch):
+    """Dense matrix products take the packed path (one product of packed
+    integers per pair, one unpack per entry) and give the exact product at
+    every floor they report, and the same integers and verdicts as the
+    pair loop.  Entries of mixed nrel make the fold unpack before the nrel
+    cap; windows that hug staggered supports make it widen, and unpack
+    before the key scan; a clipped output window keeps the pair loop."""
+    rng = random.Random(8191)
+
+    def pair_loop(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "PACK_CELLS", 10 ** 9)
+            return fn(*args)
+
+    seen = dict(packed=0, clipped=0, capped=0, widened=0)
+    for draw in range(24):
+        n = 2 + draw % 2
+        mixed = draw % 3 == 0
+        clipped = draw % 4 == 3
+        spread = 3 if clipped else 8
+        top = 24 if draw % 4 == 1 else 12      # slots of two words or more
+        nrels = [[rng.choice((8, top)) if mixed else top for _ in range(n)]
+                 for _ in range(2 * n)]
+        da = [[rand_dense(rng, nrels[i][k], rng.randint(-spread, spread))
+               for k in range(n)] for i in range(n)]
+        db = [[rand_dense(rng, nrels[n + k][j], rng.randint(-spread, spread))
+               for j in range(n)] for k in range(n)]
+        a = [[s for _, s in row] for row in da]
+        b = [[s for _, s in row] for row in db]
+        exact = [[{} for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    exact[i][j] = oracle_add(
+                        exact[i][j], oracle_mul(da[i][k][0], db[k][j][0]))
+        out_window = None
+        if clipped:
+            # strictly inside every product's support: none is whole
+            windows = [x.mul(y).window for row in a for x in row
+                       for col in zip(*b) for y in col]
+            out_window = (max(w[0] for w in windows) + 1,
+                          min(w[1] for w in windows) - 1)
+            seen["clipped"] += 1
+        for i in range(n):
+            for k in range(n):
+                term = kernel.product_term(
+                    (kernel.view(a[i][k]), kernel.view(b[k][0])), out_window)
+                assert (term[13] is None) == (out_window is not None)
+        got = smat_mul(a, b, out_window)
+        want = pair_loop(smat_mul, a, b, out_window)
+        for i in range(n):
+            for j in range(n):
+                assert integer_form(got[i][j]) == integer_form(want[i][j])
+                assert claim_holds(got[i][j], exact[i][j]), (draw, i, j)
+                windows = [a[i][k].mul(b[k][j], out_window).window
+                           for k in range(n)]
+                if got[i][j].window != (max(w[0] for w in windows),
+                                        min(w[1] for w in windows)):
+                    seen["widened"] += 1
+                if len({min(nrels[i][k], nrels[n + k][j])
+                        for k in range(n)}) > 1:
+                    seen["capped"] += 1
+        seen["packed"] += out_window is None
+        # the product check on the exact product, and on one cell moved
+        x = [[series(P, 12, exact[i][j]) for j in range(n)]
+             for i in range(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        e = rng.choice(sorted(exact[i][j]))
+        moved = dict(exact[i][j])
+        moved[e] += 1
+        x_moved = [row[:] for row in x]
+        x_moved[i][j] = series(P, 12, moved)
+        holds = smat_product_agree(a, b, x)
+        fails = smat_product_agree(a, b, x_moved)
+        assert holds == pair_loop(smat_product_agree, a, b, x)
+        assert fails == pair_loop(smat_product_agree, a, b, x_moved)
+        assert holds.holds
+        assert not fails.holds and fails.position == (i, j)
+    assert min(seen.values()) >= 5, seen
 
 
 # ---------------------------------------------------------------------------

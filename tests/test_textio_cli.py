@@ -242,6 +242,9 @@ GOLDEN_REPORTS = [
     # entry (0, 2), and the B-side diagram of the FV check fails too
     (["check-module"], ["check_module/m1_n_perturbed.json"],
      "check_module/fails_report.json", 1),
+    # the glue fixture's first module as it is: the compatibility check
+    # and both diagrams of the FV check hold
+    (["check-module"], ["glue/m1.json"], "check_module/holds_report.json", 0),
 ]
 
 
