@@ -69,6 +69,15 @@ class UsageError(Exception):
         self.prog = prog
 
 
+def _table_at(path, place, name):
+    """The charpoly table at ``path``, which must list ``place``."""
+    table = _load(path, "charpoly_table")
+    if place not in table.places:
+        raise UsageError(f"--place {place!r} is not one of the table's "
+                         f"places {table.places!r}", f"{PROG} {name}")
+    return table
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises ``UsageError`` where argparse would print usage and exit."""
 
@@ -113,10 +122,10 @@ _PARSER = _Parser(
     prog=PROG,
     description="Exact computations with sigma/nabla-module and Frobenius "
                 "data.")
-_PARSER.add_argument("--kmax", type=int, default=32,
+_PARSER.add_argument("--kmax", type=_natural, default=32,
                      help="u-degree bound of horizontal "
                           "(default: %(default)s)")
-_PARSER.add_argument("--nmax", type=int, default=64,
+_PARSER.add_argument("--nmax", type=_natural, default=64,
                      help="iteration bound of probe-nilpotence "
                           "(default: %(default)s)")
 _PARSER.add_argument("--out", metavar="PATH", default=None,
@@ -351,8 +360,8 @@ def cmd_companion(cfg, path):
          document("table_path"))
 def cmd_lfunction(cfg, table_path, place, truncation):
     """Truncated Euler product of inverse local factors."""
-    series = lfunction_truncated(_load(table_path, "charpoly_table"), place,
-                                 truncation)
+    series = lfunction_truncated(_table_at(table_path, place, "lfunction"),
+                                 place, truncation)
     return True, {"place": place, "truncation": truncation,
                   "coefficients": [textio.emit_fraction(c)
                                    for c in series.coeffs]}
@@ -364,7 +373,7 @@ def cmd_lfunction(cfg, table_path, place, truncation):
          document("table_path"), document("cohomology_path"))
 def cmd_trace_check(cfg, table_path, cohomology_path, place, truncation):
     """Euler product against P1/(P0 P2) up to the truncation degree."""
-    table = _load(table_path, "charpoly_table")
+    table = _table_at(table_path, place, "trace-check")
     verdict = trace_formula_check(table, place,
                                   _load(cohomology_path, "cohomology"),
                                   truncation)

@@ -71,11 +71,6 @@ class GammaFactorization:
     rounds: int
     product_verdict: object
 
-    @property
-    def z_constants(self):
-        """Z as a matrix of PadicNumbers."""
-        return [[s.coefficient(0) for s in row] for row in self.z]
-
 
 def _col_min_valuation(a, j):
     col = [row[j] for row in a]

@@ -1,12 +1,12 @@
 """Horizontal sections: the power-series recursion solving h' + N h = 0
 degree by degree, and Gauss reduction of submodule bases against a
-horizontal ambient basis with constant diagonal Frobenius.
+horizontal ambient basis with constant diagonal Frobenius, which raises
+NotHorizontal when a reduced column is not constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import MembershipViolated, NonUnitPivot, NotHorizontal
 from .linalg import smat_mul, smat_shape
@@ -133,13 +133,10 @@ def horizontal_basis(nmat, k_max) -> HorizontalBasis:
 class SubBasisResult:
     columns: list                  # n x l reduced inclusion matrix
     pivot_rows: list
-    horizontal: bool
-    residual_valuation: object
-    residual_position: Optional[tuple] = None
+    residual_valuation: object     # floor of the derivatives, INF if exact
 
 
-def horizontal_sub_basis(inclusion, phi0_diag,
-                         raise_on_failure=True) -> SubBasisResult:
+def horizontal_sub_basis(inclusion, phi0_diag) -> SubBasisResult:
     """Echelonise an inclusion matrix over a horizontal ambient basis.
 
     The ambient module is assumed given in a horizontal basis with
@@ -147,7 +144,7 @@ def horizontal_sub_basis(inclusion, phi0_diag,
     column operations with unit pivots.  Each reduced column must then be
     horizontal: all its entries constant.  A non-constant entry is the
     obstruction the connection residual sees, and raises NotHorizontal
-    (or is reported, when ``raise_on_failure`` is false).
+    with its valuation and (row, column).
     """
     a = [row[:] for row in inclusion]
     n = len(a)
@@ -199,11 +196,9 @@ def horizontal_sub_basis(inclusion, phi0_diag,
                 worst_pos = (i, j)
             f = d.abs_floor()
             floor = min(floor, f)
-    ok = worst is INF
-    if not ok and raise_on_failure:
+    if worst is not INF:
         raise NotHorizontal(
             f"reduced column {worst_pos[1]} has a non-constant entry in "
             f"row {worst_pos[0]} (residual valuation {worst})",
             residual_valuation=worst, position=worst_pos)
-    return SubBasisResult(a, pivot_rows, ok,
-                          worst if not ok else floor, worst_pos)
+    return SubBasisResult(a, pivot_rows, floor)

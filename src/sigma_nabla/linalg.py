@@ -229,8 +229,6 @@ def smat_inv(a, target_window=None):
 
 
 class FractionOps:
-    name = "fraction"
-
     def zero(self):
         return Fraction(0)
 
@@ -257,8 +255,6 @@ class FractionOps:
 
 
 class PadicOps:
-    name = "padic"
-
     def __init__(self, p, nrel):
         self.p = p
         self.nrel = nrel
@@ -286,8 +282,6 @@ class PadicOps:
 
 
 class UnramOps:
-    name = "unramified"
-
     def __init__(self, field):
         self.field = field
 

@@ -11,7 +11,8 @@ Conventions (fixed across the library):
       N * Phi + d(Phi) = q * u^(q-1) * Phi * sigma(N)
 
   where d is the entrywise du-coefficient of the derivative and sigma
-  scales exponents by q.
+  scales exponents by q.  Its twist q * u^(q-1), and that of the B-side
+  diagram of ``check_fv``, is written once, in ``_twisted_product``.
 * A change of basis by an invertible Y transforms
   ``Phi -> Y^-1 Phi sigma(Y)``, ``N -> Y^-1 N Y + Y^-1 d(Y)`` and, when a
   Verschiebung B is present, ``B -> sigma(Y^-1) B Y``.
@@ -39,8 +40,8 @@ from .linalg import (
     smat_sigma,
 )
 from .padic import INF, PadicNumber
-from .series import (LaurentSeries, RingLabel, log_p, require_membership,
-                     series_sum)
+from .series import (AgreementVerdict, LaurentSeries, RingLabel, log_p,
+                     require_membership, series_sum)
 
 
 @dataclass
@@ -79,32 +80,21 @@ class SigmaNablaModule:
                     yield f"{name}[{i}][{j}]", s
 
 
-@dataclass(frozen=True)
-class CompatVerdict:
-    """Result of the compatibility check, with the precision floor it was
-    decided at."""
-    holds: bool
-    floor: Optional[int]
-    window: tuple
-    position: Optional[tuple] = None
-    residual_valuation: Optional[int] = None
-
-    def __bool__(self):
-        return self.holds
-
-
-def check_compat(mod: SigmaNablaModule) -> CompatVerdict:
-    """Verify N*Phi + d(Phi) = q*u^(q-1)*Phi*sigma(N) at precision."""
+def _twisted_product(mod: SigmaNablaModule, a, b):
+    """q*u^(q-1)*(a*b), each entry of the finished product times the
+    monomial; scaling by q and shifting exponents gives other entries."""
     uq = LaurentSeries.monomial(mod.p, mod.nrel, mod.q, mod.q - 1)
-    rhs = mat_map(smat_mul(mod.phi, smat_sigma(mod.nmat, mod.f)),
-                  lambda s: s.mul(uq))
-    verdict = smat_product_agree(mod.nmat, mod.phi, rhs,
-                                 plus=smat_deriv(mod.phi))
-    return CompatVerdict(verdict.holds, verdict.floor, verdict.window,
-                         verdict.position, verdict.residual_valuation)
+    return mat_map(smat_mul(a, b), lambda s: s.mul(uq))
 
 
-def check_fv(mod: SigmaNablaModule):
+def check_compat(mod: SigmaNablaModule) -> AgreementVerdict:
+    """Verify N*Phi + d(Phi) = q*u^(q-1)*Phi*sigma(N) at precision."""
+    rhs = _twisted_product(mod, mod.phi, smat_sigma(mod.nmat, mod.f))
+    return smat_product_agree(mod.nmat, mod.phi, rhs,
+                              plus=smat_deriv(mod.phi))
+
+
+def check_fv(mod: SigmaNablaModule) -> AgreementVerdict:
     """Phi*B = B*Phi = p*Identity, at precision; the B-side diagram
     d(B) + q*u^(q-1)*sigma(N)*B = B*N comes with it."""
     if mod.bmat is None:
@@ -114,14 +104,13 @@ def check_fv(mod: SigmaNablaModule):
                       PadicNumber.from_int(p, nrel, p))
     v1 = smat_product_agree(mod.phi, mod.bmat, p_id)
     v2 = smat_product_agree(mod.bmat, mod.phi, p_id)
-    uq = LaurentSeries.monomial(p, nrel, mod.q, mod.q - 1)
     lhs = smat_add(smat_deriv(mod.bmat),
-                   mat_map(smat_mul(smat_sigma(mod.nmat, mod.f), mod.bmat),
-                           lambda s: s.mul(uq)))
+                   _twisted_product(mod, smat_sigma(mod.nmat, mod.f),
+                                    mod.bmat))
     v3 = smat_product_agree(mod.bmat, mod.nmat, lhs)
     floors = [v.floor for v in (v1, v2, v3) if v.floor is not None]
-    return CompatVerdict(v1.holds and v2.holds and v3.holds,
-                         min(floors) if floors else None, v1.window)
+    return AgreementVerdict(v1.holds and v2.holds and v3.holds,
+                            min(floors) if floors else None, v1.window)
 
 
 def base_change(mod: SigmaNablaModule, target: RingLabel) -> SigmaNablaModule:

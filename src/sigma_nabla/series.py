@@ -1,5 +1,5 @@
 """Truncated bidirectional Laurent series over Q_p with ring-membership
-labels, the power-Frobenius endomorphism, the derivation d and its twist.
+labels, the power-Frobenius endomorphism and the derivative.
 
 Representation
 --------------
@@ -724,30 +724,6 @@ def series_sum(terms, out_window=None, minus=None):
 series_dot = series_sum
 
 
-# ---------------------------------------------------------------------------
-# Differentials.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OneForm:
-    """A 1-form g(u) du."""
-    coefficient: LaurentSeries
-
-
-def derivation_d(a: LaurentSeries) -> OneForm:
-    return OneForm(a.derivative())
-
-
-def d_sigma(w: OneForm, q: int) -> OneForm:
-    """Twisted differential: g du -> sigma(g) * q * u^(q-1) du."""
-    s = w.coefficient
-    fpow = log_p(q, s.p)
-    g = s.frobenius(fpow)
-    qc = PadicNumber.from_int(s.p, s.nrel, q)
-    return OneForm(g.scale(qc).shift_exp(q - 1))
-
-
 def log_p(q, p):
     """f with q = p^f, f >= 1."""
     f = 0
@@ -809,9 +785,8 @@ class AgreementVerdict:
     residual_valuation: Optional[int] = None
     position: Optional[tuple] = None      # failing entry of a matrix
 
-
-def series_agree(a: LaurentSeries, b: LaurentSeries) -> AgreementVerdict:
-    return residual_verdict(a - b)
+    def __bool__(self):
+        return self.holds
 
 
 def residual_verdict(d: LaurentSeries) -> AgreementVerdict:

@@ -61,15 +61,15 @@ def S(terms, **kw):
 def test_gamma_1x1_split():
     f = matfact_gamma([[S([(1, Fraction(1, P))])]])
     assert smat_agree(f.y, [[S([(1, 1)])]]).holds
-    assert f.z_constants[0][0].to_rational() == Fraction(1, P)
+    assert f.z[0][0].coefficient(0).to_rational() == Fraction(1, P)
 
 
 def test_gamma_diag_split():
     x = [[S([(1, Fraction(1, P))]), S([])], [S([]), S([(0, 1)])]]
     f = matfact_gamma(x)
     assert smat_agree(f.y, [[S([(1, 1)]), S([])], [S([]), S([(0, 1)])]]).holds
-    assert f.z_constants[0][0].to_rational() == Fraction(1, P)
-    assert f.z_constants[1][1].to_rational() == 1
+    assert f.z[0][0].coefficient(0).to_rational() == Fraction(1, P)
+    assert f.z[1][1].coefficient(0).to_rational() == 1
 
 
 def countdown_gamma(x):

@@ -1,9 +1,11 @@
+import os
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_gamma_invertible, rand_gammaplus_dieudonne, series
+from sigma_nabla import textio
 from sigma_nabla.errors import MembershipViolated, SingularFrobenius
 from sigma_nabla.linalg import (
     mat_map,
@@ -28,6 +30,7 @@ from sigma_nabla.padic import PadicNumber
 from sigma_nabla.series import LaurentSeries, RingLabel
 
 P, N = 3, 12
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def S(terms, **kw):
@@ -59,6 +62,18 @@ def test_compat_derivative_obstruction():
     assert not v.holds
     assert v.position == (0, 0)
     assert v.residual_valuation == 0
+
+
+@pytest.mark.parametrize("path, holds", [
+    (("glue", "m1.json"), True),
+    (("check_module", "m1_n_perturbed.json"), False),
+])
+def test_verdicts_are_true_exactly_when_they_hold(path, holds):
+    mod = textio.expect_kind(textio.load_path(os.path.join(FIXTURES, *path)),
+                             "module")
+    for verdict in (check_compat(mod), check_fv(mod)):
+        assert verdict.holds is holds
+        assert bool(verdict) is holds
 
 
 def test_compat_preserved_under_basis_change(rng):

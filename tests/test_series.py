@@ -23,12 +23,10 @@ from sigma_nabla.padic import INF, PadicNumber, cell_dot, vp_int
 from sigma_nabla.series import (
     RING_KINDS,
     LaurentSeries,
-    OneForm,
     RingLabel,
-    d_sigma,
-    derivation_d,
+    log_p,
     membership,
-    series_agree,
+    residual_verdict,
     series_dot,
     series_sum,
 )
@@ -41,7 +39,7 @@ def S(terms, **kw):
 
 
 def agrees(a, b):
-    return series_agree(a, b).holds
+    return residual_verdict(a - b).holds
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +85,7 @@ def test_sum_with_a_truncated_exact_zero_is_truncated():
         assert (s.window, s.tail_free, s.base_floor, sorted(s.terms)) == (
             (0, 0), False, None, [0])
     x5 = S([(5, 1)], window=(0, 5))
-    for verdict in (series_agree(x5, zero), series_agree(zero, x5)):
+    for verdict in (residual_verdict(x5 - zero), residual_verdict(zero - x5)):
         assert verdict.holds and verdict.window == (0, 0)
 
 
@@ -772,43 +770,48 @@ def test_sigma_is_ring_hom(rng):
 
 
 def test_derivative_basics():
-    assert agrees(derivation_d(S([(2, 1)])).coefficient, S([(1, 2)]))
-    assert agrees(derivation_d(S([(-1, 1)])).coefficient, S([(-2, -1)]))
+    assert agrees(S([(2, 1)]).derivative(), S([(1, 2)]))
+    assert agrees(S([(-1, 1)]).derivative(), S([(-2, -1)]))
 
 
 def test_leibniz(rng):
     for _ in range(15):
         a = rand_series(rng, P, N)
         b = rand_series(rng, P, N)
-        lhs = derivation_d(a * b).coefficient
-        rhs = a * derivation_d(b).coefficient + b * derivation_d(a).coefficient
+        lhs = (a * b).derivative()
+        rhs = a * b.derivative() + b * a.derivative()
         assert agrees(lhs, rhs)
 
 
-def test_d_sigma_examples():
+def twisted(g, q):
+    """q * u^(q-1) * sigma(g): the du-coefficient of the twisted
+    differential of g du."""
+    uq = LaurentSeries.monomial(g.p, g.nrel, q, q - 1)
+    return g.frobenius(log_p(q, g.p)) * uq
+
+
+def test_twisted_differential_examples():
     # q = p = 3 here; the q=2 example needs p=2
-    w = OneForm(series(2, 10, [(1, 1)]))
-    out = d_sigma(w, 2)
-    assert series_agree(out.coefficient, series(2, 10, [(3, 2)])).holds
-    # j = 0 term: d_sigma(du) = p u^(p-1) du
-    w0 = OneForm(S([(0, 1)]))
-    assert agrees(d_sigma(w0, P).coefficient, S([(P - 1, P)]))
+    out = twisted(series(2, 10, [(1, 1)]), 2)
+    assert agrees(out, series(2, 10, [(3, 2)]))
+    # j = 0 term: du twists to p u^(p-1) du
+    assert agrees(twisted(S([(0, 1)]), P), S([(P - 1, P)]))
 
 
-def test_d_sigma_chain_rule(rng):
+def test_twisted_differential_chain_rule(rng):
+    # d(sigma(a)) = q * u^(q-1) * sigma(d(a))
     for _ in range(15):
         a = rand_series(rng, P, N, -3, 3)
-        lhs = d_sigma(derivation_d(a), P).coefficient
-        rhs = derivation_d(a.frobenius()).coefficient
+        lhs = twisted(a.derivative(), P)
+        rhs = a.frobenius().derivative()
         assert agrees(lhs, rhs)
 
 
-def test_d_sigma_rejects_q_not_a_power_of_p():
-    w = OneForm(series(2, 10, [(1, 1)]))
+def test_log_p_rejects_q_not_a_power_of_p():
     with pytest.raises(ValueError, match=r"^q=12 is not a power of p=2$"):
-        d_sigma(w, 12)
+        log_p(12, 2)
     with pytest.raises(ValueError, match="q must be at least p"):
-        d_sigma(w, 1)
+        log_p(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +893,8 @@ def test_lattice_relations():
 def test_agreement_reports_floor_and_witness():
     a = S([(0, 1)])
     b = S([(0, 1), (2, P ** 5)])
-    v = series_agree(a, b)
+    v = residual_verdict(a - b)
     assert not v.holds and v.witness == 2 and v.residual_valuation == 5
-    ok = series_agree(a, a + LaurentSeries(P, N, {}, a.window, False, 9))
+    pad = LaurentSeries(P, N, {}, a.window, False, 9)
+    ok = residual_verdict(a - (a + pad))
     assert ok.holds and ok.floor == 9

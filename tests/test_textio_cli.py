@@ -531,6 +531,14 @@ USAGE_ERRORS = [
      os.path.join(FIXTURES, "lfunction", "table.json")],
     ["pole-order", "--q", "1", "--d", "1",
      os.path.join(FIXTURES, "pole_order", "poly.json")],
+    ["--kmax", "-1", "horizontal", os.path.join(FIXTURES, "glue", "m2.json")],
+    ["--nmax", "-3", "probe-nilpotence",
+     os.path.join(FIXTURES, "module.json")],
+    ["lfunction", "--place", "zz",
+     os.path.join(FIXTURES, "lfunction", "table.json")],
+    ["trace-check", "--place", "zz",
+     os.path.join(FIXTURES, "lfunction", "table.json"),
+     os.path.join(FIXTURES, "lfunction", "cohomology.json")],
 ]
 
 
