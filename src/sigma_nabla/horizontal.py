@@ -43,17 +43,6 @@ def _coefficient_matrices(nmat, upto):
     return out
 
 
-def _neg_over(cell, dv, du, p):
-    """-cell / (p^dv * du) for a unit du, on a cell (val, unit, prec)."""
-    v, u, prec = cell
-    if v is None:
-        return cell
-    if u is None:
-        return v - dv, None, None
-    q = p ** prec
-    return v - dv, -u * pow(du, -1, q) % q, prec
-
-
 def horizontal_basis(nmat, k_max) -> HorizontalBasis:
     """Solve (k+1) H_{k+1} = -(N H)_k from H_0 = I, coefficientwise.
 
@@ -93,9 +82,11 @@ def horizontal_basis(nmat, k_max) -> HorizontalBasis:
         if nrel - loss <= 0:
             exhausted = True
             break
-        du = (k + 1) // p ** dv
-        nxt = [[_neg_over(c, dv, du, p) for c in row] for row in conv]
-        h_layers.append(nxt)
+        # the cell of -1/(k+1)
+        q = p ** nrel
+        over = (-dv, -pow((k + 1) // p ** dv, -1, q) % q, nrel)
+        h_layers.append([[cell_dot(p, nrel, [(c, over)]) for c in row]
+                         for row in conv])
         floors.append(nrel - loss)
 
     degree = len(h_layers) - 1
@@ -136,23 +127,19 @@ class SubBasisResult:
     residual_valuation: object     # floor of the derivatives, INF if exact
 
 
-def horizontal_sub_basis(inclusion, phi0_diag) -> SubBasisResult:
+def horizontal_sub_basis(inclusion) -> SubBasisResult:
     """Echelonise an inclusion matrix over a horizontal ambient basis.
 
     The ambient module is assumed given in a horizontal basis with
-    constant diagonal Frobenius ``phi0_diag``; columns are reduced by
-    column operations with unit pivots.  Each reduced column must then be
-    horizontal: all its entries constant.  A non-constant entry is the
-    obstruction the connection residual sees, and raises NotHorizontal
-    with its valuation and (row, column).
+    constant diagonal Frobenius; columns are reduced by column operations
+    with unit pivots.  Each reduced column must then be horizontal: all
+    its entries constant.  A non-constant entry is the obstruction the
+    connection residual sees, and raises NotHorizontal with its valuation
+    and (row, column).
     """
     a = [row[:] for row in inclusion]
     n = len(a)
     l = len(a[0])
-    p = a[0][0].p
-    nrel = a[0][0].nrel
-    if len(phi0_diag) != n:
-        raise ValueError("phi0_diag must have one entry per ambient row")
 
     pivot_rows = []
     used = set()

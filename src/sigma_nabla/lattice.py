@@ -182,6 +182,9 @@ def lattice_intersect(l1: LatticeBasis, l2: LatticeBasis) -> LatticeBasis:
     Solve L1 x = L2 y on the stacked matrix [L1 | -L2] via its Smith form;
     the kernel columns are saturated because the transforms are
     Gamma-invertible, so L1 * (x-part) spans the intersection.
+    [L1 | -L2] must have full row rank at working precision: rows that
+    are dependent without cancelling exactly, as for L1 = L2 = <(1, p)>,
+    make its Smith form raise PrecisionExhausted.
     """
     n = l1.ambient_rank
     if l2.ambient_rank != n:

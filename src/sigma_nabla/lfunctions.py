@@ -48,11 +48,6 @@ class LSeries:
                     out[i + j] += a * b
         return LSeries(tuple(out), t)
 
-    def __eq__(self, other):
-        return (isinstance(other, LSeries)
-                and self.truncation == other.truncation
-                and self.coeffs == other.coeffs)
-
 
 # ---------------------------------------------------------------------------
 # Power sums.  A polynomial P = prod (1 - a_i t) with constant term 1 has
@@ -168,9 +163,6 @@ class CharPolyTable:
             if len(ranks) != 1:
                 raise ValueError(f"inconsistent ranks {sorted(ranks)}")
             self.rank = ranks.pop()
-
-    def factor(self, place, pid) -> IntPolynomial:
-        return self.polys[(place, pid)]
 
 
 @dataclass(frozen=True)

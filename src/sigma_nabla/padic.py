@@ -23,6 +23,7 @@ from itertools import product
 from .errors import AmbiguousValuation, DivisionByZero, NumericalFailure
 
 INF = math.inf
+_ONE = (0, 1, INF)      # the cell of the exact 1
 
 # three-valued comparison results
 EQUAL = "equal"
@@ -55,6 +56,14 @@ def vp_int(n: int, p: int) -> int:
 
 
 class PadicNumber:
+    """A capped-relative p-adic number: see the module docstring.
+
+    ``+``, ``*`` and ``/`` are each one ``cell_dot`` over the operands'
+    cells at the smaller of their nrel (``/`` multiplies by the cell of
+    the divisor's inverse), so ``cell_at_floor`` and ``cell_dot`` hold the
+    one precision rule that the series kernel follows too.
+    """
+
     __slots__ = ("p", "nrel", "val", "unit", "prec")
 
     def __init__(self, p, nrel, val, unit, prec):
@@ -148,36 +157,20 @@ class PadicNumber:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check(self, other):
+    def _fold(self, other, pairs):
+        """The number ``cell_dot`` makes of ``pairs`` of cells at the
+        smaller nrel of the operands."""
         if self.p != other.p:
             raise ValueError("mixed primes %d and %d" % (self.p, other.p))
+        nrel = min(self.nrel, other.nrel)
+        return PadicNumber.from_cell(self.p, nrel,
+                                     cell_dot(self.p, nrel, pairs))
 
     def __add__(self, other):
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        self._check(other)
-        p = self.p
-        nrel = min(self.nrel, other.nrel)
-        a, b = self, other
-        if a.is_exact_zero:
-            return b if b.nrel <= nrel else b._cap(nrel)
-        if b.is_exact_zero:
-            return a if a.nrel <= nrel else a._cap(nrel)
-        if a.unit is None and b.unit is None:
-            return PadicNumber.inexact_zero(p, nrel, min(a.val, b.val))
-        if a.unit is None or b.unit is None:
-            z, r = (a, b) if a.unit is None else (b, a)
-            # z = O(p^f), r regular
-            if r.val < z.val:
-                return PadicNumber._make(p, nrel, r.val, r.unit,
-                                         min(r.prec, z.val - r.val))
-            return PadicNumber.inexact_zero(p, nrel, z.val)
-        if a.val > b.val:
-            a, b = b, a
-        shift = b.val - a.val
-        prec = min(a.prec, b.prec + shift, nrel)
-        raw = a.unit + b.unit * p ** shift
-        return PadicNumber._make(p, nrel, a.val, raw, prec)
+        return self._fold(other, [((self.val, self.unit, self.prec), _ONE),
+                                  ((other.val, other.unit, other.prec), _ONE)])
 
     def __neg__(self):
         if self.unit is None:
@@ -193,44 +186,19 @@ class PadicNumber:
     def __mul__(self, other):
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        self._check(other)
-        p = self.p
-        nrel = min(self.nrel, other.nrel)
-        a, b = self, other
-        if a.is_exact_zero or b.is_exact_zero:
-            return PadicNumber.zero(p, nrel)
-        if a.unit is None or b.unit is None:
-            # O(p^f) * (p^v unit) = O(p^(f+v)); O * O likewise
-            return PadicNumber.inexact_zero(p, nrel, a.val + b.val)
-        return PadicNumber._make(p, nrel, a.val + b.val,
-                                 a.unit * b.unit, min(a.prec, b.prec))
+        return self._fold(other, [((self.val, self.unit, self.prec),
+                                   (other.val, other.unit, other.prec))])
 
     def __truediv__(self, other):
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        self._check(other)
-        p = self.p
-        nrel = min(self.nrel, other.nrel)
         if other.unit is None:
             raise DivisionByZero(
                 "divisor is zero at working precision"
                 if not other.is_exact_zero else "division by exact zero")
-        if self.is_exact_zero:
-            return PadicNumber.zero(p, nrel)
-        if self.unit is None:
-            return PadicNumber.inexact_zero(p, nrel, self.val - other.val)
-        prec = min(self.prec, other.prec)
-        inv = pow(other.unit % p ** prec, -1, p ** prec)
-        return PadicNumber._make(p, nrel, self.val - other.val,
-                                 self.unit * inv, prec)
-
-    def _cap(self, nrel):
-        if self.is_exact_zero:
-            return PadicNumber.zero(self.p, nrel)
-        if self.unit is None:
-            return PadicNumber.inexact_zero(self.p, nrel, self.val)
-        return PadicNumber._make(self.p, nrel, self.val, self.unit,
-                                 min(self.prec, nrel))
+        inv = pow(other.unit, -1, other.p ** other.prec)
+        return self._fold(other, [((self.val, self.unit, self.prec),
+                                   (-other.val, inv, other.prec))])
 
     # -- comparisons ----------------------------------------------------
 
@@ -470,10 +438,6 @@ class UnramifiedScalar:
             raise ValueError("mixed unramified fields")
 
     def __add__(self, other):
-        if isinstance(other, PadicNumber):
-            other = self.field.scalar(
-                [other] + [PadicNumber.zero(self.field.p, self.field.nrel)]
-                * (self.field.f - 1))
         self._check(other)
         return UnramifiedScalar(
             self.field, [a + b for a, b in zip(self.coords, other.coords)])
@@ -485,9 +449,6 @@ class UnramifiedScalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, PadicNumber):
-            return UnramifiedScalar(self.field,
-                                    [a * other for a in self.coords])
         self._check(other)
         f = self.field.f
         p, nrel = self.field.p, self.field.nrel
@@ -520,10 +481,6 @@ class UnramifiedScalar:
             out = UnramifiedScalar(self.field, coords)
         return out
 
-    @property
-    def is_zero_at_precision(self):
-        return all(c.is_zero_at_precision for c in self.coords)
-
     def inverse(self):
         """Inverse via the multiplication-by-self matrix M: the solution x
         of M x = e_0, the coordinates of 1."""
@@ -537,9 +494,6 @@ class UnramifiedScalar:
         x = mat_inv(mat, ops, error=DivisionByZero,
                     rhs=[row[:1] for row in ident])
         return UnramifiedScalar(self.field, [row[0] for row in x])
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def agrees(self, other):
         return all(a.agrees(b) for a, b in zip(self.coords, other.coords))
@@ -590,8 +544,6 @@ class IntPolynomial:
         return self._hash
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return IntPolynomial([c * other for c in self.coeffs])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -607,9 +559,6 @@ class IntPolynomial:
         for i, b in enumerate(other.coeffs):
             out[i] += b
         return IntPolynomial(out)
-
-    def __call__(self, x):
-        return horner(self.coeffs, x)
 
     def __repr__(self):
         return "IntPolynomial(%s)" % (list(self.coeffs),)

@@ -121,34 +121,26 @@ def _stable_mean(pi, ops, conjugates, unstable):
     return [[x * inv_n for x in row] for row in acc]
 
 
-def average_projector_group(pi, cocycle, group_table, actions=None):
-    """Group-descent averaging: (1/|G|) sum of iota_g g*(pi) iota_g^-1.
+def average_projector_group(pi, cocycle, group_table):
+    """Group-descent averaging: (1/|G|) sum of iota_g pi iota_g^-1.
 
     ``cocycle`` is a list of (label, matrix); ``group_table`` maps pairs of
-    labels to their product; ``actions``, when given, maps labels to the
-    entrywise Galois action.  The cocycle law iota_h h*(iota_g) = iota_hg
-    is checked for every pair.
+    labels to their product.  The cocycle law iota_h iota_g = iota_hg is
+    checked for every pair.
     """
     ops = ops_for(pi[0][0])
     labels = [g for g, _ in cocycle]
     mats = dict(cocycle)
-    act = actions or {}
-
-    def apply_action(g, mat):
-        fn = act.get(g)
-        return mat_map(mat, fn) if fn else mat
-
     for h in labels:
         for g in labels:
-            lhs = mat_mul(mats[h], apply_action(h, mats[g]))
+            lhs = mat_mul(mats[h], mats[g])
             hg = group_table[(h, g)]
             if not mat_agree(lhs, mats[hg], ops):
                 raise CocycleViolated(g, h)
     _check_projector(pi, ops)
     inv = {g: mat_inv(mats[g], ops) for g in labels}
     return _stable_mean(
-        pi, ops, ((g, mat_mul(mat_mul(mats[g], apply_action(g, pi)), inv[g]))
-                  for g in labels),
+        pi, ops, ((g, mat_mul(mat_mul(mats[g], pi), inv[g])) for g in labels),
         "iota_{} does not preserve the image of pi")
 
 

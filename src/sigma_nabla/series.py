@@ -226,8 +226,8 @@ class LaurentSeries:
         return cls.from_terms(p, nrel, [(0, 1)], window)
 
     @classmethod
-    def monomial(cls, p, nrel, value, exponent, window=None):
-        return cls.from_terms(p, nrel, [(exponent, value)], window)
+    def monomial(cls, p, nrel, value, exponent):
+        return cls.from_terms(p, nrel, [(exponent, value)])
 
     # -- structural helpers ----------------------------------------------
 

@@ -92,13 +92,9 @@ def test_rejects_negative_exponents():
 # ---------------------------------------------------------------------------
 
 
-def diag_phi(*vals):
-    return [S([(0, v)]) for v in vals]
-
-
 def test_full_inclusion_identity():
     inc = smat_identity(2, P, N)
-    res = horizontal_sub_basis(inc, diag_phi(1, P))
+    res = horizontal_sub_basis(inc)
     for i in range(2):
         for j in range(2):
             want = PadicNumber.from_int(P, N, int(i == j))
@@ -107,7 +103,7 @@ def test_full_inclusion_identity():
 
 def test_constant_column_is_horizontal():
     inc = [[S([(0, 1)])], [S([(0, 7)])]]
-    res = horizontal_sub_basis(inc, diag_phi(2, 3))
+    res = horizontal_sub_basis(inc)
     assert res.columns[1][0].coefficient(0).agrees(
         PadicNumber.from_int(P, N, 7))
 
@@ -115,7 +111,7 @@ def test_constant_column_is_horizontal():
 def test_non_horizontal_detected():
     inc = [[S([(0, 1)])], [S([(1, 1)])]]
     with pytest.raises(NotHorizontal) as exc:
-        horizontal_sub_basis(inc, diag_phi(1, P))
+        horizontal_sub_basis(inc)
     assert exc.value.residual_valuation == 0
     assert exc.value.position == (1, 0)
 
@@ -123,7 +119,7 @@ def test_non_horizontal_detected():
 def test_unit_pivot_required():
     inc = [[S([(0, P)])], [S([(0, P * P)])]]
     with pytest.raises(NonUnitPivot):
-        horizontal_sub_basis(inc, diag_phi(1, P))
+        horizontal_sub_basis(inc)
 
 
 def test_elimination_normalises_pivots(rng):
@@ -131,7 +127,7 @@ def test_elimination_normalises_pivots(rng):
     inc = [[S([(0, 2)]), S([(0, 1)])],
            [S([(0, 3)]), S([(0, 4)])],
            [S([(0, 1)]), S([(0, 5)])]]
-    res = horizontal_sub_basis(inc, diag_phi(1, 2, 3))
+    res = horizontal_sub_basis(inc)
     # pivot rows carry exactly the identity
     for j, r in enumerate(res.pivot_rows):
         for jj in range(2):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import rand_gamma_invertible, series
+from sigma_nabla.errors import PrecisionExhausted
 from sigma_nabla.lattice import (
     LatticeBasis,
     lattice_intersect,
@@ -77,6 +78,25 @@ def test_smith_roundtrip_random(rng):
         assert smat_agree(smat_mul(smat_mul(sf.u, sf.d), sf.w), a).holds
 
 
+def test_smith_exact_zero_row_has_lower_rank():
+    # the remaining block is exactly zero: the elimination stops at rank 1
+    a = [[S([(0, 1), (1, P)]), S([(0, 2)])], [S([]), S([])]]
+    sf = lattice_smith(a)
+    assert sf.rank == 1 and sf.exponents == [0]
+    assert smat_agree(smat_mul(smat_mul(sf.u, sf.d), sf.w), a).holds
+    assert smat_agree(smat_mul(smat_mul(sf.u_inv, a), sf.w_inv), sf.d).holds
+
+
+def test_smith_rows_cancelling_at_precision_exhaust_it():
+    # the second row is twice the first: clearing it leaves inexact zeros,
+    # which no precision can tell from a further pivot
+    a = [[S([(0, 1), (1, P)]), S([(0, 2)])],
+         [S([(0, 2), (1, 2 * P)]), S([(0, 4)])]]
+    with pytest.raises(PrecisionExhausted,
+                       match="remaining block is indistinguishable from zero"):
+        lattice_smith(a)
+
+
 def test_intersect_simple_scaling():
     l1 = const_lattice([[1, 0], [0, 1]])
     l2 = const_lattice([[P, 0], [0, 1]])
@@ -116,6 +136,15 @@ def test_intersect_idempotent(rng):
         for j in range(len(cols)):
             assert lattice_member(inter, series_vec(cols[j]))
             assert lattice_member(l, [inter.vectors[i][j] for i in range(2)])
+
+
+def test_intersect_with_itself_needs_full_row_rank():
+    # [L | -L] for L = <(1, 3)> has rank 1 on two rows: once the first
+    # pivot is cleared, the second row is zero only at precision
+    l = const_lattice([[1, P]])
+    with pytest.raises(PrecisionExhausted,
+                       match="remaining block is indistinguishable from zero"):
+        lattice_intersect(l, l)
 
 
 def test_intersect_against_brute_force(rng):

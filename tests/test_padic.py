@@ -141,6 +141,36 @@ def test_cell_dot_matches_chained_fold(nrel_pairs, cancel):
     assert (repr(got), got.nrel) == (repr(acc), acc.nrel)
 
 
+# the capped-relative rule across operands of different nrel, written out
+# by hand at p = 3: 1000 = 28 + 12 * 81, 2 * 28 = 56, 2 * 14 = 28 and
+# 28 * 29 = 2 + 10 * 81
+_A9 = PadicNumber.from_int(3, 9, 1000)
+_B4 = PadicNumber.from_int(3, 4, 2)
+_O5 = PadicNumber.inexact_zero(3, 4, 5)
+_9A9 = PadicNumber.from_int(3, 9, 9 * 1000)
+
+
+@pytest.mark.parametrize("got, want, nrel", [
+    # an exact zero of nrel 4 caps the other operand at 4 digits
+    (PadicNumber.zero(3, 4) + _A9, "3^0*28 mod 3^4", 4),
+    (_A9 + PadicNumber.zero(3, 4), "3^0*28 mod 3^4", 4),
+    # O(3^5) + 3^2 * 1000 keeps min(prec, 5 - 2) = 3 digits: 1000 = 1 mod 27
+    (_O5 + _9A9, "3^2*1 mod 3^3", 4),
+    (PadicNumber.inexact_zero(3, 9, 5) + _9A9, "3^2*1 mod 3^3", 9),
+    # ... and min(2, 5 - 2) = 2 when the regular operand knows only 2
+    (PadicNumber._make(3, 9, 2, 1000, 2) + PadicNumber.inexact_zero(3, 9, 5),
+     "3^2*1 mod 3^2", 9),
+    # units at nrel 9 and nrel 4 multiply and divide to at most 4 digits
+    (_A9 * _B4, "3^0*56 mod 3^4", 4),
+    (_A9 / _B4, "3^0*14 mod 3^4", 4),
+    (_B4 / _A9, "3^0*29 mod 3^4", 4),
+    (_9A9 / _B4, "3^2*14 mod 3^4", 4),
+], ids=["zero+a", "a+zero", "O+r", "O+r_same_nrel", "O+r_short", "a*b",
+        "a/b", "b/a", "9a/b"])
+def test_mixed_nrel_arithmetic_keeps_the_smaller_cap(got, want, nrel):
+    assert (repr(got), got.nrel) == (want, nrel)
+
+
 # ---------------------------------------------------------------------------
 # Newton polygons.
 # ---------------------------------------------------------------------------

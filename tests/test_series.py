@@ -310,7 +310,8 @@ def rand_pair(rng, nrel):
 
 def at_nrel(s, nrel):
     """The same series with every coefficient capped at nrel."""
-    return LaurentSeries(P, nrel, {e: c._cap(nrel)
+    zero = PadicNumber.zero(P, nrel)
+    return LaurentSeries(P, nrel, {e: c + zero
                                    for e, c in s.coeffs.items()},
                          s.window, s.tail_free, s.base_floor)
 
