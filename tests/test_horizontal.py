@@ -82,6 +82,25 @@ def test_exhaustion_reports_achieved_degree():
     assert hb.floors[-1] >= 1
 
 
+def test_truncated_connection_claims_nothing_past_its_window():
+    # N = 1 + u + u^2 known only on (0, 2): H_(k+1) needs N_0 .. N_k, so
+    # degree 3 is the last the window determines.  Two completions that
+    # agree with N on (0, 2) must agree with it on every claimed cell
+    p, nrel = 5, 8
+    truncated = S([(0, 1), (1, 1), (2, 1)], p, nrel).on_window((0, 2), False)
+    hb = horizontal_basis([[truncated]], 6)
+    assert hb.degree_achieved == 3
+    assert not hb.exhausted
+    assert hb.floors == [8, 8, 8, 8]
+    for completion in ([(0, 1), (1, 1), (2, 1)],
+                       [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]):
+        full = horizontal_basis([[S(completion, p, nrel)]], 6)
+        assert full.degree_achieved == 6
+        for k in range(hb.degree_achieved + 1):
+            assert hb.h[0][0].coefficient(k).agrees(
+                full.h[0][0].coefficient(k)), (completion, k)
+
+
 def test_rejects_negative_exponents():
     with pytest.raises(MembershipViolated):
         horizontal_basis([[S([(-1, 1)])]], 4)
