@@ -19,9 +19,12 @@ class HorizontalBasis:
     """Columns solving h' + N h = 0 up to the achieved u-degree.
 
     ``floors[k]`` is the guaranteed absolute precision of the degree-k
-    coefficients (nrel minus the digits consumed by dividing by 1..k);
-    ``exhausted`` is set when those divisions ran out of digits before
-    ``k_max`` and the recursion stopped early, reporting what it reached.
+    coefficients as the recursion computed them: nrel minus the digits
+    consumed by dividing by 1..k, or the lowest floor of those cells when
+    N's own floors leave less.  ``h`` is cut at the last degree's nrel
+    minus that loss.  ``exhausted`` is set when those divisions ran out of
+    digits before ``k_max`` and the recursion stopped early, reporting
+    what it reached.
     """
 
     h: list
@@ -32,24 +35,24 @@ class HorizontalBasis:
     residual_valuation: object     # min valuation of nabla(H), INF if clean
 
 
-def _coefficient_matrices(nmat, upto):
-    """N_j coefficient matrices for 0 <= j <= upto, of cells (val, unit,
-    prec)."""
-    n = len(nmat)
-    out = []
-    for j in range(upto + 1):
-        out.append([[nmat[i][k].cell(j) for k in range(n)]
-                    for i in range(n)])
-    return out
-
-
 def horizontal_basis(nmat, k_max) -> HorizontalBasis:
     """Solve (k+1) H_{k+1} = -(N H)_k from H_0 = I, coefficientwise.
 
     ``nmat`` must have no provably nonzero negative exponents (the module
     lives over R-plus / E-plus).  Division by p-divisible integers loses
     absolute precision; the recursion stops, reporting the maximal
-    achieved degree, once the cumulative loss v_p(k!) reaches nrel.
+    achieved degree, once the cumulative loss v_p(k!) reaches nrel.  An
+    entry that is not tail-free is known only on its window, and
+    H_{k+1} needs N_0 .. N_k: with w the smallest window top of such
+    entries (-1 when a window starts above 0), the recursion stops at
+    degree w + 1.
+
+    Layout: row a of N is its cells N_0[a][.], N_1[a][.], ... end to end,
+    and column b of H is H_k[.][b], H_{k-1}[.][b], ..., H_0[.][b], newest
+    layer first.  (N H)_k[a][b] is then ``cell_dot`` over ``zip(row_a,
+    col_b)``, which pairs N_j with H_{k-j} and stops after n(k+1) cells;
+    each degree prepends one layer to each column.  ``cell_dot`` sums in
+    any order to the same cell, so the pairs need no particular order.
     """
     n, m = smat_shape(nmat)
     p = nmat[0][0].p
@@ -61,35 +64,39 @@ def horizontal_basis(nmat, k_max) -> HorizontalBasis:
                     raise MembershipViolated(
                         f"N[{i}][{j}] has a negative exponent {e}",
                         entry=(i, j), exponent=e)
+    # a truncated entry is known on its window only
+    k_top = max(0, min([k_max] + [s.window[1] + 1 if s.window[0] <= 0 else 0
+                                  for row in nmat for s in row
+                                  if not s.tail_free]))
 
     # the recursion runs on cells (val, unit, prec) at the entries' nrel
-    ncoeffs = _coefficient_matrices(nmat, k_max)
+    rows = [[s.cell(j) for j in range(k_top) for s in row] for row in nmat]
     zero, one = (None, None, None), (0, 1, nrel)
-    h_layers = [[[one if i == j else zero for j in range(n)]
-                 for i in range(n)]]
+    cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
     floors = [nrel]
     loss = 0
     exhausted = False
-    for k in range(k_max):
-        # (N H)_k = sum over j of N_j H_{k-j}
-        layers = [(ncoeffs[j], h_layers[k - j])
-                  for j in range(min(k, len(ncoeffs) - 1) + 1)]
-        conv = [[cell_dot(p, nrel, [(nj[a][t], hl[t][b])
-                                    for nj, hl in layers for t in range(n)])
-                 for b in range(n)] for a in range(n)]
+    q = p ** nrel
+    for k in range(k_top):
         dv = vp_int(k + 1, p)
-        loss += dv
-        if nrel - loss <= 0:
+        if loss + dv >= nrel:
             exhausted = True
             break
+        loss += dv
         # the cell of -1/(k+1)
-        q = p ** nrel
         over = (-dv, -pow((k + 1) // p ** dv, -1, q) % q, nrel)
-        h_layers.append([[cell_dot(p, nrel, [(c, over)]) for c in row]
-                         for row in conv])
-        floors.append(nrel - loss)
+        layer = [[cell_dot(p, nrel, [(cell_dot(p, nrel, zip(row, col)),
+                                      over)]) for row in rows]
+                 for col in cols]
+        cols = [new + col for new, col in zip(layer, cols)]
+        # a cell (val, unit, prec) is known modulo p^(val + prec), an
+        # inexact zero modulo p^val
+        floors.append(min([nrel - loss] + [v + (prec or 0)
+                                           for new in layer
+                                           for v, _, prec in new
+                                           if v is not None]))
 
-    degree = len(h_layers) - 1
+    degree = len(floors) - 1
     # both N and H are power series (zero below degree 0, by the checked
     # precondition), so their windows honestly extend below zero; this lets
     # the residual product carry a nonempty provable window
@@ -97,9 +104,9 @@ def horizontal_basis(nmat, k_max) -> HorizontalBasis:
     h_lo = -(n_top + 8)
     n_lo = -(degree + 8)
     h = [[LaurentSeries.from_cells(p, nrel,
-                                   {k: h_layers[k][i][j]
-                                    for k in range(degree + 1)},
-                                   (h_lo, degree), False, min(floors))
+                                   {degree - d: cols[j][d * n + i]
+                                    for d in range(degree + 1)},
+                                   (h_lo, degree), False, nrel - loss)
           for j in range(n)] for i in range(n)]
     nmat_ext = [[s.on_window((min(s.window[0], n_lo), s.window[1]),
                              s.tail_free) for s in row] for row in nmat]

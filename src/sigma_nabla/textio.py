@@ -10,7 +10,13 @@ row-major nested lists; ring labels are strings with their certificate.
 the kind, runs that kind's parser, and turns any KeyError, IndexError,
 TypeError, ValueError or ZeroDivisionError the parser raises on malformed
 data into a ``ParseError``.  The parsers raise ``ParseError`` themselves
-only for range checks the Python types do not make.
+only for range checks the Python types do not make, and for a key listed
+twice (an exponent of a series, a (place, point) pair of a table).
+
+``dumps`` writes a document as ``json.dumps(doc, indent=1,
+sort_keys=True)`` does, byte for byte, but builds the text itself: before
+Python 3.13 the standard library encodes with an indent only through its
+pure-Python encoder, which took most of the writing time of a report.
 """
 
 from __future__ import annotations
@@ -117,6 +123,15 @@ def _int(x, what, low=None):
     return x
 
 
+def _repeated(keys):
+    """The first of ``keys`` that was listed before."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            return key
+        seen.add(key)
+
+
 def _p_nrel(obj):
     """A document's prime p and relative precision nrel >= 1."""
     p = obj.get("p")
@@ -140,8 +155,12 @@ def parse_series_body(p, nrel, obj) -> LaurentSeries:
     if not isinstance(tail_free, bool):
         raise ParseError(f"bad series: tail_free must be a boolean, not "
                          f"{tail_free!r}")
+    terms = obj["terms"]
     cells = {_int(e, "an exponent"): _scalar_cell(p, nrel, c)
-             for e, c in obj["terms"]}
+             for e, c in terms}
+    if len(cells) != len(terms):
+        raise ParseError(f"bad series: exponent "
+                         f"{_repeated(e for e, _ in terms)} is listed twice")
     return LaurentSeries.from_cells(p, nrel, cells, tuple(window), tail_free,
                                     floor)
 
@@ -283,6 +302,10 @@ def parse_table(obj):
     for place, pid, coeffs in obj["polys"]:
         poly = _polynomial(coeffs)
         polys[place, pid] = shared.setdefault(poly, poly)
+    if len(polys) != len(obj["polys"]):
+        place, pid = _repeated((place, pid)
+                               for place, pid, _ in obj["polys"])
+        raise ParseError(f"the factor at ({place}, {pid}) is listed twice")
     # det(1 - t^deg Frob_x) is a polynomial in t^deg, as purity assumes
     degs = dict(points)
     for (place, pid), poly in polys.items():
@@ -347,8 +370,45 @@ def parse_cohomology(obj):
 # ---------------------------------------------------------------------------
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=1, sort_keys=True) + "\\n"``, written
+    without the standard library's pure-Python encoder."""
+    return _text(doc, "\n") + "\n"
+
+
+def _text(x, nl):
+    """The JSON text of ``x`` as ``dumps`` writes it, ``nl`` being a newline
+    and the indent of the level ``x`` sits on.  Strings, ints, lists,
+    tuples and dicts with string keys are written here, a list of [int,
+    str] pairs (a series' terms) one f-string per pair, and bools and
+    None; any other value (a float, say) by ``json.dumps``, re-indented."""
+    t = type(x)
+    if t is str:
+        return _escape(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None or t is bool:
+        return "null" if x is None else "true" if x else "false"
+    inner = nl + " "
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        if all(type(v) is list and len(v) == 2 and type(v[0]) is int
+               and type(v[1]) is str for v in x):
+            deep = inner + " "
+            items = [f"[{deep}{e},{deep}{_escape(s)}{inner}]" for e, s in x]
+        else:
+            items = [_text(v, inner) for v in x]
+        return f"[{inner}{(',' + inner).join(items)}{nl}]"
+    if t is dict and all(type(k) is str for k in x):
+        if not x:
+            return "{}"
+        items = [f"{_escape(k)}: {_text(x[k], inner)}" for k in sorted(x)]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    return json.dumps(x, indent=1, sort_keys=True).replace("\n", nl)
 
 
 def loads(text):

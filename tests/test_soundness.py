@@ -35,6 +35,7 @@ from fractions import Fraction
 from conftest import (
     const_series_matrix,
     rand_const_invertible,
+    rand_eplus_module,
     rand_gamma_invertible,
     rand_robba_regime_x,
 )
@@ -47,6 +48,7 @@ from sigma_nabla.errors import (
     WindowOverflow,
 )
 from sigma_nabla.factor import matfact_gamma, matfact_robba
+from sigma_nabla.horizontal import horizontal_basis
 from sigma_nabla.lattice import lattice_smith
 from sigma_nabla.linalg import smat_det, smat_inv, smat_mul
 from sigma_nabla.padic import INF, PadicNumber, cell_dot, vp_int
@@ -153,10 +155,11 @@ def check(low, high, tally, what, windows=True):
                    (what, e, low, high))
 
 
-def check_cell(a, b, tally, what):
+def check_cell(a, b, tally, what, floor=None):
     """The low number ``a`` agrees with the high one ``b`` modulo the
-    smaller of their absolute floors."""
-    fa, fb = a.abs_floor, b.abs_floor
+    smaller of their absolute floors, ``a``'s being ``floor`` when given
+    (a claim made for ``a`` elsewhere)."""
+    fa, fb = a.abs_floor if floor is None else floor, b.abs_floor
     diff = representative(a) - representative(b)
     tally.cells += 1
     tally.full += fb >= fa
@@ -548,5 +551,81 @@ def test_matfact_robba():
                        ("robba", t), same)
         check_matrices((low.y_inv,), (high.y_inv,), tally, ("robba", t),
                        same)
+    assert_strong(tally)
+    assert_skips(tally, 0, 0)
+
+
+def eplus_spec(rng):
+    """An entry of a connection over E-plus, as a spec: exact rational
+    terms of valuation 0 to 3 at exponents 0 to 12, tail-free or known on
+    (0, top) only, and cut to a base floor and cell floors (inexact zeros
+    among them) or not."""
+    terms = {rng.randint(0, 12): rand_value(rng, 0, 3)
+             for _ in range(rng.randint(0, 4))}
+    tail_free = rng.random() < 0.5
+    top = max(terms, default=0) if tail_free else rng.randint(2, 12)
+    base_floor = None if rng.random() < 0.5 else rng.randint(1, 6)
+    floors = {rng.randint(0, top): rng.randint(0, 5)
+              for _ in range(rng.choice((0, 0, 1, 2)))}
+    return terms, (0, top), tail_free, base_floor, floors
+
+
+def known_further(spec):
+    """The spec of a truncated entry known on (0, 12): the terms past its
+    window, which a truncation drops, are the ones its completion has."""
+    terms, window, tail_free, base_floor, floors = spec
+    return terms, window if tail_free else (0, 12), tail_free, base_floor, \
+        floors
+
+
+def check_horizontal(low, high, tally, what):
+    """Each cell of the low basis holds for the high one at its own floor,
+    and each cell of its top degree at the floor reported for that degree.
+    (The basis is cut at the top degree's floor, so a lower degree's
+    reported floor is checked by a run that stops at that degree.)"""
+    assert low.degree_achieved <= high.degree_achieved, what
+    tally.results += 1
+    top = low.degree_achieved
+    for i, row in enumerate(low.h):
+        for j, s in enumerate(row):
+            for k in range(top + 1):
+                a, b = s.coefficient(k), high.h[i][j].coefficient(k)
+                check_cell(a, b, tally, (what, k, i, j))
+            check_cell(a, b, tally, (what, top, i, j, "floor"),
+                       low.floors[top])
+
+
+def test_horizontal_basis():
+    # N over E-plus of rank 1 to 3, from k_max = 1 up to 12: the seeded
+    # modules of tests/conftest.py, exact, and matrices of truncated
+    # entries, which the high run knows on (0, 12); a run stops at the
+    # drawn k_max or where N's windows or its digits run out
+    def connection(state, nrel, lift):
+        r = random.Random()
+        r.setstate(state)
+        n = r.randint(1, 3)
+        if r.random() < 0.3:
+            return rand_eplus_module(r, P, nrel, n).nmat
+        specs = [eplus_spec(r) for _ in range(n * n)]
+        if lift:
+            specs = [known_further(s) for s in specs]
+        return matrix([build(s, nrel, lift) for s in specs], n)
+
+    tally = Tally()
+    rng = random.Random(113)
+    for t in range(100):
+        nrel = rng.choice((3, 4, 6))
+        k_top = rng.randint(1, 12)
+        state = rng.getstate()
+        rng.random()
+        low_n = connection(state, nrel, 0)
+        high_n = connection(state, nrel + lift_of(nrel), lift_of(nrel))
+        for k_max in range(1, k_top + 1):
+            low = horizontal_basis(low_n, k_max)
+            high = horizontal_basis(high_n, k_max)
+            check_horizontal(low, high, tally, ("horizontal", t, k_max))
+            if low.degree_achieved < k_max:
+                break
+    # no run raises, so none is skipped
     assert_strong(tally)
     assert_skips(tally, 0, 0)

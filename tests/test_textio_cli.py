@@ -1,9 +1,12 @@
+import glob
 import json
 import os
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import CliRunner, rand_series, series
 from sigma_nabla import textio
@@ -121,6 +124,46 @@ def test_parse_errors_carry_position():
         textio.loads('{"format_version": 99, "kind": "module"}')
     with pytest.raises(textio.ParseError):
         textio.loads('{"format_version": 1}')
+
+
+# what the writer meets in a document, and near misses of a series'
+# terms: [int, str] pairs next to pairs of a bool and a string, of two
+# ints, and triples
+_leaves = st.one_of(st.text(), st.integers(-10 ** 30, 10 ** 30),
+                    st.booleans(), st.none(), st.floats())
+_term_lists = st.lists(st.one_of(
+    st.tuples(st.integers(-40, 40), st.text(max_size=6)),
+    st.tuples(st.booleans(), st.text(max_size=2)),
+    st.tuples(st.integers(), st.integers()),
+    st.tuples(st.integers(), st.text(max_size=2), st.integers()),
+).map(list), max_size=4)
+_documents = st.recursive(
+    st.one_of(_leaves, _term_lists),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+@example({"terms": [[0, "\u00e9\x01\n"], [-3, ""]], "e": {}, "l": [],
+          "t": ((), (1, "a"))})
+@example([[True, "x"], [1, 2], [1, "a", 3], [1, "a"]])
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 10 ** 30])
+def test_dumps_is_json_indented_by_one_with_sorted_keys(doc):
+    assert textio.dumps(doc) == \
+        json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def test_every_fixture_dumps_to_its_own_bytes():
+    paths = glob.glob(os.path.join(FIXTURES, "**", "*.json"), recursive=True)
+    assert len(paths) >= 47
+    for path in paths:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        assert textio.dumps(json.loads(raw)).encode() == raw, path
 
 
 def test_deterministic_output():
@@ -294,6 +337,21 @@ def _without(name, key):
     return doc
 
 
+def _repeated_term():
+    # an exponent listed twice in a series' terms, with different values
+    doc = _fixture_doc("factor_gamma/x.json")
+    terms = doc["entries"][0][0]["terms"]
+    terms.append([terms[0][0], "3^0*1 mod 3^11"])
+    return doc
+
+
+def _repeated_factor():
+    # a (place, point) pair listed twice in a table's polys
+    doc = _fixture_doc("lfunction/table.json")
+    doc["polys"].append(doc["polys"][0][:2] + [["1", "2", "-1", "-1"]])
+    return doc
+
+
 @pytest.mark.parametrize("args, docs", [
     (["pole-order", "--q", "2", "--d", "1"],
      [_without("pole_order/poly.json", "coeffs")]),
@@ -311,6 +369,8 @@ def _without(name, key):
      [{"format_version": 1, "kind": "charpoly_table", "q": 4,
        "places": [1, "a"], "points": [[0, 1]],
        "polys": [[1, 0, ["1", "-3", "4"]], ["a", 0, ["1", "-3", "4"]]]}]),
+    (["factor", "gamma"], [_repeated_term()]),
+    (["lfunction", "--place", "p", "-T", "8"], [_repeated_factor()]),
 ])
 def test_cli_malformed_documents_exit_two(runner, tmp_path, args, docs):
     paths = []
