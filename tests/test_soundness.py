@@ -1,6 +1,6 @@
 """Soundness of the series layer, of ``char_coeffs`` on p-adic matrices,
-and of ``lattice_smith``, ``matfact_gamma`` and ``matfact_robba``, at two
-precisions.
+and of ``lattice_smith``, ``matfact_gamma``, ``matfact_robba`` and
+``horizontal_basis``, at two precisions.
 
 Each operation runs twice on the same exact-rational inputs: once at a
 relative precision nrel, once at 2*nrel + 4 with every absolute floor of
