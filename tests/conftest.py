@@ -30,6 +30,13 @@ def series(p, nrel, terms, window=None):
     return LaurentSeries.from_terms(p, nrel, terms, window)
 
 
+def padic_series(p, nrel, coeffs, window, tail_free, base_floor):
+    """The series with PadicNumber coefficients ``coeffs`` on ``window``."""
+    cells = {e: (c.val, c.unit, c.prec) for e, c in coeffs.items()}
+    return LaurentSeries.from_cells(p, nrel, cells, window, tail_free,
+                                    base_floor)
+
+
 def rand_series(rng, p, nrel, emin=-4, emax=4, vmin=0, vmax=3, nterms=4,
                 window=None, nonzero=False):
     terms = {}

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     const_series_matrix,
+    padic_series,
     rand_const_invertible,
     rand_gamma_invertible,
     rand_robba_regime_x,
@@ -88,8 +89,8 @@ def truncated(rng, s):
     nonempty), nothing claimed at or beyond a uniform floor."""
     lo = min(s.coeffs, default=0) - rng.randint(24, 30)
     hi = max(s.coeffs, default=0) + rng.randint(24, 30)
-    return LaurentSeries(P, N, s.coeffs, (lo, hi), False,
-                         rng.randint(2, N + 2))
+    return padic_series(P, N, s.coeffs, (lo, hi), False,
+                        rng.randint(2, N + 2))
 
 
 def describe(s):
@@ -256,13 +257,13 @@ def rand_entry(rng, nrel):
     kind = rng.choice(("zero", "floor", "truncated", "truncated",
                        "polynomial", "polynomial"))
     if kind == "zero":
-        return LaurentSeries(P, nrel, {}, (-rng.randint(0, 6),
-                                           rng.randint(0, 6)),
-                             rng.random() < 0.5, None)
+        return padic_series(P, nrel, {}, (-rng.randint(0, 6),
+                                          rng.randint(0, 6)),
+                            rng.random() < 0.5, None)
     if kind == "floor":
-        return LaurentSeries(P, nrel, {}, (-rng.randint(0, 8),
-                                           rng.randint(0, 8)),
-                             False, rng.randint(0, 8))
+        return padic_series(P, nrel, {}, (-rng.randint(0, 8),
+                                          rng.randint(0, 8)),
+                            False, rng.randint(0, 8))
     cells = {}
     for _ in range(rng.randint(1, 4)):
         e = rng.randint(-4, 4)
@@ -276,12 +277,12 @@ def rand_entry(rng, nrel):
         cells[e] = PadicNumber._make(P, nrel, rng.randint(0, 3), unit, prec)
     lo, hi = min(cells), max(cells)
     if kind == "truncated":
-        return LaurentSeries(P, nrel, cells, (lo - rng.randint(8, 14),
-                                              hi + rng.randint(8, 14)),
-                             False, rng.randint(3, 12))
-    return LaurentSeries(P, nrel, cells, (lo - rng.randint(0, 2),
-                                          hi + rng.randint(0, 2)), True,
-                         None)
+        return padic_series(P, nrel, cells, (lo - rng.randint(8, 14),
+                                             hi + rng.randint(8, 14)),
+                            False, rng.randint(3, 12))
+    return padic_series(P, nrel, cells, (lo - rng.randint(0, 2),
+                                         hi + rng.randint(0, 2)), True,
+                        None)
 
 
 def test_product_agree_reads_the_verdict_of_each_residual():

@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import (
     oracle_from_series,
     oracle_matches,
     oracle_mul,
+    padic_series,
     rand_gamma_invertible,
     rand_series,
     rand_unit_series,
@@ -79,7 +81,7 @@ def test_sum_window_is_intersection():
 def test_sum_with_a_truncated_exact_zero_is_truncated():
     # an exact zero that makes no claim outside (0, 0): the sum is known
     # only there, whatever the other operand's window
-    zero = LaurentSeries(P, N, {}, (0, 0), False, None)
+    zero = padic_series(P, N, {}, (0, 0), False, None)
     x = S([(0, 1), (5, 1)], window=(0, 5))
     for s in (x + zero, zero + x, x - zero, zero - x):
         assert (s.window, s.tail_free, s.base_floor, sorted(s.terms)) == (
@@ -96,8 +98,8 @@ def rand_truncated(rng, nrel):
         s = rand_series(rng, P, nrel, -4, 4, -1, 3, rng.randint(1, 5))
         lo = min(s.coeffs) - rng.randint(10, 20)
         hi = max(s.coeffs) + rng.randint(10, 20)
-        t = LaurentSeries(P, nrel, s.coeffs, (lo, hi), False,
-                          rng.randint(1, 6))
+        t = padic_series(P, nrel, s.coeffs, (lo, hi), False,
+                         rng.randint(1, 6))
         if t.coeffs:
             return t, oracle_from_series(s)
 
@@ -167,11 +169,11 @@ def test_truncated_operands_against_rational_oracle(rng):
         assert clipped.base_floor == prod.base_floor
         # without a base floor an inexact zero is stored; it is no witness
         noise = PadicNumber.inexact_zero(P, nrel, rng.randint(-3, 1))
-        noisy = LaurentSeries(
+        noisy = padic_series(
             P, nrel, {**b.coeffs, rng.randint(*hb): noise}, b.window,
             b.tail_free, None)
-        floor_only = LaurentSeries(P, nrel, {}, a.window, False,
-                                   a.base_floor)
+        floor_only = padic_series(P, nrel, {}, a.window, False,
+                                  a.base_floor)
         for s in (a, b, total, prod, clipped, noisy, noisy + a, noisy * a,
                   floor_only, floor_only * b):
             assert s.valuation() == scanned_valuation(s)
@@ -226,16 +228,16 @@ def test_inexact_zero_below_the_floor_is_kept():
     # 3 + O(3^3) and its negative cancel to O(3^3), a weaker claim than the
     # base floor 10: the sum is known only modulo 3^3 there
     x = PadicNumber._make(P, N, 1, 1, 2)
-    one = LaurentSeries(P, N, {1: x}, (-5, 5), False, 10)
-    total = one + LaurentSeries(P, N, {1: -x}, (-5, 5), False, 10)
+    one = padic_series(P, N, {1: x}, (-5, 5), False, 10)
+    total = one + padic_series(P, N, {1: -x}, (-5, 5), False, 10)
     assert total.coefficient(1).abs_floor == 3
     assert total.abs_floor() == 3
     assert total.valuation() is None
     assert total.min_valuation() == 3
     # (1 + 9u^2 + O(3^12)) * O(3^2) is O(3^2) + O(3^4) u^2 + O(3^14)
-    s = LaurentSeries(P, N, {0: PadicNumber.from_int(P, N, 1),
-                             2: PadicNumber.from_int(P, N, 9)},
-                      (-4, 4), False, 12)
+    s = padic_series(P, N, {0: PadicNumber.from_int(P, N, 1),
+                            2: PadicNumber.from_int(P, N, 9)},
+                     (-4, 4), False, 12)
     scaled = s.scale(PadicNumber.inexact_zero(P, N, 2))
     assert scaled.base_floor == 14
     assert scaled.abs_floor() == 2
@@ -265,25 +267,25 @@ def rand_operand(rng, nrel):
                        "polynomial", "polynomial", "polynomial", "surrogate"))
     if kind == "zero":
         # tail-free, or making no claim outside its window
-        return LaurentSeries(P, nrel, {}, (-rng.randint(0, 9),
-                                           rng.randint(0, 9)),
-                             rng.random() < 0.5, None)
+        return padic_series(P, nrel, {}, (-rng.randint(0, 9),
+                                          rng.randint(0, 9)),
+                            rng.random() < 0.5, None)
     if kind == "floor":
-        return LaurentSeries(P, nrel, {}, (-rng.randint(0, 12),
-                                           rng.randint(0, 12)),
-                             False, rng.randint(0, 8))
+        return padic_series(P, nrel, {}, (-rng.randint(0, 12),
+                                          rng.randint(0, 12)),
+                            False, rng.randint(0, 8))
     truncated = kind == "truncated"
     terms = {rng.randint(-6, 6): rand_coefficient(rng, nrel, not truncated)
              for _ in range(rng.randint(1, 4))}
     lo, hi = min(terms), max(terms)
     if truncated:
-        return LaurentSeries(P, nrel, terms, (lo - rng.randint(6, 16),
-                                              hi + rng.randint(6, 16)),
-                             False, rng.randint(1, 12))
-    return LaurentSeries(P, nrel, terms, (lo - rng.randint(0, 2),
-                                          hi + rng.randint(0, 2)),
-                         True, rng.randint(1, 12) if kind == "surrogate"
-                         else None)
+        return padic_series(P, nrel, terms, (lo - rng.randint(6, 16),
+                                             hi + rng.randint(6, 16)),
+                            False, rng.randint(1, 12))
+    return padic_series(P, nrel, terms, (lo - rng.randint(0, 2),
+                                         hi + rng.randint(0, 2)),
+                        True, rng.randint(1, 12) if kind == "surrogate"
+                        else None)
 
 
 def no_product_window(a, b):
@@ -311,9 +313,9 @@ def rand_pair(rng, nrel):
 def at_nrel(s, nrel):
     """The same series with every coefficient capped at nrel."""
     zero = PadicNumber.zero(P, nrel)
-    return LaurentSeries(P, nrel, {e: c + zero
-                                   for e, c in s.coeffs.items()},
-                         s.window, s.tail_free, s.base_floor)
+    return padic_series(P, nrel, {e: c + zero
+                                  for e, c in s.coeffs.items()},
+                        s.window, s.tail_free, s.base_floor)
 
 
 class Folded:
@@ -390,10 +392,10 @@ def outcome(fn, *args):
             sorted((e, repr(c), c.nrel) for e, c in items))
 
 
-def test_series_dot_matches_the_fold_of_products():
-    rng = random.Random(5023)
-    seen = dict(widened=0, overflow=0, window_cap=0, kept_zero=0, capped=0)
-    for _ in range(1500):
+def fold_draws(rng, count=1500):
+    """Sums of products, as (pairs, out_window, mixed): ``mixed`` has some
+    pairs replaced by their first series."""
+    for _ in range(count):
         if rng.random() < 0.2:
             # a product at nrel 10, a higher-valuation one at nrel 6, then
             # the first negated: the lower nrel caps the cancelled cell
@@ -420,10 +422,16 @@ def test_series_dot_matches_the_fold_of_products():
         if rng.random() < 0.25:
             lo = -rng.randint(0, 10)
             out_window = (lo, lo + rng.randint(0, 20))
+        yield pairs, out_window, [a if rng.random() < 0.5 else (a, b)
+                                  for a, b in pairs]
+
+
+def test_series_dot_matches_the_fold_of_products():
+    seen = dict(widened=0, overflow=0, window_cap=0, kept_zero=0, capped=0)
+    for pairs, out_window, mixed in fold_draws(random.Random(5023)):
         want = outcome(reference_sum, pairs, out_window)
         assert outcome(series_dot, pairs, out_window) == want
         # products and series mixed, and a - b
-        mixed = [a if rng.random() < 0.5 else (a, b) for a, b in pairs]
         assert (outcome(series_sum, mixed, out_window)
                 == outcome(reference_sum, mixed, out_window))
         a, b = pairs[0]
@@ -449,6 +457,61 @@ def test_series_dot_matches_the_fold_of_products():
             seen["capped"] += 1
     # every order-dependent step of the fold was exercised
     assert min(seen.values()) >= 10, seen
+
+
+
+def assert_rebuilds(s):
+    """``from_cells`` on the cells of ``s`` gives ``s`` back, which the
+    kernel can subtract from ``s``."""
+    r = LaurentSeries.from_cells(
+        s.p, s.nrel, {e: (v, u, pr) for e, v, u, pr in s.cells()},
+        s.window, s.tail_free, s.base_floor)
+    assert (r.cells(), r.valuation(), r.min_valuation(), r.abs_floor(),
+            r.window, r.tail_free, r.base_floor) == \
+        (s.cells(), s.valuation(), s.min_valuation(), s.abs_floor(),
+         s.window, s.tail_free, s.base_floor)
+    assert residual_verdict(r - s).holds
+
+
+def test_from_cells_rebuilds_every_result():
+    # the operands, each product, the sums and a - b
+    rebuilt = 0
+    for pairs, out_window, mixed in fold_draws(random.Random(5023)):
+        results = [s for pair in pairs for s in pair]
+        for make in ([partial(series_dot, pairs, out_window),
+                      partial(series_sum, mixed, out_window),
+                      partial(pairs[0][0].__sub__, pairs[0][1])]
+                     + [partial(a.mul, b, out_window) for a, b in pairs]):
+            try:
+                results.append(make())
+            except WindowOverflow:
+                pass
+        for s in results:
+            assert_rebuilds(s)
+        rebuilt += len(results)
+    assert rebuilt > 10000
+
+
+@pytest.mark.parametrize("cells, base_floor, want", [
+    # a unit divisible by p, a negative unit, a unit >= p^prec, prec <= 0,
+    # prec > nrel with a unit >= p^nrel, an exact zero; a cell outside
+    # the window is dropped
+    ({0: (1, 6, 4), 1: (0, -1, 3), 2: (-2, 100, 2), 3: (2, 5, 0),
+      4: (0, 7 + 5 * 3 ** 6, 20), 5: (None, None, None), 9: (0, 1, 3)},
+     None, [(0, 2, 2, 3), (1, 0, 26, 3), (2, -2, 1, 2), (3, 2, None, None),
+            (4, 0, 7, 6)]),
+    # each cell cut at p^3: one to fewer digits, one to a zero at the base
+    # floor (dropped), one at it; zeros below it are kept
+    ({-1: (-1, 2, -3), 0: (1, 1, 6), 1: (3, 1, 2), 2: (0, 9, 6),
+      3: (0, 27, 6), 4: (1, None, None), 5: (4, None, None)},
+     3, [(-1, -1, None, None), (0, 1, 1, 2), (2, 2, 1, 1),
+         (4, 1, None, None)]),
+])
+def test_from_cells_normalises_hand_written_cells(cells, base_floor, want):
+    s = LaurentSeries.from_cells(P, 6, cells, (-5, 5), True, base_floor)
+    assert s.cells() == want
+    assert s.tail_free == (9 not in cells)
+    assert_rebuilds(s)
 
 
 def rand_dense(rng, nrel, lo):
@@ -615,7 +678,7 @@ def test_invert_rejects_non_unit():
     with pytest.raises(NotAUnit):
         S([]).invert()
     with pytest.raises(NotAUnit):
-        LaurentSeries(P, N, {}, (-4, 4), False, 5).invert()
+        padic_series(P, N, {}, (-4, 4), False, 5).invert()
 
 
 def exact_recursion_invert(a, target_window=None):
@@ -896,6 +959,6 @@ def test_agreement_reports_floor_and_witness():
     b = S([(0, 1), (2, P ** 5)])
     v = residual_verdict(a - b)
     assert not v.holds and v.witness == 2 and v.residual_valuation == 5
-    pad = LaurentSeries(P, N, {}, a.window, False, 9)
+    pad = padic_series(P, N, {}, a.window, False, 9)
     ok = residual_verdict(a - (a + pad))
     assert ok.holds and ok.floor == 9

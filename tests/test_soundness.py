@@ -34,6 +34,7 @@ from fractions import Fraction
 
 from conftest import (
     const_series_matrix,
+    padic_series,
     rand_const_invertible,
     rand_eplus_module,
     rand_gamma_invertible,
@@ -320,7 +321,7 @@ def test_invert_of_a_truncation_claims_no_more_than_its_floor():
     # only modulo 3^5, though the input's terms have 12 relative digits
     one = PadicNumber.from_int(P, 12, 1)
     three = PadicNumber.from_int(P, 12, 3)
-    a = LaurentSeries(P, 12, {0: one, -1: three}, (-20, 20), False, 5)
+    a = padic_series(P, 12, {0: one, -1: three}, (-20, 20), False, 5)
     b = a.invert()
     assert b.base_floor <= 5
     assert b.abs_floor() <= 5
