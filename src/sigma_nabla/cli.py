@@ -33,7 +33,7 @@ from .lfunctions import (
 )
 from .linalg import smat_product_agree
 from .modules import check_compat, check_fv, quasi_nilpotence_probe
-from .padic import INF
+from .padic import INF, PadicNumber
 from .points import (
     block_companion,
     frob_iterate,
@@ -239,9 +239,10 @@ def cmd_factor(cfg, mode, path):
          document("x_path"))
 def cmd_check_product(cfg, y_path, z_path, x_path):
     """Verify Y*Z = X at working precision on the common window."""
-    y, _, _ = _load(y_path, "series_matrix")
-    z, _, _ = _load(z_path, "series_matrix")
-    x, _, _ = _load(x_path, "series_matrix")
+    y, py, _ = _load(y_path, "series_matrix")
+    z, pz, _ = _load(z_path, "series_matrix")
+    x, px, _ = _load(x_path, "series_matrix")
+    textio.require_same_prime(py, pz, px)
     side = len(textio.require_square(y, None, "Y to be a square matrix"))
     textio.require_square(z, side, "Z to be a square matrix")
     textio.require_square(x, side, "X to be a square matrix")
@@ -258,7 +259,8 @@ def cmd_check_product(cfg, y_path, z_path, x_path):
 def cmd_descend(cfg, module_path, x_path):
     """Descend an E-dagger module to E-plus through a factorization of X."""
     mod = _load(module_path, "module")
-    x, _, _ = _load(x_path, "series_matrix")
+    x, px, _ = _load(x_path, "series_matrix")
+    textio.require_same_prime(mod.p, px)
     textio.require_square(x, mod.rank, "X to be a square matrix")
     res = descend_to_eplus(mod, x)
     return res.compat.holds, {
@@ -276,7 +278,8 @@ def cmd_glue(cfg, m1_path, m2_path, x_path):
     Gamma-plus."""
     m1 = _load(m1_path, "module")
     m2 = _load(m2_path, "module")
-    x, _, _ = _load(x_path, "series_matrix")
+    x, px, _ = _load(x_path, "series_matrix")
+    textio.require_same_prime(m1.p, m2.p, px)
     textio.require_square(m2.phi, m1.rank, "m2 to have a Phi")
     textio.require_square(x, m1.rank, "X to be a square matrix")
     res = glue_dieudonne(m1, m2, x)
@@ -310,6 +313,8 @@ def cmd_horizontal(cfg, module_path):
 def cmd_slopes(cfg, path):
     """Newton slopes of a point Frobenius matrix, and the unit-root test."""
     mat = textio.require_square(_load(path, "scalar_matrix"))
+    if not isinstance(mat[0][0], PadicNumber):
+        raise ParseError("expected a p-adic scalar_matrix, not a rational one")
     poly = newton_slopes_frob(mat)
     return True, {
         "slopes": [[str(s), m] for s, m in poly.slopes],

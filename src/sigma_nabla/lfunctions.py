@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Optional
 
-from .padic import IntPolynomial, exact_rational
+from .padic import IntPolynomial, exact_rational, horner
 from .points import PurityVerdict, purity_check
 
 
@@ -252,10 +252,7 @@ def pole_order_at(poly: IntPolynomial, q, d) -> int:
 
 def _has_root(poly: IntPolynomial, a):
     """poly(1/a) == 0, tested as a^n poly(1/a) = sum c_k a^(n-k) == 0."""
-    acc = 0
-    for c in poly.coeffs:
-        acc = acc * a + c
-    return acc == 0
+    return horner(poly.coeffs[::-1], a) == 0
 
 
 def _deflate(poly: IntPolynomial, a):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import SingularInput
 from .padic import INF, PadicNumber, UnramifiedScalar
 from .kernel import accumulate, view
-from .series import (AgreementVerdict, LaurentSeries, _series, kernel_terms,
+from .series import (AgreementVerdict, LaurentSeries, kernel_terms,
                      residual_verdict, series_dot, series_sum)
 
 
@@ -139,7 +139,7 @@ def _matrix_verdict(residuals):
     for i, row in enumerate(folded):
         for j, (kterms, v) in enumerate(row):
             if v is None:
-                d = residual_verdict(_series(*accumulate(kterms)))
+                d = residual_verdict(LaurentSeries(*accumulate(kterms)))
                 return replace(d, position=(i, j))
             if v[0] < floor:
                 floor = v[0]
@@ -323,18 +323,16 @@ def mat_identity(n, ops):
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(a[0])
-    m = len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
+
+
+def _dot(xs, ys):
+    """Sum of x * y over zip(xs, ys), both nonempty, as the left fold."""
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
 
 
 def mat_agree(a, b, ops):

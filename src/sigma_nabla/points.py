@@ -22,7 +22,8 @@ from .errors import (
     PreconditionFailed,
     SingularFrobenius,
 )
-from .linalg import mat_agree, mat_identity, mat_inv, mat_map, mat_mul, ops_for
+from .linalg import _dot, mat_agree, mat_identity, mat_inv, mat_map, mat_mul, \
+    ops_for
 from .padic import (
     IntPolynomial,
     PadicNumber,
@@ -181,7 +182,7 @@ def char_coeffs(mat):
     common denominator d: the coefficient of T^(n-k) for F is that for
     d*F divided by d^k, and every coefficient comes back a Fraction.  Other
     entries (PadicNumber, UnramifiedScalar) run in their own ring through
-    the left fold ``_dot``, which keeps their precision bookkeeping.
+    the left fold ``linalg._dot``, which keeps their precision bookkeeping.
     """
     coeffs = _rational_char_coeffs(mat)
     if coeffs is not None:
@@ -225,14 +226,6 @@ def _berkowitz(mat, zero, one, dot):
             toeplitz.append(zero - dot(rm, c))
         poly = [dot(toeplitz[i::-1], poly) for i in range(r + 2)]
     return poly
-
-
-def _dot(xs, ys):
-    """Sum of x * y over zip(xs, ys), both nonempty."""
-    acc = xs[0] * ys[0]
-    for x, y in zip(xs[1:], ys[1:]):
-        acc = acc + x * y
-    return acc
 
 
 def newton_slopes_frob(mat):

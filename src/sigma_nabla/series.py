@@ -8,7 +8,8 @@ A series stores its coefficients as integers, after FLINT's ``padic_poly``
 
 * ``base`` and ``terms``: the cell at exponent e is p^base * terms[e]; a
   nonzero entry is the residue of the value in [0, p^(floor - base)), and
-  0 is an inexact zero O(p^floor).  An exact zero is not stored.
+  0 is an inexact zero O(p^floor).  An exact zero is not stored, and base
+  is at most every floor.
 * ``floors``: the absolute floor of every cell that is not at the default
   min(base_floor, valuation + nrel), i.e. every inexact zero and each cell
   known to fewer digits.
@@ -21,10 +22,14 @@ A series stores its coefficients as integers, after FLINT's ``padic_poly``
   window or not, has valuation at least ``min_valuation()``: the product
   floor relies on it.
 
-``PadicNumber`` is the boundary type: ``coefficient``, ``items`` and the
-read-only ``coeffs`` view build one per cell when asked; ``cell`` and
-``cells`` give the same coefficients as (val, unit, prec) tuples, which
-``from_cells`` reads, as the constructor reads PadicNumbers.
+One constructor, ``LaurentSeries(p, nrel, base, terms, floors, window,
+tail_free, base_floor)``, takes this form as it is, and one normaliser,
+``_settle``, writes it from cells (exponent, integer over p^base, floor);
+sums and products are settled by the kernel's closing pass.
+``from_cells`` settles the (val, unit, prec) cells that ``cell`` and
+``cells`` give.  ``PadicNumber`` is the boundary type: ``from_terms``
+reads it, and ``coefficient``, ``items`` and the read-only ``coeffs``
+view build one per cell when asked.
 
 Windows behave as regions of faithfulness: addition intersects them,
 multiplication uses the convolution-correct window (the full Minkowski sum
@@ -153,51 +158,42 @@ class LaurentSeries:
     __slots__ = ("p", "nrel", "window", "tail_free", "base_floor", "base",
                  "terms", "floors", "_stats")
 
-    def __init__(self, p, nrel, coeffs, window, tail_free, base_floor):
-        """The series with PadicNumber coefficients ``coeffs`` on
-        ``window``: see ``from_cells``."""
-        cells = {e: (c.val, c.unit, c.prec) for e, c in coeffs.items()}
-        self.from_cells(p, nrel, cells, window, tail_free, base_floor, self)
+    def __init__(self, p, nrel, base, terms, floors, window, tail_free,
+                 base_floor):
+        """The series of the module docstring's integer form, as it is."""
+        if window[0] > window[1]:
+            raise WindowOverflow("empty exponent window")
+        self.p = p
+        self.nrel = nrel
+        self.base = base
+        self.terms = terms
+        self.floors = floors
+        self.window = window
+        self.tail_free = tail_free
+        self.base_floor = base_floor
+        self._stats = None
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_cells(cls, p, nrel, cells, window, tail_free, base_floor,
-                   into=None):
-        """The series (written into ``into``, when given) with cells ``{e:
-        (val, unit, prec)}``, each read as ``PadicNumber._make`` reads it:
-        val None is an exact zero, unit None the inexact zero O(p^val),
-        else p^val * unit known to min(prec, nrel) relative digits.  Cells
-        outside ``window`` are dropped, and the series is then no longer
-        tail-free; every cell is cut at p^base_floor."""
+    def from_cells(cls, p, nrel, cells, window, tail_free, base_floor):
+        """The series with cells ``{e: (val, unit, prec)}``, each read as
+        ``PadicNumber._make`` reads it: val None is an exact zero, unit
+        None the inexact zero O(p^val), else p^val * unit known to
+        min(prec, nrel) relative digits.  Cells outside ``window`` are
+        dropped, and the series is then no longer tail-free; ``_settle``
+        cuts every cell at p^base_floor."""
         lo, hi = window = (int(window[0]), int(window[1]))
-        top = INF if base_floor is None else base_floor
-        kept = []               # (e, val, unit, floor), unit 0 for O(p^floor)
-        for e, (v, unit, prec) in cells.items():
-            if not lo <= e <= hi:
-                tail_free = False
-            elif v is not None:
-                f = v
-                if unit is not None and prec > 0:
-                    f += prec if prec < nrel else nrel
-                if top < f:
-                    f = top
-                if f > v:
-                    unit %= p ** (f - v)
-                    if unit:
-                        t = vp_int(unit, p) if not unit % p else 0
-                        kept.append((e, v + t, unit // p ** t, f))
-                        continue
-                if f < top:
-                    kept.append((e, f, 0, f))
-        base = min((c[1] for c in kept), default=0)
-        terms, floors = {}, {}
-        for e, v, unit, f in kept:
-            terms[e] = unit * p ** (v - base)
-            if not unit or f < top and f < v + nrel:
-                floors[e] = f
-        return _series(p, nrel, base, terms, floors, window, tail_free,
-                       base_floor, into)
+        inside = [(e, c) for e, c in cells.items() if lo <= e <= hi]
+        tail_free = tail_free and len(inside) == len(cells)
+        base = min((c[0] for _, c in inside if c[0] is not None), default=0)
+        # (e, raw, floor) with p^base * raw known modulo p^floor
+        raws = [(e, 0, v) if unit is None else
+                (e, unit * p ** (v - base),
+                 v + (prec if prec < nrel else nrel) if prec > 0 else v)
+                for e, (v, unit, prec) in inside if v is not None]
+        return cls(p, nrel, base, *_settle(p, nrel, base, raws, base_floor),
+                   window, tail_free, base_floor)
 
     @classmethod
     def from_terms(cls, p, nrel, terms, window=None):
@@ -205,17 +201,17 @@ class LaurentSeries:
         ints, Fractions or PadicNumbers.  The default window is
         ``MAX_WIDTH`` exponents around the terms and 0."""
         items = terms.items() if isinstance(terms, dict) else terms
-        coeffs = {}
+        cells = {}
         for e, v in items:
             if not isinstance(v, PadicNumber):
                 v = PadicNumber.from_rational(p, nrel, v)
             if not v.is_exact_zero:
-                coeffs[int(e)] = v
+                cells[int(e)] = (v.val, v.unit, v.prec)
         if window is None:
-            keys = [0, *coeffs]
+            keys = [0, *cells]
             window = clip_window((-INF, INF), (min(keys), max(keys)),
                                  MAX_WIDTH)
-        return cls(p, nrel, coeffs, window, True, None)
+        return cls.from_cells(p, nrel, cells, window, True, None)
 
     @classmethod
     def zero(cls, p, nrel, window=None):
@@ -355,11 +351,11 @@ class LaurentSeries:
                  if keep is None or keep(e, raw)]
         lo, hi = window
         inside = [c for c in cells if lo <= c[0] <= hi]
-        return _series(self.p, self.nrel, self.base,
-                       *_settle(self.p, self.nrel, self.base, inside,
-                                base_floor),
-                       window, tail_free and len(inside) == len(cells),
-                       base_floor)
+        return LaurentSeries(self.p, self.nrel, self.base,
+                             *_settle(self.p, self.nrel, self.base, inside,
+                                      base_floor),
+                             window, tail_free and len(inside) == len(cells),
+                             base_floor)
 
     def restrict(self, window):
         lo = max(window[0], self.window[0])
@@ -377,10 +373,10 @@ class LaurentSeries:
         if terms and (min(terms) < lo or max(terms) > hi):
             terms = {e: r for e, r in terms.items() if lo <= e <= hi}
             floors = {e: f for e, f in self.floors.items() if lo <= e <= hi}
-            return _series(self.p, self.nrel, self.base, terms, floors,
-                           (lo, hi), False, self.base_floor)
-        s = _series(self.p, self.nrel, self.base, terms, self.floors,
-                    (lo, hi), tail_free, self.base_floor)
+            return LaurentSeries(self.p, self.nrel, self.base, terms, floors,
+                                 (lo, hi), False, self.base_floor)
+        s = LaurentSeries(self.p, self.nrel, self.base, terms, self.floors,
+                          (lo, hi), tail_free, self.base_floor)
         s._stats = self._stats
         return s
 
@@ -404,8 +400,8 @@ class LaurentSeries:
         low = self.low_floors()
         terms = {e: -raw % p ** (low.get(e, bf) - base) if raw else 0
                  for e, raw in self.terms.items()}
-        return _series(p, self.nrel, base, terms, self.floors, self.window,
-                       self.tail_free, bf)
+        return LaurentSeries(p, self.nrel, base, terms, self.floors,
+                             self.window, self.tail_free, bf)
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -425,8 +421,8 @@ class LaurentSeries:
         x, zero = (self, other) if other.is_exact_zero else (other, self)
         if not (zero.is_exact_zero and zero.tail_free
                 and zero.nrel >= x.nrel and x.p == zero.p):
-            return _series(*accumulate((series_term(self, 1),
-                                        series_term(other, sign))))
+            return LaurentSeries(*accumulate((series_term(self, 1),
+                                              series_term(other, sign))))
         if x is other and sign < 0:
             x = -x
         lo = max(x.window[0], zero.window[0])
@@ -439,8 +435,8 @@ class LaurentSeries:
         """Multiply every coefficient by a scalar."""
         p, nrel, base, bf = self.p, self.nrel, self.base, self.base_floor
         if c.is_exact_zero:
-            return _series(p, nrel, base, {}, {}, self.window,
-                           self.tail_free, bf)
+            return LaurentSeries(p, nrel, base, {}, {}, self.window,
+                                 self.tail_free, bf)
         low = self.low_floors()
         shift = c.val
         if bf is not None:
@@ -455,17 +451,17 @@ class LaurentSeries:
             cells = [(e, raw * unit, low.get(e, self.base_floor) + shift)
                      for e, raw in self.terms.items()]
             cap = min(c.prec, nrel)
-        return _series(p, nrel, base + shift,
-                       *_settle(p, nrel, base + shift, cells, bf, cap),
-                       self.window, self.tail_free, bf)
+        return LaurentSeries(p, nrel, base + shift,
+                             *_settle(p, nrel, base + shift, cells, bf, cap),
+                             self.window, self.tail_free, bf)
 
     def shift_val(self, m: int):
         """Multiply by p^m (exact)."""
         bf = self.base_floor
-        return _series(self.p, self.nrel, self.base + m, self.terms,
-                       {e: f + m for e, f in self.floors.items()},
-                       self.window, self.tail_free,
-                       None if bf is None else bf + m)
+        return LaurentSeries(self.p, self.nrel, self.base + m, self.terms,
+                             {e: f + m for e, f in self.floors.items()},
+                             self.window, self.tail_free,
+                             None if bf is None else bf + m)
 
     def shift_exp(self, k: int):
         """Multiply by u^k (exact)."""
@@ -474,10 +470,10 @@ class LaurentSeries:
 
     def _reindex(self, move, window):
         """The same cells at exponents ``move(e)``, on ``window``."""
-        return _series(self.p, self.nrel, self.base,
-                       {move(e): r for e, r in self.terms.items()},
-                       {move(e): f for e, f in self.floors.items()},
-                       window, self.tail_free, self.base_floor)
+        return LaurentSeries(self.p, self.nrel, self.base,
+                             {move(e): r for e, r in self.terms.items()},
+                             {move(e): f for e, f in self.floors.items()},
+                             window, self.tail_free, self.base_floor)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -513,9 +509,9 @@ class LaurentSeries:
         cells = [(e - 1, raw * e, low.get(e, bf) + vp_int(e, p))
                  for e, raw in self.terms.items() if e]
         window = (self.window[0] - 1, self.window[1] - 1)
-        return _series(p, self.nrel, self.base,
-                       *_settle(p, self.nrel, self.base, cells, bf),
-                       window, self.tail_free, bf)
+        return LaurentSeries(p, self.nrel, self.base,
+                             *_settle(p, self.nrel, self.base, cells, bf),
+                             window, self.tail_free, bf)
 
     # -- inversion -----------------------------------------------------------
 
@@ -637,25 +633,6 @@ class LaurentSeries:
         return b_wide.restrict(target_window)
 
 
-def _series(p, nrel, base, terms, floors, window, tail_free, base_floor,
-            s=None):
-    """A series (``s``, when given) from its canonical integer form: no
-    normalising pass."""
-    s = s or LaurentSeries.__new__(LaurentSeries)
-    if window[0] > window[1]:
-        raise WindowOverflow("empty exponent window")
-    s.p = p
-    s.nrel = nrel
-    s.base = base
-    s.terms = terms
-    s.floors = floors
-    s.window = window
-    s.tail_free = tail_free
-    s.base_floor = base_floor
-    s._stats = None
-    return s
-
-
 def _settle(p, nrel, base, cells, bf, cap=None):
     """Canonical (terms, floors) of ``cells``, triples (e, raw, floor) with
     p^base * raw known modulo p^floor (INF: exactly), to at most ``cap``
@@ -717,7 +694,7 @@ def series_sum(terms, out_window=None, minus=None):
     each term a series, or a pair (a, b) that stands for ``a.mul(b,
     out_window)``; then ``- minus``, when given, as the fold's last
     step."""
-    return _series(*accumulate(kernel_terms(terms, out_window, minus)))
+    return LaurentSeries(*accumulate(kernel_terms(terms, out_window, minus)))
 
 
 # a sum of products ``a.mul(b, out_window)`` of pairs (a, b)

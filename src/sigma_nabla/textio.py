@@ -193,6 +193,14 @@ def require_square(mat, side=None, what="a square matrix"):
     return mat
 
 
+def require_same_prime(*primes):
+    """``ParseError`` naming two of the documents' primes that differ."""
+    for q in primes[1:]:
+        if q != primes[0]:
+            raise ParseError(f"documents at different primes {primes[0]} "
+                             f"and {q}")
+
+
 def parse_series_matrix(obj):
     p, nrel = _p_nrel(obj)
     return _matrix(obj["entries"], partial(parse_series_body, p, nrel)), \

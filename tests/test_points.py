@@ -16,6 +16,7 @@ from sigma_nabla.errors import (
 )
 from sigma_nabla.linalg import (
     FractionOps,
+    _dot,
     mat_agree,
     mat_inv,
     mat_mul,
@@ -29,7 +30,6 @@ from sigma_nabla.padic import (
 from sigma_nabla.points import (
     PointFrobenius,
     _berkowitz,
-    _dot,
     _rational_char_coeffs,
     average_projector,
     average_projector_group,

@@ -385,6 +385,10 @@ def test_cli_malformed_documents_exit_two(runner, tmp_path, args, docs):
 
 IDENTITY_2 = textio.emit_series_matrix(
     [[S([(0, int(i == j))]) for j in range(2)] for i in range(2)], P, N)
+# the 3x3 identity at p = 5, against fixtures at p = 3
+IDENTITY_3_AT_5 = textio.emit_series_matrix(
+    [[series(5, N, [(0, int(i == j))]) for j in range(3)] for i in range(3)],
+    5, N)
 
 
 @pytest.mark.parametrize("args, docs", [
@@ -396,9 +400,17 @@ IDENTITY_2 = textio.emit_series_matrix(
     (["slopes"], [{"format_version": 1, "kind": "scalar_matrix",
                    "field": "padic", "p": 3, "nrel": 6,
                    "entries": [["3^0*1 mod 3^6", "3^1*1 mod 3^6"]]}]),
+    (["check-product"], [IDENTITY_3_AT_5, _fixture_doc("factor_gamma/Z.json"),
+                         _fixture_doc("factor_gamma/x.json")]),
+    (["descend"], [_fixture_doc("descend/module.json"), IDENTITY_3_AT_5]),
+    (["glue"], [_fixture_doc("glue/m1.json"), _fixture_doc("glue/m2.json"),
+                IDENTITY_3_AT_5]),
+    (["slopes"], [{"format_version": 1, "kind": "scalar_matrix",
+                   "field": "rational", "entries": [["1", "0"], ["0", "1"]]}]),
 ])
 def test_cli_shape_mismatch_exits_two(runner, tmp_path, args, docs):
-    # each document parses; their sizes disagree, or a square one is not
+    # each document parses; their sizes or primes disagree, a square one is
+    # not, or slopes gets a rational matrix
     paths = []
     for k, doc in enumerate(docs):
         paths.append(str(tmp_path / f"doc{k}.json"))
@@ -406,6 +418,7 @@ def test_cli_shape_mismatch_exits_two(runner, tmp_path, args, docs):
     res = runner.invoke(main, args + paths)
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("parse error")
+    assert res.stderr.count("\n") == 1
     assert "Traceback" not in res.stderr
     assert isinstance(res.exception, SystemExit)
 
