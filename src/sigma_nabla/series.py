@@ -184,14 +184,16 @@ class LaurentSeries:
         dropped, and the series is then no longer tail-free; ``_settle``
         cuts every cell at p^base_floor."""
         lo, hi = window = (int(window[0]), int(window[1]))
-        inside = [(e, c) for e, c in cells.items() if lo <= e <= hi]
-        tail_free = tail_free and len(inside) == len(cells)
-        base = min((c[0] for _, c in inside if c[0] is not None), default=0)
+        if cells and (min(cells) < lo or max(cells) > hi):
+            cells = {e: c for e, c in cells.items() if lo <= e <= hi}
+            tail_free = False
+        base = min((c[0] for c in cells.values() if c[0] is not None),
+                   default=0)
         # (e, raw, floor) with p^base * raw known modulo p^floor
         raws = [(e, 0, v) if unit is None else
                 (e, unit * p ** (v - base),
                  v + (prec if prec < nrel else nrel) if prec > 0 else v)
-                for e, (v, unit, prec) in inside if v is not None]
+                for e, (v, unit, prec) in cells.items() if v is not None]
         return cls(p, nrel, base, *_settle(p, nrel, base, raws, base_floor),
                    window, tail_free, base_floor)
 

@@ -423,6 +423,22 @@ def test_cli_shape_mismatch_exits_two(runner, tmp_path, args, docs):
     assert isinstance(res.exception, SystemExit)
 
 
+def test_cli_documents_at_different_nrel_run_at_the_smaller(runner, tmp_path):
+    # the same prime and different nrel is not a parse error: X read at
+    # nrel 10 caps the residual, and Y * Z = X still holds
+    x = _fixture_doc("factor_gamma/x.json")
+    x["nrel"] = 10
+    paths = [os.path.join(FIXTURES, "factor_gamma", "Y.json"),
+             os.path.join(FIXTURES, "factor_gamma", "Z.json"),
+             str(tmp_path / "x10.json")]
+    textio.dump_path(paths[2], x)
+    res = runner.invoke(main, ["check-product"] + paths)
+    assert res.exit_code == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert report["verdict"] == "holds"
+    assert report["floor"] <= 10
+
+
 def test_cli_product_past_the_window_cap_exits_one(runner, tmp_path):
     # (1 + u^200)^2 populates u^0 and u^400, which no 256-exponent window
     # holds: WindowOverflow, exit 1, one line on stderr and no report
