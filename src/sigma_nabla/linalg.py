@@ -8,17 +8,9 @@ one integer at the first dense product that reads it; ``smat_det`` and
 A * B = X without building A * B, and ``smat_agree`` checks A = B: one
 kernel fold per entry, whose verdict is read from the folded integers;
 only a failing entry's residual series is built, for its witness.  The
-scalar helpers are generic over Fraction, PadicNumber and
-UnramifiedScalar entries via a tiny ops adapter, and ``mat_inv`` is the
-one Gauss-Jordan elimination over scalars.  An adapter provides:
-
-* ``zero()``, ``one()``, ``from_int(n)``: constants;
-* ``is_exact_zero(x)``: x is provably zero, so elimination may skip it
-  (an inexact zero must not be skipped: its uncertainty propagates);
-* ``pivot_quality(x)``: a sort key, smaller is better, or None when x
-  cannot be a pivot (zero at working precision);
-* ``inv(x)``: the inverse of a pivot;
-* ``agrees(x, y)``: x and y are not provably different.
+scalar helpers take rational (int or Fraction), PadicNumber or
+UnramifiedScalar entries and read the ring from the entries themselves;
+``mat_inv`` is the one Gauss-Jordan elimination over scalars.
 """
 
 from __future__ import annotations
@@ -228,98 +220,55 @@ def smat_inv(a, target_window=None):
 # ---------------------------------------------------------------------------
 
 
-class FractionOps:
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def is_exact_zero(self, x):
-        return x == 0
-
-    def agrees(self, x, y):
-        return x == y
-
-    def inv(self, x):
-        if x == 0:
-            raise SingularInput("division by zero")
-        return 1 / Fraction(x)
-
-    def pivot_quality(self, x):
-        # any nonzero entry works over an exact field
-        return 0 if x != 0 else None
-
-
-class PadicOps:
-    def __init__(self, p, nrel):
-        self.p = p
-        self.nrel = nrel
-
-    def zero(self):
-        return PadicNumber.zero(self.p, self.nrel)
-
-    def one(self):
-        return PadicNumber.from_int(self.p, self.nrel, 1)
-
-    def from_int(self, n):
-        return PadicNumber.from_int(self.p, self.nrel, n)
-
-    def is_exact_zero(self, x):
-        return x.is_exact_zero
-
-    def agrees(self, x, y):
-        return x.agrees(y)
-
-    def inv(self, x):
-        return self.one() / x
-
-    def pivot_quality(self, x):
-        return x.valuation if x.is_regular else None
-
-
-class UnramOps:
-    def __init__(self, field):
-        self.field = field
-
-    def zero(self):
-        return self.field.zero()
-
-    def one(self):
-        return self.field.one()
-
-    def from_int(self, n):
-        return self.field.from_int(n)
-
-    def is_exact_zero(self, x):
-        return all(c.is_exact_zero for c in x.coords)
-
-    def agrees(self, x, y):
-        return x.agrees(y)
-
-    def inv(self, x):
-        return x.inverse()
-
-    def pivot_quality(self, x):
-        vals = [c.valuation for c in x.coords if c.is_regular]
-        return min(vals) if vals else None
-
-
-def ops_for(x):
-    """Pick the ops adapter matching a sample element."""
+def _coords(x):
+    """The PadicNumber coordinates of a p-adic entry; None for a rational
+    one (an int or a Fraction)."""
     if isinstance(x, PadicNumber):
-        return PadicOps(x.p, x.nrel)
+        return (x,)
     if isinstance(x, UnramifiedScalar):
-        return UnramOps(x.field)
-    return FractionOps()
+        return x.coords
+    return None
 
 
-def mat_identity(n, ops):
-    return [[ops.one() if i == j else ops.zero() for j in range(n)]
-            for i in range(n)]
+def _ring_int(n, like):
+    """The integer n in the ring of the entry ``like``."""
+    if isinstance(like, PadicNumber):
+        return PadicNumber.from_int(like.p, like.nrel, n)
+    if isinstance(like, UnramifiedScalar):
+        return like.field.from_int(n)
+    return Fraction(n)
+
+
+def _inverse(x):
+    """1 / x in the ring of x; x is not zero at working precision."""
+    if isinstance(x, UnramifiedScalar):
+        return x.inverse()
+    return _ring_int(1, x) / x
+
+
+def _pivot_key(x):
+    """A sort key, smaller is better: the least valuation of a p-adic
+    entry's regular coordinates, 0 for a nonzero rational; None when x
+    cannot be a pivot (zero at working precision)."""
+    coords = _coords(x)
+    if coords is None:
+        return 0 if x != 0 else None
+    return min((c.valuation for c in coords if c.is_regular), default=None)
+
+
+def _is_exact_zero(x):
+    """x is provably zero, so elimination may skip it (an inexact zero must
+    not be skipped: its uncertainty propagates)."""
+    coords = _coords(x)
+    if coords is None:
+        return x == 0
+    return all(c.is_exact_zero for c in coords)
+
+
+def mat_identity(n, like):
+    """The n x n identity in the ring of the entry ``like``."""
+    one, zero = _ring_int(1, like), _ring_int(0, like)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -335,35 +284,37 @@ def _dot(xs, ys):
     return acc
 
 
-def mat_agree(a, b, ops):
-    return all(ops.agrees(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def mat_agree(a, b):
+    """Entrywise: rational entries are equal, p-adic ones are not provably
+    different."""
+    return all(x == y if _coords(x) is None else x.agrees(y)
+               for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_inv(a, ops, error=SingularInput, rhs=None):
-    """Gauss-Jordan inverse with best-valuation pivoting: A^-1, or A^-1 B
-    for a right-hand block B (``rhs``, n rows) in place of the identity.
+def mat_inv(a, error=SingularInput):
+    """Gauss-Jordan inverse with best-valuation pivoting, in the ring of
+    the entries; ``error`` is raised when no pivot is left.
 
     Rows are eliminated against every pivot unless their entry is an exact
     zero: an inexact zero O(p^f) still carries its uncertainty into the
     rest of the row.  Each column of the result sees the same operations
-    whatever the other columns of B are.
+    whatever the other columns are.
     """
     n = len(a)
-    work = [list(row) + list(b_row)
-            for row, b_row in zip(a, rhs or mat_identity(n, ops))]
+    work = [list(row) + e for row, e in zip(a, mat_identity(n, a[0][0]))]
     for col in range(n):
         best, best_q = None, None
         for r in range(col, n):
-            q = ops.pivot_quality(work[r][col])
+            q = _pivot_key(work[r][col])
             if q is not None and (best_q is None or q < best_q):
                 best, best_q = r, q
         if best is None:
             raise error("matrix is singular at working precision")
         work[col], work[best] = work[best], work[col]
-        piv_inv = ops.inv(work[col][col])
+        piv_inv = _inverse(work[col][col])
         work[col] = [x * piv_inv for x in work[col]]
         for r in range(n):
-            if r != col and not ops.is_exact_zero(work[r][col]):
+            if r != col and not _is_exact_zero(work[r][col]):
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]

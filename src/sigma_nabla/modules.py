@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .errors import SingularFrobenius
+from .errors import NotAUnit, SingularFrobenius
 from .linalg import (
     mat_map,
     smat_add,
@@ -132,7 +132,7 @@ def recover_verschiebung(mod: SigmaNablaModule):
     p, nrel = mod.p, mod.nrel
     try:
         inv = smat_inv(mod.phi)
-    except Exception as exc:
+    except NotAUnit as exc:
         raise SingularFrobenius(f"Phi is not invertible: {exc}") from exc
     b = smat_scale(inv, PadicNumber.from_int(p, nrel, p))
     return replace(mod, bmat=b)

@@ -482,17 +482,15 @@ class UnramifiedScalar:
         return out
 
     def inverse(self):
-        """Inverse via the multiplication-by-self matrix M: the solution x
-        of M x = e_0, the coordinates of 1."""
+        """Inverse via the multiplication-by-self matrix M: column 0 of
+        M^-1, the solution x of M x = e_0, the coordinates of 1."""
         # imported here: linalg imports this module
-        from .linalg import PadicOps, mat_identity, mat_inv
-        ops = PadicOps(self.field.p, self.field.nrel)
-        ident = mat_identity(self.field.f, ops)
-        cols = [(self * UnramifiedScalar(self.field, e)).coords
-                for e in ident]
+        from .linalg import mat_identity, mat_inv
+        basis = mat_identity(self.field.f,
+                             PadicNumber.zero(self.field.p, self.field.nrel))
+        cols = [(self * UnramifiedScalar(self.field, e)).coords for e in basis]
         mat = [list(row) for row in zip(*cols)]
-        x = mat_inv(mat, ops, error=DivisionByZero,
-                    rhs=[row[:1] for row in ident])
+        x = mat_inv(mat, error=DivisionByZero)
         return UnramifiedScalar(self.field, [row[0] for row in x])
 
     def agrees(self, other):

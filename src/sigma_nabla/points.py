@@ -22,8 +22,8 @@ from .errors import (
     PreconditionFailed,
     SingularFrobenius,
 )
-from .linalg import _dot, mat_agree, mat_identity, mat_inv, mat_map, mat_mul, \
-    ops_for
+from .linalg import _dot, _inverse, _ring_int, mat_agree, mat_identity, \
+    mat_inv, mat_map, mat_mul
 from .padic import (
     IntPolynomial,
     PadicNumber,
@@ -51,13 +51,10 @@ def frob_iterate(mat, n):
     n = 0 gives the identity; negative n the inverse of the |n|-th
     iterate.  For scalars fixed by sigma this is the plain matrix power.
     """
-    ops = ops_for(mat[0][0])
-    size = len(mat)
     if n == 0:
-        return mat_identity(size, ops)
+        return mat_identity(len(mat), mat[0][0])
     if n < 0:
-        pos = frob_iterate(mat, -n)
-        return mat_inv(pos, ops, error=SingularFrobenius)
+        return mat_inv(frob_iterate(mat, -n), error=SingularFrobenius)
     acc = mat
     for k in range(1, n):
         acc = mat_mul(acc, _sigma_entrywise(mat, k))
@@ -69,8 +66,8 @@ def frob_iterate(mat, n):
 # ---------------------------------------------------------------------------
 
 
-def _check_projector(pi, ops):
-    if not mat_agree(mat_mul(pi, pi), pi, ops):
+def _check_projector(pi):
+    if not mat_agree(mat_mul(pi, pi), pi):
         raise PreconditionFailed(
             "pi_not_idempotent", "pi * pi differs from pi at precision")
 
@@ -86,39 +83,36 @@ def average_projector(pi, frob, n):
     The output is idempotent, has the same image as pi, and is fixed by
     conjugation with the Frobenius.
     """
-    ops = ops_for(pi[0][0])
-    _check_projector(pi, ops)
+    _check_projector(pi)
     # the iterates by frob_iterate's left fold, each built once
-    fops = ops_for(frob[0][0])
-    fi = [mat_identity(len(frob), fops), frob]
+    fi = [mat_identity(len(frob), frob[0][0]), frob]
     for i in range(2, n + 1):
         fi.append(mat_mul(fi[i - 1], _sigma_entrywise(frob, i - 1)))
-    fi_inv = fi[:1] + [mat_inv(f, fops, error=SingularFrobenius)
-                       for f in fi[1:]]
+    fi_inv = fi[:1] + [mat_inv(f, error=SingularFrobenius) for f in fi[1:]]
     twisted = [_sigma_entrywise(pi, i) for i in range(n + 1)]
     conj_n = mat_mul(mat_mul(fi[n], twisted[n]), fi_inv[n])
-    if not mat_agree(conj_n, pi, ops):
+    if not mat_agree(conj_n, pi):
         raise PreconditionFailed(
             "pi_not_endomorphism_of_iterate",
             "pi does not commute with the n-th Frobenius iterate")
     return _stable_mean(
-        pi, ops, ((i, mat_mul(mat_mul(fi[i], twisted[i]), fi_inv[i]))
-                  for i in range(n)),
+        pi, ((i, mat_mul(mat_mul(fi[i], twisted[i]), fi_inv[i]))
+             for i in range(n)),
         "F^[{}] does not carry the image of pi into itself")
 
 
-def _stable_mean(pi, ops, conjugates, unstable):
-    """The mean of the (label, conjugate) pairs, each checked to keep the
-    image of pi (pi fixes the conjugate's image); a failure names its
-    label in ``unstable``."""
+def _stable_mean(pi, conjugates, unstable):
+    """The mean of the (label, conjugate) pairs, in the ring of pi's
+    entries, each checked to keep the image of pi (pi fixes the
+    conjugate's image); a failure names its label in ``unstable``."""
     acc = None
     for count, (label, conj) in enumerate(conjugates, 1):
-        if not mat_agree(mat_mul(pi, conj), conj, ops):
+        if not mat_agree(mat_mul(pi, conj), conj):
             raise PreconditionFailed("image_not_stable",
                                      unstable.format(label))
         acc = conj if acc is None else \
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, conj)]
-    inv_n = ops.inv(ops.from_int(count))
+    inv_n = _inverse(_ring_int(count, pi[0][0]))
     return [[x * inv_n for x in row] for row in acc]
 
 
@@ -129,19 +123,18 @@ def average_projector_group(pi, cocycle, group_table):
     labels to their product.  The cocycle law iota_h iota_g = iota_hg is
     checked for every pair.
     """
-    ops = ops_for(pi[0][0])
     labels = [g for g, _ in cocycle]
     mats = dict(cocycle)
     for h in labels:
         for g in labels:
             lhs = mat_mul(mats[h], mats[g])
             hg = group_table[(h, g)]
-            if not mat_agree(lhs, mats[hg], ops):
+            if not mat_agree(lhs, mats[hg]):
                 raise CocycleViolated(g, h)
-    _check_projector(pi, ops)
-    inv = {g: mat_inv(mats[g], ops) for g in labels}
+    _check_projector(pi)
+    inv = {g: mat_inv(mats[g]) for g in labels}
     return _stable_mean(
-        pi, ops, ((g, mat_mul(mat_mul(mats[g], pi), inv[g])) for g in labels),
+        pi, ((g, mat_mul(mat_mul(mats[g], pi), inv[g])) for g in labels),
         "iota_{} does not preserve the image of pi")
 
 
@@ -156,17 +149,11 @@ def block_companion(f_g, n):
     diagonal with sigma-twists of f_g on the diagonal."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    ops = ops_for(f_g[0][0])
     r = len(f_g)
-    size = n * r
-    out = [[ops.zero() for _ in range(size)] for _ in range(size)]
-    for blk in range(n - 1):
-        for t in range(r):
-            out[blk * r + t][(blk + 1) * r + t] = ops.one()
-    for i in range(r):
-        for j in range(r):
-            out[(n - 1) * r + i][j] = f_g[i][j]
-    return out
+    ident = mat_identity(n * r, f_g[0][0])
+    # rows r.. of the identity, then f_g padded by zeros (row i < r of the
+    # identity is zero from column r on)
+    return ident[r:] + [list(f_g[i]) + ident[i][r:] for i in range(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +174,8 @@ def char_coeffs(mat):
     coeffs = _rational_char_coeffs(mat)
     if coeffs is not None:
         return [Fraction(c) for c in coeffs]
-    ops = ops_for(mat[0][0])
-    return _berkowitz(mat, ops.zero(), ops.one(), _dot)
+    like = mat[0][0]
+    return _berkowitz(mat, _ring_int(0, like), _ring_int(1, like), _dot)
 
 
 def _rational_char_coeffs(mat):

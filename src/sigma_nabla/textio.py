@@ -11,7 +11,8 @@ the kind, runs that kind's parser, and turns any KeyError, IndexError,
 TypeError, ValueError or ZeroDivisionError the parser raises on malformed
 data into a ``ParseError``.  The parsers raise ``ParseError`` themselves
 only for range checks the Python types do not make, and for a key listed
-twice (an exponent of a series, a (place, point) pair of a table).
+twice (an exponent of a series, a (place, point) pair of a table); ``loads``
+refuses a key listed twice in one JSON object.
 
 ``dumps`` writes a document as ``json.dumps(doc, indent=1,
 sort_keys=True)`` does, byte for byte, but builds the text itself: before
@@ -419,9 +420,19 @@ def _text(x, nl):
     return json.dumps(x, indent=1, sort_keys=True).replace("\n", nl)
 
 
+def _object(pairs):
+    """A JSON object's (key, value) pairs as a dict; a key listed twice
+    is a ``ParseError``."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ParseError(f"the key {_repeated(k for k, _ in pairs)!r} is "
+                         f"listed twice in one object")
+    return obj
+
+
 def loads(text):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno)
     if not isinstance(doc, dict):

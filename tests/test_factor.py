@@ -35,7 +35,6 @@ from sigma_nabla.factor import (
     matfact_robba,
 )
 from sigma_nabla.linalg import (
-    FractionOps,
     mat_inv,
     smat_agree,
     smat_identity,
@@ -110,7 +109,7 @@ def countdown_gamma(x):
             raise PrecisionExhausted("kernel column failed to gain a digit")
         scale_col(j, v)
         dv -= v
-    return rounds, a, mat_inv(z_inv, FractionOps())
+    return rounds, a, mat_inv(z_inv)
 
 
 def describe(s):

@@ -17,8 +17,6 @@ from conftest import (
 from sigma_nabla.errors import SigmaNablaError, WindowOverflow
 from sigma_nabla.factor import matfact_gamma, matfact_robba
 from sigma_nabla.linalg import (
-    PadicOps,
-    UnramOps,
     mat_inv,
     smat_add,
     smat_agree,
@@ -376,8 +374,8 @@ def test_mat_inv_keeps_inexact_zero_uncertainty():
     ints = [[4, -1, 8], [4, 1, -6], [-6, 1, 1]]
 
     def inverse(nrel):
-        ops = PadicOps(2, nrel)
-        return mat_inv([[ops.from_int(x) for x in row] for row in ints], ops)
+        return mat_inv([[PadicNumber.from_int(2, nrel, x) for x in row]
+                        for row in ints])
 
     low, high = inverse(3), inverse(60)
     assert repr(low[1][0]) == "O(2^3)"
@@ -405,17 +403,15 @@ def test_mat_inv_sound_against_higher_precision(rng, degree):
     # at 2*nrel+30
     p, nrel = 2, 3
 
-    def ops_at(prec):
+    def entry_at(prec):
         if degree == 1:
-            return PadicOps(p, prec)
-        return UnramOps(UnramifiedField(p, degree, prec))
+            return lambda x: PadicNumber.from_int(p, prec, x)
+        return UnramifiedField(p, degree, prec).scalar
 
-    def build(ops, ints):
-        if degree == 1:
-            return [[ops.from_int(x) for x in row] for row in ints]
-        return [[ops.field.scalar(x) for x in row] for row in ints]
+    def build(entry, ints):
+        return [[entry(x) for x in row] for row in ints]
 
-    low_ops, high_ops = ops_at(nrel), ops_at(2 * nrel + 30)
+    low_entry, high_entry = entry_at(nrel), entry_at(2 * nrel + 30)
     checked = 0
     while checked < 40:
         n = rng.randint(1, 4)
@@ -428,8 +424,8 @@ def test_mat_inv_sound_against_higher_precision(rng, degree):
             ints = [[[rng.randint(-8, 8) for _ in range(degree)]
                      for _ in range(n)] for _ in range(n)]
         try:
-            low = mat_inv(build(low_ops, ints), low_ops)
-            high = mat_inv(build(high_ops, ints), high_ops)
+            low = mat_inv(build(low_entry, ints))
+            high = mat_inv(build(high_entry, ints))
         except SigmaNablaError:
             continue
         checked += 1

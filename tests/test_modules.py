@@ -5,8 +5,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_gamma_invertible, rand_gammaplus_dieudonne, series
-from sigma_nabla import textio
-from sigma_nabla.errors import MembershipViolated, SingularFrobenius
+from sigma_nabla import modules, textio
+from sigma_nabla.errors import (
+    MembershipViolated,
+    SingularFrobenius,
+    WindowOverflow,
+)
 from sigma_nabla.linalg import (
     mat_map,
     smat_add,
@@ -136,6 +140,20 @@ def test_recover_verschiebung_singular():
     mod = SigmaNablaModule(RingLabel("E"), P, [[S([])]], [[S([])]])
     with pytest.raises(SingularFrobenius):
         recover_verschiebung(mod)
+
+
+def test_recover_verschiebung_passes_on_other_errors(monkeypatch):
+    # only a Phi that is not a unit is singular: the window cap is not
+    overflow = WindowOverflow("populated exponents exceed the window cap")
+
+    def smat_inv(a):
+        raise overflow
+
+    monkeypatch.setattr(modules, "smat_inv", smat_inv)
+    mod = SigmaNablaModule(RingLabel("E"), P, [[S([(0, 1)])]], [[S([])]])
+    with pytest.raises(WindowOverflow) as exc:
+        recover_verschiebung(mod)
+    assert exc.value is overflow
 
 
 def test_v_side_compatibility(rng):

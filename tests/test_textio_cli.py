@@ -116,6 +116,11 @@ def test_ring_label_certificate_roundtrip():
     assert textio.parse_label(textio.emit_label(lab)) == lab
 
 
+# the second "coeffs" would make this 1 + 2t, the first 1
+REPEATED_KEY = ('{"format_version": 1, "kind": "int_polynomial", '
+                '"coeffs": ["1"], "coeffs": ["1", "2"]}')
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(textio.ParseError) as exc:
         textio.loads("{\n  broken")
@@ -124,6 +129,15 @@ def test_parse_errors_carry_position():
         textio.loads('{"format_version": 99, "kind": "module"}')
     with pytest.raises(textio.ParseError):
         textio.loads('{"format_version": 1}')
+    with pytest.raises(textio.ParseError, match="top level must be an obj"):
+        textio.loads('[{"format_version": 1, "kind": "module"}]')
+    with pytest.raises(textio.ParseError,
+                       match="the key 'coeffs' is listed twice"):
+        textio.loads(REPEATED_KEY)
+    # in a nested object too
+    with pytest.raises(textio.ParseError, match="the key 'a' is listed"):
+        textio.loads('{"format_version": 1, "kind": "module", '
+                     '"phi": {"a": 1, "b": 2, "a": 1}}')
 
 
 # what the writer meets in a document, and near misses of a series'
@@ -480,6 +494,26 @@ def test_cli_factor_gamma_refutations(runner, tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command, x, stderr", [
+    # the minus part of 1 + u + 3u^-2 stops gaining digits: the Robba
+    # iteration stalls
+    (["factor", "robba"], [[S([(-2, 3), (0, 1), (1, 1)])]],
+     "NotConverged: minus part stalled at valuation 6\n"),
+    # a zero X has no inverse for the basis transform
+    (["descend", os.path.join(FIXTURES, "descend", "module.json")],
+     [[S([]) for _ in range(3)] for _ in range(3)],
+     "NotAUnit: series is zero at working precision\n"),
+])
+def test_cli_mathematical_failures_exit_one(runner, tmp_path, command, x,
+                                            stderr):
+    path = tmp_path / "x.json"
+    textio.dump_path(str(path), textio.emit_series_matrix(x, P, N))
+    res = runner.invoke(main, command + [str(path)])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == stderr
+
+
 def test_cli_check_module_fails(runner, tmp_path):
     bad = SigmaNablaModule(RingLabel("Gamma"), P, [[S([(1, 1)])]],
                            [[S([])]])
@@ -521,6 +555,14 @@ def test_cli_parse_error_exit_two(runner, tmp_path):
     path.write_text("{not json", encoding="utf-8")
     res = runner.invoke(main, ["check-module", str(path)])
     assert res.exit_code == 2
+    # a key listed twice: read as 1 + 2t, the document would run
+    path.write_text(REPEATED_KEY, encoding="utf-8")
+    res = runner.invoke(main, ["pole-order", "--q", "2", "--d", "1",
+                               str(path)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == \
+        "parse error: the key 'coeffs' is listed twice in one object\n"
     # malformed series bodies: a short or reversed window, a fractional or
     # boolean floor, a non-boolean tail_free
     good = textio.emit_module(fixture_module())
@@ -624,6 +666,7 @@ USAGE_ERRORS = [
     ["pole-order", "--q", "1", "--d", "1",
      os.path.join(FIXTURES, "pole_order", "poly.json")],
     ["--kmax", "-1", "horizontal", os.path.join(FIXTURES, "glue", "m2.json")],
+    ["--kmax", "x", "horizontal", os.path.join(FIXTURES, "glue", "m2.json")],
     ["--nmax", "-3", "probe-nilpotence",
      os.path.join(FIXTURES, "module.json")],
     ["lfunction", "--place", "zz",
