@@ -637,6 +637,75 @@ def test_dense_products_are_packed_exactly(monkeypatch):
     assert min(seen.values()) >= 5, seen
 
 
+def rand_weighted_operand(rng, p, nrel):
+    """A series at prime ``p``: an exact zero, a pure floor, a truncation
+    with a base floor, or a tail-free polynomial (with a base floor, a
+    surrogate), whose cells include inexact zeros and cells known to fewer
+    than nrel digits, on a window shifted by up to 3 exponents either way
+    from its cells, so that a sum's windows intersect, widen or empty."""
+    kind = rng.choice(("zero", "floor", "truncated", "truncated",
+                       "polynomial", "polynomial", "surrogate"))
+    if kind in ("zero", "floor"):
+        lo = rng.randint(-8, 4)
+        return padic_series(p, nrel, {}, (lo, lo + rng.randint(0, 8)),
+                            kind == "zero" and rng.random() < 0.5,
+                            rng.randint(-1, 8) if kind == "floor" else None)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        val = rng.randint(-2, 4)
+        if rng.random() < 0.15:
+            c = PadicNumber.inexact_zero(p, nrel, val)
+        else:
+            prec = nrel if rng.random() < 0.5 else rng.randint(1, nrel)
+            c = PadicNumber._make(p, nrel, val, rng.randrange(1, p ** prec),
+                                  prec)
+        terms[rng.randint(-5, 5)] = c
+    lo, hi = min(terms) + rng.randint(-3, 3), max(terms) + rng.randint(-3, 3)
+    lo, hi = min(lo, hi), max(lo, hi)
+    if kind == "truncated":
+        return padic_series(p, nrel, terms, (lo - rng.randint(0, 6),
+                                             hi + rng.randint(0, 6)),
+                            False, rng.randint(0, 10))
+    return padic_series(p, nrel, terms, (lo, hi), True,
+                        rng.randint(0, 10) if kind == "surrogate" else None)
+
+
+def test_weighted_fold_matches_scale_then_sum():
+    # sum_t k_t * s_t with units k_t as one kernel fold, each series read
+    # with its weight (kernel.series_term), against scaling each series by
+    # k_t and summing the copies; one term in three draws is at a lower
+    # nrel, and either both raise the same error or both give the same
+    # integer form
+    def outcome(fn):
+        try:
+            return integer_form(fn())
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+
+    rng = random.Random(2029)
+    seen = dict(raised=0, lower_nrel=0, weight_above_2=0, inexact=0)
+    for draw in range(2400):
+        p = (2, 3, 5, 7)[draw % 4]
+        nrel = rng.choice((4, 8))
+        terms = [rand_weighted_operand(rng, p, nrel)
+                 for _ in range(rng.randint(1, 4))]
+        if rng.random() < 1 / 3:
+            k = rng.randrange(len(terms))
+            terms[k] = rand_weighted_operand(rng, p, rng.randint(1, nrel - 1))
+            seen["lower_nrel"] += 1
+        weights = [rng.randint(1, p - 1) for _ in terms]
+        got = outcome(lambda: LaurentSeries(*kernel.accumulate(
+            [kernel.series_term(s, k) for s, k in zip(terms, weights)])))
+        want = outcome(lambda: series_sum(
+            [s.scale(PadicNumber.from_int(p, s.nrel, k))
+             for s, k in zip(terms, weights)]))
+        assert got == want, (draw, p, weights)
+        seen["raised"] += isinstance(want[0], str)
+        seen["weight_above_2"] += max(weights) > 2
+        seen["inexact"] += any(not r for s in terms for r in s.terms.values())
+    assert min(seen.values()) >= 50, seen
+
+
 # ---------------------------------------------------------------------------
 # Inversion.
 # ---------------------------------------------------------------------------
