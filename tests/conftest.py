@@ -37,6 +37,27 @@ def padic_series(p, nrel, coeffs, window, tail_free, base_floor):
                                     base_floor)
 
 
+def assert_canonical(s):
+    """``s`` holds its integer form as ``series._settle`` writes it, which
+    the constructor takes unchecked: base is at most every stored floor,
+    and each stored residue lies in [0, p^(floor - base)) for its own
+    floor, the stored one or min(base_floor, valuation + nrel)."""
+    p, base, bf = s.p, s.base, s.base_floor
+    assert set(s.floors) <= set(s.terms), s.floors
+    for e, raw in s.terms.items():
+        f = s.floors.get(e)
+        if f is None:
+            assert raw, (e, s.terms)
+            t = 0
+            while not raw % p ** (t + 1):
+                t += 1
+            f = base + t + s.nrel
+            if bf is not None and bf < f:
+                f = bf
+        assert base <= f, (e, base, f)
+        assert 0 <= raw < p ** (f - base), (e, raw, base, f)
+
+
 def rand_series(rng, p, nrel, emin=-4, emax=4, vmin=0, vmax=3, nterms=4,
                 window=None, nonzero=False):
     terms = {}

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    assert_canonical,
     const_series_matrix,
+    padic_series,
     rand_const_invertible,
     rand_eplus_module,
     rand_gamma_invertible,
@@ -116,6 +118,11 @@ def describe(s):
     return s.window, s.tail_free, s.base_floor, s.cells()
 
 
+def integer_form(s):
+    return (s.nrel, s.base, s.terms, s.floors, s.window, s.tail_free,
+            s.base_floor)
+
+
 def test_gamma_integer_z_is_the_inverse_of_the_fraction_accumulator():
     # Z kept on integers over one power of p against the Fraction
     # bookkeeping it replaced; Z0's diagonal powers of p start at p^-1, so
@@ -155,9 +162,17 @@ def test_gamma_roundtrip_random(rng):
         for row in f.y:
             for s in row:
                 assert membership(s, gamma).consistent
+                assert_canonical(s)
         for row in f.z:
             for s in row:
                 assert all(e == 0 for e in s.coeffs)
+                assert_canonical(s)
+                # Z's entries are written in their integer form: the form
+                # from_cells gives for their own cells
+                assert integer_form(s) == integer_form(
+                    LaurentSeries.from_cells(
+                        P, N, {e: (v, u, pr) for e, v, u, pr in s.cells()},
+                        s.window, s.tail_free, s.base_floor))
     assert rounds > 0
 
 
@@ -226,6 +241,63 @@ def test_gamma_mod_p_reduction_is_exact_only_on_all_of_a_mod_p():
               one + LaurentSeries.from_cells(P, N, {1: (0, None, None)},
                                              one.window, True, None)):
         assert not _mod_p_reduction([[s]], P)[1], s
+
+
+def mod_p_reduction_by_divmod(a, p):
+    """``_mod_p_reduction`` as it read each cell with a divmod: a cell of
+    valuation 0 is p^-base times a unit, so it divides by p^-base with no
+    remainder, into a quotient prime to p."""
+    n = len(a[0])
+    rows = {}
+    exact = True
+    for i, row in enumerate(a):
+        for j, s in enumerate(row):
+            if exact and not (s.tail_free and s.min_valuation() >= 0
+                              and s.abs_floor() >= 1):
+                exact = False
+            if s.base > 0:
+                continue
+            q = p ** -s.base
+            for e, raw in s.terms.items():
+                unit, rest = divmod(raw, q)
+                if not rest and unit % p:
+                    rows.setdefault((i, e), [0] * n)[j] = unit % p
+    return rows, exact
+
+
+def rand_mod_p_entry(rng, p):
+    """A series of up to 4 cells of valuations v0 to v0 + 2, v0 from -2 to
+    2, so that its base is below, at or above 0: some inexact zeros, some
+    cells known to fewer than N digits, some under a base floor."""
+    v0 = rng.randint(-2, 2)
+    cells = {}
+    for _ in range(rng.randint(0, 4)):
+        v = v0 + rng.randint(0, 2)
+        if rng.random() < 0.15:
+            cells[rng.randint(-2, 2)] = PadicNumber.inexact_zero(p, N, v)
+            continue
+        prec = rng.randint(1, N)
+        cells[rng.randint(-2, 2)] = PadicNumber._make(
+            p, N, v, rng.randrange(1, p ** prec), prec)
+    bf = rng.randint(v0, v0 + 4) if rng.random() < 0.2 else None
+    return padic_series(p, N, cells, (-4, 4), rng.random() < 0.8, bf)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gamma_mod_p_reduction_matches_the_divmod_reading(p):
+    rng = random.Random(40 + p)
+    seen = Counter()
+    for trial in range(300):
+        n = 1 + trial % 3
+        a = [[rand_mod_p_entry(rng, p) for _ in range(n)] for _ in range(n)]
+        got = _mod_p_reduction(a, p)
+        assert got == mod_p_reduction_by_divmod(a, p), trial
+        seen["units"] += len(got[0])
+        seen["exact"] += got[1]
+        for s in sum(a, []):
+            seen["base", (s.base > 0) - (s.base < 0)] += 1
+            seen["inexact"] += any(not r for r in s.terms.values())
+    assert min(seen.values()) >= 30, seen
 
 
 @pytest.mark.parametrize("p", [3, 5])

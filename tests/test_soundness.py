@@ -33,6 +33,7 @@ import random
 from fractions import Fraction
 
 from conftest import (
+    assert_canonical,
     const_series_matrix,
     padic_series,
     rand_const_invertible,
@@ -523,6 +524,8 @@ def test_matfact_gamma():
             tally.low_skips += 1
             continue
         high = matfact_gamma(high_x)
+        for s in sum(low.y + low.z + high.y + high.z, []):
+            assert_canonical(s)
         # the product Y0 * Z0 caps each window at the width around its
         # stored support, which more digits can widen
         same = hulls(sum(low_x, [])) == hulls(sum(high_x, []))

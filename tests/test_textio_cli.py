@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CliRunner, rand_series, series
-from sigma_nabla import textio
+from sigma_nabla import factor, textio
 from sigma_nabla.cli import main
 from sigma_nabla.lfunctions import CharPolyTable
 from sigma_nabla.modules import SigmaNablaModule
@@ -244,6 +244,33 @@ def test_cli_golden_factors(runner, tmp_path, mode):
     for name in ("Y.json", "Z.json"):
         assert (tmp_path / name).read_bytes() == \
             fixture_bytes(f"factor_{mode}", name)
+
+
+def test_cli_golden_factor_gamma_at_p5(runner, tmp_path, monkeypatch):
+    # a seeded rank-3 input at p = 5, nrel 8, whose rounds combine columns
+    # with weights 2, 3 and 4 (the p = 3 goldens reach only 1 and 2); the
+    # report, Y.json and Z.json must stay byte-identical
+    weights = set()
+    mod_p_kernel = factor._mod_p_kernel
+
+    def spy(rows, p, n):
+        vec = mod_p_kernel(rows, p, n)
+        if vec is not None:
+            inv = pow(vec[max(i for i, v in enumerate(vec) if v)], -1, p)
+            weights.update(v * inv % p for v in vec if v)
+        return vec
+
+    monkeypatch.setattr(factor, "_mod_p_kernel", spy)
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, [
+        "--out", "gamma_p5", "factor", "gamma",
+        os.path.join(FIXTURES, "factor_gamma_p5", "x.json")])
+    assert res.exit_code == 0
+    assert res.stdout_bytes == fixture_bytes("factor_gamma_p5", "report.json")
+    for name in ("Y.json", "Z.json"):
+        assert (tmp_path / "gamma_p5" / name).read_bytes() == \
+            fixture_bytes("factor_gamma_p5", name)
+    assert weights == {1, 2, 3, 4}
 
 
 @pytest.mark.parametrize("command, inputs", [
