@@ -34,6 +34,7 @@ from .errors import (
     PrecisionExhausted,
     SingularInput,
 )
+from .kernel import accumulate, series_term
 from .linalg import (
     smat_agree,
     smat_det,
@@ -110,12 +111,14 @@ def _mod_p_reduction(a, p):
                 exact = False
             if s.base > 0:
                 continue
-            # a cell of valuation 0 is p^-base times a unit
+            # a cell of valuation 0 is p^-base times a unit: its residue
+            # modulo p^(1 - base) is a nonzero multiple of q = p^-base
             q = p ** -s.base
+            qp = q * p
             for e, raw in s.terms.items():
-                unit, rest = divmod(raw, q)
-                if not rest and unit % p:
-                    rows.setdefault((i, e), [0] * n)[j] = unit % p
+                r = raw % qp
+                if r and not r % q:
+                    rows.setdefault((i, e), [0] * n)[j] = r // q
     return rows, exact
 
 
@@ -229,13 +232,13 @@ def matfact_gamma(x) -> GammaFactorization:
         den -= mval
 
     def combine_col(j, vec):
-        # col_j <- sum_t vec[t] * col_t  (vec[j] == 1): row_t of Z loses
-        # vec[t] * row_j for t != j
-        for i in range(n):
-            terms = [a[i][t] if vec[t] == 1 else a[i][t].scale(
-                PadicNumber.from_int(p, nrel, vec[t]))
-                for t in range(n) if vec[t]]
-            a[i][j] = terms[0] if len(terms) == 1 else series_sum(terms)
+        # col_j <- sum_t vec[t] * col_t  (vec[j] == 1), one weighted fold
+        # per entry: row_t of Z loses vec[t] * row_j for t != j
+        cols = [t for t in range(n) if vec[t]]
+        if len(cols) > 1:
+            for i in range(n):
+                a[i][j] = LaurentSeries(*accumulate(
+                    [series_term(a[i][t], vec[t]) for t in cols]))
         for t in range(n):
             if t != j and vec[t]:
                 zint[t] = [c - vec[t] * d for c, d in zip(zint[t], zint[j])]
@@ -287,10 +290,10 @@ def matfact_gamma(x) -> GammaFactorization:
     zero = LaurentSeries.zero(p, nrel)
 
     def constant(c):
+        # the cell (v - den, c / p^v) in the form from_cells settles it to
         v = vp_int(c, p)
-        return LaurentSeries.from_cells(
-            p, nrel, {0: (v - den, c // p ** v, nrel)}, zero.window, True,
-            None)
+        return LaurentSeries(p, nrel, v - den, {0: (c // p ** v) % p ** nrel},
+                             {}, zero.window, True, None)
 
     z = [[constant(c) if c else zero for c in row] for row in zint]
     verdict = smat_product_agree(a, z, x)
