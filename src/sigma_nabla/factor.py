@@ -200,10 +200,13 @@ def matfact_gamma(x) -> GammaFactorization:
     Z.  Scaling A's column j by p^-v scales Z's row j by p^v (for v < 0,
     the other rows by p^-v over a denominator raised by -v), and adding
     multiples vec[t] of the other columns to column j subtracts vec[t]
-    times row j from each row t.  Nothing is truncated, so Z has no tail
-    and no floor; each entry c / p^den is built from the integers, as the
-    cell (v_p(c) - den, c / p^v_p(c)) that ``from_rational`` would make,
-    and A * Z is checked against X without being built.
+    times row j from each row t.  Column j's new entries are each one
+    weighted kernel fold (``kernel.series_term`` with weight vec[t], a
+    unit), each cell reduced once, modulo its final floor.  Nothing is
+    truncated, so Z has no tail and no floor; each entry c / p^den is
+    written in canonical form from the integers, as the cell (v_p(c) - den,
+    c / p^v_p(c)) that ``from_cells`` settles, and A * Z is checked
+    against X without being built.
     """
     n, m = smat_shape(x)
     if n != m:

@@ -16,13 +16,15 @@ hull and cells, which a matrix routine prepares once per operand.
 A term is a tuple (p, nrel, window, tail_free, floor, base, digits, lo, hi,
 whole, cells, factor, low, dense): the series p^base * (cells convolved
 with factor), both sequences of (exponent, integer), or for a series its
-cells times the sign ``factor``, on the cell range [lo, hi]; known modulo
-p^floor on its window (INF: exactly), except at the exponents ``low`` maps
-to lower floors (None for a product, whose cells are all at the floor but
-for the cap below).  ``digits`` bounds the relative digits any cell may
-claim; where it exceeds nrel, each cell is capped at its valuation + nrel.
-``whole`` when the cell range holds the whole convolution.  ``dense`` is
-the pair of operand views of a whole product whose operands are both dense
+cells times the integer weight ``factor``, on the cell range [lo, hi];
+known modulo p^floor on its window (INF: exactly), except at the exponents
+``low`` maps to lower floors (None for a product, whose cells are all at
+the floor but for the cap below).  A weight does not raise the series'
+floors, as a weight divisible by p should: callers pass units.
+``digits`` bounds the relative digits any cell may claim; where it
+exceeds nrel, each cell is capped at its valuation + nrel.  ``whole``
+when the cell range holds the whole convolution.  ``dense`` is the pair
+of operand views of a whole product whose operands are both dense
 (``PACK_CELLS``, ``PACK_SPAN``), else None.
 
 A dense product is one product of two integers (Kronecker substitution,
@@ -187,12 +189,14 @@ def product_term(pair, out_window):
             pair if dense else None)
 
 
-def series_term(s, sign):
-    """The kernel's view of ``sign * s`` (sign +1 or -1)."""
+def series_term(s, weight):
+    """The kernel's view of ``weight * s``: +1 or -1 in a sum, a unit mod
+    p in a weighted fold.  It keeps the floors of ``s``, which a weight
+    divisible by p would raise, so callers pass units."""
     terms, bf = s.terms, s.base_floor
     hull = (min(terms), max(terms)) if terms else (1, 0)
     return (s.p, s.nrel, s.window, s.tail_free, INF if bf is None else bf,
-            s.base, s.nrel, hull[0], hull[1], True, terms.items(), sign,
+            s.base, s.nrel, hull[0], hull[1], True, terms.items(), weight,
             s.low_floors(), None)
 
 
@@ -323,7 +327,7 @@ def accumulate(terms, verdict=False):
                 else:
                     pending += x << 8 * size * (clo - dlo)
             elif given is not None:
-                # a series: its cells times the sign
+                # a series: its cells times its weight
                 shift *= factor
                 for ea, ra in cells:
                     out[ea - off] += ra * shift
