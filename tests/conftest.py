@@ -37,6 +37,11 @@ def padic_series(p, nrel, coeffs, window, tail_free, base_floor):
                                     base_floor)
 
 
+def integer_form(s):
+    return (s.nrel, s.base, s.terms, s.floors, s.window, s.tail_free,
+            s.base_floor)
+
+
 def assert_canonical(s):
     """``s`` holds its integer form as ``series._settle`` writes it, which
     the constructor takes unchecked: base is at most every stored floor,

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     assert_canonical,
     const_series_matrix,
+    integer_form,
     padic_series,
     rand_const_invertible,
     rand_eplus_module,
@@ -116,11 +117,6 @@ def countdown_gamma(x):
 
 def describe(s):
     return s.window, s.tail_free, s.base_floor, s.cells()
-
-
-def integer_form(s):
-    return (s.nrel, s.base, s.terms, s.floors, s.window, s.tail_free,
-            s.base_floor)
 
 
 def test_gamma_integer_z_is_the_inverse_of_the_fraction_accumulator():

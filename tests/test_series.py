@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 
 from conftest import (
+    integer_form,
     oracle_add,
     oracle_from_series,
     oracle_matches,
@@ -549,11 +550,6 @@ def claim_holds(s, exact):
         if vp_int(diff.numerator, P) - vp_int(diff.denominator, P) < floor:
             return False
     return True
-
-
-def integer_form(s):
-    return (s.nrel, s.base, s.terms, s.floors, s.window, s.tail_free,
-            s.base_floor)
 
 
 def test_dense_products_are_packed_exactly(monkeypatch):
