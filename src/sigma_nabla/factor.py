@@ -34,15 +34,17 @@ from .errors import (
     PrecisionExhausted,
     SingularInput,
 )
-from .kernel import accumulate, series_term
+from .kernel import accumulate, series_term, view
 from .linalg import (
+    _matrix_verdict,
+    _square,
+    _views,
     smat_agree,
     smat_det,
     smat_honest,
     smat_identity,
     smat_mul,
     smat_product_agree,
-    smat_shape,
 )
 from .modules import (
     SigmaNablaModule,
@@ -59,6 +61,7 @@ from .series import (
     R_PLUS,
     LaurentSeries,
     RingLabel,
+    kernel_terms,
     require_membership,
     series_sum,
 )
@@ -95,31 +98,37 @@ def _det_valuation(a):
     return v
 
 
-def _mod_p_reduction(a, p):
-    """A mod p as ``(rows, exact)``.  ``rows`` maps each (row i, exponent
-    e) at which some entry of row i has a cell of valuation 0 to the
-    coefficients of u^e in that row mod p.  ``exact`` says that these
-    cells are all of A mod p: every entry is tail-free, integral and known
-    modulo p."""
-    n = len(a[0])
+def _mod_p_entry(s, p):
+    """Entry s's cells of valuation 0 as (e, unit mod p), and whether s is
+    exact mod p: tail-free, integral and known modulo p."""
+    exact = s.tail_free and s.min_valuation() >= 0 and s.abs_floor() >= 1
+    if s.base > 0:
+        return (), exact
+    # a cell of valuation 0 is p^-base times a unit: its residue modulo
+    # p^(1 - base) is a nonzero multiple of q = p^-base
+    q = p ** -s.base
+    qp = q * p
+    return [(e, r // q) for e, raw in s.terms.items()
+            if (r := raw % qp) and not r % q], exact
+
+
+def _mod_p_rows(readings, n):
+    """A mod p as ``(rows, exact)`` from the n x n readings of its entries
+    (``_mod_p_entry``).  ``rows`` maps each (row i, exponent e) at which
+    some entry of row i has a cell of valuation 0 to the coefficients of
+    u^e in that row mod p; ``exact``: every entry is exact mod p."""
     rows = {}
-    exact = True
-    for i, row in enumerate(a):
-        for j, s in enumerate(row):
-            if exact and not (s.tail_free and s.min_valuation() >= 0
-                              and s.abs_floor() >= 1):
-                exact = False
-            if s.base > 0:
-                continue
-            # a cell of valuation 0 is p^-base times a unit: its residue
-            # modulo p^(1 - base) is a nonzero multiple of q = p^-base
-            q = p ** -s.base
-            qp = q * p
-            for e, raw in s.terms.items():
-                r = raw % qp
-                if r and not r % q:
-                    rows.setdefault((i, e), [0] * n)[j] = r // q
-    return rows, exact
+    for i, row in enumerate(readings):
+        for j, (units, _) in enumerate(row):
+            for e, u in units:
+                rows.setdefault((i, e), [0] * n)[j] = u
+    return rows, all(exact for row in readings for _, exact in row)
+
+
+def _mod_p_reduction(a, p):
+    """A mod p (``_mod_p_rows``), every entry read once."""
+    return _mod_p_rows([[_mod_p_entry(s, p) for s in row] for row in a],
+                       len(a[0]))
 
 
 def _fp_pivots(system, p, n):
@@ -176,6 +185,18 @@ def _row_leading_invertible(rows, p, n):
         _fp_pivots([eq for _, eq in lead.values()], p, n)) == n
 
 
+def _product_verdict(a, z, x):
+    """``smat_product_agree(a, z, x)`` with each entry folded over the k
+    where z_kj is not the exact zero: a product with it has no cells and
+    floor INF, so only the verdict's window, which it narrows, changes."""
+    cols = [[(k, view(s)) for k, s in enumerate(col) if not s.is_exact_zero]
+            for col in zip(*z)]
+    return _matrix_verdict(
+        (kernel_terms([(row[k], v) for k, v in col], None, y)
+         for col, y in zip(cols, xrow))
+        for row, xrow in zip(_views(a), x))
+
+
 def matfact_gamma(x) -> GammaFactorization:
     """Factor X over E as Y * Z, Y invertible over Gamma, Z constant.
 
@@ -185,15 +206,16 @@ def matfact_gamma(x) -> GammaFactorization:
     PrecisionExhausted when X is singular at working precision (a column
     the rounds reduce to an indistinguishable zero).
 
-    Each round reads A mod p once.  When every entry is tail-free,
-    integral and known modulo p, that reduction is exact, and it decides
-    v_p(det A): an invertible row-leading matrix (``_row_leading_invertible``)
-    proves it zero, and the loop stops; a constant kernel proves it
-    positive, and the loop takes the round.  Otherwise (an inexact
-    reduction, a singular row-leading matrix without constant kernel, or
-    16 (n + 4) rounds without a decision) the loop counts down instead:
-    v_p(det A) is that of the series determinant of A before the rounds,
-    built once, less the digits the rounds divided out.
+    Each round reads A mod p: it reads the entries the last round changed
+    (``_mod_p_entry``) and keeps the readings of the others.  When every
+    entry is tail-free, integral and known modulo p, that reduction is
+    exact, and it decides v_p(det A): an invertible row-leading matrix
+    (``_row_leading_invertible``) proves it zero, and the loop stops; a
+    constant kernel proves it positive, and the loop takes the round.
+    Otherwise (an inexact reduction, a singular row-leading matrix without
+    constant kernel, or 16 (n + 4) rounds without a decision) the loop
+    counts down instead: v_p(det A) is that of the series determinant of A
+    before the rounds, built once, less the digits the rounds divided out.
 
     Z is kept exact, as an integer matrix over one power of p: X = A * Z
     throughout, so a column operation E on A is the row operation E^-1 on
@@ -206,11 +228,11 @@ def matfact_gamma(x) -> GammaFactorization:
     truncated, so Z has no tail and no floor; each entry c / p^den is
     written in canonical form from the integers, as the cell (v_p(c) - den,
     c / p^v_p(c)) that ``from_cells`` settles, and A * Z is checked
-    against X without being built.
+    against X without being built, each entry folded over Z's nonzero
+    entries (``_product_verdict``), whose window may be wider than
+    ``smat_product_agree``'s.
     """
-    n, m = smat_shape(x)
-    if n != m:
-        raise ValueError("matfact_gamma expects a square matrix")
+    n = _square(x, "factorization")
     p = x[0][0].p
     nrel = x[0][0].nrel
     a = [row[:] for row in x]
@@ -255,8 +277,9 @@ def matfact_gamma(x) -> GammaFactorization:
     a0 = [row[:] for row in a]
     d0 = None
     gained = 0
+    readings = [[_mod_p_entry(s, p) for s in row] for row in a]
     while d0 is None or gained < d0:
-        rows, exact = _mod_p_reduction(a, p)
+        rows, exact = _mod_p_rows(readings, n)
         mod_p = d0 is None and exact and rounds < 16 * (n + 4)
         if mod_p and _row_leading_invertible(rows, p, n):
             break
@@ -285,6 +308,8 @@ def matfact_gamma(x) -> GammaFactorization:
                 "kernel column failed to gain a digit; entries are too "
                 "imprecise to continue")
         scale_col(j, v)
+        for i in range(n):
+            readings[i][j] = _mod_p_entry(a[i][j], p)
         # combine_col adds multiples of the other columns to column j
         # (vec[j] == 1), which leaves det(A) unchanged; scale_col(j, v)
         # divides column j, hence det(A), by exactly p^v
@@ -299,7 +324,7 @@ def matfact_gamma(x) -> GammaFactorization:
                              {}, zero.window, True, None)
 
     z = [[constant(c) if c else zero for c in row] for row in zint]
-    verdict = smat_product_agree(a, z, x)
+    verdict = _product_verdict(a, z, x)
     if not verdict.holds:
         raise SingularInput("internal error: product check failed")
     return GammaFactorization(a, z, 0, rounds, verdict)
@@ -354,9 +379,7 @@ def matfact_robba(x) -> RobbaFactorization:
     (negative exponents only, valuation >= 1), Y = D Y_corr and Z = W;
     the closing Y Z = X check reads the inverted factor.
     """
-    n, m = smat_shape(x)
-    if n != m:
-        raise ValueError("matfact_robba expects a square matrix")
+    n = _square(x, "factorization")
     p = x[0][0].p
     nrel = x[0][0].nrel
 

@@ -458,12 +458,19 @@ class LaurentSeries:
                              self.window, self.tail_free, bf)
 
     def shift_val(self, m: int):
-        """Multiply by p^m (exact)."""
+        """Multiply by p^m (exact), carrying a computed summary over: its
+        valuations and floors move by m, its hull and cells stay."""
         bf = self.base_floor
-        return LaurentSeries(self.p, self.nrel, self.base + m, self.terms,
-                             {e: f + m for e, f in self.floors.items()},
-                             self.window, self.tail_free,
-                             None if bf is None else bf + m)
+        s = LaurentSeries(self.p, self.nrel, self.base + m, self.terms,
+                          {e: f + m for e, f in self.floors.items()},
+                          self.window, self.tail_free,
+                          None if bf is None else bf + m)
+        if self._stats is not None:
+            val, mv, af, hull, cells = self._stats
+            s._stats = (None if val is None else val + m,
+                        mv if mv is INF else mv + m,
+                        af if af is INF else af + m, hull, cells)
+        return s
 
     def shift_exp(self, k: int):
         """Multiply by u^k (exact)."""

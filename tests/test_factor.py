@@ -1,3 +1,4 @@
+import os
 import random
 from collections import Counter
 from dataclasses import replace
@@ -18,7 +19,7 @@ from conftest import (
     rand_series,
     series,
 )
-from sigma_nabla import factor
+from sigma_nabla import factor, textio
 from sigma_nabla.errors import (
     MembershipViolated,
     NotConverged,
@@ -31,6 +32,7 @@ from sigma_nabla.factor import (
     _det_valuation,
     _mod_p_kernel,
     _mod_p_reduction,
+    _product_verdict,
     _row_leading_invertible,
     descend_to_eplus,
     glue_dieudonne,
@@ -40,7 +42,9 @@ from sigma_nabla.factor import (
 from sigma_nabla.linalg import (
     mat_inv,
     smat_agree,
+    smat_det,
     smat_identity,
+    smat_inv,
     smat_mul,
     smat_product_agree,
 )
@@ -49,6 +53,7 @@ from sigma_nabla.padic import PadicNumber
 from sigma_nabla.series import LaurentSeries, RingLabel, membership, series_sum
 
 P, N = 3, 12
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def S(terms, **kw):
@@ -170,6 +175,66 @@ def test_gamma_roundtrip_random(rng):
                         P, N, {e: (v, u, pr) for e, v, u, pr in s.cells()},
                         s.window, s.tail_free, s.base_floor))
     assert rounds > 0
+
+
+def test_gamma_product_verdict_refutes_what_the_dense_check_refutes():
+    # the closing check folds each entry over Z's nonzero entries only; on
+    # the factors of X = Y0 * Z0 (p = 3 and 5, n = 1..4) and of the p = 5
+    # golden it holds with smat_product_agree's floor, on a window that
+    # contains its window; on X with one cell moved by p^k, k below that
+    # floor or at or above it, both give the same verdict, failing entry
+    # and witness
+    rng = random.Random(143)
+    draws = []
+    for trial in range(64):
+        p, n = (3, 5)[trial % 2], 1 + trial // 2 % 4
+        y0, _ = rand_gamma_invertible(rng, p, N, n)
+        z0, _ = rand_const_invertible(rng, p, N, n)
+        draws.append(smat_mul(y0, const_series_matrix(z0, p, N)))
+    draws.append(textio.parse_series_matrix(textio.load_path(
+        os.path.join(FIXTURES, "factor_gamma_p5", "x.json")))[0])
+
+    def key(v):
+        return v.holds, v.floor, v.position, v.witness, v.residual_valuation
+
+    seen = Counter()
+    for trial, x in enumerate(draws):
+        p, n = x[0][0].p, len(x)
+        f = matfact_gamma(x)
+        dense = smat_product_agree(f.y, f.z, x)
+        sparse = _product_verdict(f.y, f.z, x)
+        assert dense.holds and key(sparse) == key(dense), trial
+        lo, hi = sparse.window
+        assert lo <= dense.window[0] and dense.window[1] <= hi, trial
+        seen["wider"] += sparse.window != dense.window
+        seen["zeros in Z"] += any(s.is_exact_zero for row in f.z for s in row)
+        i, j = rng.randrange(n), rng.randrange(n)
+        s = x[i][j]
+        e = rng.randint(*s.window)
+        floor = dense.floor
+        for k in (rng.randint(0, floor - 1), rng.randint(floor, floor + 2)):
+            coeffs = dict(s.coeffs)
+            coeffs[e] = s.coefficient(e) + PadicNumber.from_int(
+                p, s.nrel, p ** k)
+            moved = [row[:] for row in x]
+            moved[i][j] = padic_series(p, s.nrel, coeffs, s.window,
+                                       s.tail_free, s.base_floor)
+            dense = smat_product_agree(f.y, f.z, moved)
+            assert key(_product_verdict(f.y, f.z, moved)) == key(dense), \
+                (trial, k)
+            assert dense.holds or dense.position == (i, j), (trial, k)
+            if k < floor:
+                assert not dense.holds, (trial, k)
+            seen["fails" if not dense.holds else "holds"] += 1
+    assert seen["wider"] >= 10 and seen["zeros in Z"] >= 30, seen
+    assert seen["fails"] >= 65 and seen["holds"] >= 30, seen
+
+
+@pytest.mark.parametrize("fn", [matfact_gamma, matfact_robba, smat_inv,
+                                smat_det])
+def test_empty_matrix_is_a_value_error(fn):
+    with pytest.raises(ValueError, match="^empty matrix$"):
+        fn([])
 
 
 def test_gamma_rejects_unfactorable():
@@ -331,7 +396,8 @@ def test_gamma_matches_the_countdown(monkeypatch, rng):
     # the same rounds, Y, Z and product floor as the loop that counted
     # v_p(det A) down from one series determinant, or the same error, on
     # factorable X (as built, truncated, or at a low floor) and on
-    # integral matrices that seldom factor
+    # integral matrices that seldom factor; A mod p is read entry by
+    # entry, all n^2 entries once and then the n of each round's column
     def low(cells):
         return LaurentSeries.from_cells(P, N, cells, (-10, 10), True, None)
 
@@ -349,6 +415,10 @@ def test_gamma_matches_the_countdown(monkeypatch, rng):
     det_valuation = factor._det_valuation
     monkeypatch.setattr(factor, "_det_valuation",
                         lambda a: dets.append(a) or det_valuation(a))
+    reads = []
+    mod_p_entry = factor._mod_p_entry
+    monkeypatch.setattr(factor, "_mod_p_entry",
+                        lambda s, p: reads.append(s) or mod_p_entry(s, p))
 
     def outcome(fn, x):
         try:
@@ -377,8 +447,12 @@ def test_gamma_matches_the_countdown(monkeypatch, rng):
     paths = Counter()
     for trial, x in enumerate(draws()):
         dets.clear()
+        reads.clear()
         got = outcome(matfact_gamma, x)
         paths["fallback" if dets else "mod p"] += 1
+        n = len(x)
+        if not isinstance(got, type):
+            assert len(reads) == n * n + got.rounds * n, trial
         want = outcome(countdown_gamma, x)
         if isinstance(want, type):
             if want is PrecisionExhausted and not isinstance(got, type):

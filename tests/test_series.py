@@ -702,6 +702,51 @@ def test_weighted_fold_matches_scale_then_sum():
     assert min(seen.values()) >= 50, seen
 
 
+def test_shift_val_carries_the_summary_a_fresh_series_computes():
+    # shift_val hands a computed summary over, moved by m; it must be the
+    # summary that the shifted integer form gives when computed afresh, on
+    # the operands and sums of fold_draws, with and without the source's
+    # summary computed first
+    def fresh(s):
+        return LaurentSeries(s.p, *integer_form(s))
+
+    def summary(s):
+        val, mv, af, hull, cells = s.summary()
+        return (val, mv, af, hull, list(cells), s.valuation(),
+                s.min_valuation(), s.abs_floor(), s.support_hull)
+
+    seen = dict(exact_zero=0, inexact_zero=0, base_floor=0, truncated=0,
+                zero_at_precision=0)
+    for pairs, out_window, mixed in fold_draws(random.Random(5023), 400):
+        draws = [s for pair in pairs for s in pair]
+        try:
+            draws.append(series_sum(mixed, out_window))
+        except WindowOverflow:
+            pass
+        for s in draws:
+            for m in range(-3, 4):
+                for computed in (False, True):
+                    source = fresh(s)
+                    if computed:
+                        source.summary()
+                    shifted = source.shift_val(m)
+                    assert (shifted._stats is not None) == computed
+                    got = summary(shifted)
+                    want = summary(fresh(shifted))
+                    assert got == want, (s, m)
+                    # INF stays INF itself, which the library tests by
+                    # identity
+                    assert [x is INF for x in got[:3]] == \
+                        [x is INF for x in want[:3]]
+            seen["exact_zero"] += s.is_exact_zero
+            seen["inexact_zero"] += any(not r for r in s.terms.values())
+            seen["base_floor"] += s.base_floor is not None
+            seen["truncated"] += not s.tail_free
+            seen["zero_at_precision"] += (s.valuation() is None
+                                          and not s.is_exact_zero)
+    assert min(seen.values()) >= 100, seen
+
+
 # ---------------------------------------------------------------------------
 # Inversion.
 # ---------------------------------------------------------------------------

@@ -273,6 +273,22 @@ def test_cli_golden_factor_gamma_at_p5(runner, tmp_path, monkeypatch):
     assert weights == {1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("golden", ["factor_gamma", "factor_gamma_p5"])
+def test_cli_check_product_agrees_with_the_gamma_product_floor(runner,
+                                                               golden):
+    # the factorization checks A * Z = X over Z's nonzero entries only;
+    # check-product's dense check on each golden's Y, Z and X, whose Z has
+    # exact zeros, holds at the product_floor the factorization reported
+    paths = [os.path.join(FIXTURES, golden, name)
+             for name in ("Y.json", "Z.json", "x.json")]
+    z = textio.parse_series_matrix(textio.load_path(paths[1]))[0]
+    assert any(s.is_exact_zero for row in z for s in row)
+    res = runner.invoke(main, ["check-product"] + paths)
+    assert res.exit_code == 0
+    report = json.loads(fixture_bytes(golden, "report.json"))
+    assert json.loads(res.output)["floor"] == report["product_floor"]
+
+
 @pytest.mark.parametrize("command, inputs", [
     ("glue", ("m1.json", "m2.json", "x.json")),
     ("descend", ("module.json", "x.json")),
