@@ -162,11 +162,13 @@ def product_term(pair, out_window):
     nrel = na if na < nb else nb
     window = _window_of_product(wa, tfa, ha, wb, tfb, hb)
     if mva is INF or mvb is INF:
-        # only the exact zero has no (min valuation, abs floor)
+        # only the exact zero has no (min valuation, abs floor); a
+        # truncated one is zero on its window only, so the product is
+        # tail-free only with a tail-free zero
         window = (clip_window(window, (0, 0), MAX_WIDTH)
                   if out_window is None else _clamp(window, out_window))
-        return (p, nrel, window, True, INF, 0, 0, 1, 0, True, (), (), None,
-                None)
+        return (p, nrel, window, mva is INF and tfa or mvb is INF and tfb,
+                INF, 0, 0, 1, 0, True, (), (), None, None)
     floor = fla + mvb
     if flb + mva < floor:
         floor = flb + mva

@@ -92,6 +92,22 @@ def test_sum_with_a_truncated_exact_zero_is_truncated():
         assert verdict.holds and verdict.window == (0, 0)
 
 
+def test_product_with_a_truncated_exact_zero_is_truncated():
+    # zero on (-5, 5) and unknown outside: so is its product with 1, and a
+    # sum with u^10 claims nothing at 10, as a sum with the zero itself
+    zero = padic_series(P, N, {}, (-5, 5), False, None)
+    one, u10 = S([(0, 1)]), S([(10, 1)])
+    for prod in (zero * one, one * zero, zero.mul(one, (-3, 8)),
+                 series_dot(((zero, one), (one, zero)))):
+        assert not prod.tail_free and prod.is_exact_zero
+    assert (zero * one).window == (-5, 5)
+    for s in (zero * one + u10, zero + u10,
+              series_sum(((zero, one), u10))):
+        assert (s.window, s.tail_free, s.terms) == ((-5, 5), False, {})
+    # a product with a tail-free zero is zero everywhere
+    assert (S([]) * zero).tail_free
+
+
 def rand_truncated(rng, nrel):
     """A truncation of random exact terms: a window around the support,
     tail_free False, a uniform floor; plus the exact terms it was cut from."""

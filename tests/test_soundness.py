@@ -355,7 +355,7 @@ def matrix(ops, n):
 def test_determinant():
     # minors are products of products: windows are not compared
     rng = random.Random(106)
-    for n, trials, skips in ((2, 400, (34, 3)), (3, 250, (168, 26))):
+    for n, trials, skips in ((2, 400, (34, 3)), (3, 250, (172, 28))):
         tally = runs(rng, lambda _s, _n, *ops: smat_det(matrix(ops, n)),
                      n * n, trials=trials, windows=False)
         assert_strong(tally)

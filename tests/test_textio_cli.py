@@ -496,6 +496,21 @@ def test_cli_documents_at_different_nrel_run_at_the_smaller(runner, tmp_path):
     assert report["floor"] <= 10
 
 
+def test_cli_check_product_refutes_nothing_outside_a_truncated_zero(
+        runner, tmp_path):
+    # Y = [[0]] known on (-5, 5) only: Y * Z is unknown at 10, so X = u^10
+    # is no refutation there, and the product holds
+    zero = LaurentSeries.zero(P, N, (-5, 5)).on_window((-5, 5), False)
+    paths = []
+    for name, s in (("y", zero), ("z", S([(0, 1)])), ("x", S([(10, 1)]))):
+        paths.append(str(tmp_path / f"{name}.json"))
+        textio.dump_path(paths[-1], textio.emit_series_matrix([[s]], P, N))
+    res = runner.invoke(main, ["check-product"] + paths)
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.stdout)
+    assert (report["verdict"], report["ok"]) == ("holds", True)
+
+
 def test_cli_product_past_the_window_cap_exits_one(runner, tmp_path):
     # (1 + u^200)^2 populates u^0 and u^400, which no 256-exponent window
     # holds: WindowOverflow, exit 1, one line on stderr and no report
