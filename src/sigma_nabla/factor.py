@@ -34,11 +34,9 @@ from .errors import (
     PrecisionExhausted,
     SingularInput,
 )
-from .kernel import accumulate, series_term, view
+from .kernel import accumulate, series_term
 from .linalg import (
-    _matrix_verdict,
     _square,
-    _views,
     smat_agree,
     smat_det,
     smat_honest,
@@ -61,7 +59,6 @@ from .series import (
     R_PLUS,
     LaurentSeries,
     RingLabel,
-    kernel_terms,
     require_membership,
     series_sum,
 )
@@ -185,18 +182,6 @@ def _row_leading_invertible(rows, p, n):
         _fp_pivots([eq for _, eq in lead.values()], p, n)) == n
 
 
-def _product_verdict(a, z, x):
-    """``smat_product_agree(a, z, x)`` with each entry folded over the k
-    where z_kj is not the exact zero: a product with it has no cells and
-    floor INF, so only the verdict's window, which it narrows, changes."""
-    cols = [[(k, view(s)) for k, s in enumerate(col) if not s.is_exact_zero]
-            for col in zip(*z)]
-    return _matrix_verdict(
-        (kernel_terms([(row[k], v) for k, v in col], None, y)
-         for col, y in zip(cols, xrow))
-        for row, xrow in zip(_views(a), x))
-
-
 def matfact_gamma(x) -> GammaFactorization:
     """Factor X over E as Y * Z, Y invertible over Gamma, Z constant.
 
@@ -227,10 +212,8 @@ def matfact_gamma(x) -> GammaFactorization:
     unit), each cell reduced once, modulo its final floor.  Nothing is
     truncated, so Z has no tail and no floor; each entry c / p^den is
     written in canonical form from the integers, as the cell (v_p(c) - den,
-    c / p^v_p(c)) that ``from_cells`` settles, and A * Z is checked
-    against X without being built, each entry folded over Z's nonzero
-    entries (``_product_verdict``), whose window may be wider than
-    ``smat_product_agree``'s.
+    c / p^v_p(c)) that ``from_cells`` settles.  ``smat_product_agree``
+    checks A * Z = X over Z's nonzero entries only.
     """
     n = _square(x, "factorization")
     p = x[0][0].p
@@ -324,7 +307,7 @@ def matfact_gamma(x) -> GammaFactorization:
                              {}, zero.window, True, None)
 
     z = [[constant(c) if c else zero for c in row] for row in zint]
-    verdict = _product_verdict(a, z, x)
+    verdict = smat_product_agree(a, z, x)
     if not verdict.holds:
         raise SingularInput("internal error: product check failed")
     return GammaFactorization(a, z, 0, rounds, verdict)

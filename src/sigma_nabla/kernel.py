@@ -11,7 +11,11 @@ summary) and returns one, which ``series`` wraps; or, for the residual
 of an agreement check, only its verdict, read from the folded integers,
 so that a residual that holds is never built as a series.  A product
 reads its operands through their views (``view``): summary, window,
-hull and cells, which a matrix routine prepares once per operand.
+hull and cells, which a matrix routine prepares once per operand.  The
+tail-free exact zero, known at every exponent, is the identity of every
+fold and zero times anything: ``accumulate`` drops it (but the first when
+all terms are), so it narrows no window and caps no nrel.  A truncated
+exact zero is zero on its window only, and so is a product with it.
 
 A term is a tuple (p, nrel, window, tail_free, floor, base, digits, lo, hi,
 whole, cells, factor, low, dense): the series p^base * (cells convolved
@@ -77,6 +81,10 @@ def clip_window(window, hull, width):
         hi2 = hi
         lo2 = hi2 - width + 1
     return (lo2, hi2)
+
+
+# LaurentSeries.zero's default window, and that of its products
+ZERO_WINDOW = clip_window((-INF, INF), (0, 0), MAX_WIDTH)
 
 
 def view(s):
@@ -154,21 +162,23 @@ def product_term(pair, out_window):
     of a and b.  Given ``out_window``, the product is exact on it: its
     window is the provable window within ``out_window``, uncapped.
     Otherwise the provable window is cut to ``MAX_WIDTH`` exponents around
-    the product's support."""
+    the product's support.  A product with the tail-free exact zero is
+    that zero on ``out_window`` or ``ZERO_WINDOW``, and never raises."""
     (p, na, wa, tfa, basea, mva, fla, ha, cells_a, _), \
         (pb, nb, wb, tfb, baseb, mvb, flb, hb, cells_b, _) = pair
     if pb != p:
         raise ValueError("mixed primes")
     nrel = na if na < nb else nb
+    # only the exact zero has no (min valuation, abs floor)
+    if mva is INF and tfa or mvb is INF and tfb:
+        return (p, nrel, out_window or ZERO_WINDOW, True, INF, 0, 0, 1, 0,
+                True, (), (), None, None)
     window = _window_of_product(wa, tfa, ha, wb, tfb, hb)
-    if mva is INF or mvb is INF:
-        # only the exact zero has no (min valuation, abs floor); a
-        # truncated one is zero on its window only, so the product is
-        # tail-free only with a tail-free zero
+    if mva is INF or mvb is INF:    # a truncated exact zero
         window = (clip_window(window, (0, 0), MAX_WIDTH)
                   if out_window is None else _clamp(window, out_window))
-        return (p, nrel, window, mva is INF and tfa or mvb is INF and tfb,
-                INF, 0, 0, 1, 0, True, (), (), None, None)
+        return (p, nrel, window, False, INF, 0, 0, 1, 0, True, (), (), None,
+                None)
     floor = fla + mvb
     if flb + mva < floor:
         floor = flb + mva
@@ -251,7 +261,7 @@ def accumulate(terms, verdict=False):
     if not terms:
         raise ValueError("empty dot product")
     p = terms[0][0]
-    base, glo, ghi = INF, None, None
+    base, glo, ghi, zeros = INF, None, None, 0
     for term in terms:
         if term[0] != p:
             raise ValueError("mixed primes")
@@ -266,6 +276,11 @@ def accumulate(terms, verdict=False):
             else:
                 glo = clo if clo < glo else glo
                 ghi = chi if chi > ghi else ghi
+        elif f is INF and term[3]:
+            zeros += 1          # the tail-free exact zero
+    if zeros:
+        terms = [t for t in terms
+                 if t[7] <= t[8] or t[4] is not INF or not t[3]] or terms[:1]
     if base is INF:
         base = 0                # every term is the exact zero
     if glo is None:

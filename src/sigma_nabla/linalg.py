@@ -5,12 +5,13 @@ kernel's window rules (an output window, else the cap) and read each
 operand through one kernel view per routine, which the kernel packs into
 one integer at the first dense product that reads it; ``smat_det`` and
 ``smat_inv`` share one cofactor memo.  ``smat_product_agree`` checks
-A * B = X without building A * B, and ``smat_agree`` checks A = B: one
-kernel fold per entry, whose verdict is read from the folded integers;
-only a failing entry's residual series is built, for its witness.  The
-scalar helpers take rational (int or Fraction), PadicNumber or
-UnramifiedScalar entries and read the ring from the entries themselves;
-``mat_inv`` is the one Gauss-Jordan elimination over scalars.
+A * B = X without building A * B, skipping B's tail-free exact zeros,
+and ``smat_agree`` checks A = B: one kernel fold per entry, whose
+verdict is read from the folded integers; only a failing entry's
+residual series is built, for its witness.  The scalar helpers take
+rational (int or Fraction), PadicNumber or UnramifiedScalar entries and
+read the ring from the entries themselves; ``mat_inv`` is the one
+Gauss-Jordan elimination over scalars.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ def smat_mul_add(a, b, c):
 
 def _views(rows):
     """The kernel view (``kernel.view``) of every entry, prepared once for
-    all the products it takes part in, and packed at most once per slot
-    width."""
+    all the products it takes part in."""
     return [[view(s) for s in row] for row in rows]
 
 
@@ -106,14 +106,20 @@ def smat_product_agree(a, b, x, out_window=None,
     """``smat_agree(smat_mul(a, b, out_window), x)``, or with ``plus`` that
     of a * b + plus with each product on ``out_window``, with no product
     built: each residual sum a_ik * b_kj (+ plus_ij) - x_ij is one kernel
-    fold, exact because the kernel replays the left fold of ``+``."""
+    fold, exact because the kernel replays the left fold of ``+``, which
+    drops B's tail-free exact zeros (a column of nothing else keeps one)."""
     if smat_shape(a)[1] != smat_shape(b)[0]:
         raise ValueError("shape mismatch")
-    cols = _views(zip(*b))
-    plus = plus or [[None] * len(cols) for _ in a]
+    cols = [[(k, view(s)) for k, s in enumerate(col)
+             if not (s.is_exact_zero and s.tail_free)] or [(0, view(col[0]))]
+            for col in zip(*b)]
+    if plus is None:
+        return _matrix_verdict(
+            (kernel_terms([(row[k], v) for k, v in col], out_window, y)
+             for col, y in zip(cols, xrow))
+            for row, xrow in zip(_views(a), x))
     return _matrix_verdict(
-        (kernel_terms(list(zip(row, col)) + ([] if z is None else [z]),
-                      out_window, y)
+        (kernel_terms([(row[k], v) for k, v in col] + [z], out_window, y)
          for col, z, y in zip(cols, zrow, xrow))
         for row, zrow, xrow in zip(_views(a), plus, x))
 

@@ -31,11 +31,12 @@ sums and products are settled by the kernel's closing pass.
 reads it, and ``coefficient``, ``items`` and the read-only ``coeffs``
 view build one per cell when asked.
 
-Windows behave as regions of faithfulness: addition intersects them,
-multiplication uses the convolution-correct window (the full Minkowski sum
-for polynomial operands, shrunk by the partner's support radius when an
-operand is a truncation).  A product given an output window is exact on
-it; every other product, the Frobenius image and a default window are
+Windows behave as regions of faithfulness: addition intersects them (the
+tail-free exact zero, the identity of every sum, has none: ``kernel``),
+multiplication uses the convolution-correct window (the full Minkowski
+sum for polynomial operands, shrunk by the partner's support radius when
+an operand is a truncation).  A product given an output window is exact
+on it; every other product, the Frobenius image and a default window are
 capped at ``kernel.MAX_WIDTH`` = 256 exponents, and ``WindowOverflow``
 signals that genuinely populated exponents no longer fit.
 
@@ -416,22 +417,14 @@ class LaurentSeries:
         return self._plus(other, -1)
 
     def _plus(self, other, sign):
-        """self + sign * other.  Adding an exact zero that is tail-free (zero
-        everywhere) at no lower nrel only moves the window, to the
-        intersection and then, for a polynomial, out to its keys: such a
+        """self + sign * other.  The tail-free exact zero is the identity of
+        every kernel fold: adding it returns the other side, and such a
         sum, about a third of a module-cli pass's, skips the kernel."""
         x, zero = (self, other) if other.is_exact_zero else (other, self)
-        if not (zero.is_exact_zero and zero.tail_free
-                and zero.nrel >= x.nrel and x.p == zero.p):
+        if not (zero.is_exact_zero and zero.tail_free and x.p == zero.p):
             return LaurentSeries(*accumulate((series_term(self, 1),
                                               series_term(other, sign))))
-        if x is other and sign < 0:
-            x = -x
-        lo = max(x.window[0], zero.window[0])
-        hi = min(x.window[1], zero.window[1])
-        if x.tail_free and x.terms:
-            lo, hi = min(lo, min(x.terms)), max(hi, max(x.terms))
-        return x.on_window((lo, hi), x.tail_free)
+        return -x if x is other and sign < 0 else x
 
     def scale(self, c: PadicNumber):
         """Multiply every coefficient by a scalar."""

@@ -1,17 +1,19 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
 from conftest import (
     const_series_matrix,
+    entry_terms,
     padic_series,
     rand_const_invertible,
     rand_gamma_invertible,
     rand_robba_regime_x,
     rand_series,
+    reference_product_agree,
+    reference_verdict,
     series,
 )
 from sigma_nabla.errors import SigmaNablaError, WindowOverflow
@@ -27,13 +29,8 @@ from sigma_nabla.linalg import (
     smat_mul_add,
     smat_product_agree,
 )
-from sigma_nabla.padic import INF, PadicNumber, UnramifiedField
-from sigma_nabla.series import (
-    AgreementVerdict,
-    LaurentSeries,
-    residual_verdict,
-    series_sum,
-)
+from sigma_nabla.padic import PadicNumber, UnramifiedField
+from sigma_nabla.series import LaurentSeries, series_sum
 
 P, N = 3, 12
 
@@ -135,10 +132,11 @@ def test_agree_reports_failing_position():
 
 def test_agree_forms_every_difference_before_the_scan():
     # entry (0, 0) disagrees, and entry (0, 1) is the difference of two
-    # polynomials on disjoint windows, which has none: it raises, as a
+    # truncated zeros on disjoint windows, which has none: it raises, as a
     # later entry of smat_product_agree does
     one, two = series(P, N, [(0, 1)]), series(P, N, [(0, 2)])
-    left, right = (LaurentSeries.zero(P, N, w) for w in ((0, 0), (5, 5)))
+    left, right = (LaurentSeries.zero(P, N, w).on_window(w, False)
+                   for w in ((0, 0), (5, 5)))
     with pytest.raises(WindowOverflow, match="empty exponent window"):
         smat_agree([[one, left]], [[two, right]])
 
@@ -207,37 +205,6 @@ def test_product_agree_is_the_verdict_on_the_built_product():
         assert old is WindowOverflow
         assert outcome(lambda: smat_product_agree(wide, wide, wide,
                                                   plus=plus)) is old
-
-
-def reference_verdict(residuals):
-    """The verdicts on rows of residual series, scanned in row-major order,
-    one ``residual_verdict`` per entry: the worst floor, or the first
-    failure with its (row, column)."""
-    floor, window = INF, None
-    for i, row in enumerate(residuals):
-        for j, d in enumerate(row):
-            v = residual_verdict(d)
-            if not v.holds:
-                return replace(v, position=(i, j))
-            if v.floor is not None and v.floor < floor:
-                floor = v.floor
-            window = v.window if window is None else window
-    return AgreementVerdict(True, None if floor is INF else int(floor),
-                            window or (0, 0))
-
-
-def entry_terms(a, b, i, j, plus):
-    return list(zip(a[i], (row[j] for row in b))) + (
-        [] if plus is None else [plus[i][j]])
-
-
-def reference_product_agree(a, b, x, out_window, plus):
-    """Each residual series built by ``series_sum`` (every entry, before
-    the scan), and the residuals themselves."""
-    residuals = [[series_sum(entry_terms(a, b, i, j, plus), out_window,
-                             minus=x[i][j]) for j in range(len(x[0]))]
-                 for i in range(len(x))]
-    return reference_verdict(residuals), residuals
 
 
 def verdict_outcome(fn):

@@ -337,10 +337,11 @@ def at_nrel(s, nrel):
 
 class Folded:
     """A sum of series folded cell by cell with ``PadicNumber.__add__``,
-    apart from the integer kernel: windows intersect, a sum of two
-    polynomials widens its window to the stored exponents, the base floor
-    is the smaller one and every cell is cut at it, and a cell outside the
-    window is dropped, after which the sum is no longer tail-free."""
+    apart from the integer kernel: adding the tail-free exact zero returns
+    the other side; else windows intersect, a sum of two polynomials
+    widens its window to the stored exponents, the base floor is the
+    smaller one and every cell is cut at it, and a cell outside the window
+    is dropped, after which the sum is no longer tail-free."""
 
     def __init__(self, s):
         self.nrel, self.window = s.nrel, s.window
@@ -360,7 +361,14 @@ class Folded:
         out.coeffs = {e: -c for e, c in self.coeffs.items()}
         return out
 
+    def is_zero(self):
+        return self.tail_free and not self.coeffs and self.base_floor is None
+
     def __add__(self, other):
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         out = copy.copy(self)
         nrel = out.nrel = min(self.nrel, other.nrel)
         lo = max(self.window[0], other.window[0])

@@ -222,7 +222,7 @@ def runs(rng, op, n_specs, trials=400, unit=False, windows=True,
 
 def test_sum_and_difference():
     rng = random.Random(101)
-    for op, skips in ((lambda _s, _n, a, b: a + b, (4, 0)),
+    for op, skips in ((lambda _s, _n, a, b: a + b, (3, 0)),
                       (lambda _s, _n, a, b: a - b, (3, 0))):
         tally = runs(rng, op, 2)
         assert_strong(tally)
@@ -245,7 +245,7 @@ def test_series_dot_with_output_window():
         return series_dot(pairs, out_window)
 
     rng = random.Random(103)
-    for k, skips in ((1, (26, 2)), (2, (60, 7)), (3, (96, 9))):
+    for k, skips in ((1, (25, 2)), (2, (60, 7)), (3, (94, 8))):
         tally = runs(rng, dot, 2 * k, trials=300)
         assert_strong(tally)
         assert_skips(tally, *skips)
@@ -353,9 +353,11 @@ def matrix(ops, n):
 
 
 def test_determinant():
-    # minors are products of products: windows are not compared
+    # minors are products of products: windows are not compared; at n = 3,
+    # trials 13, 52, 152, 157, 199 and 202 skip because an operand is a
+    # truncated exact zero, whose products make no claim past their windows
     rng = random.Random(106)
-    for n, trials, skips in ((2, 400, (34, 3)), (3, 250, (172, 28))):
+    for n, trials, skips in ((2, 400, (34, 3)), (3, 250, (169, 28))):
         tally = runs(rng, lambda _s, _n, *ops: smat_det(matrix(ops, n)),
                      n * n, trials=trials, windows=False)
         assert_strong(tally)

@@ -276,9 +276,9 @@ def test_cli_golden_factor_gamma_at_p5(runner, tmp_path, monkeypatch):
 @pytest.mark.parametrize("golden", ["factor_gamma", "factor_gamma_p5"])
 def test_cli_check_product_agrees_with_the_gamma_product_floor(runner,
                                                                golden):
-    # the factorization checks A * Z = X over Z's nonzero entries only;
-    # check-product's dense check on each golden's Y, Z and X, whose Z has
-    # exact zeros, holds at the product_floor the factorization reported
+    # check-product on each golden's Y, Z and X, whose Z has exact zeros,
+    # holds at the product_floor the factorization reported, which closes
+    # with the same check
     paths = [os.path.join(FIXTURES, golden, name)
              for name in ("Y.json", "Z.json", "x.json")]
     z = textio.parse_series_matrix(textio.load_path(paths[1]))[0]
