@@ -12,10 +12,9 @@ of an agreement check, only its verdict, read from the folded integers,
 so that a residual that holds is never built as a series.  A product
 reads its operands through their views (``view``): summary, window,
 hull and cells, which a matrix routine prepares once per operand.  The
-tail-free exact zero, known at every exponent, is the identity of every
-fold and zero times anything: ``accumulate`` drops it (but the first when
-all terms are), so it narrows no window and caps no nrel.  A truncated
-exact zero is zero on its window only, and so is a product with it.
+tail-free exact zero is the identity of every fold (``accumulate`` drops
+it, but one when all terms are) and zero times anything; a truncated
+exact zero, and a product with it, are zero on their windows only.
 
 A term is a tuple (p, nrel, window, tail_free, floor, base, digits, lo, hi,
 whole, cells, factor, low, dense): the series p^base * (cells convolved

@@ -63,7 +63,8 @@ def smat_mul_add(a, b, c):
 
 def _views(rows):
     """The kernel view (``kernel.view``) of every entry, prepared once for
-    all the products it takes part in."""
+    all the products it takes part in, and packed at most once per slot
+    width."""
     return [[view(s) for s in row] for row in rows]
 
 

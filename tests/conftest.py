@@ -28,42 +28,6 @@ from sigma_nabla.series import (
 
 
 # ---------------------------------------------------------------------------
-# Reference verdicts, from built residual series.
-# ---------------------------------------------------------------------------
-
-
-def reference_verdict(residuals):
-    """The verdicts on rows of residual series, scanned in row-major order,
-    one ``residual_verdict`` per entry: the worst floor, or the first
-    failure with its (row, column)."""
-    floor, window = INF, None
-    for i, row in enumerate(residuals):
-        for j, d in enumerate(row):
-            v = residual_verdict(d)
-            if not v.holds:
-                return replace(v, position=(i, j))
-            if v.floor is not None and v.floor < floor:
-                floor = v.floor
-            window = v.window if window is None else window
-    return AgreementVerdict(True, None if floor is INF else int(floor),
-                            window or (0, 0))
-
-
-def entry_terms(a, b, i, j, plus):
-    return list(zip(a[i], (row[j] for row in b))) + (
-        [] if plus is None else [plus[i][j]])
-
-
-def reference_product_agree(a, b, x, out_window=None, plus=None):
-    """Each residual series built by ``series_sum`` (every entry, before
-    the scan), and the residuals themselves."""
-    residuals = [[series_sum(entry_terms(a, b, i, j, plus), out_window,
-                             minus=x[i][j]) for j in range(len(x[0]))]
-                 for i in range(len(x))]
-    return reference_verdict(residuals), residuals
-
-
-# ---------------------------------------------------------------------------
 # Series constructors.
 # ---------------------------------------------------------------------------
 
@@ -174,6 +138,42 @@ def oracle_matches(oracle, s, p, nrel):
         if c.unit is not None and e not in oracle:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference verdicts, from built residual series.
+# ---------------------------------------------------------------------------
+
+
+def reference_verdict(residuals):
+    """The verdicts on rows of residual series, scanned in row-major order,
+    one ``residual_verdict`` per entry: the worst floor, or the first
+    failure with its (row, column)."""
+    floor, window = INF, None
+    for i, row in enumerate(residuals):
+        for j, d in enumerate(row):
+            v = residual_verdict(d)
+            if not v.holds:
+                return replace(v, position=(i, j))
+            if v.floor is not None and v.floor < floor:
+                floor = v.floor
+            window = v.window if window is None else window
+    return AgreementVerdict(True, None if floor is INF else int(floor),
+                            window or (0, 0))
+
+
+def entry_terms(a, b, i, j, plus):
+    return list(zip(a[i], (row[j] for row in b))) + (
+        [] if plus is None else [plus[i][j]])
+
+
+def reference_product_agree(a, b, x, out_window=None, plus=None):
+    """Each residual series built by ``series_sum`` (every entry, before
+    the scan), and the residuals themselves."""
+    residuals = [[series_sum(entry_terms(a, b, i, j, plus), out_window,
+                             minus=x[i][j]) for j in range(len(x[0]))]
+                 for i in range(len(x))]
+    return reference_verdict(residuals), residuals
 
 
 # ---------------------------------------------------------------------------
