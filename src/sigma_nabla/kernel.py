@@ -13,7 +13,7 @@ so that a residual that holds is never built as a series.  A product
 reads its operands through their views (``view``): summary, window,
 hull and cells, which a matrix routine prepares once per operand.  The
 tail-free exact zero is the identity of every fold (``accumulate`` drops
-it, but one when all terms are) and zero times anything; a truncated
+it, keeping one when all terms are) and zero times anything; a truncated
 exact zero, and a product with it, are zero on their windows only.
 
 A term is a tuple (p, nrel, window, tail_free, floor, base, digits, lo, hi,

@@ -31,8 +31,8 @@ sums and products are settled by the kernel's closing pass.
 reads it, and ``coefficient``, ``items`` and the read-only ``coeffs``
 view build one per cell when asked.
 
-Windows behave as regions of faithfulness: addition intersects them (the
-tail-free exact zero, the identity of every sum, has none: ``kernel``),
+Windows behave as regions of faithfulness: addition intersects them (but
+for the tail-free exact zero, the identity of every sum: ``kernel``),
 multiplication uses the convolution-correct window (the full Minkowski
 sum for polynomial operands, shrunk by the partner's support radius when
 an operand is a truncation).  A product given an output window is exact
