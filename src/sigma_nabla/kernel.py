@@ -11,7 +11,8 @@ summary) and returns one, which ``series`` wraps; or, for the residual
 of an agreement check, only its verdict, read from the folded integers,
 so that a residual that holds is never built as a series.  A product
 reads its operands through their views (``view``): summary, window,
-hull and cells, which a matrix routine prepares once per operand.  The
+hull and cells, which each series builds once and keeps, with the
+integers its cells were packed into, for every product it joins.  The
 tail-free exact zero is the identity of every fold (``accumulate`` drops
 it, keeping one when all terms are) and zero times anything; a truncated
 exact zero, and a product with it, are zero on their windows only.
@@ -89,14 +90,18 @@ ZERO_WINDOW = clip_window((-INF, INF), (0, 0), MAX_WIDTH)
 def view(s):
     """The kernel's view of series ``s`` as a factor of a product: (p,
     nrel, window, tail_free, base, min valuation, abs floor, support hull,
-    nonzero cells as a tuple, pack cache).  A matrix routine prepares it
-    once per operand, so a product reads no summary and copies no cells.
-    The pack cache starts empty: the first dense product that reads the
-    view fills it (``_cell_bits``, ``_packed``), so a view that takes part
-    in no dense product is never packed."""
-    _, mv, fl, hull, cells = s.summary()
-    return (s.p, s.nrel, s.window, s.tail_free, s.base, mv, fl,
-            hull or (0, 0), tuple(cells), {})
+    nonzero cells, pack cache).  It is built once per series, at the first
+    product that reads it, and kept on the series, so every product of s
+    reads one summary and one pack cache; its cells are the summary's
+    own, not a copy.  The pack cache starts empty: the first dense product
+    that reads the view fills it (``_cell_bits``, ``_packed``), so a view
+    that takes part in no dense product is never packed."""
+    v = s._view
+    if v is None:
+        _, mv, fl, hull, cells = s.summary()
+        v = s._view = (s.p, s.nrel, s.window, s.tail_free, s.base, mv, fl,
+                       hull or (0, 0), cells, {})
+    return v
 
 
 def _cell_bits(v):

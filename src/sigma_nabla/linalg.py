@@ -1,16 +1,17 @@
 """Small matrix helpers over Laurent series and over plain scalars.
 
 Matrices are lists of lists (row major).  The series products take the
-kernel's window rules (an output window, else the cap) and read each
-operand through one kernel view per routine, which the kernel packs into
-one integer at the first dense product that reads it; ``smat_det`` and
-``smat_inv`` share one cofactor memo.  ``smat_product_agree`` checks
-A * B = X without building A * B, skipping B's tail-free exact zeros,
-and ``smat_agree`` checks A = B: one kernel fold per entry, whose
-verdict is read from the folded integers; only a failing entry's
-residual series is built, for its witness.  The scalar helpers take
-rational (int or Fraction), PadicNumber or UnramifiedScalar entries and
-read the ring from the entries themselves; ``mat_inv`` is the one
+kernel's window rules (an output window, else the cap) and pass series
+to the kernel, which reads each through the one view the series keeps
+(``kernel.view``), packed into one integer at the first dense product
+that reads it and kept for every later one; a product with the
+tail-free exact zero is not formed.  ``smat_det`` and ``smat_inv`` share
+one cofactor memo.  ``smat_product_agree`` checks A * B = X without
+building A * B, and ``smat_agree`` checks A = B: one kernel fold per
+entry, whose verdict is read from the folded integers; only a failing
+entry's residual series is built, for its witness.  The scalar helpers
+take rational (int or Fraction), PadicNumber or UnramifiedScalar entries
+and read the ring from the entries themselves; ``mat_inv`` is the one
 Gauss-Jordan elimination over scalars.
 """
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .errors import SingularInput
 from .padic import INF, PadicNumber, UnramifiedScalar
-from .kernel import accumulate, view
+from .kernel import accumulate
 from .series import (AgreementVerdict, LaurentSeries, kernel_terms,
                      residual_verdict, series_dot, series_sum)
 
@@ -46,26 +47,46 @@ def smat_add(a, b):
 
 
 def smat_mul(a, b, out_window=None):
-    if smat_shape(a)[1] != smat_shape(b)[0]:
-        raise ValueError("shape mismatch")
-    cols = _views(zip(*b))
-    return [[series_dot(zip(row, col), out_window) for col in cols]
-            for row in _views(a)]
+    return [[series_dot(pairs, out_window) for pairs in row]
+            for row in _product_pairs(a, b)]
 
 
 def smat_mul_add(a, b, c):
     """a * b + c, each entry summed by one ``series_sum``."""
-    cols = _views(zip(*b))
-    return [[series_sum(list(zip(row, col)) + [z])
-             for col, z in zip(cols, crow)]
-            for row, crow in zip(_views(a), c)]
+    return [[series_sum(pairs + [z]) for pairs, z in zip(row, crow)]
+            for row, crow in zip(_product_pairs(a, b), c)]
 
 
-def _views(rows):
-    """The kernel view (``kernel.view``) of every entry, prepared once for
-    all the products it takes part in, and packed at most once per slot
-    width."""
-    return [[view(s) for s in row] for row in rows]
+def _product_pairs(a, b):
+    """The rows of a * b, each entry the list of pairs (a_ik, b_kj) that
+    its kernel fold keeps: a pair with the tail-free exact zero is left
+    out, as ``accumulate`` drops its term, but for the first pair of an
+    entry that has nothing else, as the fold keeps its first zero term.
+    Entries at more than one prime keep every pair, so that a fold raises
+    "mixed primes" where it would have."""
+    if smat_shape(a)[1] != smat_shape(b)[0]:
+        raise ValueError("shape mismatch")
+    cols = list(zip(*b))
+    p = a[0][0].p if cols else None
+    if any(s.p != p for m in (a, cols) for line in m for s in line):
+        return [[list(zip(row, col)) for col in cols] for row in a]
+    cols = [(col, _nonzero(col)) for col in cols]
+    rows = []
+    for row in a:
+        rk = _nonzero(row)
+        # a line with no zero reads the other line's flags twice
+        rows.append([list(zip(row, col)) if rk is ck is None else
+                     [pair for pair, x, y in zip(zip(row, col), rk or ck,
+                                                 ck or rk) if x and y]
+                     or [(row[0], col[0])] for col, ck in cols])
+    return rows
+
+
+def _nonzero(line):
+    """Which entries of ``line`` are not the tail-free exact zero; None
+    when none is."""
+    flags = [not (s.is_exact_zero and s.tail_free) for s in line]
+    return None if all(flags) else flags
 
 
 def smat_honest(a, window, floor):
@@ -107,22 +128,18 @@ def smat_product_agree(a, b, x, out_window=None,
     """``smat_agree(smat_mul(a, b, out_window), x)``, or with ``plus`` that
     of a * b + plus with each product on ``out_window``, with no product
     built: each residual sum a_ik * b_kj (+ plus_ij) - x_ij is one kernel
-    fold, exact because the kernel replays the left fold of ``+``, which
-    drops B's tail-free exact zeros (a column of nothing else keeps one)."""
-    if smat_shape(a)[1] != smat_shape(b)[0]:
-        raise ValueError("shape mismatch")
-    cols = [[(k, view(s)) for k, s in enumerate(col)
-             if not (s.is_exact_zero and s.tail_free)] or [(0, view(col[0]))]
-            for col in zip(*b)]
+    fold over the pairs that ``smat_mul`` folds, exact because the kernel
+    replays the left fold of ``+``."""
+    rows = _product_pairs(a, b)
     if plus is None:
         return _matrix_verdict(
-            (kernel_terms([(row[k], v) for k, v in col], out_window, y)
-             for col, y in zip(cols, xrow))
-            for row, xrow in zip(_views(a), x))
+            (kernel_terms(pairs, out_window, y)
+             for pairs, y in zip(row, xrow))
+            for row, xrow in zip(rows, x))
     return _matrix_verdict(
-        (kernel_terms([(row[k], v) for k, v in col] + [z], out_window, y)
-         for col, z, y in zip(cols, zrow, xrow))
-        for row, zrow, xrow in zip(_views(a), plus, x))
+        (kernel_terms(pairs + [z], out_window, y)
+         for pairs, z, y in zip(row, zrow, xrow))
+        for row, zrow, xrow in zip(rows, plus, x))
 
 
 def _matrix_verdict(residuals):
@@ -155,15 +172,7 @@ def _cofactor_memo(a):
     ((-x) * m and -(x * m) are the same series).
     """
     memo = {}
-    views = {}      # (rows, cols): the kernel view of that minor
-    signed = {}     # row: the views of its entries and of their negatives
-
-    def operand(rows, cols):
-        key = (rows, cols)
-        v = views.get(key)
-        if v is None:
-            v = views[key] = view(minor(rows, cols))
-        return v
+    signed = {}     # row: its entries and their negatives
 
     def minor(rows, cols):
         if len(cols) == 1:
@@ -174,9 +183,9 @@ def _cofactor_memo(a):
             return det
         r, rest = rows[0], rows[1:]
         if r not in signed:
-            signed[r] = ([view(x) for x in a[r]], [view(-x) for x in a[r]])
+            signed[r] = (a[r], [-x for x in a[r]])
         det = memo[key] = series_dot(
-            ((signed[r][j % 2][c], operand(rest, cols[:j] + cols[j + 1:]))
+            ((signed[r][j % 2][c], minor(rest, cols[:j] + cols[j + 1:]))
              for j, c in enumerate(cols)))
         return det
 

@@ -55,6 +55,27 @@ def vp_int(n: int, p: int) -> int:
     return v
 
 
+class _Powers(dict):
+    """{k: p^k} for the prime ``p``, each power computed at its first use."""
+
+    def __missing__(self, k):
+        x = self[k] = self.p ** k
+        return x
+
+
+_POWERS = {}
+
+
+def powers(p):
+    """The table of the powers of p, kept across calls: a cell's residue
+    is taken modulo one of a few powers, over and over."""
+    table = _POWERS.get(p)
+    if table is None:
+        table = _POWERS[p] = _Powers()
+        table.p = p
+    return table
+
+
 class PadicNumber:
     """A capped-relative p-adic number: see the module docstring.
 

@@ -24,8 +24,9 @@ A series stores its coefficients as integers, after FLINT's ``padic_poly``
 
 One constructor, ``LaurentSeries(p, nrel, base, terms, floors, window,
 tail_free, base_floor)``, takes this form as it is, and one normaliser,
-``_settle``, writes it from cells (exponent, integer over p^base, floor);
-sums and products are settled by the kernel's closing pass.
+``_settle``, writes it from cells (exponent, integer over p^base, floor,
+valuation when known); sums and products are settled by the kernel's
+closing pass.
 ``from_cells`` settles the (val, unit, prec) cells that ``cell`` and
 ``cells`` give.  ``PadicNumber`` is the boundary type: ``from_terms``
 reads it, and ``coefficient``, ``items`` and the read-only ``coeffs``
@@ -53,8 +54,9 @@ recursion sums each coefficient with ``padic.cell_dot``, on cells.
 Negation, scaling, the shifts, the Frobenius and the derivative rewrite
 the integers and exponents.  A series computes its (valuation, min
 valuation, abs floor, support hull) once, when first asked: the valuation
-is base + v_p of the gcd of its cells.  A series is never mutated after
-construction.
+is base + v_p of the gcd of its cells; and its kernel view, with the
+integers its cells are packed into, once, at its first product.  A
+series is never mutated after construction.
 
 Ring membership for the eight series rings is refutation-only: a finite
 truncation can contradict a growth condition but never prove it, so checks
@@ -72,7 +74,7 @@ from typing import Optional
 from .errors import MembershipViolated, NotAUnit, WindowOverflow
 from .kernel import MAX_WIDTH, accumulate, clip_window, product_term, \
     series_term, view
-from .padic import INF, PadicNumber, cell_dot, vp_int
+from .padic import INF, PadicNumber, cell_dot, powers, vp_int
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,7 @@ class MembershipResult:
 
 class LaurentSeries:
     __slots__ = ("p", "nrel", "window", "tail_free", "base_floor", "base",
-                 "terms", "floors", "_stats")
+                 "terms", "floors", "_stats", "_view")
 
     def __init__(self, p, nrel, base, terms, floors, window, tail_free,
                  base_floor):
@@ -173,6 +175,7 @@ class LaurentSeries:
         self.tail_free = tail_free
         self.base_floor = base_floor
         self._stats = None
+        self._view = None       # the kernel's, built at the first product
 
     # -- constructors ----------------------------------------------------
 
@@ -190,10 +193,11 @@ class LaurentSeries:
             tail_free = False
         base = min((c[0] for c in cells.values() if c[0] is not None),
                    default=0)
-        # (e, raw, floor) with p^base * raw known modulo p^floor
-        raws = [(e, 0, v) if unit is None else
+        # (e, raw, floor, valuation) with p^base * raw known modulo p^floor
+        raws = [(e, 0, v, None) if unit is None else
                 (e, unit * p ** (v - base),
-                 v + (prec if prec < nrel else nrel) if prec > 0 else v)
+                 v + (prec if prec < nrel else nrel) if prec > 0 else v,
+                 v if unit % p else None)
                 for e, (v, unit, prec) in cells.items() if v is not None]
         return cls(p, nrel, base, *_settle(p, nrel, base, raws, base_floor),
                    window, tail_free, base_floor)
@@ -350,7 +354,7 @@ class LaurentSeries:
         given), each with its own floor, on ``window``, cut at
         p^base_floor."""
         low, bf, terms = self.low_floors(), self.base_floor, self.terms
-        cells = [(e, raw, low.get(e, bf)) for e, raw in terms.items()
+        cells = [(e, raw, low.get(e, bf), None) for e, raw in terms.items()
                  if keep is None or keep(e, raw)]
         lo, hi = window
         inside = [c for c in cells if lo <= c[0] <= hi]
@@ -438,13 +442,13 @@ class LaurentSeries:
             bf += shift
         if c.unit is None:
             # O(p^k) * p^v unit is O(p^(v + k)), O(p^k) * O(p^f) O(p^(f + k))
-            cells = [(e, 0, (base + vp_int(raw, p) if raw else low[e]) + shift)
-                     for e, raw in self.terms.items()]
+            cells = [(e, 0, (base + vp_int(raw, p) if raw else low[e]) + shift,
+                      None) for e, raw in self.terms.items()]
             cap = nrel
         else:
             unit = c.unit
-            cells = [(e, raw * unit, low.get(e, self.base_floor) + shift)
-                     for e, raw in self.terms.items()]
+            cells = [(e, raw * unit, low.get(e, self.base_floor) + shift,
+                      None) for e, raw in self.terms.items()]
             cap = min(c.prec, nrel)
         return LaurentSeries(p, nrel, base + shift,
                              *_settle(p, nrel, base + shift, cells, bf, cap),
@@ -508,7 +512,7 @@ class LaurentSeries:
         """Termwise u-derivative: sum(j x_j u^(j-1))."""
         p, bf = self.p, self.base_floor
         low = self.low_floors()
-        cells = [(e - 1, raw * e, low.get(e, bf) + vp_int(e, p))
+        cells = [(e - 1, raw * e, low.get(e, bf) + vp_int(e, p), None)
                  for e, raw in self.terms.items() if e]
         window = (self.window[0] - 1, self.window[1] - 1)
         return LaurentSeries(p, self.nrel, self.base,
@@ -636,25 +640,29 @@ class LaurentSeries:
 
 
 def _settle(p, nrel, base, cells, bf, cap=None):
-    """Canonical (terms, floors) of ``cells``, triples (e, raw, floor) with
-    p^base * raw known modulo p^floor (INF: exactly), to at most ``cap``
-    (default nrel) relative digits.  Each cell is cut at p^bf; an exact
-    zero, and a zero at or beyond bf, is dropped.  A nonzero cell keeps its
-    residue in [0, p^(floor - base)), and ``floors`` holds the floor of
-    every cell that is not min(bf, valuation + nrel): every zero, and each
-    cell known to fewer digits."""
+    """Canonical (terms, floors) of ``cells``, tuples (e, raw, floor, val)
+    with p^base * raw known modulo p^floor (INF: exactly), to at most
+    ``cap`` (default nrel) relative digits; val is the valuation of p^base
+    * raw when the caller knows it (a document states it), else None, and
+    v_p is taken here.  Each cell is cut at p^bf; an exact zero, and a
+    zero at or beyond bf, is dropped.  A nonzero cell keeps its residue in
+    [0, p^(floor - base)), and ``floors`` holds the floor of every cell
+    that is not min(bf, valuation + nrel): every zero, and each cell known
+    to fewer digits."""
     cap = nrel if cap is None else cap
     top = INF if bf is None else bf
+    power = powers(p)
     terms, floors = {}, {}
-    for e, raw, f in cells:
+    for e, raw, f, v in cells:
         if raw:
-            v = base + vp_int(raw, p) if not raw % p else base
+            if v is None:
+                v = base + vp_int(raw, p) if not raw % p else base
             if v + cap < f:
                 f = v + cap
             if top < f:
                 f = top
             if f > v:
-                terms[e] = raw % p ** (f - base)
+                terms[e] = raw % power[f - base]
                 if f < v + nrel and f < top:
                     floors[e] = f
                 continue
@@ -667,15 +675,15 @@ def _settle(p, nrel, base, cells, bf, cap=None):
 
 
 def kernel_terms(terms, out_window=None, minus=None):
-    """The kernel terms of ``series_sum(terms, out_window, minus)``; a pair
-    may hold kernel views (``kernel.view``) in place of series."""
+    """The kernel terms of ``series_sum(terms, out_window, minus)``: a pair
+    of series is read through their views, which each series keeps
+    (``kernel.view``)."""
     kterms = []
     try:
         for t in terms:
             if isinstance(t, tuple):
                 a, b = t
-                t = product_term((a if type(a) is tuple else view(a),
-                                  b if type(b) is tuple else view(b)),
+                t = product_term((a._view or view(a), b._view or view(b)),
                                  out_window)
             else:
                 t = series_term(t, 1)

@@ -3,7 +3,8 @@
 One document per file, UTF-8, newline-normalised.  Every document is an
 object with ``format_version`` and ``kind``.  Scalars are decimal strings
 ("p^v*m mod p^N", "0", or "O(p^k)") so no integer-width limits apply;
-series are lists of [exponent, scalar] pairs plus a window; matrices are
+series are lists of [exponent, scalar] pairs plus a window, read in one
+pass when every scalar is spelt as ``cell_text`` writes it; matrices are
 row-major nested lists; ring labels are strings with their certificate.
 
 ``expect_kind`` is the one entry point for a loaded document: it checks
@@ -23,15 +24,16 @@ pure-Python encoder, which took most of the writing time of a report.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import partial
 
 from .errors import ParseError
 from .lfunctions import CharPolyTable
 from .modules import SigmaNablaModule
-from .padic import IntPolynomial, PadicNumber, cell_text, is_prime
+from .padic import IntPolynomial, PadicNumber, cell_text, is_prime, powers
 from .points import average_projector, average_projector_group
-from .series import LaurentSeries, RingLabel
+from .series import LaurentSeries, RingLabel, _settle
 
 FORMAT_VERSION = 1
 
@@ -142,6 +144,11 @@ def _p_nrel(obj):
 
 
 def parse_series_body(p, nrel, obj) -> LaurentSeries:
+    """The series of a body {"window", "terms", "tail_free", "floor"}.  Terms
+    spelt as ``cell_text`` writes them go straight into the integer form
+    (``_read_cells``, then ``_settle``); any other body is read cell by
+    cell (``_scalar_cell``, then ``from_cells``), with the same values,
+    and the same ``ParseError`` for a malformed cell."""
     window = obj["window"]
     floor = obj.get("floor")
     tail_free = obj.get("tail_free", True)
@@ -157,6 +164,12 @@ def parse_series_body(p, nrel, obj) -> LaurentSeries:
         raise ParseError(f"bad series: tail_free must be a boolean, not "
                          f"{tail_free!r}")
     terms = obj["terms"]
+    read = _read_cells(p, nrel, terms, window)
+    if read is not None:
+        base, cells = read
+        return LaurentSeries(p, nrel, base,
+                             *_settle(p, nrel, base, cells, floor),
+                             tuple(window), tail_free, floor)
     cells = {_int(e, "an exponent"): _scalar_cell(p, nrel, c)
              for e, c in terms}
     if len(cells) != len(terms):
@@ -164,6 +177,55 @@ def parse_series_body(p, nrel, obj) -> LaurentSeries:
                          f"{_repeated(e for e, _ in terms)} is listed twice")
     return LaurentSeries.from_cells(p, nrel, cells, tuple(window), tail_free,
                                     floor)
+
+
+# a nonzero cell as ``cell_text`` writes it at the prime {p}, after a
+# newline: p^val * unit known to prec relative digits, each number without
+# padding or a leading zero
+_CELL = r"\n{p}\^(?:0|-?[1-9][0-9]*)\*[1-9][0-9]* mod {p}\^(?:0|-?[1-9][0-9]*)"
+_CELL_RUNS = {}         # p: (pattern of a run of cells, their separators)
+
+
+def _read_cells(p, nrel, terms, window):
+    """(base, cells) of a series' ``terms`` as ``_settle`` takes them, when
+    every term is [exponent, text] with the exponents distinct and in
+    ``window`` and each text a nonzero cell as ``cell_text`` writes it;
+    else None, and the terms are read cell by cell.  The prime is checked
+    once, by one pattern per prime over the joined texts, whose numbers
+    are then the words left between the separators; each cell hands on
+    the valuation it states, which is its own when p does not divide its
+    unit."""
+    try:
+        exps = [e for e, _ in terms]
+        text = "\n" + "\n".join([c for _, c in terms])
+    except (TypeError, ValueError):
+        return None
+    if not exps:
+        return 0, []
+    run = _CELL_RUNS.get(p)
+    if run is None:
+        run = _CELL_RUNS[p] = (re.compile(f"(?:{_CELL.format(p=p)})*"),
+                               f"\n{p}^", f" mod {p}^")
+    pattern, head, mod = run
+    if pattern.fullmatch(text) is None:
+        return None
+    words = text.replace(head, " ").replace(mod, " ").replace("*", " ") \
+        .split()
+    if len(words) != 3 * len(exps) or set(map(type, exps)) != {int} or \
+            len(set(exps)) != len(exps) or \
+            min(exps) < window[0] or max(exps) > window[1]:
+        return None
+    try:
+        nums = list(map(int, words))
+    except ValueError:      # a number too long to convert
+        return None
+    vals = nums[0::3]
+    base = min(vals)
+    power = powers(p)
+    return base, [(e, u * power[v - base],
+                   v + (k if k < nrel else nrel) if k > 0 else v,
+                   v if u % p else None)
+                  for e, v, u, k in zip(exps, vals, nums[1::3], nums[2::3])]
 
 
 def emit_series_matrix(mat, p, nrel):

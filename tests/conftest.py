@@ -53,15 +53,15 @@ def assert_canonical(s):
     the constructor takes unchecked: base is at most every stored floor,
     and each stored residue lies in [0, p^(floor - base)) for its own
     floor, the stored one or min(base_floor, valuation + nrel)."""
-    p, base, bf = s.p, s.base, s.base_floor
-    assert set(s.floors) <= set(s.terms), s.floors
+    p, base, bf, floors = s.p, s.base, s.base_floor, s.floors
+    assert all(e in s.terms for e in floors), floors
     for e, raw in s.terms.items():
-        f = s.floors.get(e)
+        f = floors.get(e)
         if f is None:
             assert raw, (e, s.terms)
-            t = 0
-            while not raw % p ** (t + 1):
-                t += 1
+            r, t = raw, 0
+            while not r % p:
+                r, t = r // p, t + 1
             f = base + t + s.nrel
             if bf is not None and bf < f:
                 f = bf
@@ -570,3 +570,17 @@ class CliRunner:
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+@pytest.fixture(autouse=True)
+def canonical_series(monkeypatch):
+    """Every series a test builds is checked as it is constructed: the
+    constructor takes its integer form unchecked, so ``assert_canonical``
+    runs inside each ``LaurentSeries.__init__``."""
+    init = LaurentSeries.__init__
+
+    def checked(self, *args):
+        init(self, *args)
+        assert_canonical(self)
+
+    monkeypatch.setattr(LaurentSeries, "__init__", checked)

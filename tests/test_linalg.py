@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -16,6 +17,8 @@ from conftest import (
     reference_verdict,
     series,
 )
+from sigma_nabla import kernel, textio
+from sigma_nabla import series as series_module
 from sigma_nabla.errors import SigmaNablaError, WindowOverflow
 from sigma_nabla.factor import matfact_gamma, matfact_robba
 from sigma_nabla.linalg import (
@@ -29,10 +32,13 @@ from sigma_nabla.linalg import (
     smat_mul_add,
     smat_product_agree,
 )
-from sigma_nabla.padic import PadicNumber, UnramifiedField
+from sigma_nabla.kernel import product_term
+from sigma_nabla.modules import check_compat, check_fv
+from sigma_nabla.padic import INF, PadicNumber, UnramifiedField
 from sigma_nabla.series import LaurentSeries, series_sum
 
 P, N = 3, 12
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def plain_det(a):
@@ -399,3 +405,105 @@ def test_mat_inv_sound_against_higher_precision(rng, degree):
         for rl, rh in zip(low, high):
             for x, y in zip(rl, rh):
                 assert x.agrees(y), (ints, x, y)
+
+
+def _form(fn):
+    """The integer forms of the matrix fn returns, or the type and text of
+    the error it raises."""
+    try:
+        return [[(s.p, s.nrel, s.base, s.terms, s.floors, s.window,
+                  s.tail_free, s.base_floor) for s in row] for row in fn()]
+    except (ValueError, SigmaNablaError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_mul_forms_no_product_with_the_tail_free_exact_zero(monkeypatch):
+    # seeded matrices of exact zeros (tail-free and truncated), pure floors,
+    # truncations and polynomials: smat_mul and smat_mul_add equal the fold
+    # over every pair (entry_terms) field for field, windows included, or
+    # raise the same error; a product with the tail-free exact zero is
+    # formed only as the first pair of an entry that has nothing else
+    rng = random.Random(41)
+    zero_products, seen = [], dict(kept_one=0, dropped=0)
+
+    def counting(pair, out_window):
+        zero_products.append(any(v[5] is INF and v[3] for v in pair))
+        return product_term(pair, out_window)
+
+    for trial in range(150):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        nrel = rng.choice((6, 12))
+        a = [[rand_entry(rng, nrel) for _ in range(m)] for _ in range(n)]
+        b = [[rand_entry(rng, nrel) for _ in range(n)] for _ in range(m)]
+        c = [[rand_entry(rng, nrel) for _ in range(n)] for _ in range(n)]
+        out_window = (-6, 6) if trial % 3 == 0 else None
+        want = _form(lambda: [[series_sum(entry_terms(a, b, i, j, None),
+                                          out_window) for j in range(n)]
+                              for i in range(n)])
+        want_add = _form(lambda: [[series_sum(entry_terms(a, b, i, j, c))
+                                   for j in range(n)] for i in range(n)])
+        monkeypatch.setattr(series_module, "product_term", counting)
+        zero_products.clear()
+        got = _form(lambda: smat_mul(a, b, out_window))
+        formed, calls = sum(zero_products), len(zero_products)
+        got_add = _form(lambda: smat_mul_add(a, b, c))
+        monkeypatch.setattr(series_module, "product_term", product_term)
+        assert got == want, trial
+        assert got_add == want_add, trial
+        if isinstance(got, list):
+            # one zero product per entry whose pairs all have one
+            only = sum(all(x.is_exact_zero and x.tail_free or
+                           y.is_exact_zero and y.tail_free
+                           for x, y in zip(row, col))
+                       for row in a for col in zip(*b))
+            assert formed == only, trial
+            seen["kept_one"] += only > 0
+            seen["dropped"] += calls < n * n * m
+    assert min(seen.values()) >= 10, seen
+
+
+def test_mul_with_a_zero_at_another_prime_raises():
+    # the pair that the fold would drop still meets the other prime
+    three = series(3, N, [(0, 1)])
+    five = series(5, N, [(0, 1)])
+    zero3, zero5 = LaurentSeries.zero(3, N), LaurentSeries.zero(5, N)
+    for a, b in (([[three, zero5]], [[three], [three]]),
+                 ([[zero3, five]], [[three], [five]]),
+                 ([[three]], [[zero5]])):
+        with pytest.raises(ValueError, match="mixed primes"):
+            smat_mul(a, b)
+        with pytest.raises(ValueError, match="mixed primes"):
+            smat_mul_add(a, b, [[three]])
+        with pytest.raises(ValueError, match="mixed primes"):
+            smat_product_agree(a, b, [[three]])
+
+
+def test_each_series_keeps_one_view_packed_once_per_width(monkeypatch):
+    s = series(P, N, [(e, 1 + e * e) for e in range(12)])
+    assert kernel.view(s) is kernel.view(s)
+    fresh = []          # (view, slot width) of each fresh pack, kept alive
+    packed = kernel._packed
+
+    def spy(v, size):
+        if size not in v[9]:
+            fresh.append((v, size))
+        return packed(v, size)
+
+    monkeypatch.setattr(kernel, "_packed", spy)
+    # a lone a * a, taken twice, packs its one view once
+    for _ in range(2):
+        s * s
+    assert fresh == [(kernel.view(s), 8)]
+    # the compatibility and FV checks of a rank-3 module read every dense
+    # entry of Phi and B through its one view, packed once per slot width
+    fresh.clear()
+    mod = textio.expect_kind(textio.load_path(
+        os.path.join(FIXTURES, "glue", "m1.json")), "module")
+    assert mod.rank == 3
+    assert check_compat(mod).holds and check_fv(mod).holds
+    assert len(fresh) == len({(id(v), size) for v, size in fresh})
+    dense = [x for mat in (mod.phi, mod.bmat) for row in mat for x in row
+             if len(x.terms) >= kernel.PACK_CELLS]
+    assert len(dense) >= 9
+    for x in dense:
+        assert any(v is kernel.view(x) for v, _ in fresh)

@@ -1096,3 +1096,17 @@ def test_agreement_reports_floor_and_witness():
     pad = padic_series(P, N, {}, a.window, False, 9)
     ok = residual_verdict(a - (a + pad))
     assert ok.holds and ok.floor == 9
+
+
+def test_settle_keeps_at_most_nrel_relative_digits():
+    # an exact cell of valuation 1 with a digit at p^5 keeps nrel = 4
+    # relative digits, p^1 to p^4, whether its valuation is stated or not
+    p, nrel = 3, 4
+    raw = p + p ** 5
+    for val in (None, 1):
+        assert series_mod._settle(p, nrel, 0, [(0, raw, INF, val)], None) \
+            == ({0: p}, {})
+    # a scalar known to 2 digits caps the product's cells at 2 digits
+    s = series(p, 6, [(0, 1 + p ** 2 + p ** 4)])
+    got = s.scale(PadicNumber._make(p, 6, 0, 1, 2))
+    assert (got.terms, got.floors) == ({0: 1}, {0: 2})

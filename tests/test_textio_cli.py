@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -908,3 +909,97 @@ def test_cli_horizontal(runner, tmp_path):
     rep = json.loads(res.output)
     assert rep["degree_achieved"] == 6
     assert not rep["exhausted"]
+
+
+# ---------------------------------------------------------------------------
+# The series reader against the cell-by-cell reading.
+# ---------------------------------------------------------------------------
+
+
+def reference_series_body(p, nrel, obj):
+    """The cell-by-cell reading of a series body whose window, floor and
+    tail_free are well formed: ``from_cells`` on ``_scalar_cell``
+    readings."""
+    terms = obj["terms"]
+    cells = {textio._int(e, "an exponent"): textio._scalar_cell(p, nrel, c)
+             for e, c in terms}
+    if len(cells) != len(terms):
+        raise textio.ParseError(
+            f"bad series: exponent "
+            f"{textio._repeated(e for e, _ in terms)} is listed twice")
+    return LaurentSeries.from_cells(p, nrel, cells, tuple(obj["window"]),
+                                    obj.get("tail_free", True),
+                                    obj.get("floor"))
+
+
+def _reading(read, p, nrel, obj):
+    """The integer form ``read`` gives, or its exception's type and text."""
+    try:
+        s = read(p, nrel, obj)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return (s.p, s.nrel, s.base, s.terms, s.floors, s.window, s.tail_free,
+            s.base_floor)
+
+
+def _draw_cell(rng, p, nrel, odd):
+    """A cell text as ``cell_text`` writes it, or with ``odd`` now and then
+    in a spelling the reader must hand on cell by cell."""
+    val = rng.randint(-3, 6)
+    unit = rng.randrange(1, p ** 6)
+    if rng.random() < 0.2:
+        unit *= p                       # a unit divisible by p
+    prec = rng.choice([rng.randint(1, nrel), rng.randint(-2, 0),
+                       nrel + rng.randint(1, 3)])
+    text = f"{p}^{val}*{unit} mod {p}^{prec}"
+    kind = rng.random() if odd else 1
+    if kind < 0.04:
+        return "0"
+    if kind < 0.08:
+        return f"O({p}^{val})"
+    if kind < 0.10:
+        return f" {text} "
+    if kind < 0.12:
+        return f"{p}^{val:03d}*0{unit} mod {p}^0{prec}"
+    return text
+
+
+def _malformed(rng, p, nrel):
+    """A term that no reading accepts, in one of the ways a document can
+    hold one."""
+    good = f"{p}^1*2 mod {p}^{nrel}"
+    return rng.choice([
+        [0, f"7^1*2 mod {p}^{nrel}"], [0, f"{p}^1*2 mod 7^{nrel}"],
+        [0, f"{p}^x*2 mod {p}^{nrel}"], [0, f"{p}^1*2.5 mod {p}^{nrel}"],
+        [0, ""], [0, f"{p}^1 mod"], [0, 5], [0, None], [0, [good]],
+        [0, f"{p}^1*{'1' * 5000} mod {p}^{nrel}"],
+        ["0", good], [True, good], [0.5, good], [0, good, 1], [0],
+        "ab", f"{p}^1*2 mod {p}^{nrel}\n{good}"])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_series_reader_gives_the_cell_by_cell_integer_form(p):
+    rng = random.Random(p)
+    fast = 0
+    for draw in range(600):
+        nrel = rng.randint(1, 12)
+        odd = rng.random() < 0.5
+        exps = rng.sample(range(-8, 9), rng.randint(0, 10))
+        terms = [[e, _draw_cell(rng, p, nrel, odd)] for e in exps]
+        if terms and odd and rng.random() < 0.2:
+            terms.append([rng.choice(exps), _draw_cell(rng, p, nrel, odd)])
+        # a window that holds every exponent, or one that may cut some
+        lo = -8 if rng.random() < 0.5 else rng.randint(-10, 3)
+        obj = {"window": [lo, lo + rng.randint(3, 20)], "terms": terms,
+               "tail_free": rng.random() < 0.7}
+        if rng.random() < 0.4:
+            obj["floor"] = rng.randint(-2, 10)
+        if rng.random() < 0.1:
+            obj["terms"] = terms + [_malformed(rng, p, nrel)]
+        got = _reading(textio.parse_series_body, p, nrel, obj)
+        assert got == _reading(reference_series_body, p, nrel, obj), \
+            (draw, obj)
+        fast += textio._read_cells(p, nrel, obj["terms"],
+                                   obj["window"]) is not None
+    # both readings are exercised
+    assert 100 <= fast <= 500, fast
