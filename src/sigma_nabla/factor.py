@@ -213,7 +213,9 @@ def matfact_gamma(x) -> GammaFactorization:
     truncated, so Z has no tail and no floor; each entry c / p^den is
     written in canonical form from the integers, as the cell (v_p(c) - den,
     c / p^v_p(c)) that ``from_cells`` settles.  ``smat_product_agree``
-    checks A * Z = X over Z's nonzero entries only.
+    checks A * Z = X over Z's nonzero entries only, each A entry weighted
+    by its exact constant (``kernel.constant_term``): no product with Z is
+    formed.
     """
     n = _square(x, "factorization")
     p = x[0][0].p

@@ -15,7 +15,10 @@ hull and cells, which each series builds once and keeps, with the
 integers its cells were packed into, for every product it joins.  The
 tail-free exact zero is the identity of every fold (``accumulate`` drops
 it, keeping one when all terms are) and zero times anything; a truncated
-exact zero, and a product with it, are zero on their windows only.
+exact zero, and a product with it, are zero on their windows only.  A
+product s * c with an exact constant c = p^m * unit (``constant_term``)
+is s weighted by the unit and moved by p^m, on the product's window,
+each cell at its own floor moved by m: a series term, not a product.
 
 A term is a tuple (p, nrel, window, tail_free, floor, base, digits, lo, hi,
 whole, cells, factor, low, dense): the series p^base * (cells convolved
@@ -203,6 +206,32 @@ def product_term(pair, out_window):
             floor - mva - mvb, lo if lo > flo else flo,
             hi if hi < fhi else fhi, whole, cells_a, cells_b, None,
             pair if dense else None)
+
+
+def constant_term(s, c):
+    """The kernel's term for ``s * c``, c an exact constant: tail-free, no
+    floor, one unit cell p^m * unit at exponent 0, at s's prime and at
+    least s's nrel.  It is ``series_term(s, unit)`` moved by m: s's cells
+    weighted by c's unit, its base, base floor and low floors raised by m,
+    each cell at its own floor, on the window (and tail-free flag) that
+    ``product_term`` gives.  An s with no nonzero cell, a c with none (the
+    tail-free exact zero of an entry's one kept pair) and a window that
+    cuts s's cells leave the product to ``product_term``."""
+    val, _, _, hull, _ = s._stats or s.summary()
+    if val is not None and c.terms:
+        # the window of _window_of_product, c tail-free with hull (0, 0)
+        lo, hi = window = ((s.window[0] + c.window[0], s.window[1]
+                            + c.window[1]) if s.tail_free else s.window)
+        if hi - lo >= MAX_WIDTH:
+            lo, hi = clip_window(window, hull, MAX_WIDTH)
+        if lo <= hull[0] and hull[1] <= hi:
+            m, bf = c.base, s.base_floor
+            low = s.low_floors()
+            return (s.p, s.nrel, (lo, hi), s.tail_free,
+                    INF if bf is None else bf + m, s.base + m, s.nrel,
+                    hull[0], hull[1], True, s.terms.items(), c.terms[0],
+                    {e: f + m for e, f in low.items()} if m else low, None)
+    return product_term((view(s), view(c)), None)
 
 
 def series_term(s, weight):

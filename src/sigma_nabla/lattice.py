@@ -115,15 +115,15 @@ def lattice_smith(a) -> SmithForm:
         radius = max((max(-h[0], h[1]) for h in hulls), default=0)
         margin = (radius + 1) * (nrel + 1)
     work = (lo - margin, hi + margin)
-    one = LaurentSeries.one(p, nrel, work)
 
     def dot(pairs):
-        # a sum of products as a surrogate on the working window: the cells
-        # a product has outside it are the dropped terms the margin bounds
+        # a sum of series and products as a surrogate on the working
+        # window: the cells a product has outside it are the dropped terms
+        # the margin bounds
         return series_dot(pairs, work).on_window(work)
 
     def plus(x, pairs):
-        return dot([(one, x)] + pairs)
+        return dot([x] + pairs)
 
     mat = [[s.on_window(work) for s in row] for row in a]
     # left: L and the transpose of L^-1; right: R^T and R^-1; L A R = mat

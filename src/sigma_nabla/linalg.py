@@ -9,7 +9,10 @@ tail-free exact zero is not formed.  ``smat_det`` and ``smat_inv`` share
 one cofactor memo.  ``smat_product_agree`` checks A * B = X without
 building A * B, and ``smat_agree`` checks A = B: one kernel fold per
 entry, whose verdict is read from the folded integers; only a failing
-entry's residual series is built, for its witness.  The scalar helpers
+entry's residual series is built, for its witness.  When B is exact
+constants (a constant-Z factorization), each a_ik * b_kj enters the fold
+as a_ik weighted and moved by b_kj (``kernel.constant_term``), with
+a_ik's own floors, and no product is formed.  The scalar helpers
 take rational (int or Fraction), PadicNumber or UnramifiedScalar entries
 and read the ring from the entries themselves; ``mat_inv`` is the one
 Gauss-Jordan elimination over scalars.
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 from .errors import SingularInput
 from .padic import INF, PadicNumber, UnramifiedScalar
-from .kernel import accumulate
+from .kernel import MAX_WIDTH, accumulate, constant_term, series_term
 from .series import (AgreementVerdict, LaurentSeries, kernel_terms,
                      residual_verdict, series_dot, series_sum)
 
@@ -129,7 +132,19 @@ def smat_product_agree(a, b, x, out_window=None,
     of a * b + plus with each product on ``out_window``, with no product
     built: each residual sum a_ik * b_kj (+ plus_ij) - x_ij is one kernel
     fold over the pairs that ``smat_mul`` folds, exact because the kernel
-    replays the left fold of ``+``."""
+    replays the left fold of ``+``.  Without ``out_window`` and ``plus``,
+    and with b exact constants (``_constant_pairs``), each a_ik enters
+    weighted by b_kj (``kernel.constant_term``), its cells at their own
+    floors where a product's share a_ik's worst: on X = A * B the verdict
+    is the product fold's, and on any X it refutes whatever that fold
+    refutes."""
+    rows = (_constant_pairs(a, b) if plus is None and out_window is None
+            else None)
+    if rows is not None:
+        return _matrix_verdict(
+            ([constant_term(s, c) for s, c in pairs] + [series_term(y, -1)]
+             for pairs, y in zip(row, xrow))
+            for row, xrow in zip(rows, x))
     rows = _product_pairs(a, b)
     if plus is None:
         return _matrix_verdict(
@@ -140,6 +155,49 @@ def smat_product_agree(a, b, x, out_window=None,
         (kernel_terms(pairs + [z], out_window, y)
          for pairs, z, y in zip(row, zrow, xrow))
         for row, zrow, xrow in zip(rows, plus, x))
+
+
+def _constant_pairs(a, b):
+    """``_product_pairs(a, b)`` when every entry of b that is not the
+    tail-free exact zero is an exact constant (``kernel.constant_term``)
+    at a's prime and at least a's nrel, each column of b holds one, and
+    every entry of a is at that prime, its support hull within
+    ``MAX_WIDTH`` exponents, so that no term of a * b raises; else
+    None."""
+    if not a or not b or len(a[0]) != len(b):
+        return None
+    p = a[0][0].p
+    nrel = 0
+    nonzero = []
+    for row in a:
+        for s in row:
+            hull = (s._stats or s.summary())[3]
+            if s.p != p or hull and hull[1] - hull[0] >= MAX_WIDTH:
+                return None
+            if s.nrel > nrel:
+                nrel = s.nrel
+        nonzero.append([s.terms or s.base_floor is not None or not s.tail_free
+                        for s in row])
+    cols = []
+    for col in zip(*b):
+        ks = []
+        for k, c in enumerate(col):
+            terms = c.terms
+            if c.p != p:
+                return None
+            if terms:
+                if (len(terms) != 1 or c.floors or not c.tail_free
+                        or c.base_floor is not None or c.nrel < nrel
+                        or not terms.get(0, 0) % p):
+                    return None
+                ks.append(k)
+            elif c.base_floor is not None or not c.tail_free:
+                return None
+        if not ks:
+            return None
+        cols.append((col, ks))
+    return [[[(row[k], col[k]) for k in ks if nz[k]] or [(row[0], col[0])]
+             for col, ks in cols] for row, nz in zip(a, nonzero)]
 
 
 def _matrix_verdict(residuals):

@@ -72,8 +72,8 @@ from types import MappingProxyType
 from typing import Optional
 
 from .errors import MembershipViolated, NotAUnit, WindowOverflow
-from .kernel import MAX_WIDTH, accumulate, clip_window, product_term, \
-    series_term, view
+from .kernel import MAX_WIDTH, ZERO_WINDOW, accumulate, clip_window, \
+    product_term, series_term, view
 from .padic import INF, PadicNumber, cell_dot, powers, vp_int
 
 
@@ -222,11 +222,21 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, p, nrel, window=None):
-        return cls.from_terms(p, nrel, [], window)
+        """The tail-free exact zero on ``window`` (default ``ZERO_WINDOW``),
+        written as ``from_terms`` settles it."""
+        window = ZERO_WINDOW if window is None else (int(window[0]),
+                                                      int(window[1]))
+        return cls(p, nrel, 0, {}, {}, window, True, None)
 
     @classmethod
     def one(cls, p, nrel, window=None):
-        return cls.from_terms(p, nrel, [(0, 1)], window)
+        """1 on ``window`` (default ``ZERO_WINDOW``), nrel >= 1, written as
+        ``from_terms`` settles it: on a window without 0 the empty series,
+        which is not tail-free."""
+        window = ZERO_WINDOW if window is None else (int(window[0]),
+                                                      int(window[1]))
+        terms = {0: 1} if window[0] <= 0 <= window[1] else {}
+        return cls(p, nrel, 0, terms, {}, window, bool(terms), None)
 
     @classmethod
     def monomial(cls, p, nrel, value, exponent):

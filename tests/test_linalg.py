@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from conftest import (
     reference_verdict,
     series,
 )
-from sigma_nabla import kernel, textio
+from sigma_nabla import kernel, linalg, textio
 from sigma_nabla import series as series_module
 from sigma_nabla.errors import SigmaNablaError, WindowOverflow
 from sigma_nabla.factor import matfact_gamma, matfact_robba
@@ -221,37 +222,37 @@ def verdict_outcome(fn):
         return type(exc).__name__, str(exc)
 
 
-def rand_entry(rng, nrel):
+def rand_entry(rng, nrel, p=P):
     """An exact zero, a pure floor O(p^f), a truncation (inexact zeros and
     cells known to few digits among its cells) or a polynomial, whose
-    cells each keep their own floor, below any uniform one."""
+    cells each keep their own floor, below any uniform one, at prime p."""
     kind = rng.choice(("zero", "floor", "truncated", "truncated",
                        "polynomial", "polynomial"))
     if kind == "zero":
-        return padic_series(P, nrel, {}, (-rng.randint(0, 6),
+        return padic_series(p, nrel, {}, (-rng.randint(0, 6),
                                           rng.randint(0, 6)),
                             rng.random() < 0.5, None)
     if kind == "floor":
-        return padic_series(P, nrel, {}, (-rng.randint(0, 8),
+        return padic_series(p, nrel, {}, (-rng.randint(0, 8),
                                           rng.randint(0, 8)),
                             False, rng.randint(0, 8))
     cells = {}
     for _ in range(rng.randint(1, 4)):
         e = rng.randint(-4, 4)
         if rng.random() < 0.15:
-            cells[e] = PadicNumber.inexact_zero(P, nrel, rng.randint(0, 6))
+            cells[e] = PadicNumber.inexact_zero(p, nrel, rng.randint(0, 6))
             continue
         prec = nrel if rng.random() < 0.6 else rng.randint(1, nrel)
-        unit = rng.randrange(1, P ** prec)
-        while unit % P == 0:
-            unit = rng.randrange(1, P ** prec)
-        cells[e] = PadicNumber._make(P, nrel, rng.randint(0, 3), unit, prec)
+        unit = rng.randrange(1, p ** prec)
+        while unit % p == 0:
+            unit = rng.randrange(1, p ** prec)
+        cells[e] = PadicNumber._make(p, nrel, rng.randint(0, 3), unit, prec)
     lo, hi = min(cells), max(cells)
     if kind == "truncated":
-        return padic_series(P, nrel, cells, (lo - rng.randint(8, 14),
+        return padic_series(p, nrel, cells, (lo - rng.randint(8, 14),
                                              hi + rng.randint(8, 14)),
                             False, rng.randint(3, 12))
-    return padic_series(P, nrel, cells, (lo - rng.randint(0, 2),
+    return padic_series(p, nrel, cells, (lo - rng.randint(0, 2),
                                          hi + rng.randint(0, 2)), True,
                         None)
 
@@ -334,6 +335,178 @@ def test_product_agree_reads_the_verdict_of_each_residual():
         assert smat_agree(built, x) == reference_verdict(
             [[s - t for s, t in zip(rs, rt)] for rs, rt in zip(built, x)])
     assert min(seen.values()) >= 10, seen
+
+
+def product_fold(a, b, x, out_window=None):
+    """smat_product_agree's verdict with every pair a kernel product: the
+    pairs of ``_product_pairs``, ``series.kernel_terms`` and
+    ``_matrix_verdict``, or the type and text of the error it raises."""
+    return verdict_outcome(lambda: linalg._matrix_verdict(
+        (series_module.kernel_terms(pairs, out_window, y)
+         for pairs, y in zip(row, xrow))
+        for row, xrow in zip(linalg._product_pairs(a, b), x)))
+
+
+def exact_constants(rng, p, nrel, k, m):
+    """Z = zint / p^den as series, den in 0..2, about a third of its
+    entries the exact zero and one nonzero entry in each column."""
+    den = rng.randint(0, 2)
+    zint = [[rng.choice((0, rng.randint(-40, 40))) for _ in range(m)]
+            for _ in range(k)]
+    for j in range(m):
+        if not any(row[j] for row in zint):
+            zint[rng.randrange(k)][j] = rng.randint(1, 40)
+    return [[series(p, nrel, [(0, Fraction(c, p ** den))]) if c else
+             LaurentSeries.zero(p, nrel) for c in row] for row in zint]
+
+
+def test_product_agree_weights_a_by_exact_constants(monkeypatch):
+    # seeded A with truncated, tail-free, exact-zero and inexact-zero
+    # entries at p = 3 and 5, at nrel 6 or 10, and exact Z = zint / p^den
+    # at the larger nrel: against X = A * Z, as built or with one cell
+    # moved, the constant path's verdict equals the product fold's field
+    # for field, or both raise the same error.  It forms a product only
+    # for a pair whose A entry has no nonzero cell, or the one pair kept
+    # of an entry whose pairs all hold the tail-free exact zero.  Against
+    # an X drawn apart from A and Z, each cell is read at its own floor
+    # rather than at A's worst one: the constant path refutes whatever the
+    # fold refutes, at the same entry or an earlier one; where both hold
+    # its floor is at least the fold's; and a tail-free residual widens to
+    # at least the cells the fold widens to, since a cell that survives
+    # the uniform floor survives its own
+    rng = random.Random(43)
+    products = []
+
+    def counting(pair, out_window):
+        products.append(pair)
+        return product_term(pair, out_window)
+
+    seen = dict(holds=0, fails=0, zero_products=0, finer=0)
+    for trial in range(400):
+        p = (3, 5)[trial % 2]
+        nrel = rng.choice((6, 10))
+        n, k, m = (rng.randint(1, 3) for _ in range(3))
+        a = [[rand_entry(rng, rng.choice((6, nrel)), p) for _ in range(k)]
+             for _ in range(n)]
+        z = exact_constants(rng, p, nrel, k, m)
+        mode = trial % 3
+        if mode == 2:
+            x = [[rand_entry(rng, nrel, p) for _ in range(m)]
+                 for _ in range(n)]
+        else:
+            try:
+                x = smat_mul(a, z)
+            except WindowOverflow:
+                continue
+            if mode == 1:
+                i, j = rng.randrange(n), rng.randrange(m)
+                s = x[i][j]
+                e = rng.choice(sorted(s.terms) or [0])
+                x[i][j] = s + LaurentSeries.monomial(
+                    p, s.nrel, p ** rng.randint(0, 12), e)
+        want = product_fold(a, z, x)
+        monkeypatch.setattr(kernel, "product_term", counting)
+        products.clear()
+        got = verdict_outcome(lambda: smat_product_agree(a, z, x))
+        monkeypatch.setattr(kernel, "product_term", product_term)
+        if isinstance(got, tuple) or mode < 2:
+            assert got == want, (trial, want, got)
+        else:
+            assert not isinstance(want, tuple), trial
+            if want.holds:
+                assert not got.holds or (
+                    INF if got.floor is None else got.floor) >= (
+                    INF if want.floor is None else want.floor), trial
+            else:
+                assert not got.holds and got.position <= want.position, \
+                    trial
+            if got.position == want.position:
+                assert got.window[0] <= want.window[0] <= want.window[1] \
+                    <= got.window[1], trial
+            seen["finer"] += got != want
+        if isinstance(got, tuple):
+            continue
+        seen["holds" if got.holds else "fails"] += 1
+        # every entry's terms are formed before the scan: one product per
+        # pair whose A entry has no nonzero cell or whose Z entry is the
+        # exact zero (an entry's one kept pair)
+        formed = sum(s.valuation() is None or not c.terms
+                     for row in linalg._product_pairs(a, z) for pairs in row
+                     for s, c in pairs)
+        assert len(products) == formed, trial
+        seen["zero_products"] += formed > 0
+    assert min(seen.values()) >= 10, seen
+    # a truncation ahead of a polynomial whose cell lies outside its
+    # window: the fold is truncated from its first term on, so it does not
+    # widen to that cell
+    cut = padic_series(P, 6, {0: PadicNumber.from_int(P, 6, 1)}, (-2, 2),
+                       False, 4)
+    a = [[cut, series(P, 6, [(5, 1)])]]
+    z = [[series(P, 6, [(0, 1)])], [series(P, 6, [(0, 1)])]]
+    x = [[series(P, 6, [(0, 1), (5, 1)])]]
+    got = smat_product_agree(a, z, x)
+    assert got == product_fold(a, z, x) and got.window == (-2, 2)
+
+
+def test_product_agree_keeps_the_product_fold_off_exact_constants(
+        monkeypatch):
+    # a Z entry with a floor, an all-zero column, a constant below A's
+    # nrel, a constant off exponent 0, an out_window or a plus: every pair
+    # is formed as a kernel product, and the verdict is the product fold's
+    rng = random.Random(47)
+    products = []
+
+    def counting(pair, out_window):
+        products.append(pair)
+        return product_term(pair, out_window)
+
+    def floored(z):
+        z[0][0] = z[0][0].widen_floor(8)
+
+    def zero_column(z):
+        for row in z:
+            row[0] = LaurentSeries.zero(P, N)
+
+    def lower_nrel(z):
+        z[0][0] = series(P, N - 1, [(0, 7)])
+
+    def off_zero(z):
+        z[0][0] = series(P, N, [(1, 7)])
+
+    y0, _ = rand_gamma_invertible(rng, P, N, 2)
+    z0 = exact_constants(rng, P, N, 2, 2)
+    z0[0][0] = series(P, N, [(0, 5)])
+    plus = smat_deriv(y0)
+    for change, out_window, add in ((floored, None, None),
+                                    (zero_column, None, None),
+                                    (lower_nrel, None, None),
+                                    (off_zero, None, None),
+                                    (None, (-6, 6), None),
+                                    (None, None, plus)):
+        z = [row[:] for row in z0]
+        if change is not None:
+            change(z)
+        if add is None:
+            x = smat_mul(y0, z)
+            want = product_fold(y0, z, x, out_window)
+        else:
+            x = smat_mul_add(y0, z, add)
+            want = reference_product_agree(y0, z, x, plus=add)[0]
+        monkeypatch.setattr(series_module, "product_term", counting)
+        monkeypatch.setattr(kernel, "product_term", counting)
+        products.clear()
+        got = smat_product_agree(y0, z, x, out_window, add)
+        monkeypatch.setattr(series_module, "product_term", product_term)
+        monkeypatch.setattr(kernel, "product_term", product_term)
+        assert got == want and got.holds, change
+        assert len(products) == sum(
+            len(pairs) for row in linalg._product_pairs(y0, z)
+            for pairs in row), change
+    # the same Z without the change takes the constant path
+    products.clear()
+    monkeypatch.setattr(kernel, "product_term", counting)
+    assert smat_product_agree(y0, z0, smat_mul(y0, z0)).holds
+    assert not products
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +642,9 @@ def test_mul_with_a_zero_at_another_prime_raises():
     zero3, zero5 = LaurentSeries.zero(3, N), LaurentSeries.zero(5, N)
     for a, b in (([[three, zero5]], [[three], [three]]),
                  ([[zero3, five]], [[three], [five]]),
-                 ([[three]], [[zero5]])):
+                 ([[three]], [[zero5]]),
+                 ([[three, three]], [[three], [zero5]]),
+                 ([[three, three]], [[three], [five]])):
         with pytest.raises(ValueError, match="mixed primes"):
             smat_mul(a, b)
         with pytest.raises(ValueError, match="mixed primes"):

@@ -539,6 +539,24 @@ def test_from_cells_normalises_hand_written_cells(cells, base_floor, want):
     assert_rebuilds(s)
 
 
+def test_zero_and_one_are_the_from_terms_forms():
+    # written directly, each is the series from_terms settles, field for
+    # field: on the default window, on windows with 0 (a list among them)
+    # and on windows without it, where 1 is the empty truncation
+    seen = set()
+    for p, nrel in ((3, 12), (5, 1), (2, 7)):
+        for window in (None, (-3, 5), [0, 0], (0, 300), (2, 9), (-9, -1)):
+            for make, terms in ((LaurentSeries.zero, []),
+                                (LaurentSeries.one, [(0, 1)])):
+                got = make(p, nrel, window)
+                want = LaurentSeries.from_terms(p, nrel, terms, window)
+                assert (got.p, *integer_form(got)) == \
+                    (want.p, *integer_form(want)), (p, nrel, window, terms)
+                assert all(type(e) is int for e in got.window)
+                seen.add((bool(terms), got.tail_free))
+    assert seen == {(False, True), (True, True), (True, False)}
+
+
 def rand_dense(rng, nrel, lo):
     """An exact Laurent polynomial dense enough to be packed: 16 to 24
     cells from exponent ``lo`` on fewer than twice as many exponents, on a
