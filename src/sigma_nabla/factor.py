@@ -122,12 +122,6 @@ def _mod_p_rows(readings, n):
     return rows, all(exact for row in readings for _, exact in row)
 
 
-def _mod_p_reduction(a, p):
-    """A mod p (``_mod_p_rows``), every entry read once."""
-    return _mod_p_rows([[_mod_p_entry(s, p) for s in row] for row in a],
-                       len(a[0]))
-
-
 def _fp_pivots(system, p, n):
     """Gauss-Jordan over F_p on the length-n rows ``system``: {pivot
     column: reduced row}, each reduced row 1 at its own pivot column and 0
@@ -154,8 +148,8 @@ def _fp_pivots(system, p, n):
 
 def _mod_p_kernel(rows, p, n):
     """A constant vector c over F_p with A c = 0 mod p, or None, from the
-    ``rows`` of ``_mod_p_reduction``: one linear condition per (row,
-    exponent) pair."""
+    ``rows`` of ``_mod_p_rows``: one linear condition per (row, exponent)
+    pair."""
     pivots = _fp_pivots(rows.values(), p, n)
     free = [c for c in range(n) if c not in pivots]
     if not free:

@@ -10,15 +10,14 @@ running sum) are replayed.  It reads a series' integer form (``base``,
 summary) and returns one, which ``series`` wraps; or, for the residual
 of an agreement check, only its verdict, read from the folded integers,
 so that a residual that holds is never built as a series.  A product
-reads its operands through their views (``view``): summary, window,
-hull and cells, which each series builds once and keeps, with the
-integers its cells were packed into, for every product it joins.  The
-tail-free exact zero is the identity of every fold (``accumulate`` drops
-it, keeping one when all terms are) and zero times anything; a truncated
-exact zero, and a product with it, are zero on their windows only.  A
-product s * c with an exact constant c = p^m * unit (``constant_term``)
-is s weighted by the unit and moved by p^m, on the product's window,
-each cell at its own floor moved by m: a series term, not a product.
+reads its two series as they are: their fields and the summary each
+computes once.  The tail-free exact zero is the identity of every fold
+(``accumulate`` drops it, keeping one when all terms are) and zero times
+anything; a truncated exact zero, and a product with it, are zero on
+their windows only.  A product s * c with an exact constant c = p^m *
+unit (``constant_term``) is s weighted by the unit and moved by p^m, on
+the product's window, each cell at its own floor moved by m: a series
+term, not a product.
 
 A term is a tuple (p, nrel, window, tail_free, floor, base, digits, lo, hi,
 whole, cells, factor, low, dense): the series p^base * (cells convolved
@@ -31,18 +30,19 @@ floors, as a weight divisible by p should: callers pass units.
 ``digits`` bounds the relative digits any cell may claim; where it
 exceeds nrel, each cell is capped at its valuation + nrel.  ``whole``
 when the cell range holds the whole convolution.  ``dense`` is the pair
-of operand views of a whole product whose operands are both dense
+of operands of a whole product whose operands are both dense
 (``PACK_CELLS``, ``PACK_SPAN``), else None.
 
 A dense product is one product of two integers (Kronecker substitution,
 as in Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symb. Comp. 44, 2009).  The first dense product that
-reads a view packs its cells into one integer, a little-endian slot of
-whole bytes (at least 8) per exponent of its hull, and the view keeps it.
-A fold takes one slot width, wide enough for the sum of all its dense
-products, each times its base shift.  Cells are canonical residues,
-hence never negative, so no slot borrows from the next and each holds an
-exact sum.  The fold adds its dense products into one pending integer
+reads a series at a slot width packs its cells into one integer, a
+little-endian slot of that many whole bytes (at least 8) per exponent of
+its hull, and the series keeps it in its pack cache.  A fold takes one
+slot width, wide enough for the sum of all its dense products, each
+times its base shift.  Cells are canonical residues, hence never
+negative, so no slot borrows from the next and each holds an exact
+sum.  The fold adds its dense products into one pending integer
 and unpacks that into its cells only where a step reads them: before an
 nrel cap, before the scan for surviving keys, and before the final pass.
 A dense product that must first be looked at on its own cells (capped,
@@ -90,41 +90,25 @@ def clip_window(window, hull, width):
 ZERO_WINDOW = clip_window((-INF, INF), (0, 0), MAX_WIDTH)
 
 
-def view(s):
-    """The kernel's view of series ``s`` as a factor of a product: (p,
-    nrel, window, tail_free, base, min valuation, abs floor, support hull,
-    nonzero cells, pack cache).  It is built once per series, at the first
-    product that reads it, and kept on the series, so every product of s
-    reads one summary and one pack cache; its cells are the summary's
-    own, not a copy.  The pack cache starts empty: the first dense product
-    that reads the view fills it (``_cell_bits``, ``_packed``), so a view
-    that takes part in no dense product is never packed."""
-    v = s._view
-    if v is None:
-        _, mv, fl, hull, cells = s.summary()
-        v = s._view = (s.p, s.nrel, s.window, s.tail_free, s.base, mv, fl,
-                       hull or (0, 0), cells, {})
-    return v
+def _cell_bits(s):
+    """The bit length of series ``s``'s largest cell, cached under key 0 of
+    its pack cache, which the first dense product that reads s makes."""
+    cache = s._packs
+    if cache is None:
+        cache = s._packs = {0: max(r for _, r in s._stats[4]).bit_length()}
+    return cache[0]
 
 
-def _cell_bits(v):
-    """The bit length of view ``v``'s largest cell, cached under key 0."""
-    cache = v[9]
-    bits = cache.get(0)
-    if bits is None:
-        bits = cache[0] = max(r for _, r in v[8]).bit_length()
-    return bits
-
-
-def _packed(v, size):
-    """View ``v``'s cells as one integer, a little-endian slot of ``size``
-    bytes per exponent of its hull, cached under key ``size``."""
-    cache = v[9]
+def _packed(s, size):
+    """Series ``s``'s cells as one integer, a little-endian slot of
+    ``size`` bytes per exponent of its hull, cached under key ``size`` of
+    the pack cache that ``_cell_bits`` made."""
+    cache = s._packs
     x = cache.get(size)
     if x is None:
-        lo, hi = v[7]
+        _, _, _, (lo, hi), cells = s._stats
         slots = [bytes(size)] * (hi - lo + 1)
-        for e, r in v[8]:
+        for e, r in cells:
             slots[e - lo] = r.to_bytes(size, "little")
         x = cache[size] = int.from_bytes(b"".join(slots), "little")
     return x
@@ -165,22 +149,26 @@ def _unpack(x, size, out, start):
 
 
 def product_term(pair, out_window):
-    """The kernel's term for ``a * b``, given the pair of views (``view``)
-    of a and b.  Given ``out_window``, the product is exact on it: its
-    window is the provable window within ``out_window``, uncapped.
-    Otherwise the provable window is cut to ``MAX_WIDTH`` exponents around
-    the product's support.  A product with the tail-free exact zero is
-    that zero on ``out_window`` or ``ZERO_WINDOW``, and never raises."""
-    (p, na, wa, tfa, basea, mva, fla, ha, cells_a, _), \
-        (pb, nb, wb, tfb, baseb, mvb, flb, hb, cells_b, _) = pair
-    if pb != p:
+    """The kernel's term for ``a * b``, given the pair of series (a, b).
+    Given ``out_window``, the product is exact on it: its window is the
+    provable window within ``out_window``, uncapped.  Otherwise the
+    provable window is cut to ``MAX_WIDTH`` exponents around the product's
+    support.  A product with the tail-free exact zero is that zero on
+    ``out_window`` or ``ZERO_WINDOW``, and never raises."""
+    a, b = pair
+    p = a.p
+    if b.p != p:
         raise ValueError("mixed primes")
-    nrel = na if na < nb else nb
+    nrel = a.nrel if a.nrel < b.nrel else b.nrel
+    tfa, tfb = a.tail_free, b.tail_free
+    _, mva, fla, ha, cells_a = a._stats or a.summary()
+    _, mvb, flb, hb, cells_b = b._stats or b.summary()
     # only the exact zero has no (min valuation, abs floor)
     if mva is INF and tfa or mvb is INF and tfb:
         return (p, nrel, out_window or ZERO_WINDOW, True, INF, 0, 0, 1, 0,
                 True, (), (), None, None)
-    window = _window_of_product(wa, tfa, ha, wb, tfb, hb)
+    ha, hb = ha or (0, 0), hb or (0, 0)
+    window = _window_of_product(a.window, tfa, ha, b.window, tfb, hb)
     if mva is INF or mvb is INF:    # a truncated exact zero
         window = (clip_window(window, (0, 0), MAX_WIDTH)
                   if out_window is None else _clamp(window, out_window))
@@ -202,7 +190,7 @@ def product_term(pair, out_window):
              and hb[1] - hb[0] + 1 < PACK_SPAN * kb)
     if ka > kb:
         cells_a, cells_b = cells_b, cells_a
-    return (p, nrel, (lo, hi), tfa and tfb and whole, floor, basea + baseb,
+    return (p, nrel, (lo, hi), tfa and tfb and whole, floor, a.base + b.base,
             floor - mva - mvb, lo if lo > flo else flo,
             hi if hi < fhi else fhi, whole, cells_a, cells_b, None,
             pair if dense else None)
@@ -231,11 +219,11 @@ def constant_term(s, c):
                     INF if bf is None else bf + m, s.base + m, s.nrel,
                     hull[0], hull[1], True, s.terms.items(), c.terms[0],
                     {e: f + m for e, f in low.items()} if m else low, None)
-    return product_term((view(s), view(c)), None)
+    return product_term((s, c), None)
 
 
 def series_term(s, weight):
-    """The kernel's view of ``weight * s``: +1 or -1 in a sum, a unit mod
+    """The kernel's term for ``weight * s``: +1 or -1 in a sum, a unit mod
     p in a weighted fold.  It keeps the floors of ``s``, which a weight
     divisible by p would raise, so callers pass units."""
     terms, bf = s.terms, s.base_floor

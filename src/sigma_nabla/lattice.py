@@ -57,20 +57,21 @@ def _transpose(mat):
     return [list(col) for col in zip(*mat)]
 
 
-def _swap_and_clear(mat, fwd, inv_t, step, k, col, v, plus):
+def _swap_and_clear(mat, fwd, inv_t, step, k, col, v, dot):
     """Swap rows ``step`` and ``k``, then clear column ``col`` of ``mat``
     below the pivot mat[step][col] = p^v with multiples of row ``step``.
     ``fwd`` takes the same row operations; ``inv_t``, the transpose of
-    fwd's inverse, takes the inverse ones on its rows."""
+    fwd's inverse, takes the inverse ones on its rows; ``dot`` sums each
+    new entry's series and products."""
     for x in (mat, fwd, inv_t):
         x[step], x[k] = x[k], x[step]
     cs = [(i, mat[i][col].shift_val(-v)) for i in range(step + 1, len(mat))
           if not mat[i][col].is_zero_at_precision]
     for i, c in cs:
         for x in (mat, fwd):
-            x[i] = [plus(y, [(-c, z)]) for y, z in zip(x[i], x[step])]
+            x[i] = [dot([y, (-c, z)]) for y, z in zip(x[i], x[step])]
     if cs:
-        inv_t[step] = [plus(y, [(c, inv_t[i][j]) for i, c in cs])
+        inv_t[step] = [dot([y] + [(c, inv_t[i][j]) for i, c in cs])
                        for j, y in enumerate(inv_t[step])]
 
 
@@ -122,9 +123,6 @@ def lattice_smith(a) -> SmithForm:
         # the margin bounds
         return series_dot(pairs, work).on_window(work)
 
-    def plus(x, pairs):
-        return dot([x] + pairs)
-
     mat = [[s.on_window(work) for s in row] for row in a]
     # left: L and the transpose of L^-1; right: R^T and R^-1; L A R = mat
     left = (smat_identity(n, p, nrel, work), smat_identity(n, p, nrel, work))
@@ -146,9 +144,9 @@ def lattice_smith(a) -> SmithForm:
         for x in (mat, left[0]):
             x[bi] = [dot([(y, unit_inv)]) for y in x[bi]]
         left[1][bi] = [dot([(y, unit)]) for y in left[1][bi]]
-        _swap_and_clear(mat, *left, step, bi, bj, v, plus)
+        _swap_and_clear(mat, *left, step, bi, bj, v, dot)
         mat_t = _transpose(mat)
-        _swap_and_clear(mat_t, *right, step, bj, step, v, plus)
+        _swap_and_clear(mat_t, *right, step, bj, step, v, dot)
         mat = _transpose(mat_t)
         exponents.append(v)
 

@@ -2,20 +2,21 @@
 
 Matrices are lists of lists (row major).  The series products take the
 kernel's window rules (an output window, else the cap) and pass series
-to the kernel, which reads each through the one view the series keeps
-(``kernel.view``), packed into one integer at the first dense product
-that reads it and kept for every later one; a product with the
-tail-free exact zero is not formed.  ``smat_det`` and ``smat_inv`` share
+to the kernel as they are.  One walk over A's rows and B's columns
+(``_product_pairs``) builds the pairs of every product and product
+check: it forms no product with the tail-free exact zero, and says
+whether B is exact constants.  ``smat_det`` and ``smat_inv`` share
 one cofactor memo.  ``smat_product_agree`` checks A * B = X without
 building A * B, and ``smat_agree`` checks A = B: one kernel fold per
 entry, whose verdict is read from the folded integers; only a failing
-entry's residual series is built, for its witness.  When B is exact
-constants (a constant-Z factorization), each a_ik * b_kj enters the fold
-as a_ik weighted and moved by b_kj (``kernel.constant_term``), with
-a_ik's own floors, and no product is formed.  The scalar helpers
-take rational (int or Fraction), PadicNumber or UnramifiedScalar entries
-and read the ring from the entries themselves; ``mat_inv`` is the one
-Gauss-Jordan elimination over scalars.
+entry's residual series is built, for its witness.  Both refuse
+matrices of different shapes.  When B is exact constants (a constant-Z
+factorization), each a_ik * b_kj enters the fold as a_ik weighted and
+moved by b_kj (``kernel.constant_term``), with a_ik's own floors, and no
+product is formed.  The scalar helpers take rational (int or Fraction),
+PadicNumber or UnramifiedScalar entries and read the ring from the
+entries themselves; ``mat_inv`` is the one Gauss-Jordan elimination over
+scalars.
 """
 
 from __future__ import annotations
@@ -51,45 +52,72 @@ def smat_add(a, b):
 
 def smat_mul(a, b, out_window=None):
     return [[series_dot(pairs, out_window) for pairs in row]
-            for row in _product_pairs(a, b)]
+            for row in _product_pairs(a, b)[0]]
 
 
 def smat_mul_add(a, b, c):
     """a * b + c, each entry summed by one ``series_sum``."""
     return [[series_sum(pairs + [z]) for pairs, z in zip(row, crow)]
-            for row, crow in zip(_product_pairs(a, b), c)]
+            for row, crow in zip(_product_pairs(a, b)[0], c)]
 
 
 def _product_pairs(a, b):
-    """The rows of a * b, each entry the list of pairs (a_ik, b_kj) that
-    its kernel fold keeps: a pair with the tail-free exact zero is left
-    out, as ``accumulate`` drops its term, but for the first pair of an
-    entry that has nothing else, as the fold keeps its first zero term.
-    Entries at more than one prime keep every pair, so that a fold raises
-    "mixed primes" where it would have."""
+    """(rows, constant): the rows of a * b, each entry the list of pairs
+    (a_ik, b_kj) that its kernel fold keeps, and whether each pair may
+    enter it as ``kernel.constant_term``.  A pair with the tail-free exact
+    zero is left out, as ``accumulate`` drops its term, but for the first
+    pair of an entry that has nothing else, as the fold keeps its first
+    zero term.  Entries at more than one prime keep every pair, so that a
+    fold raises "mixed primes" where it would have.  ``constant`` when
+    every entry of b that is not the tail-free exact zero is an exact
+    constant at a's prime and at least a's nrel, each column of b holds
+    one, and every entry of a is at that prime, its support hull within
+    ``MAX_WIDTH`` exponents, so that no term of a * b raises."""
     if smat_shape(a)[1] != smat_shape(b)[0]:
         raise ValueError("shape mismatch")
-    cols = list(zip(*b))
-    p = a[0][0].p if cols else None
-    if any(s.p != p for m in (a, cols) for line in m for s in line):
-        return [[list(zip(row, col)) for col in cols] for row in a]
-    cols = [(col, _nonzero(col)) for col in cols]
+    p = a[0][0].p if a and b else None
+    constant, mixed, low, high = bool(b), False, INF, 0
+    cols = []           # (column, its k with a kept entry; None: every k)
+    for col in zip(*b):
+        ks = []
+        for k, c in enumerate(col):
+            terms = c.terms
+            if c.p != p:
+                mixed = True
+            if terms or c.base_floor is not None or not c.tail_free:
+                ks.append(k)
+                if constant and (len(terms) != 1 or c.floors
+                                 or not c.tail_free
+                                 or c.base_floor is not None
+                                 or not terms.get(0, 0) % p):
+                    constant = False
+                elif c.nrel < low:
+                    low = c.nrel
+        if not ks:
+            constant = False
+        cols.append((col, None if len(ks) == len(col) else ks))
+    every = range(len(b))
     rows = []
     for row in a:
-        rk = _nonzero(row)
-        # a line with no zero reads the other line's flags twice
-        rows.append([list(zip(row, col)) if rk is ck is None else
-                     [pair for pair, x, y in zip(zip(row, col), rk or ck,
-                                                 ck or rk) if x and y]
-                     or [(row[0], col[0])] for col, ck in cols])
-    return rows
-
-
-def _nonzero(line):
-    """Which entries of ``line`` are not the tail-free exact zero; None
-    when none is."""
-    flags = [not (s.is_exact_zero and s.tail_free) for s in line]
-    return None if all(flags) else flags
+        kept = []
+        for s in row:
+            if s.p != p:
+                mixed = True
+            kept.append(s.terms or s.base_floor is not None
+                        or not s.tail_free)
+            if constant:
+                hull = (s._stats or s.summary())[3]
+                if hull and hull[1] - hull[0] >= MAX_WIDTH:
+                    constant = False
+                if s.nrel > high:
+                    high = s.nrel
+        whole = all(kept)
+        rows.append([list(zip(row, col)) if whole and ks is None else
+                     [(row[k], col[k]) for k in (every if ks is None else ks)
+                      if kept[k]] or [(row[0], col[0])] for col, ks in cols])
+    if mixed:
+        return [[list(zip(row, col)) for col, _ in cols] for row in a], False
+    return rows, constant and low >= high
 
 
 def smat_honest(a, window, floor):
@@ -121,6 +149,7 @@ def smat_agree(a, b) -> AgreementVerdict:
     """Entrywise agreement at precision; reports the worst finding, and on
     failure the (row, column) of the first entry that disagrees.  Every
     difference is formed first, so one that cannot be formed raises."""
+    _same_shape(a, b)
     return _matrix_verdict((kernel_terms((x,), minus=y)
                             for x, y in zip(ra, rb))
                            for ra, rb in zip(a, b))
@@ -133,71 +162,32 @@ def smat_product_agree(a, b, x, out_window=None,
     built: each residual sum a_ik * b_kj (+ plus_ij) - x_ij is one kernel
     fold over the pairs that ``smat_mul`` folds, exact because the kernel
     replays the left fold of ``+``.  Without ``out_window`` and ``plus``,
-    and with b exact constants (``_constant_pairs``), each a_ik enters
+    and with b exact constants (``_product_pairs``), each a_ik enters
     weighted by b_kj (``kernel.constant_term``), its cells at their own
     floors where a product's share a_ik's worst: on X = A * B the verdict
     is the product fold's, and on any X it refutes whatever that fold
     refutes."""
-    rows = (_constant_pairs(a, b) if plus is None and out_window is None
-            else None)
-    if rows is not None:
+    rows, constant = _product_pairs(a, b)
+    _same_shape(rows, x)
+    if plus is not None:
+        _same_shape(rows, plus)
+        return _matrix_verdict(
+            (kernel_terms(pairs + [z], out_window, y)
+             for pairs, z, y in zip(row, zrow, xrow))
+            for row, zrow, xrow in zip(rows, plus, x))
+    if constant and out_window is None:
         return _matrix_verdict(
             ([constant_term(s, c) for s, c in pairs] + [series_term(y, -1)]
              for pairs, y in zip(row, xrow))
             for row, xrow in zip(rows, x))
-    rows = _product_pairs(a, b)
-    if plus is None:
-        return _matrix_verdict(
-            (kernel_terms(pairs, out_window, y)
-             for pairs, y in zip(row, xrow))
-            for row, xrow in zip(rows, x))
     return _matrix_verdict(
-        (kernel_terms(pairs + [z], out_window, y)
-         for pairs, z, y in zip(row, zrow, xrow))
-        for row, zrow, xrow in zip(rows, plus, x))
+        (kernel_terms(pairs, out_window, y) for pairs, y in zip(row, xrow))
+        for row, xrow in zip(rows, x))
 
 
-def _constant_pairs(a, b):
-    """``_product_pairs(a, b)`` when every entry of b that is not the
-    tail-free exact zero is an exact constant (``kernel.constant_term``)
-    at a's prime and at least a's nrel, each column of b holds one, and
-    every entry of a is at that prime, its support hull within
-    ``MAX_WIDTH`` exponents, so that no term of a * b raises; else
-    None."""
-    if not a or not b or len(a[0]) != len(b):
-        return None
-    p = a[0][0].p
-    nrel = 0
-    nonzero = []
-    for row in a:
-        for s in row:
-            hull = (s._stats or s.summary())[3]
-            if s.p != p or hull and hull[1] - hull[0] >= MAX_WIDTH:
-                return None
-            if s.nrel > nrel:
-                nrel = s.nrel
-        nonzero.append([s.terms or s.base_floor is not None or not s.tail_free
-                        for s in row])
-    cols = []
-    for col in zip(*b):
-        ks = []
-        for k, c in enumerate(col):
-            terms = c.terms
-            if c.p != p:
-                return None
-            if terms:
-                if (len(terms) != 1 or c.floors or not c.tail_free
-                        or c.base_floor is not None or c.nrel < nrel
-                        or not terms.get(0, 0) % p):
-                    return None
-                ks.append(k)
-            elif c.base_floor is not None or not c.tail_free:
-                return None
-        if not ks:
-            return None
-        cols.append((col, ks))
-    return [[[(row[k], col[k]) for k in ks if nz[k]] or [(row[0], col[0])]
-             for col, ks in cols] for row, nz in zip(a, nonzero)]
+def _same_shape(a, b):
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        raise ValueError("shape mismatch")
 
 
 def _matrix_verdict(residuals):
@@ -361,6 +351,7 @@ def _dot(xs, ys):
 def mat_agree(a, b):
     """Entrywise: rational entries are equal, p-adic ones are not provably
     different."""
+    _same_shape(a, b)
     return all(x == y if _coords(x) is None else x.agrees(y)
                for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 

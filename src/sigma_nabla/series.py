@@ -54,9 +54,9 @@ recursion sums each coefficient with ``padic.cell_dot``, on cells.
 Negation, scaling, the shifts, the Frobenius and the derivative rewrite
 the integers and exponents.  A series computes its (valuation, min
 valuation, abs floor, support hull) once, when first asked: the valuation
-is base + v_p of the gcd of its cells; and its kernel view, with the
-integers its cells are packed into, once, at its first product.  A
-series is never mutated after construction.
+is base + v_p of the gcd of its cells; and the integer its cells are
+packed into, once per slot width, at its first dense product.  A series
+is never mutated after construction.
 
 Ring membership for the eight series rings is refutation-only: a finite
 truncation can contradict a growth condition but never prove it, so checks
@@ -73,7 +73,7 @@ from typing import Optional
 
 from .errors import MembershipViolated, NotAUnit, WindowOverflow
 from .kernel import MAX_WIDTH, ZERO_WINDOW, accumulate, clip_window, \
-    product_term, series_term, view
+    product_term, series_term
 from .padic import INF, PadicNumber, cell_dot, powers, vp_int
 
 
@@ -159,7 +159,7 @@ class MembershipResult:
 
 class LaurentSeries:
     __slots__ = ("p", "nrel", "window", "tail_free", "base_floor", "base",
-                 "terms", "floors", "_stats", "_view")
+                 "terms", "floors", "_stats", "_packs")
 
     def __init__(self, p, nrel, base, terms, floors, window, tail_free,
                  base_floor):
@@ -175,7 +175,7 @@ class LaurentSeries:
         self.tail_free = tail_free
         self.base_floor = base_floor
         self._stats = None
-        self._view = None       # the kernel's, built at the first product
+        self._packs = None      # made at the first dense product
 
     # -- constructors ----------------------------------------------------
 
@@ -686,18 +686,12 @@ def _settle(p, nrel, base, cells, bf, cap=None):
 
 def kernel_terms(terms, out_window=None, minus=None):
     """The kernel terms of ``series_sum(terms, out_window, minus)``: a pair
-    of series is read through their views, which each series keeps
-    (``kernel.view``)."""
+    of series is passed to ``kernel.product_term`` as it is."""
     kterms = []
     try:
         for t in terms:
-            if isinstance(t, tuple):
-                a, b = t
-                t = product_term((a._view or view(a), b._view or view(b)),
-                                 out_window)
-            else:
-                t = series_term(t, 1)
-            kterms.append(t)
+            kterms.append(product_term(t, out_window)
+                          if isinstance(t, tuple) else series_term(t, 1))
     except WindowOverflow:
         # the fold forms each product at its own step, so its steps
         # before the first product that overflows raise first

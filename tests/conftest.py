@@ -16,6 +16,7 @@ from typing import Optional
 
 import pytest
 
+from sigma_nabla.kernel import MAX_WIDTH
 from sigma_nabla.linalg import smat_identity, smat_mul
 from sigma_nabla.padic import INF, PadicNumber
 from sigma_nabla.series import (
@@ -174,6 +175,51 @@ def reference_product_agree(a, b, x, out_window=None, plus=None):
                              minus=x[i][j]) for j in range(len(x[0]))]
                  for i in range(len(x))]
     return reference_verdict(residuals), residuals
+
+
+def tail_free_zero(s):
+    return s.is_exact_zero and s.tail_free
+
+
+def reference_pairs(a, b):
+    """The pairs of a * b that each entry's kernel fold keeps: every pair
+    when a and b are not all at one prime, else the pairs without the
+    tail-free exact zero, or the first pair when no other is left."""
+    cols = list(zip(*b))
+    if len({s.p for m in (a, cols) for line in m for s in line}) > 1:
+        return [[list(zip(row, col)) for col in cols] for row in a]
+    return [[[(x, y) for x, y in zip(row, col)
+              if not tail_free_zero(x) and not tail_free_zero(y)]
+             or [(row[0], col[0])] for col in cols] for row in a]
+
+
+def takes_constant_path(a, b):
+    """Whether ``smat_product_agree(a, b, x)`` weights a by b's exact
+    constants (``kernel.constant_term``): a and b are not empty, every
+    entry of a is at a's prime p with a support hull of at most
+    ``MAX_WIDTH`` exponents, and every entry of b is at p and is either
+    the tail-free exact zero or an exact constant (tail-free, no floor,
+    one cell, a unit at exponent 0) of at least a's largest nrel, each
+    column of b holding a constant."""
+    if not a or not b:
+        return False
+    p = a[0][0].p
+    entries = [s for row in a for s in row]
+    if any(s.p != p or s.support_hull
+           and s.support_hull[1] - s.support_hull[0] >= MAX_WIDTH
+           for s in entries):
+        return False
+    nrel = max(s.nrel for s in entries)
+
+    def constant(c):
+        return (c.tail_free and c.base_floor is None and not c.floors
+                and list(c.terms) == [0] and c.terms[0] % p != 0
+                and c.nrel >= nrel)
+
+    return all(all(c.p == p and (tail_free_zero(c) or constant(c))
+                   for c in col)
+               and not all(tail_free_zero(c) for c in col)
+               for col in zip(*b))
 
 
 # ---------------------------------------------------------------------------

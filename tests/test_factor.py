@@ -31,8 +31,9 @@ from sigma_nabla.errors import (
 from sigma_nabla.factor import (
     _col_min_valuation,
     _det_valuation,
+    _mod_p_entry,
     _mod_p_kernel,
-    _mod_p_reduction,
+    _mod_p_rows,
     _row_leading_invertible,
     descend_to_eplus,
     glue_dieudonne,
@@ -54,6 +55,12 @@ from sigma_nabla.series import LaurentSeries, RingLabel, membership, series_sum
 
 P, N = 3, 12
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+
+def _mod_p_reduction(a, p):
+    """A mod p (``_mod_p_rows``), every entry read once."""
+    return _mod_p_rows([[_mod_p_entry(s, p) for s in row] for row in a],
+                       len(a[0]))
 
 
 def S(terms, **kw):

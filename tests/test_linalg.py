@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,15 +15,18 @@ from conftest import (
     rand_gamma_invertible,
     rand_robba_regime_x,
     rand_series,
+    reference_pairs,
     reference_product_agree,
     reference_verdict,
     series,
+    takes_constant_path,
 )
 from sigma_nabla import kernel, linalg, textio
 from sigma_nabla import series as series_module
 from sigma_nabla.errors import SigmaNablaError, WindowOverflow
 from sigma_nabla.factor import matfact_gamma, matfact_robba
 from sigma_nabla.linalg import (
+    mat_agree,
     mat_inv,
     smat_add,
     smat_agree,
@@ -33,7 +37,7 @@ from sigma_nabla.linalg import (
     smat_mul_add,
     smat_product_agree,
 )
-from sigma_nabla.kernel import product_term
+from sigma_nabla.kernel import MAX_WIDTH, product_term
 from sigma_nabla.modules import check_compat, check_fv
 from sigma_nabla.padic import INF, PadicNumber, UnramifiedField
 from sigma_nabla.series import LaurentSeries, series_sum
@@ -126,6 +130,30 @@ def test_det_of_triangular_matrix_is_diagonal_product():
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         smat_det([[series(P, N, [(0, 1)]), series(P, N, [(0, 1)])]])
+
+
+def test_agreement_checks_refuse_a_shape_mismatch():
+    # every check refuses matrices whose shapes differ rather than zip
+    # away the entries one of them lacks: X with a row or a column that
+    # A * B lacks, an empty X (no entry would claim an exact verdict), B
+    # with a column or a row that A lacks, plus with a column too many or
+    # a row too few, and scalar matrices that differ in a row or a column
+    one, two = series(P, N, [(0, 1)]), series(P, N, [(0, 2)])
+    for check in (
+            lambda: smat_product_agree([[one, one]], [[one], [one]],
+                                       [[two], [one]]),
+            lambda: smat_product_agree([[one]], [[one]], []),
+            lambda: smat_product_agree([[one]], [[one]], [[one, one]]),
+            lambda: smat_agree([[one]], [[one, two]]),
+            lambda: smat_agree([[one], [one]], [[one]]),
+            lambda: smat_product_agree([[one]], [[one]], [[two]],
+                                       plus=[[one, one]]),
+            lambda: smat_product_agree([[one], [one]], [[one]],
+                                       [[two], [two]], plus=[[one]]),
+            lambda: mat_agree([[1]], [[1, 2]]),
+            lambda: mat_agree([[1], [2]], [[1]])):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            check()
 
 
 def test_agree_reports_failing_position():
@@ -344,7 +372,7 @@ def product_fold(a, b, x, out_window=None):
     return verdict_outcome(lambda: linalg._matrix_verdict(
         (series_module.kernel_terms(pairs, out_window, y)
          for pairs, y in zip(row, xrow))
-        for row, xrow in zip(linalg._product_pairs(a, b), x)))
+        for row, xrow in zip(linalg._product_pairs(a, b)[0], x)))
 
 
 def exact_constants(rng, p, nrel, k, m):
@@ -431,7 +459,7 @@ def test_product_agree_weights_a_by_exact_constants(monkeypatch):
         # pair whose A entry has no nonzero cell or whose Z entry is the
         # exact zero (an entry's one kept pair)
         formed = sum(s.valuation() is None or not c.terms
-                     for row in linalg._product_pairs(a, z) for pairs in row
+                     for row in linalg._product_pairs(a, z)[0] for pairs in row
                      for s, c in pairs)
         assert len(products) == formed, trial
         seen["zero_products"] += formed > 0
@@ -500,7 +528,7 @@ def test_product_agree_keeps_the_product_fold_off_exact_constants(
         monkeypatch.setattr(kernel, "product_term", product_term)
         assert got == want and got.holds, change
         assert len(products) == sum(
-            len(pairs) for row in linalg._product_pairs(y0, z)
+            len(pairs) for row in linalg._product_pairs(y0, z)[0]
             for pairs in row), change
     # the same Z without the change takes the constant path
     products.clear()
@@ -600,7 +628,8 @@ def test_mul_forms_no_product_with_the_tail_free_exact_zero(monkeypatch):
     zero_products, seen = [], dict(kept_one=0, dropped=0)
 
     def counting(pair, out_window):
-        zero_products.append(any(v[5] is INF and v[3] for v in pair))
+        zero_products.append(any(s.is_exact_zero and s.tail_free
+                                 for s in pair))
         return product_term(pair, out_window)
 
     for trial in range(150):
@@ -635,6 +664,56 @@ def test_mul_forms_no_product_with_the_tail_free_exact_zero(monkeypatch):
     assert min(seen.values()) >= 10, seen
 
 
+def test_one_pair_builder_keeps_the_fold_s_pairs_and_flags_constants():
+    # seeded A (rand_entry) against B of exact constants and tail-free
+    # exact zeros, at p = 3 or 5, with one change or none: a B or an A
+    # entry at the other prime, an all-zero column of B, a constant with
+    # a floor, one below A's nrel, one off exponent 0, a truncated one, or
+    # an A entry whose hull spans MAX_WIDTH or more exponents (or one
+    # fewer).  The builder keeps the reference's pairs, and flags the
+    # constant path exactly when the reference predicate holds
+    rng = random.Random(53)
+    seen = Counter()
+    kinds = ("none", "prime_b", "prime_a", "zero_column", "floor",
+             "lower_nrel", "off_zero", "truncated", "wide", "narrow")
+    for trial in range(600):
+        p, q = ((3, 5), (5, 3))[trial % 2]
+        nrel = rng.choice((6, 10))
+        n, k, m = (rng.randint(1, 3) for _ in range(3))
+        a = [[rand_entry(rng, rng.choice((6, nrel)), p) for _ in range(k)]
+             for _ in range(n)]
+        b = exact_constants(rng, p, nrel, k, m)
+        kind = kinds[trial % len(kinds)]
+        i, j = rng.randrange(k), rng.randrange(m)
+        if kind == "prime_b":
+            b[i][j] = series(q, nrel, [(0, 1)])
+        elif kind == "prime_a":
+            a[rng.randrange(n)][i] = series(q, nrel, [(0, 1)])
+        elif kind == "zero_column":
+            for row in b:
+                row[j] = LaurentSeries.zero(p, nrel)
+        elif kind == "floor":
+            b[i][j] = b[i][j].widen_floor(rng.randint(1, nrel))
+        elif kind == "lower_nrel":
+            b[i][j] = series(p, max(s.nrel for row in a for s in row) - 1,
+                             [(0, 7)])
+        elif kind == "off_zero":
+            b[i][j] = series(p, nrel, [(rng.choice((-1, 1)), 7)])
+        elif kind == "truncated":
+            b[i][j] = b[i][j].on_window(b[i][j].window, False)
+        elif kind in ("wide", "narrow"):
+            top = (MAX_WIDTH - 1 if kind == "narrow"
+                   else MAX_WIDTH + rng.randint(0, 2))
+            a[rng.randrange(n)][i] = series(p, nrel, [(0, 1), (top, 2)],
+                                            (-2, top + 2))
+        rows, constant = linalg._product_pairs(a, b)
+        assert rows == reference_pairs(a, b), trial
+        assert constant == takes_constant_path(a, b), trial
+        seen[kind, constant] += 1
+    for kind in kinds:
+        assert seen[kind, kind in ("none", "narrow")] == 60, (kind, seen)
+
+
 def test_mul_with_a_zero_at_another_prime_raises():
     # the pair that the fold would drop still meets the other prime
     three = series(3, N, [(0, 1)])
@@ -653,32 +732,32 @@ def test_mul_with_a_zero_at_another_prime_raises():
             smat_product_agree(a, b, [[three]])
 
 
-def test_each_series_keeps_one_view_packed_once_per_width(monkeypatch):
+def test_each_series_is_packed_once_per_width(monkeypatch):
     s = series(P, N, [(e, 1 + e * e) for e in range(12)])
-    assert kernel.view(s) is kernel.view(s)
-    fresh = []          # (view, slot width) of each fresh pack, kept alive
+    assert s._packs is None
+    fresh = []          # (series, slot width) of each fresh pack, kept alive
     packed = kernel._packed
 
-    def spy(v, size):
-        if size not in v[9]:
-            fresh.append((v, size))
-        return packed(v, size)
+    def spy(x, size):
+        if size not in x._packs:
+            fresh.append((x, size))
+        return packed(x, size)
 
     monkeypatch.setattr(kernel, "_packed", spy)
-    # a lone a * a, taken twice, packs its one view once
+    # a lone a * a, taken twice, packs its one series once
     for _ in range(2):
         s * s
-    assert fresh == [(kernel.view(s), 8)]
-    # the compatibility and FV checks of a rank-3 module read every dense
-    # entry of Phi and B through its one view, packed once per slot width
+    assert len(fresh) == 1 and fresh[0][0] is s and fresh[0][1] == 8
+    # the compatibility and FV checks of a rank-3 module pack every dense
+    # entry of Phi and B itself, not a copy, once per slot width
     fresh.clear()
     mod = textio.expect_kind(textio.load_path(
         os.path.join(FIXTURES, "glue", "m1.json")), "module")
     assert mod.rank == 3
     assert check_compat(mod).holds and check_fv(mod).holds
-    assert len(fresh) == len({(id(v), size) for v, size in fresh})
+    assert len(fresh) == len({(id(x), size) for x, size in fresh})
     dense = [x for mat in (mod.phi, mod.bmat) for row in mat for x in row
              if len(x.terms) >= kernel.PACK_CELLS]
     assert len(dense) >= 9
     for x in dense:
-        assert any(v is kernel.view(x) for v, _ in fresh)
+        assert any(y is x for y, _ in fresh)

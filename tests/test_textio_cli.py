@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CliRunner, rand_series, series
-from sigma_nabla import factor, textio
+from sigma_nabla import factor, kernel, textio
+from sigma_nabla import series as series_module
 from sigma_nabla.cli import main
+from sigma_nabla.kernel import product_term
 from sigma_nabla.lfunctions import CharPolyTable
 from sigma_nabla.modules import SigmaNablaModule
 from sigma_nabla.padic import IntPolynomial, PadicNumber
@@ -288,6 +290,41 @@ def test_cli_check_product_agrees_with_the_gamma_product_floor(runner,
     assert res.exit_code == 0
     report = json.loads(fixture_bytes(golden, "report.json"))
     assert json.loads(res.output)["floor"] == report["product_floor"]
+
+
+@pytest.mark.parametrize("golden", ["factor_gamma", "factor_gamma_p5"])
+def test_cli_check_product_on_a_floored_gamma_z_folds_products(
+        runner, tmp_path, monkeypatch, golden):
+    # the golden's Z reads back as exact constants, which weight Y with no
+    # product formed; a copy with every floor null set to 1000 is no longer
+    # exact, so every pair of Y * Z is a kernel product, and the report
+    # must be the same byte for byte
+    paths = [os.path.join(FIXTURES, golden, name)
+             for name in ("Y.json", "Z.json", "x.json")]
+    text = fixture_bytes(golden, "Z.json").decode()
+    assert '"floor": null' in text
+    floored = tmp_path / "Z.json"
+    floored.write_text(text.replace('"floor": null', '"floor": 1000'))
+    products = []
+
+    def counting(pair, out_window):
+        products.append(pair)
+        return product_term(pair, out_window)
+
+    monkeypatch.setattr(kernel, "product_term", counting)
+    monkeypatch.setattr(series_module, "product_term", counting)
+    outputs, counts = [], []
+    for z in (paths[1], str(floored)):
+        products.clear()
+        res = runner.invoke(main, ["check-product", paths[0], z, paths[2]])
+        assert res.exit_code == 0
+        outputs.append(res.stdout_bytes)
+        counts.append(len(products))
+    n = len(json.loads(fixture_bytes(golden, "x.json"))["entries"])
+    assert counts == [0, n ** 3]
+    assert outputs[0] == outputs[1]
+    report = json.loads(fixture_bytes(golden, "report.json"))
+    assert json.loads(outputs[0])["floor"] == report["product_floor"]
 
 
 @pytest.mark.parametrize("command, inputs", [
