@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Optional
 
-from .padic import IntPolynomial, exact_rational, horner
+from .padic import IntPolynomial, exact_rational
 from .points import PurityVerdict, purity_check
 
 
@@ -240,32 +240,18 @@ def trace_formula_check(table: CharPolyTable, place, cohomology,
 
 
 def pole_order_at(poly: IntPolynomial, q, d) -> int:
-    """Multiplicity of the root t = q^-d, by exact synthetic division."""
+    """Multiplicity of the root t = q^-d, by exact synthetic division by
+    1 - a t, a = q^d: the last value a division accumulates is a^n
+    poly(1/a), so the first nonzero remainder ends the count."""
+    if poly.is_zero:
+        return 0
     a = q ** d if d >= 0 else Fraction(1, q ** -d)
-    order = 0
-    current = poly
-    while not current.is_zero and _has_root(current, a):
+    order, coeffs = 0, poly.coeffs
+    while True:
+        *coeffs, remainder = accumulate(coeffs, lambda acc, c: c + a * acc)
+        if remainder:
+            return order
         order += 1
-        current = _deflate(current, a)
-    return order
-
-
-def _has_root(poly: IntPolynomial, a):
-    """poly(1/a) == 0, tested as a^n poly(1/a) = sum c_k a^(n-k) == 0."""
-    return horner(poly.coeffs[::-1], a) == 0
-
-
-def _deflate(poly: IntPolynomial, a):
-    """Exact quotient by (1 - a t), assuming t = 1/a is a root."""
-    out = []
-    prev = 0
-    for c in poly.coeffs:
-        prev = c + a * prev
-        out.append(prev)
-    # the last accumulated value must be zero exactly
-    if out[-1] != 0:
-        raise ArithmeticError("deflation of a non-root")
-    return IntPolynomial(out[:-1])
 
 
 @dataclass

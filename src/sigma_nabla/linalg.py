@@ -47,6 +47,7 @@ def smat_identity(n, p, nrel, window=None):
 
 
 def smat_add(a, b):
+    _same_shape(a, b)
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
@@ -57,8 +58,10 @@ def smat_mul(a, b, out_window=None):
 
 def smat_mul_add(a, b, c):
     """a * b + c, each entry summed by one ``series_sum``."""
+    rows = _product_pairs(a, b)[0]
+    _same_shape(rows, c)
     return [[series_sum(pairs + [z]) for pairs, z in zip(row, crow)]
-            for row, crow in zip(_product_pairs(a, b)[0], c)]
+            for row, crow in zip(rows, c)]
 
 
 def _product_pairs(a, b):
@@ -336,6 +339,8 @@ def mat_identity(n, like):
 
 
 def mat_mul(a, b):
+    if smat_shape(a)[1] != len(b):
+        raise ValueError("shape mismatch")
     cols = list(zip(*b))
     return [[_dot(row, col) for col in cols] for row in a]
 

@@ -539,23 +539,33 @@ class LaurentSeries:
         has valuation 0 after removing the p-power content.
 
         After normalising to 1 + g, every term g_e u^e with e < 0 has
-        valuation v_e >= 1; r = min v_e/|e| is its decay rate.  A neglected
-        term of the Neumann expansion reaches the target only through
-        minus terms whose exponents sum past the pad, so it has valuation
-        at least r * pad: a pad of ceil((nrel + 1)/r) (at most the
-        depth * (nrel + 1) that r >= 1/depth gives) puts it beyond the
-        working precision.  The result is verified by multiplying it back
-        onto the input's stored terms, exactly on the padded target, so
-        the check's window does not shrink as more digits widen the
-        inverse's support.
+        valuation v_e >= 1; r = min v_e/|e| is its decay rate.  With h the
+        inverse of 1 + g_plus and x = -g_minus h, the inverse is the
+        Neumann sum h * sum_j x^j.  Its partial sum over j < 2^k is the
+        product h (1 + x)(1 + x^2)...(1 + x^(2^(k-1))): k squarings of x,
+        each followed by one partial product r + r x^(2^i), until the
+        square x^(2^k) has min valuation above nrel, at most
+        ceil(log2(nrel + 1)) + 1 squarings.  x is integral, so every x^j
+        with j >= 2^k lies beyond the working precision.  Each square and
+        partial product is computed on the working window, the target
+        padded by ``pad`` on both sides.  A contribution it drops is still
+        a product of minus terms, plus terms and h: it left the window
+        below, so the minus terms already in it sum past -pad, or above,
+        so the minus terms that bring it back to the target do.  Either
+        way it has valuation at least r * pad, and a pad of
+        ceil((nrel + 1)/r) (at most the depth * (nrel + 1) that r >=
+        1/depth gives) puts it beyond the working precision.  The result
+        is verified by multiplying it back onto the input's stored terms,
+        exactly on the padded target, so the check's window does not
+        shrink as more digits widen the inverse's support.
 
-        The inverse h of 1 + g_plus is computed only modulo p^nrel: g is
-        integral, so a cell of h of valuation >= nrel changes no later
-        cell below p^nrel.  Every Neumann product multiplies h by an
-        integral series, so a dropped cell lands at valuation >= nrel +
-        mv(term), at or above that product's floor; the returned floor is
-        at most nrel - vmin, and the multiply-back check still verifies
-        the result.
+        h is computed only modulo p^nrel: g is integral, so a cell of h of
+        valuation >= nrel changes no later cell below p^nrel.  x and the
+        closing product r h each multiply h by an integral series, so a
+        dropped cell lands at valuation >= nrel + mv(partner), at or above
+        that product's floor, and the squares and partial products carry
+        x's floor on; the returned floor is at most nrel - vmin, and the
+        multiply-back check still verifies the result.
         """
         p, nrel = self.p, self.nrel
         vmin = self.valuation()
@@ -586,8 +596,7 @@ class LaurentSeries:
         minus = {e: v for e, v, _, _ in g if e < 0}
         pad = max((-((nrel + 1) * e // v) for e, v in minus.items()),
                   default=0)
-        wlo = min(tw[0], 0) - pad
-        whi = max(tw[1], 0) + pad
+        w = (min(tw[0], 0) - pad, max(tw[1], 0) + pad)    # working window
 
         # one-sided inverse of (1 + g_plus) modulo p^nrel by the convolution
         # recursion, each h[k] = sum (-g_j) h[k-j] as one cell_dot; g_plus
@@ -598,7 +607,7 @@ class LaurentSeries:
         reach = gp[-1][0] if gp else 0
         h = {0: (0, 1, nrel)}
         last = 0
-        for k in range(1, whi + 1):
+        for k in range(1, w[1] + 1):
             if k - last > reach:
                 break
             pairs = [(x, h[k - j]) for j, x in gp if k - j in h]
@@ -610,27 +619,24 @@ class LaurentSeries:
 
         # internal polynomial surrogates; honesty is restored by the final
         # verification and the truncated window of the returned value
-        hs = LaurentSeries.from_cells(p, nrel, h, (wlo, whi), True, nrel)
+        hs = LaurentSeries.from_cells(p, nrel, h, w, True, nrel)
+        hfull = hs
         if minus:
             gm = a3.recast((min(minus), max(minus)), True, None,
                            lambda e, raw: e < 0 and raw)
-            terms = [hs]
-            term = hs
-            for _ in range(nrel + 1):
-                # polynomial surrogates on the working window: neglected
-                # products carry valuation beyond nrel or sit outside tw;
-                # a product cut at the window's ends is re-wrapped, or the
-                # next one's provable window would shrink by hs's support
-                term = series_dot(((gm, term),), (wlo, whi)).on_window(
-                    (wlo, whi))
-                term = series_dot(((term, hs),), (wlo, whi))
-                term = -term.on_window((wlo, whi))
-                if term.min_valuation() > nrel:
+            # the Neumann sum h * sum_j x^j, x = -g_minus h, as the product
+            # h * (1 + x)(1 + x^2)(1 + x^4)...; each square and partial
+            # product is a polynomial surrogate on the working window: one
+            # cut at the window's ends is re-wrapped, or the next one's
+            # provable window would shrink by its partner's support
+            x = -series_dot(((gm, hs),), w).on_window(w)
+            r = LaurentSeries.one(p, nrel, w) + x
+            for _ in range(nrel.bit_length() + 1):  # ceil(log2(nrel+1)) + 1
+                x = series_dot(((x, x),), w).on_window(w)
+                if x.min_valuation() > nrel:
                     break
-                terms.append(term)
-            hfull = series_sum(terms)
-        else:
-            hfull = hs
+                r = series_sum((r, (r, x)), w).on_window(w)
+            hfull = series_dot(((r, hs),), w)
         hfull = hfull.restrict(tw)
         b = hfull.scale(cinv).shift_exp(-ordl).shift_val(-vmin)
         # the normalised inverse is known to nrel digits; an error of

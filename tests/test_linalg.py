@@ -28,6 +28,7 @@ from sigma_nabla.factor import matfact_gamma, matfact_robba
 from sigma_nabla.linalg import (
     mat_agree,
     mat_inv,
+    mat_mul,
     smat_add,
     smat_agree,
     smat_deriv,
@@ -154,6 +155,23 @@ def test_agreement_checks_refuse_a_shape_mismatch():
             lambda: mat_agree([[1], [2]], [[1]])):
         with pytest.raises(ValueError, match="shape mismatch"):
             check()
+
+
+ONE = series(P, N, [(0, 1)])
+
+
+@pytest.mark.parametrize("combine", [
+    lambda: smat_add([[ONE]], [[ONE, ONE], [ONE]]),
+    lambda: smat_mul_add([[ONE]], [[ONE]], [[ONE, ONE], [ONE, ONE]]),
+    lambda: mat_mul([[1, 2]], [[1]]),
+    lambda: mat_mul([[1]], [[1], [2]]),
+], ids=["smat_add", "smat_mul_add", "mat_mul_long_rows", "mat_mul_long_b"])
+def test_matrix_helpers_refuse_a_shape_mismatch(combine):
+    # each returned a 1x1 matrix, zipping away the entries one side lacks:
+    # b with a second row, c with a second row and column, a row of a
+    # longer than b's column, a column of b longer than a's row
+    with pytest.raises(ValueError, match="shape mismatch"):
+        combine()
 
 
 def test_agree_reports_failing_position():

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -955,6 +956,31 @@ def test_invert_recursion_stops_at_the_working_floor(monkeypatch):
         s.invert(target)
     assert len(pivots) == 3
     assert len(calls) <= 100, len(calls)
+
+
+def test_invert_sums_its_minus_part_by_squares(monkeypatch):
+    # 1 + 3u^-2 + 3u^-1 + 3u: x = -g_minus h has valuation 1, so the
+    # Neumann sum h * sum_j x^j takes k = ceil(log2(nrel + 1)) squarings of
+    # x and k - 1 partial products, beside the product that forms x, the
+    # closing r h and the multiply-back check; summed term by term it
+    # took two products per term, about 2 nrel
+    products = []
+    product_term = kernel.product_term
+
+    def counting(pair, out_window):
+        products.append(pair)
+        return product_term(pair, out_window)
+
+    units = {nrel: series(P, nrel, [(-2, 3), (-1, 3), (0, 1), (1, 3)])
+             for nrel in (12, 24, 48)}
+    monkeypatch.setattr(kernel, "product_term", counting)
+    monkeypatch.setattr(series_mod, "product_term", counting)
+    for nrel, a in units.items():
+        del products[:]
+        b = a.invert()
+        k = math.ceil(math.log2(nrel + 1))
+        assert len(products) <= 2 * k + 2, (nrel, len(products))
+        assert b.valuation() == 0
 
 
 # ---------------------------------------------------------------------------
