@@ -37,7 +37,12 @@ from .series import (AgreementVerdict, LaurentSeries, kernel_terms,
 
 
 def smat_shape(a):
-    return len(a), len(a[0]) if a else 0
+    """(rows, columns); a matrix whose rows differ in length is a shape
+    mismatch."""
+    m = len(a[0]) if a else 0
+    if any(len(row) != m for row in a):
+        raise ValueError("shape mismatch")
+    return len(a), m
 
 
 def smat_identity(n, p, nrel, window=None):
@@ -70,23 +75,23 @@ def _product_pairs(a, b):
     enter it as ``kernel.constant_term``.  A pair with the tail-free exact
     zero is left out, as ``accumulate`` drops its term, but for the first
     pair of an entry that has nothing else, as the fold keeps its first
-    zero term.  Entries at more than one prime keep every pair, so that a
-    fold raises "mixed primes" where it would have.  ``constant`` when
-    every entry of b that is not the tail-free exact zero is an exact
-    constant at a's prime and at least a's nrel, each column of b holds
-    one, and every entry of a is at that prime, its support hull within
-    ``MAX_WIDTH`` exponents, so that no term of a * b raises."""
+    zero term.  An entry at a prime other than a[0][0]'s raises "mixed
+    primes".  ``constant`` when every entry of b that is not the tail-free
+    exact zero is an exact constant at a's prime and at least a's nrel,
+    each column of b holds one, and every entry of a is at that prime, its
+    support hull within ``MAX_WIDTH`` exponents, so that no term of a * b
+    raises."""
     if smat_shape(a)[1] != smat_shape(b)[0]:
         raise ValueError("shape mismatch")
     p = a[0][0].p if a and b else None
-    constant, mixed, low, high = bool(b), False, INF, 0
+    constant, low, high = bool(b), INF, 0
     cols = []           # (column, its k with a kept entry; None: every k)
     for col in zip(*b):
         ks = []
         for k, c in enumerate(col):
             terms = c.terms
             if c.p != p:
-                mixed = True
+                raise ValueError("mixed primes")
             if terms or c.base_floor is not None or not c.tail_free:
                 ks.append(k)
                 if constant and (len(terms) != 1 or c.floors
@@ -105,7 +110,7 @@ def _product_pairs(a, b):
         kept = []
         for s in row:
             if s.p != p:
-                mixed = True
+                raise ValueError("mixed primes")
             kept.append(s.terms or s.base_floor is not None
                         or not s.tail_free)
             if constant:
@@ -118,8 +123,6 @@ def _product_pairs(a, b):
         rows.append([list(zip(row, col)) if whole and ks is None else
                      [(row[k], col[k]) for k in (every if ks is None else ks)
                       if kept[k]] or [(row[0], col[0])] for col, ks in cols])
-    if mixed:
-        return [[list(zip(row, col)) for col, _ in cols] for row in a], False
     return rows, constant and low >= high
 
 
@@ -339,7 +342,7 @@ def mat_identity(n, like):
 
 
 def mat_mul(a, b):
-    if smat_shape(a)[1] != len(b):
+    if smat_shape(a)[1] != smat_shape(b)[0]:
         raise ValueError("shape mismatch")
     cols = list(zip(*b))
     return [[_dot(row, col) for col in cols] for row in a]
@@ -370,7 +373,7 @@ def mat_inv(a, error=SingularInput):
     rest of the row.  Each column of the result sees the same operations
     whatever the other columns are.
     """
-    n = len(a)
+    n = _square(a, "inverse")
     work = [list(row) + e for row, e in zip(a, mat_identity(n, a[0][0]))]
     for col in range(n):
         best, best_q = None, None

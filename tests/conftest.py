@@ -182,12 +182,10 @@ def tail_free_zero(s):
 
 
 def reference_pairs(a, b):
-    """The pairs of a * b that each entry's kernel fold keeps: every pair
-    when a and b are not all at one prime, else the pairs without the
-    tail-free exact zero, or the first pair when no other is left."""
+    """The pairs of a * b that each entry's kernel fold keeps, a and b at
+    one prime: the pairs without the tail-free exact zero, or the first
+    pair when no other is left."""
     cols = list(zip(*b))
-    if len({s.p for m in (a, cols) for line in m for s in line}) > 1:
-        return [[list(zip(row, col)) for col in cols] for row in a]
     return [[[(x, y) for x, y in zip(row, col)
               if not tail_free_zero(x) and not tail_free_zero(y)]
              or [(row[0], col[0])] for col in cols] for row in a]

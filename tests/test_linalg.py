@@ -131,6 +131,9 @@ def test_det_of_triangular_matrix_is_diagonal_product():
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         smat_det([[series(P, N, [(0, 1)]), series(P, N, [(0, 1)])]])
+    # the scalar inverse returned [[2, 1]]
+    with pytest.raises(ValueError, match="non-square"):
+        mat_inv([[1, 2]])
 
 
 def test_agreement_checks_refuse_a_shape_mismatch():
@@ -165,11 +168,22 @@ ONE = series(P, N, [(0, 1)])
     lambda: smat_mul_add([[ONE]], [[ONE]], [[ONE, ONE], [ONE, ONE]]),
     lambda: mat_mul([[1, 2]], [[1]]),
     lambda: mat_mul([[1]], [[1], [2]]),
-], ids=["smat_add", "smat_mul_add", "mat_mul_long_rows", "mat_mul_long_b"])
+    lambda: smat_product_agree([[ONE, ONE], [ONE]], [[ONE], [ONE]],
+                               [[ONE + ONE], [ONE]]),
+    lambda: smat_mul([[ONE, ONE]], [[ONE, ONE], [ONE]]),
+    lambda: mat_mul([[1, 2], [3]], [[1], [2]]),
+    lambda: smat_det([[ONE, ONE], [ONE]]),
+    lambda: mat_inv([[1, 0], [0]]),
+], ids=["smat_add", "smat_mul_add", "mat_mul_long_rows", "mat_mul_long_b",
+        "ragged_product_agree", "ragged_smat_mul", "ragged_mat_mul",
+        "ragged_smat_det", "ragged_mat_inv"])
 def test_matrix_helpers_refuse_a_shape_mismatch(combine):
     # each returned a 1x1 matrix, zipping away the entries one side lacks:
     # b with a second row, c with a second row and column, a row of a
-    # longer than b's column, a column of b longer than a's row
+    # longer than b's column, a column of b longer than a's row; and a
+    # ragged a or b, whose short rows were zipped away: the product check
+    # held, smat_mul and mat_mul returned a matrix, smat_det raised
+    # IndexError and mat_inv SingularInput
     with pytest.raises(ValueError, match="shape mismatch"):
         combine()
 
@@ -688,8 +702,9 @@ def test_one_pair_builder_keeps_the_fold_s_pairs_and_flags_constants():
     # entry at the other prime, an all-zero column of B, a constant with
     # a floor, one below A's nrel, one off exponent 0, a truncated one, or
     # an A entry whose hull spans MAX_WIDTH or more exponents (or one
-    # fewer).  The builder keeps the reference's pairs, and flags the
-    # constant path exactly when the reference predicate holds
+    # fewer).  The builder raises "mixed primes" on an entry at the other
+    # prime; else it keeps the reference's pairs, and flags the constant
+    # path exactly when the reference predicate holds
     rng = random.Random(53)
     seen = Counter()
     kinds = ("none", "prime_b", "prime_a", "zero_column", "floor",
@@ -724,6 +739,11 @@ def test_one_pair_builder_keeps_the_fold_s_pairs_and_flags_constants():
                    else MAX_WIDTH + rng.randint(0, 2))
             a[rng.randrange(n)][i] = series(p, nrel, [(0, 1), (top, 2)],
                                             (-2, top + 2))
+        if kind in ("prime_a", "prime_b"):
+            with pytest.raises(ValueError, match="mixed primes"):
+                linalg._product_pairs(a, b)
+            seen[kind, False] += 1
+            continue
         rows, constant = linalg._product_pairs(a, b)
         assert rows == reference_pairs(a, b), trial
         assert constant == takes_constant_path(a, b), trial

@@ -2,6 +2,7 @@ import glob
 import json
 import os
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -218,6 +219,11 @@ def fixture_bytes(*parts):
         return fh.read()
 
 
+def _fixture_doc(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_cli_readme_fixture_report(runner):
     # the README example: the checked-in closed-form pair and its report
     with open(README_FIXTURE, encoding="utf-8") as fh:
@@ -231,61 +237,53 @@ def test_cli_readme_fixture_report(runner):
     assert rep["window"] == [-127, 127]
 
 
-def test_cli_golden_check_module_report(runner):
-    res = runner.invoke(main, ["check-module", README_FIXTURE])
-    assert res.exit_code == 0
-    assert res.stdout_bytes == fixture_bytes("module_report.json")
-
-
-@pytest.mark.parametrize("mode", ["gamma", "robba"])
-def test_cli_golden_factors(runner, tmp_path, mode):
-    # seeded rank-3 inputs; Y.json and Z.json must stay byte-identical
-    x_path = os.path.join(FIXTURES, f"factor_{mode}", "x.json")
-    res = runner.invoke(main, ["--out", str(tmp_path), "factor", mode,
-                               x_path])
-    assert res.exit_code == 0
-    for name in ("Y.json", "Z.json"):
-        assert (tmp_path / name).read_bytes() == \
-            fixture_bytes(f"factor_{mode}", name)
-
-
-def test_cli_golden_factor_gamma_at_p5(runner, tmp_path, monkeypatch):
-    # a seeded rank-3 input at p = 5, nrel 8, whose rounds combine columns
-    # with weights 2, 3 and 4 (the p = 3 goldens reach only 1 and 2); the
-    # report, Y.json and Z.json must stay byte-identical
-    weights = set()
+@pytest.mark.parametrize("out, golden, weights", [
+    ("gamma", "factor_gamma", {1, 2}),
+    ("robba", "factor_robba", set()),
+    # p = 5, nrel 8: the rounds combine columns with weights 2, 3 and 4,
+    # which the p = 3 golden does not reach
+    ("gamma_p5", "factor_gamma_p5", {1, 2, 3, 4}),
+], ids=["gamma", "robba", "gamma_p5"])
+def test_cli_golden_factors(runner, tmp_path, monkeypatch, out, golden,
+                            weights):
+    # seeded rank-3 inputs, factored into a relative --out, so that the
+    # report names the same paths on every machine; the report, Y.json and
+    # Z.json must stay byte-identical, and the Gamma rounds combine
+    # columns with the given weights (the Robba factorization takes none)
+    seen = set()
     mod_p_kernel = factor._mod_p_kernel
 
     def spy(rows, p, n):
         vec = mod_p_kernel(rows, p, n)
         if vec is not None:
             inv = pow(vec[max(i for i, v in enumerate(vec) if v)], -1, p)
-            weights.update(v * inv % p for v in vec if v)
+            seen.update(v * inv % p for v in vec if v)
         return vec
 
     monkeypatch.setattr(factor, "_mod_p_kernel", spy)
     monkeypatch.chdir(tmp_path)
-    res = runner.invoke(main, [
-        "--out", "gamma_p5", "factor", "gamma",
-        os.path.join(FIXTURES, "factor_gamma_p5", "x.json")])
+    res = runner.invoke(main, ["--out", out, "factor", out.split("_")[0],
+                               os.path.join(FIXTURES, golden, "x.json")])
     assert res.exit_code == 0
-    assert res.stdout_bytes == fixture_bytes("factor_gamma_p5", "report.json")
+    assert res.stdout_bytes == fixture_bytes(golden, "report.json")
     for name in ("Y.json", "Z.json"):
-        assert (tmp_path / "gamma_p5" / name).read_bytes() == \
-            fixture_bytes("factor_gamma_p5", name)
-    assert weights == {1, 2, 3, 4}
+        assert (tmp_path / out / name).read_bytes() == \
+            fixture_bytes(golden, name)
+    assert seen == weights
 
 
-@pytest.mark.parametrize("golden", ["factor_gamma", "factor_gamma_p5"])
+@pytest.mark.parametrize("golden", ["factor_gamma", "factor_gamma_p5",
+                                    "factor_robba"])
 def test_cli_check_product_agrees_with_the_gamma_product_floor(runner,
                                                                golden):
-    # check-product on each golden's Y, Z and X, whose Z has exact zeros,
-    # holds at the product_floor the factorization reported, which closes
-    # with the same check
+    # check-product on each golden's Y, Z and X holds at the product_floor
+    # the factorization reported, which closes with the same check; a
+    # Gamma golden's Z has exact zeros (the Robba golden's Z has none)
     paths = [os.path.join(FIXTURES, golden, name)
              for name in ("Y.json", "Z.json", "x.json")]
     z = textio.parse_series_matrix(textio.load_path(paths[1]))[0]
-    assert any(s.is_exact_zero for row in z for s in row)
+    if golden != "factor_robba":
+        assert any(s.is_exact_zero for row in z for s in row)
     res = runner.invoke(main, ["check-product"] + paths)
     assert res.exit_code == 0
     report = json.loads(fixture_bytes(golden, "report.json"))
@@ -327,22 +325,24 @@ def test_cli_check_product_on_a_floored_gamma_z_folds_products(
     assert json.loads(outputs[0])["floor"] == report["product_floor"]
 
 
-@pytest.mark.parametrize("command, inputs", [
-    ("glue", ("m1.json", "m2.json", "x.json")),
-    ("descend", ("module.json", "x.json")),
-])
-def test_cli_golden_glue_descend(runner, command, inputs):
-    # seeded rank-3 inputs (the generators of tests/conftest.py); the
-    # reports go through smat_inv, basis_transform and Z
-    paths = [os.path.join(FIXTURES, command, name) for name in inputs]
-    res = runner.invoke(main, [command] + paths)
-    assert res.exit_code == 0
-    assert res.stdout_bytes == fixture_bytes(command, "report.json")
+def _padded_cells(name):
+    """(a file name, the fixture module ``name`` with every cell padded by
+    spaces and its exponents and units by a leading zero)."""
+    doc = _fixture_doc(name)
+    for key in ("phi", "n", "b"):
+        for term in (t for row in doc[key] for body in row
+                     for t in body["terms"]):
+            digits = re.sub(r"([*^])(-?)([0-9]+)", r"\g<1>\g<2>0\3", term[1])
+            term[1] = f" {digits} "
+    return os.path.basename(name).replace(".json", "_padded.json"), doc
 
 
-# (arguments, fixtures read, golden report, exit status); the reports
-# were captured before the commands shared one runner
+# (arguments, inputs, golden report, exit status): each input is a fixture
+# name, or a (name, document) pair built here; the reports were captured
+# before the commands shared one runner
 GOLDEN_REPORTS = [
+    # the README example
+    (["check-module"], ["module.json"], "module_report.json", 0),
     (["average-projector"], ["average_projector/orbit.json"],
      "average_projector/orbit_report.json", 0),
     (["average-projector"], ["average_projector/group.json"],
@@ -386,13 +386,37 @@ GOLDEN_REPORTS = [
     # the glue fixture's first module as it is: the compatibility check
     # and both diagrams of the FV check hold
     (["check-module"], ["glue/m1.json"], "check_module/holds_report.json", 0),
+    # the same module padded: the reader takes its cells one by one, and
+    # the report is the same byte for byte
+    (["check-module"], [_padded_cells("glue/m1.json")],
+     "check_module/holds_report.json", 0),
+    # seeded rank-3 inputs (the generators of tests/conftest.py); the
+    # reports go through smat_inv, basis_transform and Z
+    (["glue"], ["glue/m1.json", "glue/m2.json", "glue/x.json"],
+     "glue/report.json", 0),
+    (["descend"], ["descend/module.json", "descend/x.json"],
+     "descend/report.json", 0),
 ]
 
 
+def _golden_id(row):
+    """The row's report, then the name of each input built here."""
+    _, inputs, report, _ = row
+    return "-".join([report] + [x[0] for x in inputs
+                                if not isinstance(x, str)])
+
+
 @pytest.mark.parametrize("args, inputs, report, code", GOLDEN_REPORTS,
-                         ids=[g[2] for g in GOLDEN_REPORTS])
-def test_cli_golden_point_reports(runner, args, inputs, report, code):
-    paths = [os.path.join(FIXTURES, name) for name in inputs]
+                         ids=map(_golden_id, GOLDEN_REPORTS))
+def test_cli_golden_point_reports(runner, tmp_path, args, inputs, report,
+                                  code):
+    paths = []
+    for x in inputs:
+        if isinstance(x, str):
+            paths.append(os.path.join(FIXTURES, x))
+        else:
+            paths.append(str(tmp_path / x[0]))
+            textio.dump_path(paths[-1], x[1])
     res = runner.invoke(main, args + paths)
     assert res.exit_code == code
     assert res.stdout_bytes == fixture_bytes(report)
@@ -419,11 +443,6 @@ def test_cli_factor_out_is_the_factor_directory(runner, tmp_path):
     rep = json.loads(res.output)
     assert rep["command"] == "factor-gamma"
     assert rep["y_path"] == str(outdir / "Y.json")
-
-
-def _fixture_doc(name):
-    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _without(name, key):
@@ -466,6 +485,9 @@ def _repeated_factor():
        "polys": [[1, 0, ["1", "-3", "4"]], ["a", 0, ["1", "-3", "4"]]]}]),
     (["factor", "gamma"], [_repeated_term()]),
     (["lfunction", "--place", "p", "-T", "8"], [_repeated_factor()]),
+    # a document whose top level is an array
+    (["pole-order", "--q", "2", "--d", "1"],
+     [[{"format_version": 1, "kind": "int_polynomial", "coeffs": ["1"]}]]),
 ])
 def test_cli_malformed_documents_exit_two(runner, tmp_path, args, docs):
     paths = []
@@ -475,6 +497,7 @@ def test_cli_malformed_documents_exit_two(runner, tmp_path, args, docs):
     res = runner.invoke(main, args + paths)
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("parse error")
+    assert "Traceback" not in res.stderr
     assert isinstance(res.exception, SystemExit)
 
 
@@ -770,6 +793,8 @@ USAGE_ERRORS = [
     ["trace-check", "--place", "zz",
      os.path.join(FIXTURES, "lfunction", "table.json"),
      os.path.join(FIXTURES, "lfunction", "cohomology.json")],
+    ["--nmax", "-1", "probe-nilpotence",
+     os.path.join(FIXTURES, "module.json")],
 ]
 
 
